@@ -14,19 +14,15 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
-from .algebra import Knowledgebase
 from .builtins import BUILTINS, builtin
-from .contextuality import EmpiricalModel
-from .core import NONNEG_RATIONAL, enumerate_assignments
 from .documents import (
-    CSPDocumentPayload,
     ParsedInput,
     canonical_json,
     document_for,
-    format_rational,
     parse_document_text,
+    potential_values,
+    relation_rows,
 )
 from .errors import (
     ArgumentError,
@@ -37,8 +33,6 @@ from .errors import (
     ValkitError,
 )
 from .inference import InferenceProblem, cell_limit_from_env, run_solver
-from .logic import csp_to_knowledgebase
-from .potentials import Potential
 from .relations import Relation
 from .reports import build_report, verify_report
 
@@ -117,17 +111,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _infer_knowledgebase(parsed: ParsedInput) -> Knowledgebase:
-    if isinstance(parsed.payload, EmpiricalModel):
-        return parsed.payload.knowledgebase()
-    if isinstance(parsed.payload, CSPDocumentPayload):
-        return csp_to_knowledgebase(parsed.payload.csp, parsed.payload.covers)
-    return parsed.payload
-
-
 def cmd_infer(args) -> int:
     parsed, _ = _load_input(args.source)
-    kb = _infer_knowledgebase(parsed)
+    kb = parsed.knowledgebase()
     query = frozenset(name.strip() for name in args.query.split(",") if name.strip())
     cell_limit = args.limit if args.limit is not None else cell_limit_from_env()
     order = None
@@ -136,40 +122,22 @@ def cmd_infer(args) -> int:
     problem = InferenceProblem(kb, query)
     result = run_solver(problem, method=args.method, cell_limit=cell_limit, order=order)
     names = sorted(query)
+    if isinstance(result, Relation):
+        body = {"type": "relation", "tuples": relation_rows(result, names)}
+    else:
+        body = {"type": "potential", "values": potential_values(result, names)}
     if args.json:
-        if isinstance(result, Relation):
-            payload = {
-                "query": names,
-                "type": "relation",
-                "tuples": [list(t.values_in(names)) for t in result.sorted_tuples()],
-            }
-        else:
-            payload = {
-                "query": names,
-                "type": "potential",
-                "values": {
-                    ",".join(a.values_in(names)): _format_value(result, a)
-                    for a in enumerate_assignments(result.domain, kb.universe)
-                },
-            }
-        sys.stdout.write(canonical_json(payload))
+        sys.stdout.write(canonical_json({"query": names, **body}))
         return EXIT_OK
     print(f"query: {','.join(names)}")
-    if isinstance(result, Relation):
-        print(f"tuples: {len(result.tuples)}")
-        for t in result.sorted_tuples():
-            print("  " + ",".join(t.values_in(names)))
+    if "tuples" in body:
+        print(f"tuples: {len(body['tuples'])}")
+        for row in body["tuples"]:
+            print("  " + ",".join(row))
     else:
-        for a in enumerate_assignments(result.domain, kb.universe):
-            print(f"  {','.join(a.values_in(names))} -> {_format_value(result, a)}")
+        for key, value in body["values"].items():
+            print(f"  {key} -> {value}")
     return EXIT_OK
-
-
-def _format_value(potential: Potential, assignment) -> int | str:
-    value = potential.table[assignment]
-    if potential.semiring == NONNEG_RATIONAL:
-        return format_rational(Fraction(value))
-    return int(value)
 
 
 def cmd_list_builtins(args) -> int:
@@ -194,7 +162,7 @@ def cmd_verify(args) -> int:
     if not isinstance(report, dict):
         raise ParseError("report must be a JSON object")
     parsed, digest = _load_input(args.source)
-    problems = verify_report(report, parsed, digest)
+    problems = verify_report(report, parsed, digest, cell_limit_from_env())
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)

@@ -21,13 +21,13 @@ from .disagreement import (
     DEFAULT_FEASIBILITY_COLUMNS,
     GlobalVerdict,
     check_global_agreement_potentials,
+    check_local_agreement,
 )
 from .errors import ArgumentError, PreconditionError
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, run_solver
 from .potentials import (
     Potential,
     possibilistic_collapse,
-    project_potential,
     support_relation,
     total_mass,
 )
@@ -134,16 +134,23 @@ class NoSignallingVerdict:
 
 
 def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
-    """Marginals of every two sections must agree on the shared measurements."""
+    """No-signalling is local agreement of the model's sections."""
+    local = check_local_agreement(model.knowledgebase())
+    if local.agrees:
+        return NoSignallingVerdict(True)
     contexts = model.scenario.contexts
-    for i in range(len(contexts)):
-        for j in range(i + 1, len(contexts)):
-            overlap = frozenset(contexts[i]) & frozenset(contexts[j])
-            left = project_potential(model.sections[i], overlap)
-            right = project_potential(model.sections[j], overlap)
-            if left != right:
-                return NoSignallingVerdict(False, pair=(contexts[i], contexts[j]), overlap=overlap, marginals=(left, right))
-    return NoSignallingVerdict(True)
+    i, j = local.pair
+    return NoSignallingVerdict(False, pair=(contexts[i - 1], contexts[j - 1]), overlap=local.overlap, marginals=local.projections)
+
+
+def _require_no_signalling(verdict: NoSignallingVerdict) -> None:
+    if not verdict.passed:
+        raise PreconditionError(f"model signals between contexts {verdict.pair[0]!r} and {verdict.pair[1]!r}")
+
+
+def _support_combination(model: EmpiricalModel, method: str, cell_limit: int | None) -> Relation:
+    kb = model.support_knowledgebase()
+    return run_solver(InferenceProblem(kb, kb.joint_domain), method, cell_limit)
 
 
 def gamma(
@@ -152,11 +159,8 @@ def gamma(
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ) -> Relation:
     """The combination of all context supports: every globally consistent assignment."""
-    verdict = check_no_signalling(model)
-    if not verdict.passed:
-        raise PreconditionError(f"model signals between contexts {verdict.pair[0]!r} and {verdict.pair[1]!r}")
-    kb = model.support_knowledgebase()
-    return run_solver(InferenceProblem(kb, kb.joint_domain), method, cell_limit)
+    _require_no_signalling(check_no_signalling(model))
+    return _support_combination(model, method, cell_limit)
 
 
 @dataclass(frozen=True)
@@ -238,26 +242,32 @@ def classify(
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
     feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
 ) -> ContextualityReport:
-    """Place a no-signalling model in the hierarchy NC < PC < LC < SC.
+    """Place a no-signalling model in the hierarchy NC < PC < LC < SC."""
+    return classify_checked(model, check_no_signalling(model), method, cell_limit, feasibility_columns)
 
-    Logical contextuality of a probabilistic model is evaluated on its
-    possibilistic collapse; probabilistic contextuality is the failure of the
-    marginal feasibility system.
+
+def classify_checked(
+    model: EmpiricalModel,
+    no_signalling: NoSignallingVerdict,
+    method: str = "fusion",
+    cell_limit: int | None = DEFAULT_CELL_LIMIT,
+    feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
+) -> ContextualityReport:
+    """classify, given the model's no-signalling verdict.
+
+    Logical contextuality is read from the supports, which a section shares
+    with its possibilistic collapse; probabilistic contextuality is the
+    failure of the marginal feasibility system.
     """
-    signalling = check_no_signalling(model)
-    if not signalling.passed:
-        raise PreconditionError(
-            f"model signals between contexts {signalling.pair[0]!r} and {signalling.pair[1]!r}"
-        )
-    possibilistic = possibilistic_collapse_model(model)
-    g = gamma(possibilistic, method, cell_limit)
+    _require_no_signalling(no_signalling)
+    g = _support_combination(model, method, cell_limit)
 
     strongly = g.is_empty()
     sc_context = model.scenario.contexts[0] if strongly else None
 
     logically = False
     lc_witness = None
-    for ctx, section in zip(possibilistic.scenario.contexts, possibilistic.sections):
+    for ctx, section in zip(model.scenario.contexts, model.sections):
         support = support_relation(section)
         covered = project_relation(g, frozenset(ctx))
         missing = sorted(support.tuples - covered.tuples, key=lambda a: a.items)
@@ -283,7 +293,7 @@ def classify(
 
     return ContextualityReport(
         kind=model.kind,
-        no_signalling=signalling,
+        no_signalling=no_signalling,
         gamma=g,
         strongly_contextual=strongly,
         logically_contextual=logically,

@@ -136,9 +136,6 @@ class Assignment:
         return f"({inner})" if inner else "(*)"
 
 
-EMPTY_ASSIGNMENT = Assignment(())
-
-
 def project_assignment(x: Assignment, target: Domain) -> Assignment:
     """Cartesian projection of an assignment onto a subset of its domain."""
     extra = target - x.domain

@@ -30,7 +30,7 @@ from .core import (
     enumerate_assignments,
 )
 from .errors import ParseError, ValkitError
-from .logic import CSPInstance, Constraint
+from .logic import CSPInstance, Constraint, csp_to_knowledgebase
 from .potentials import Potential
 from .relations import Relation
 
@@ -42,6 +42,14 @@ class ParsedInput:
     kind: str
     payload: object  # EmpiricalModel | Knowledgebase | CSPDocumentPayload
     document: dict
+
+    def knowledgebase(self) -> Knowledgebase:
+        """A model's sections, a CSP's compiled covers, or the knowledgebase itself."""
+        if isinstance(self.payload, EmpiricalModel):
+            return self.payload.knowledgebase()
+        if isinstance(self.payload, CSPDocumentPayload):
+            return csp_to_knowledgebase(self.payload.csp, self.payload.covers)
+        return self.payload
 
 
 @dataclass(frozen=True)
@@ -55,6 +63,21 @@ def format_rational(value: Fraction) -> int | str:
     if value.denominator == 1:
         return int(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+def relation_rows(r: Relation, names) -> list[list[str]]:
+    """The sorted tuples of a relation, each as its values in the order of `names`."""
+    return [list(t.values_in(names)) for t in r.sorted_tuples()]
+
+
+def potential_values(p: Potential, names, nonzero_only: bool = False) -> dict[str, int | str]:
+    """Each assignment's value, keyed by its values in the order of `names` joined by commas."""
+    values = {}
+    for a in enumerate_assignments(p.domain, p.universe):
+        v = p.table[a]
+        if not (nonzero_only and v == 0):
+            values[",".join(a.values_in(names))] = format_rational(v)
+    return values
 
 
 def parse_signed_rational(raw, where: str) -> Fraction:
@@ -303,17 +326,10 @@ def _universe_document(universe: VariableUniverse) -> list[dict]:
 
 
 def model_document(model: EmpiricalModel) -> dict:
-    sections = {}
-    for ctx, section in zip(model.scenario.contexts, model.sections):
-        entries = {}
-        for assignment in enumerate_assignments(frozenset(ctx), model.scenario.universe):
-            value = section.table[assignment]
-            key = ",".join(assignment.values_in(ctx))
-            if model.kind == PROBABILISTIC:
-                entries[key] = format_rational(value)
-            elif value != 0:
-                entries[key] = 1
-        sections[",".join(ctx)] = entries
+    sections = {
+        ",".join(ctx): potential_values(section, ctx, nonzero_only=model.kind == POSSIBILISTIC)
+        for ctx, section in zip(model.scenario.contexts, model.sections)
+    }
     return {
         "kind": "empirical-model",
         "universe": _universe_document(model.scenario.universe),
@@ -328,14 +344,9 @@ def knowledgebase_document(kb: Knowledgebase) -> dict:
     for v in kb:
         names = sorted(v.domain)
         if isinstance(v, Relation):
-            rows = [list(t.values_in(names)) for t in v.sorted_tuples()]
-            valuations.append({"domain": names, "tuples": rows})
+            valuations.append({"domain": names, "tuples": relation_rows(v, names)})
         else:
-            values = {
-                ",".join(a.values_in(names)): format_rational(v.table[a])
-                for a in enumerate_assignments(v.domain, kb.universe)
-            }
-            valuations.append({"domain": names, "values": values})
+            valuations.append({"domain": names, "values": potential_values(v, names)})
     return {
         "kind": "knowledgebase",
         "universe": _universe_document(kb.universe),
@@ -344,10 +355,7 @@ def knowledgebase_document(kb: Knowledgebase) -> dict:
 
 
 def csp_document(payload: CSPDocumentPayload) -> dict:
-    constraints = []
-    for c in payload.csp.constraints:
-        rows = [list(t.values_in(c.scheme)) for t in c.allowed.sorted_tuples()]
-        constraints.append({"scheme": list(c.scheme), "allowed": rows})
+    constraints = [{"scheme": list(c.scheme), "allowed": relation_rows(c.allowed, c.scheme)} for c in payload.csp.constraints]
     return {
         "kind": "csp",
         "universe": _universe_document(payload.csp.universe),

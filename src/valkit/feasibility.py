@@ -102,6 +102,8 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
         for i, b in enumerate(basis):
             if b < n:
                 solution[cols[b]] = tableau[i][total]
+        if not validate_solution(system, solution):
+            raise AssertionError("simplex produced a point that does not solve the system")
         return FeasibilityResult(True, solution=solution)
 
     # y_i = 1 - reduced cost of the i-th artificial column.

@@ -16,28 +16,28 @@ from .algebra import Knowledgebase
 from .contextuality import (
     ContextualityReport,
     EmpiricalModel,
+    NoSignallingVerdict,
     check_no_signalling,
-    classify,
+    classify_checked,
     gamma as compute_gamma,
-    possibilistic_collapse_model,
 )
-from .core import NONNEG_RATIONAL, Assignment, enumerate_assignments
+from .core import NONNEG_RATIONAL, Assignment
 from .disagreement import (
     AgreementReport,
     analyze_knowledgebase,
     marginal_system,
 )
 from .documents import (
-    CSPDocumentPayload,
     ParsedInput,
     format_rational,
     parse_rational,
     parse_signed_rational,
+    potential_values,
+    relation_rows,
 )
 from .errors import ValkitError
 from .feasibility import FarkasCertificate, validate_certificate
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, run_solver
-from .logic import csp_to_knowledgebase
 from .potentials import Potential, project_potential, support_relation
 from .relations import Relation, project_relation
 
@@ -49,7 +49,7 @@ def relation_doc(r: Relation) -> dict:
     names = sorted(r.domain)
     doc = {"type": "relation", "domain": names, "size": len(r.tuples)}
     if len(r.tuples) <= TUPLE_CAP:
-        doc["tuples"] = [list(t.values_in(names)) for t in r.sorted_tuples()]
+        doc["tuples"] = relation_rows(r, names)
     else:
         doc["omitted"] = True
     return doc
@@ -57,13 +57,7 @@ def relation_doc(r: Relation) -> dict:
 
 def potential_doc(p: Potential, nonzero_only: bool = False) -> dict:
     names = sorted(p.domain)
-    values = {}
-    for a in enumerate_assignments(p.domain, p.universe):
-        v = p.table[a]
-        if nonzero_only and v == 0:
-            continue
-        key = ",".join(a.values_in(names))
-        values[key] = format_rational(v) if p.semiring == NONNEG_RATIONAL else int(v)
+    values = potential_values(p, names, nonzero_only)
     return {"type": "potential", "domain": names, "semiring": p.semiring.name, "values": values}
 
 
@@ -85,30 +79,41 @@ def _parse_potential_doc(doc: dict, kb: Knowledgebase) -> Potential:
     return Potential.from_table(kb.universe, frozenset(names), NONNEG_RATIONAL, table, default=Fraction(0))
 
 
-def kb_certificate_doc(kb: Knowledgebase, certificate: FarkasCertificate) -> list[dict]:
+def _kb_certificate_layout(kb: Knowledgebase) -> tuple[tuple[str, str], list]:
+    """Rows name a member by its 1-based index and write assignments in sorted-domain order."""
+    return ("member", "assignment"), [(index, sorted(phi.domain)) for index, phi in enumerate(kb, start=1)]
+
+
+def _model_certificate_layout(model: EmpiricalModel) -> tuple[tuple[str, str], list]:
+    """Rows name a context by its joined measurements and write outcomes in context order."""
+    return ("context", "outcome"), [(",".join(ctx), ctx) for ctx in model.scenario.contexts]
+
+
+def certificate_doc(certificate: FarkasCertificate, fields: tuple[str, str], members: list) -> list[dict]:
+    """One row per nonzero multiplier; `members[i - 1]` is member i's label and variable order."""
+    member_field, assignment_field = fields
     rows = []
     for (index, assignment), coefficient in certificate.coefficients:
         if coefficient == 0:
             continue
-        names = sorted(assignment.domain)
+        label, names = members[index - 1]
         rows.append(
             {
-                "member": index,
-                "assignment": ",".join(assignment.values_in(names)),
+                member_field: label,
+                assignment_field: ",".join(assignment.values_in(names)),
                 "coefficient": format_rational(coefficient),
             }
         )
     return rows
 
 
-def _kb_certificate_from_doc(rows: list[dict], kb: Knowledgebase) -> FarkasCertificate:
+def _certificate_from_doc(rows: list[dict], fields: tuple[str, str], members: list) -> FarkasCertificate:
+    member_field, assignment_field = fields
+    by_label = {label: (index, names) for index, (label, names) in enumerate(members, start=1)}
     coefficients = []
-    members = list(kb)
     for row in rows:
-        index = row["member"]
-        member = members[index - 1]
-        names = sorted(member.domain)
-        labels = row["assignment"].split(",") if row["assignment"] else []
+        index, names = by_label[row[member_field]]
+        labels = row[assignment_field].split(",") if row[assignment_field] else []
         assignment = Assignment.of(dict(zip(names, labels)))
         coefficients.append(((index, assignment), parse_signed_rational(row["coefficient"], "certificate")))
     return FarkasCertificate(tuple(coefficients))
@@ -125,7 +130,7 @@ def agreement_analysis_doc(kb: Knowledgebase, report: AgreementReport) -> dict:
     if g.agrees:
         global_doc = {"verdict": "agree", "truth": valuation_doc(g.truth)}
     elif g.certificate is not None:
-        global_doc = {"verdict": "disagree", "certificate": kb_certificate_doc(kb, g.certificate)}
+        global_doc = {"verdict": "disagree", "certificate": certificate_doc(g.certificate, *_kb_certificate_layout(kb))}
     else:
         global_doc = {
             "verdict": "disagree",
@@ -140,10 +145,7 @@ def agreement_analysis_doc(kb: Knowledgebase, report: AgreementReport) -> dict:
     }
 
 
-def _no_signalling_doc(model: EmpiricalModel) -> dict:
-    verdict = check_no_signalling(model)
-    if verdict.passed:
-        return {"verdict": "pass"}
+def _no_signalling_doc(verdict: NoSignallingVerdict) -> dict:
     return {
         "verdict": "fail",
         "contexts": [",".join(c) for c in verdict.pair],
@@ -165,7 +167,7 @@ def contextuality_analysis_doc(model: EmpiricalModel, report: ContextualityRepor
     elif report.probabilistically_contextual:
         probabilistic = {
             "contextual": True,
-            "certificate": _model_certificate_doc(model, report.feasibility.certificate),
+            "certificate": certificate_doc(report.feasibility.certificate, *_model_certificate_layout(model)),
         }
     else:
         probabilistic = {
@@ -182,46 +184,16 @@ def contextuality_analysis_doc(model: EmpiricalModel, report: ContextualityRepor
     }
 
 
-def _model_certificate_doc(model: EmpiricalModel, certificate: FarkasCertificate) -> list[dict]:
-    rows = []
-    for (index, assignment), coefficient in certificate.coefficients:
-        if coefficient == 0:
-            continue
-        ctx = model.scenario.contexts[index - 1]
-        rows.append(
-            {
-                "context": ",".join(ctx),
-                "outcome": ",".join(assignment.values_in(ctx)),
-                "coefficient": format_rational(coefficient),
-            }
-        )
-    return rows
-
-
-def _model_certificate_from_doc(rows: list[dict], model: EmpiricalModel) -> FarkasCertificate:
-    by_key = {",".join(ctx): (i + 1, ctx) for i, ctx in enumerate(model.scenario.contexts)}
-    coefficients = []
-    for row in rows:
-        index, ctx = by_key[row["context"]]
-        labels = row["outcome"].split(",")
-        assignment = Assignment.of(dict(zip(ctx, labels)))
-        coefficients.append(((index, assignment), parse_signed_rational(row["coefficient"], "certificate")))
-    return FarkasCertificate(tuple(coefficients))
-
-
 def analysis_document(parsed: ParsedInput, method: str, cell_limit: int | None) -> dict:
     """Run the analysis appropriate for the input kind and render it."""
     payload = parsed.payload
     if isinstance(payload, EmpiricalModel):
         signalling = check_no_signalling(payload)
         if not signalling.passed:
-            return {"no-signalling": _no_signalling_doc(payload), "class": None}
-        report = classify(payload, method=method, cell_limit=cell_limit)
+            return {"no-signalling": _no_signalling_doc(signalling), "class": None}
+        report = classify_checked(payload, signalling, method=method, cell_limit=cell_limit)
         return contextuality_analysis_doc(payload, report)
-    if isinstance(payload, CSPDocumentPayload):
-        kb = csp_to_knowledgebase(payload.csp, payload.covers)
-    else:
-        kb = payload
+    kb = parsed.knowledgebase()
     report = analyze_knowledgebase(kb, method=method, cell_limit=cell_limit)
     return agreement_analysis_doc(kb, report)
 
@@ -244,33 +216,35 @@ def build_report(
     }
 
 
-def _kb_for(parsed: ParsedInput) -> Knowledgebase:
-    if isinstance(parsed.payload, CSPDocumentPayload):
-        return csp_to_knowledgebase(parsed.payload.csp, parsed.payload.covers)
-    return parsed.payload
+def verify_report(
+    report: dict,
+    parsed: ParsedInput,
+    input_sha256: str,
+    cell_limit: int | None = DEFAULT_CELL_LIMIT,
+) -> list[str]:
+    """Re-derive the analysis and re-check each witness; returns problems found.
 
-
-def verify_report(report: dict, parsed: ParsedInput, input_sha256: str) -> list[str]:
-    """Re-derive the analysis and re-check each witness; returns problems found."""
+    The re-derivation uses fusion under the caller's cell limit. The report's
+    own "method" and "cell-limit" fields are not read: a report must not be
+    able to switch off the resource guard that bounds its own checking.
+    """
     problems: list[str] = []
     if report.get("report") != REPORT_SCHEMA:
         return [f"unknown report schema {report.get('report')!r}"]
     if report.get("input-sha256") != input_sha256:
         problems.append("input hash does not match the report")
         return problems
-    method = report.get("method", "fusion")
-    cell_limit = report.get("cell-limit", DEFAULT_CELL_LIMIT)
-    rebuilt = analysis_document(parsed, method, cell_limit)
+    rebuilt = analysis_document(parsed, "fusion", cell_limit)
     if rebuilt != report.get("analysis"):
         problems.append("analysis does not reproduce the report")
     try:
-        problems.extend(_revalidate_witnesses(report, parsed, method, cell_limit))
+        problems.extend(_revalidate_witnesses(report, parsed, cell_limit))
     except (ValkitError, KeyError, IndexError, TypeError, AttributeError) as err:
         problems.append(f"witness re-validation failed on malformed report data: {err!r}")
     return problems
 
 
-def _revalidate_witnesses(report: dict, parsed: ParsedInput, method: str, cell_limit) -> list[str]:
+def _revalidate_witnesses(report: dict, parsed: ParsedInput, cell_limit) -> list[str]:
     problems: list[str] = []
     analysis = report.get("analysis", {})
     payload = parsed.payload
@@ -280,14 +254,13 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, method: str, cell_l
             if check_no_signalling(payload).passed:
                 problems.append("report claims signalling but the model is no-signalling")
             return problems
-        collapse = possibilistic_collapse_model(payload)
         gamma_doc = analysis.get("gamma", {})
         probabilistic = analysis.get("probabilistic")
         if probabilistic is not None:
             kb = payload.knowledgebase()
             system = marginal_system(kb)
             if probabilistic.get("contextual"):
-                certificate = _model_certificate_from_doc(probabilistic["certificate"], payload)
+                certificate = _certificate_from_doc(probabilistic["certificate"], *_model_certificate_layout(payload))
                 if not validate_certificate(system, certificate):
                     problems.append("infeasibility certificate fails validation")
             else:
@@ -304,17 +277,17 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, method: str, cell_l
             ctx = tuple(witness["context"].split(","))
             labels = witness["section"].split(",")
             section = Assignment.of(dict(zip(ctx, labels)))
-            support = support_relation(collapse.section_for(ctx))
+            support = support_relation(payload.section_for(ctx))
             if section not in support.tuples:
                 problems.append("logical-contextuality witness is not a supported section")
-            g = compute_gamma(collapse, method=method, cell_limit=cell_limit)
+            g = compute_gamma(payload, cell_limit=cell_limit)
             if section in project_relation(g, frozenset(ctx)).tuples:
                 problems.append("logical-contextuality witness extends to a global assignment")
         if analysis.get("strong", {}).get("contextual") and gamma_doc.get("size") != 0:
             problems.append("strong contextuality claimed but gamma is nonempty")
         return problems
 
-    kb = _kb_for(parsed)
+    kb = parsed.knowledgebase()
     members = list(kb)
     algebra = kb.algebra()
     local = analysis.get("local", {})
@@ -341,13 +314,13 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, method: str, cell_l
     elif global_doc.get("verdict") == "disagree":
         if "certificate" in global_doc:
             system = marginal_system(kb)
-            certificate = _kb_certificate_from_doc(global_doc["certificate"], kb)
+            certificate = _certificate_from_doc(global_doc["certificate"], *_kb_certificate_layout(kb))
             if not validate_certificate(system, certificate):
                 problems.append("infeasibility certificate fails validation")
         elif "witness-index" in global_doc:
             index = global_doc["witness-index"]
             member = members[index - 1]
-            projected = run_solver(InferenceProblem(kb, algebra.label(member)), method, cell_limit)
+            projected = run_solver(InferenceProblem(kb, algebra.label(member)), "fusion", cell_limit)
             if algebra.equal(projected, member):
                 problems.append(f"reported witness member {index} actually agrees with the combination")
     return problems

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -110,6 +111,30 @@ def test_verify_accepts_generated_reports(tmp_path):
         code, out, err = run_cli("verify", str(path), f"builtin:{name}")
         assert code == 0, err
         assert "ok" in out
+
+
+# sha256 of `vk analyze builtin:NAME --json` with VK_CELL_LIMIT unset. The
+# digests pin the report writers and the document writers behind
+# "input-sha256" from one commit to the next; change them only with a change
+# to the report or document format.
+GOLDEN_ANALYZE_SHA256 = {
+    "bell": "444fa6db4d724a55f0327d4169bb46ee407548692a2e78996c3d267edf758b4e",
+    "hardy": "536e211e192f1cf62b1bd803c2b56162021add70a738cc7f859894166bee78bb",
+    "ghz": "c460a9fd26f53012ac7b0d21f9f74833945b6be2825eff3429ebac39d95c0254",
+    "pr-box": "5a1ff1997edb97cfc7059d517ffcdd0c70b016e09f4833bc383415500cf4c26d",
+    "malawi": "e428a0e45ff1dfd661e1ae4e6214194ffb7fb1686f5689b33c7dfd2e1bb0e4c4",
+    "screening": "7924b0de80d21af554b66c54a3464c24375678dca2ec93b61caa3b31682232c5",
+    "liar(2)": "3d8e3854b9b1eda5a367f82b428463eb5cc0b7c9b74e8048651987b352d6bc37",
+    "liar(5)": "18b7044deeff378dce7b43554c4be6e021cf3c0727a549bc25599da355536dcd",
+}
+
+
+def test_analyze_json_matches_golden_digests(monkeypatch):
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    for name, expected in GOLDEN_ANALYZE_SHA256.items():
+        code, out, err = run_cli("analyze", f"builtin:{name}", "--json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, name
 
 
 def test_verify_rejects_tampered_report(tmp_path):
@@ -282,6 +307,22 @@ def test_verify_report_made_with_naive_method(tmp_path):
     path.write_text(out, encoding="utf-8")
     code, _, err = run_cli("verify", str(path), "builtin:screening")
     assert code == 0, err
+
+
+def test_verify_ignores_the_cell_limit_in_the_report(tmp_path, monkeypatch):
+    # A report cannot switch off the resource guard that bounds its own
+    # checking: verify runs under the caller's VK_CELL_LIMIT.
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    code, out, _ = run_cli("analyze", "builtin:malawi", "--json")
+    assert code == 0
+    report = json.loads(out)
+    report["cell-limit"] = None
+    path = tmp_path / "malawi-no-limit.json"
+    path.write_text(canonical_json(report), encoding="utf-8")
+    monkeypatch.setenv("VK_CELL_LIMIT", "2")
+    code, out, err = run_cli("verify", str(path), "builtin:malawi")
+    assert code == 3, (out, err)
+    assert "ok" not in out
 
 
 def test_potential_knowledgebase_file_analysis(tmp_path):

@@ -118,3 +118,14 @@ def test_marginal_style_system_with_overlap():
     result = solve_feasibility(s)
     assert result.feasible
     assert validate_solution(s, result.solution)
+
+
+def test_feasible_point_is_self_checked(monkeypatch):
+    # A feasible answer is checked against the system before it is returned,
+    # as an infeasibility certificate already is.
+    import valkit.feasibility
+
+    monkeypatch.setattr(valkit.feasibility, "validate_solution", lambda system, solution: False)
+    s = system(["x", "y"], ["r1"], [[1, 1]], [1])
+    with pytest.raises(AssertionError):
+        solve_feasibility(s)
