@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from valkit.algebra import Knowledgebase
+from valkit.contextuality import probabilistic_model
 from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse, enumerate_assignments
 from valkit.potentials import Potential
 from valkit.relations import Relation
@@ -62,3 +63,31 @@ def random_potential_kb(rng: random.Random, max_vars=6, max_frame=3, max_vals=5)
 
 def assignment_of(universe: VariableUniverse, **values) -> Assignment:
     return Assignment.of(values)
+
+
+def cycle_model(correlators):
+    """The unbiased binary n-cycle with nearest-neighbour correlators E_i.
+
+    Measurements m0..m{n-1} take outcomes "0" and "1"; context i is
+    (m_i, m_{i+1}), the last one written (m0, m{n-1}), and its section is
+    p(a, b) = (1 + E_i) / 4 when a == b and (1 - E_i) / 4 otherwise.
+    """
+    n = len(correlators)
+    names = [f"m{i}" for i in range(n)]
+    universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
+    contexts, sections = [], {}
+    for i, e in enumerate(correlators):
+        ctx = (names[i], names[i + 1]) if i < n - 1 else (names[0], names[n - 1])
+        contexts.append(ctx)
+        sections[ctx] = {(a, b): (1 + (e if a == b else -e)) / 4 for a in "01" for b in "01"}
+    return probabilistic_model(universe, contexts, sections)
+
+
+def noisy_cycle_correlators(n: int, contextual: bool) -> list[Fraction]:
+    """E_i = t on every edge but the first, which has -t.
+
+    The largest odd-sign sum is n t, so t = (n-2)/n + 1/(2n) lies just
+    outside the noncontextual boundary and t = (n-2)/n - 1/(2n) just inside.
+    """
+    t = Fraction(n - 2, n) + Fraction(1 if contextual else -1, 2 * n)
+    return [-t] + [t] * (n - 1)

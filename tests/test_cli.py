@@ -14,6 +14,8 @@ from valkit.cli import main
 from valkit.documents import canonical_json, model_document
 from valkit.builtins import bell_model
 
+from conftest import cycle_model, noisy_cycle_correlators
+
 
 def run_cli(*args):
     out, err = io.StringIO(), io.StringIO()
@@ -135,6 +137,33 @@ def test_analyze_json_matches_golden_digests(monkeypatch):
         code, out, err = run_cli("analyze", f"builtin:{name}", "--json")
         assert code == 0, err
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, name
+
+
+# sha256 of `vk analyze cycle6-nc.json --json` and `... cycle6-pc.json --json`
+# for the noisy 6-cycle just inside and just outside the noncontextual
+# boundary. The first report carries a global distribution found after 28
+# simplex pivots, the second a Farkas certificate, so the digests pin the
+# exact LP's answers as well as the writers.
+GOLDEN_CYCLE6_SHA256 = {
+    False: "48273e4bb986b42b55c3522c741e6f956e76747051c4e56818cd0d2b88497e12",
+    True: "bd5d4d8151a4734258a40fdcd04069eec360a77696ce8e66d3d3e4a4cfadcb7f",
+}
+
+
+def test_analyze_json_matches_golden_noisy_cycle_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)  # the report names its source path
+    for contextual, expected in GOLDEN_CYCLE6_SHA256.items():
+        name = f"cycle6-{'pc' if contextual else 'nc'}.json"
+        doc = model_document(cycle_model(noisy_cycle_correlators(6, contextual)))
+        Path(name).write_text(canonical_json(doc), encoding="utf-8")
+        code, out, err = run_cli("analyze", name, "--json")
+        assert code == 0, err
+        assert json.loads(out)["analysis"]["class"] == ("PC" if contextual else "NC")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, name
+        Path(f"{name}.report").write_text(out, encoding="utf-8")
+        code, _, err = run_cli("verify", f"{name}.report", name)
+        assert code == 0, err
 
 
 def test_verify_rejects_tampered_report(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +19,8 @@ from valkit.contextuality import (
 from valkit.core import Assignment, VariableUniverse
 from valkit.errors import ArgumentError, PreconditionError
 from valkit.potentials import support_relation
+
+from conftest import cycle_model, noisy_cycle_correlators
 
 
 # Independent oracle: scan all global outcome assignments with plain dicts,
@@ -281,3 +284,46 @@ def test_models_from_global_distributions_are_never_pc():
         report = classify(model)
         assert report.probabilistically_contextual is False
         assert report.classification == "NC"
+
+
+# Closed form for the n-cycle with unbiased marginals (Araujo et al. 2013,
+# "All noncontextuality inequalities for the n-cycle scenario", PRA 88,
+# 022118): the model is contextual exactly when some sign vector with an odd
+# number of -1s gives sum s_i E_i > n - 2.
+def araujo_contextual(correlators):
+    n = len(correlators)
+    return any(
+        sum(s * e for s, e in zip(signs, correlators)) > n - 2
+        for signs in product((1, -1), repeat=n)
+        if signs.count(-1) % 2 == 1
+    )
+
+
+def near_boundary_correlators(rng, n):
+    """Signed rationals with denominators up to 12 whose magnitudes sit near (n-2)/n."""
+    boundary = Fraction(n - 2, n)
+    correlators = []
+    for _ in range(n):
+        while True:
+            d = rng.randint(3, 12)
+            e = Fraction(rng.randint(1, d - 1), d)
+            if abs(e - boundary) <= Fraction(1, 4):
+                break
+        correlators.append(rng.choice((1, -1)) * e)
+    return correlators
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_n_cycle_verdicts_match_araujo_closed_form(n):
+    rng = random.Random(2013 + n)
+    cases = [noisy_cycle_correlators(n, False), noisy_cycle_correlators(n, True)]
+    wanted = {False: 2, True: 2}
+    while any(wanted.values()):
+        correlators = near_boundary_correlators(rng, n)
+        side = araujo_contextual(correlators)
+        if wanted[side]:
+            wanted[side] -= 1
+            cases.append(correlators)
+    for correlators in cases:
+        report = classify(cycle_model(correlators))
+        assert report.probabilistically_contextual == araujo_contextual(correlators), correlators
