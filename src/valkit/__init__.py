@@ -43,6 +43,7 @@ from .disagreement import (
     check_global_agreement_adjoint,
     check_global_agreement_potentials,
     check_local_agreement,
+    combination_verdict,
     search_truth_valuations,
     verify_truth_maximality,
 )

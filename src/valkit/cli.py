@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     ValkitError,
 )
-from .inference import InferenceProblem, cell_limit_from_env, run_solver
+from .inference import InferenceProblem, resolve_cell_limit, run_solver
 from .relations import Relation
 from .reports import build_report, verify_report
 
@@ -96,7 +96,7 @@ def _human_analysis(doc: dict) -> list[str]:
 
 def cmd_analyze(args) -> int:
     parsed, digest = _load_input(args.source)
-    cell_limit = args.limit if args.limit is not None else cell_limit_from_env()
+    cell_limit = resolve_cell_limit(args.limit)
     started = time.perf_counter()
     report = build_report(args.source, digest, parsed, method=args.method, cell_limit=cell_limit)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -115,7 +115,7 @@ def cmd_infer(args) -> int:
     parsed, _ = _load_input(args.source)
     kb = parsed.knowledgebase()
     query = frozenset(name.strip() for name in args.query.split(",") if name.strip())
-    cell_limit = args.limit if args.limit is not None else cell_limit_from_env()
+    cell_limit = resolve_cell_limit(args.limit)
     order = None
     if args.order:
         order = tuple(name.strip() for name in args.order.split(","))
@@ -162,7 +162,7 @@ def cmd_verify(args) -> int:
     if not isinstance(report, dict):
         raise ParseError("report must be a JSON object")
     parsed, digest = _load_input(args.source)
-    problems = verify_report(report, parsed, digest, cell_limit_from_env())
+    problems = verify_report(report, parsed, digest, resolve_cell_limit())
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)
@@ -182,7 +182,7 @@ def make_parser() -> argparse.ArgumentParser:
     analyze.add_argument("source", help="input file or builtin:NAME (see list-builtins)")
     analyze.add_argument("--json", action="store_true", help="emit the machine-readable report")
     analyze.add_argument("--method", choices=("fusion", "naive"), default="fusion")
-    analyze.add_argument("--limit", type=int, default=None, help="intermediate-table cell limit")
+    analyze.add_argument("--limit", default=None, help="intermediate-table cell limit")
     analyze.set_defaults(func=cmd_analyze)
 
     infer = sub.add_parser("infer", help="project the combined knowledgebase onto a query")
@@ -190,7 +190,7 @@ def make_parser() -> argparse.ArgumentParser:
     infer.add_argument("--query", required=True, help="comma-separated query variables")
     infer.add_argument("--method", choices=("fusion", "naive"), default="fusion")
     infer.add_argument("--order", default=None, help="comma-separated elimination order (fusion only)")
-    infer.add_argument("--limit", type=int, default=None, help="intermediate-table cell limit")
+    infer.add_argument("--limit", default=None, help="intermediate-table cell limit")
     infer.add_argument("--json", action="store_true")
     infer.set_defaults(func=cmd_infer)
 

@@ -3,10 +3,10 @@
 An empirical model is a knowledgebase of potentials, one per context.
 No-signalling is exactly local agreement of that knowledgebase. The support
 of each section gives a relation knowledgebase whose combination Gamma holds
-every globally consistent assignment: the model is strongly contextual when
-Gamma is empty, logically contextual when some supported section falls
-outside a projection of Gamma, and probabilistically contextual when no
-global distribution reproduces the sections, which exact feasibility decides.
+every globally consistent assignment. The model is logically contextual when
+that knowledgebase disagrees globally, strongly contextual when it disagrees
+completely (Gamma is empty), and probabilistically contextual when no global
+distribution reproduces the sections, which exact feasibility decides.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from .disagreement import (
     GlobalVerdict,
     check_global_agreement_potentials,
     check_local_agreement,
+    combination_verdict,
 )
 from .errors import ArgumentError, PreconditionError
-from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, run_solver
+from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, solve_fusion
 from .potentials import (
     Potential,
     possibilistic_collapse,
@@ -148,19 +149,15 @@ def _require_no_signalling(verdict: NoSignallingVerdict) -> None:
         raise PreconditionError(f"model signals between contexts {verdict.pair[0]!r} and {verdict.pair[1]!r}")
 
 
-def _support_combination(model: EmpiricalModel, method: str, cell_limit: int | None) -> Relation:
-    kb = model.support_knowledgebase()
-    return run_solver(InferenceProblem(kb, kb.joint_domain), method, cell_limit)
+def _support_combination(supports: Knowledgebase, cell_limit: int | None) -> Relation:
+    # Over the joint domain fusion eliminates nothing, so any method gives the same table.
+    return solve_fusion(InferenceProblem(supports, supports.joint_domain), cell_limit=cell_limit)
 
 
-def gamma(
-    model: EmpiricalModel,
-    method: str = "fusion",
-    cell_limit: int | None = DEFAULT_CELL_LIMIT,
-) -> Relation:
+def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Relation:
     """The combination of all context supports: every globally consistent assignment."""
     _require_no_signalling(check_no_signalling(model))
-    return _support_combination(model, method, cell_limit)
+    return _support_combination(model.support_knowledgebase(), cell_limit)
 
 
 @dataclass(frozen=True)
@@ -177,8 +174,7 @@ def flasque_check(model: EmpiricalModel) -> FlasqueReport:
     The value on a set beneath the cover is the union of the projections of
     the covering contexts' supports.
     """
-    possibilistic = possibilistic_collapse_model(model)
-    supports = {ctx: support_relation(s) for ctx, s in zip(possibilistic.scenario.contexts, possibilistic.sections)}
+    supports = {ctx: support_relation(s) for ctx, s in zip(model.scenario.contexts, model.sections)}
     for ctx, support in supports.items():
         if support.is_empty():
             return FlasqueReport(False, empty_context=ctx)
@@ -210,16 +206,12 @@ def lc_at(
     model: EmpiricalModel,
     context: tuple[str, ...],
     section: Assignment,
-    method: str = "fusion",
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ) -> bool:
-    """True iff the supported section extends to no globally consistent assignment."""
-    possibilistic = possibilistic_collapse_model(model)
-    support = support_relation(possibilistic.section_for(context))
-    if section not in support.tuples:
+    """True iff the supported section extends to no globally consistent assignment (needs no-signalling)."""
+    if section not in support_relation(model.section_for(context)).tuples:
         raise ArgumentError(f"{section!r} is not in the support of context {tuple(context)!r}")
-    g = gamma(possibilistic, method, cell_limit)
-    return section not in project_relation(g, frozenset(context)).tuples
+    return section not in project_relation(gamma(model, cell_limit), frozenset(context)).tuples
 
 
 @dataclass(frozen=True)
@@ -238,43 +230,38 @@ class ContextualityReport:
 
 def classify(
     model: EmpiricalModel,
-    method: str = "fusion",
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
     feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
 ) -> ContextualityReport:
     """Place a no-signalling model in the hierarchy NC < PC < LC < SC."""
-    return classify_checked(model, check_no_signalling(model), method, cell_limit, feasibility_columns)
+    return classify_checked(model, check_no_signalling(model), cell_limit, feasibility_columns)
 
 
 def classify_checked(
     model: EmpiricalModel,
     no_signalling: NoSignallingVerdict,
-    method: str = "fusion",
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
     feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
 ) -> ContextualityReport:
     """classify, given the model's no-signalling verdict.
 
-    Logical contextuality is read from the supports, which a section shares
-    with its possibilistic collapse; probabilistic contextuality is the
-    failure of the marginal feasibility system.
+    The LC witness is the first context whose support exceeds its projection
+    of Gamma, with its least missing section; probabilistic contextuality is
+    the failure of the marginal feasibility system.
     """
     _require_no_signalling(no_signalling)
-    g = _support_combination(model, method, cell_limit)
+    supports = model.support_knowledgebase()
+    g = _support_combination(supports, cell_limit)
+    verdict = combination_verdict(supports, g)
 
     strongly = g.is_empty()
     sc_context = model.scenario.contexts[0] if strongly else None
 
-    logically = False
+    logically = not verdict.agrees
     lc_witness = None
-    for ctx, section in zip(model.scenario.contexts, model.sections):
-        support = support_relation(section)
-        covered = project_relation(g, frozenset(ctx))
-        missing = sorted(support.tuples - covered.tuples, key=lambda a: a.items)
-        if missing:
-            logically = True
-            lc_witness = (ctx, missing[0])
-            break
+    if logically:
+        missing = supports.valuations[verdict.witness_index - 1].tuples - verdict.projected.tuples
+        lc_witness = (model.scenario.contexts[verdict.witness_index - 1], min(missing, key=lambda a: a.items))
 
     probabilistically: bool | None = None
     feasibility: GlobalVerdict | None = None

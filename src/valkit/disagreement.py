@@ -48,7 +48,7 @@ class GlobalVerdict:
 class AgreementReport:
     local: LocalVerdict
     global_agreement: GlobalVerdict
-    complete_disagreement: bool | None
+    complete_disagreement: bool
 
 
 def check_local_agreement(kb: Knowledgebase) -> LocalVerdict:
@@ -85,6 +85,16 @@ def check_global_agreement_adjoint(
         if not algebra.equal(projected, phi):
             return GlobalVerdict(False, witness_index=index, projected=projected)
     gamma = run_solver(InferenceProblem(kb, kb.joint_domain), method, cell_limit)
+    return GlobalVerdict(True, truth=gamma)
+
+
+def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:
+    """Global agreement given the combination `gamma`: the first member unlike its projection, if any."""
+    algebra = kb.algebra()
+    for index, phi in enumerate(kb, start=1):
+        projected = algebra.project(gamma, algebra.label(phi))
+        if not algebra.equal(projected, phi):
+            return GlobalVerdict(False, witness_index=index, projected=projected)
     return GlobalVerdict(True, truth=gamma)
 
 
@@ -216,9 +226,11 @@ def analyze_knowledgebase(
     local = check_local_agreement(kb)
     if algebra.adjoint:
         global_verdict = check_global_agreement_adjoint(kb, method, cell_limit)
+        # The verdict carries the combination or a projection of it: empty iff the combination is null.
+        complete = (global_verdict.truth if global_verdict.agrees else global_verdict.projected).is_empty()
     elif isinstance(algebra, PotentialAlgebra) and algebra.semiring == NONNEG_RATIONAL:
         global_verdict = check_global_agreement_potentials(kb, feasibility_columns)
+        complete = check_complete_disagreement(kb, method, cell_limit)
     else:
         raise CapabilityError(f"no global-agreement decision procedure for {algebra.name}")
-    complete = check_complete_disagreement(kb, method, cell_limit) if algebra.has_null else None
     return AgreementReport(local, global_verdict, complete)

@@ -155,7 +155,7 @@ def _parse_name_list(raw, universe: VariableUniverse, where: str) -> tuple[str, 
 
 
 def _outcome_assignment(key: str, context: tuple[str, ...], universe: VariableUniverse, where: str) -> Assignment:
-    labels = key.split(",")
+    labels = key.split(",") if key else []  # "" is the one assignment of the empty domain
     if len(labels) != len(context):
         raise ParseError(f"{where}: key {key!r} must have {len(context)} comma-separated labels")
     for name, label in zip(context, labels):

@@ -22,16 +22,17 @@ DEFAULT_CELL_LIMIT = 10_000_000
 HEURISTICS = ("min-degree", "min-fill")
 
 
-def cell_limit_from_env(default: int = DEFAULT_CELL_LIMIT) -> int:
-    raw = os.environ.get("VK_CELL_LIMIT")
+def resolve_cell_limit(flag: str | None = None, default: int = DEFAULT_CELL_LIMIT) -> int:
+    """The --limit value if given, else VK_CELL_LIMIT, else the default; each must be a positive integer."""
+    source, raw = ("--limit", flag) if flag is not None else ("VK_CELL_LIMIT", os.environ.get("VK_CELL_LIMIT"))
     if raw is None:
         return default
     try:
         value = int(raw)
     except ValueError:
-        raise ArgumentError(f"VK_CELL_LIMIT must be an integer, got {raw!r}") from None
+        raise ArgumentError(f"{source} must be an integer, got {raw!r}") from None
     if value <= 0:
-        raise ArgumentError("VK_CELL_LIMIT must be positive")
+        raise ArgumentError(f"{source} must be positive")
     return value
 
 

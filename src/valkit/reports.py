@@ -19,7 +19,7 @@ from .contextuality import (
     NoSignallingVerdict,
     check_no_signalling,
     classify_checked,
-    gamma as compute_gamma,
+    lc_at,
 )
 from .core import NONNEG_RATIONAL, Assignment
 from .disagreement import (
@@ -39,7 +39,7 @@ from .errors import ValkitError
 from .feasibility import FarkasCertificate, validate_certificate
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, run_solver
 from .potentials import Potential, project_potential, support_relation
-from .relations import Relation, project_relation
+from .relations import Relation
 
 REPORT_SCHEMA = "vk-report/1"
 TUPLE_CAP = 4096
@@ -191,7 +191,7 @@ def analysis_document(parsed: ParsedInput, method: str, cell_limit: int | None) 
         signalling = check_no_signalling(payload)
         if not signalling.passed:
             return {"no-signalling": _no_signalling_doc(signalling), "class": None}
-        report = classify_checked(payload, signalling, method=method, cell_limit=cell_limit)
+        report = classify_checked(payload, signalling, cell_limit=cell_limit)
         return contextuality_analysis_doc(payload, report)
     kb = parsed.knowledgebase()
     report = analyze_knowledgebase(kb, method=method, cell_limit=cell_limit)
@@ -277,11 +277,9 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, cell_limit) -> list
             ctx = tuple(witness["context"].split(","))
             labels = witness["section"].split(",")
             section = Assignment.of(dict(zip(ctx, labels)))
-            support = support_relation(payload.section_for(ctx))
-            if section not in support.tuples:
+            if section not in support_relation(payload.section_for(ctx)).tuples:
                 problems.append("logical-contextuality witness is not a supported section")
-            g = compute_gamma(payload, cell_limit=cell_limit)
-            if section in project_relation(g, frozenset(ctx)).tuples:
+            elif not lc_at(payload, ctx, section, cell_limit):
                 problems.append("logical-contextuality witness extends to a global assignment")
         if analysis.get("strong", {}).get("contextual") and gamma_doc.get("size") != 0:
             problems.append("strong contextuality claimed but gamma is nonempty")

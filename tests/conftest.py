@@ -61,6 +61,19 @@ def random_potential_kb(rng: random.Random, max_vars=6, max_frame=3, max_vals=5)
     return Knowledgebase(universe, tuple(random_potential(rng, universe) for _ in range(count)))
 
 
+def empty_domain_potential_kb():
+    """A uniform bit plus the constant 1 on the empty domain, written under the key ""."""
+    universe = VariableUniverse.of([("x", ("0", "1"))])
+    half = {Assignment.of({"x": v}): Fraction(1, 2) for v in ("0", "1")}
+    return Knowledgebase(
+        universe,
+        (
+            Potential(universe, frozenset({"x"}), NONNEG_RATIONAL, half),
+            Potential(universe, frozenset(), NONNEG_RATIONAL, {Assignment.of({}): Fraction(1)}),
+        ),
+    )
+
+
 def assignment_of(universe: VariableUniverse, **values) -> Assignment:
     return Assignment.of(values)
 

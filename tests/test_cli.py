@@ -14,7 +14,7 @@ from valkit.cli import main
 from valkit.documents import canonical_json, model_document
 from valkit.builtins import bell_model
 
-from conftest import cycle_model, noisy_cycle_correlators
+from conftest import cycle_model, empty_domain_potential_kb, noisy_cycle_correlators
 
 
 def run_cli(*args):
@@ -166,6 +166,63 @@ def test_analyze_json_matches_golden_noisy_cycle_digests(tmp_path, monkeypatch):
         assert code == 0, err
 
 
+def chain_with_loose_chord_document():
+    """a = b = c along a chain, plus a chord over (a, c) that also allows 01.
+
+    Every pair agrees on its shared variable, the combination {000, 111} is
+    nonempty, and only member 4 (the chord) differs from its projection.
+    """
+    frame = ["0", "1"]
+    return {
+        "kind": "knowledgebase",
+        "universe": [{"name": n, "frame": frame} for n in ("a", "b", "c")],
+        "valuations": [
+            {"domain": ["a"], "tuples": [["0"], ["1"]]},
+            {"domain": ["a", "b"], "tuples": [["0", "0"], ["1", "1"]]},
+            {"domain": ["b", "c"], "tuples": [["0", "0"], ["1", "1"]]},
+            {"domain": ["a", "c"], "tuples": [["0", "0"], ["0", "1"], ["1", "1"]]},
+        ],
+    }
+
+
+# sha256 of `vk analyze FILE --json` on two relation knowledgebases: the
+# consistent liar(4), which agrees (the report carries the truth valuation),
+# and the chain above, which disagrees at member 4 with a nonempty
+# combination (the report carries that member's projection).
+GOLDEN_RELATION_KB_SHA256 = {
+    "liar4-consistent.json": "0d29dd156549478808fd80b57e7068fe112c8757cf8a887374002e285ec8af15",
+    "chain-chord.json": "310977a4a1111a4a0facb28b42d5cbcf9eb6c333695bdac4c273c81250fc9769",
+}
+
+
+def test_analyze_json_matches_golden_relation_kb_digests(tmp_path, monkeypatch):
+    from valkit.builtins import liar_knowledgebase
+    from valkit.documents import knowledgebase_document
+
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)  # the report names its source path
+    documents = {
+        "liar4-consistent.json": knowledgebase_document(liar_knowledgebase(4, consistent=True)),
+        "chain-chord.json": chain_with_loose_chord_document(),
+    }
+    verdicts = {}
+    for name, expected in GOLDEN_RELATION_KB_SHA256.items():
+        Path(name).write_text(canonical_json(documents[name]), encoding="utf-8")
+        code, out, err = run_cli("analyze", name, "--json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, name
+        analysis = json.loads(out)["analysis"]
+        verdicts[name] = (analysis["global"]["verdict"], analysis["global"].get("witness-index"),
+                          analysis["complete-disagreement"])
+        Path(f"{name}.report").write_text(out, encoding="utf-8")
+        code, _, err = run_cli("verify", f"{name}.report", name)
+        assert code == 0, err
+    assert verdicts == {
+        "liar4-consistent.json": ("agree", None, False),
+        "chain-chord.json": ("disagree", 4, False),
+    }
+
+
 def test_verify_rejects_tampered_report(tmp_path):
     code, out, _ = run_cli("analyze", "builtin:screening", "--json")
     report = json.loads(out)
@@ -297,6 +354,12 @@ def test_infer_on_empirical_model_gives_potential():
 def test_cell_limit_flag_and_env(tmp_path, monkeypatch):
     code, _, err = run_cli("analyze", "builtin:malawi", "--limit", "2")
     assert code == 3
+    # The flag passes the same positive-integer check as VK_CELL_LIMIT.
+    for command in (("analyze", "builtin:screening"), ("infer", "builtin:screening", "--query", "a")):
+        for limit in ("0", "-5"):
+            code, _, err = run_cli(*command, "--limit", limit)
+            assert code == 2, (command, limit, err)
+            assert "--limit must be positive" in err
     monkeypatch.setenv("VK_CELL_LIMIT", "2")
     code, _, err = run_cli("analyze", "builtin:malawi")
     assert code == 3
@@ -306,6 +369,27 @@ def test_cell_limit_flag_and_env(tmp_path, monkeypatch):
     monkeypatch.delenv("VK_CELL_LIMIT")
     code, _, _ = run_cli("analyze", "builtin:malawi")
     assert code == 0
+
+
+def test_method_changes_only_the_method_field(tmp_path, monkeypatch):
+    # Model analyses solve only over the joint domain, where fusion
+    # eliminates nothing; knowledgebase analyses give the same answers too.
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    sources = [f"builtin:{name}" for name in GOLDEN_ANALYZE_SHA256]
+    for contextual in (False, True):
+        name = f"cycle6-{'pc' if contextual else 'nc'}.json"
+        doc = model_document(cycle_model(noisy_cycle_correlators(6, contextual)))
+        Path(name).write_text(canonical_json(doc), encoding="utf-8")
+        sources.append(name)
+    for source in sources:
+        reports = {}
+        for method in ("fusion", "naive"):
+            code, out, err = run_cli("analyze", source, "--json", "--method", method)
+            assert code == 0, err
+            reports[method] = json.loads(out)
+            assert reports[method].pop("method") == method
+        assert reports["naive"] == reports["fusion"], source
 
 
 def test_analyze_csp_file(tmp_path):
@@ -352,6 +436,20 @@ def test_verify_ignores_the_cell_limit_in_the_report(tmp_path, monkeypatch):
     code, out, err = run_cli("verify", str(path), "builtin:malawi")
     assert code == 3, (out, err)
     assert "ok" not in out
+
+
+def test_empty_domain_potential_file_analysis(tmp_path):
+    from valkit.documents import knowledgebase_document
+
+    path = tmp_path / "empty-domain.json"
+    path.write_text(canonical_json(knowledgebase_document(empty_domain_potential_kb())), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(path), "--json")
+    assert code == 0, err
+    assert json.loads(out)["analysis"]["global"]["verdict"] == "agree"
+    report_path = tmp_path / "empty-domain-report.json"
+    report_path.write_text(out, encoding="utf-8")
+    code, _, err = run_cli("verify", str(report_path), str(path))
+    assert code == 0, err
 
 
 def test_potential_knowledgebase_file_analysis(tmp_path):

@@ -18,7 +18,9 @@ from valkit.contextuality import (
 )
 from valkit.core import Assignment, VariableUniverse
 from valkit.errors import ArgumentError, PreconditionError
+from valkit.inference import InferenceProblem, solve_naive
 from valkit.potentials import support_relation
+from valkit.relations import project_relation
 
 from conftest import cycle_model, noisy_cycle_correlators
 
@@ -241,12 +243,80 @@ def test_gamma_requires_possibilistic_or_collapses():
     assert g_prob == g_direct
 
 
-def test_classify_agrees_between_methods():
-    for model in (bell_model(), hardy_model(), ghz_model()):
-        fusion_report = classify(model, method="fusion")
-        naive_report = classify(model, method="naive")
-        assert fusion_report.classification == naive_report.classification
-        assert fusion_report.gamma == naive_report.gamma
+# The per-context loop classify ran before it read LC and SC off the global
+# verdict of the support knowledgebase, kept here as an oracle. Gamma comes
+# from the naive solver.
+def lc_loop_oracle(model):
+    supports = model.support_knowledgebase()
+    g = solve_naive(InferenceProblem(supports, supports.joint_domain))
+    strongly = g.is_empty()
+    sc_context = model.scenario.contexts[0] if strongly else None
+    for ctx, section in zip(model.scenario.contexts, model.sections):
+        covered = project_relation(g, frozenset(ctx))
+        missing = sorted(support_relation(section).tuples - covered.tuples, key=lambda a: a.items)
+        if missing:
+            return True, (ctx, missing[0]), strongly, sc_context
+    return False, None, strongly, sc_context
+
+
+def random_no_signalling_possibilistic(rng):
+    """A random possibilistic model on an n-cycle or a bipartite Bell cover.
+
+    Each measurement m keeps a nonempty set V_m of its outcomes, and each
+    context's support is a random subset of the product of those sets that
+    still hits every outcome in V_m for each of its measurements, so every
+    overlap (a single measurement) sees V_m from both sides. Half of the
+    binary cycles favour one parity per context, PR-box style, so that
+    strongly contextual models occur too.
+    """
+    if rng.random() < 0.5:
+        n = rng.randint(3, 5)
+        names = [f"m{i}" for i in range(n)]
+        contexts = [(names[i], names[(i + 1) % n]) for i in range(n)]
+        parity = rng.random() < 0.5
+    else:
+        k = rng.randint(2, 3)
+        names = [f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)]
+        contexts = [(f"a{i}", f"b{j}") for i in range(k) for j in range(k)]
+        parity = False
+    frames = {name: ("0", "1", "2")[: 2 if parity else rng.randint(2, 3)] for name in names}
+    kept = {name: frames[name] for name in names}
+    if not parity:
+        kept = {name: rng.sample(frame, rng.randint(1, len(frame))) for name, frame in kept.items()}
+    universe = VariableUniverse.of([(name, frames[name]) for name in names])
+    supports = {}
+    for x, y in contexts:
+        cells = list(product(kept[x], kept[y]))
+        odd = rng.random() < 0.5
+        while True:
+            if parity:
+                chosen = [c for c in cells if rng.random() < (0.9 if (c[0] != c[1]) == odd else 0.15)]
+            else:
+                chosen = [c for c in cells if rng.random() < 0.5]
+            if {a for a, _ in chosen} == set(kept[x]) and {b for _, b in chosen} == set(kept[y]):
+                break
+        supports[(x, y)] = chosen
+    return possibilistic_model(universe, contexts, supports)
+
+
+def test_lc_and_sc_read_off_the_global_verdict_match_the_per_context_loop():
+    models = [bell_model(), hardy_model(), ghz_model(), pr_box_model()]
+    models += [cycle_model(noisy_cycle_correlators(n, side)) for n in (3, 4, 5, 6) for side in (False, True)]
+    rng = random.Random(2011)
+    models += [random_no_signalling_possibilistic(rng) for _ in range(150)]
+    seen = set()
+    late_witness = 0
+    for model in models:
+        report = classify(model)
+        expected = lc_loop_oracle(model)
+        got = (report.logically_contextual, report.lc_witness, report.strongly_contextual, report.sc_context)
+        assert got == expected
+        seen.add((report.classification, model.kind))
+        if report.lc_witness is not None:
+            late_witness += report.lc_witness[0] != model.scenario.contexts[0]
+    assert {("NC", "possibilistic"), ("LC", "possibilistic"), ("SC", "possibilistic")} <= seen, seen
+    assert {("NC", "probabilistic"), ("PC", "probabilistic")} <= seen, seen
+    assert late_witness > 0
 
 
 def test_models_from_global_distributions_are_never_pc():

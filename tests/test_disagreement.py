@@ -18,16 +18,18 @@ from valkit.disagreement import (
     check_global_agreement_adjoint,
     check_global_agreement_potentials,
     check_local_agreement,
+    combination_verdict,
     marginal_system,
     search_truth_valuations,
     verify_truth_maximality,
 )
 from valkit.errors import ArgumentError, CapabilityError, ResourceLimitError
 from valkit.feasibility import validate_certificate, validate_solution
+from valkit.inference import InferenceProblem, solve_naive
 from valkit.potentials import Potential, constant_potential, project_potential
 from valkit.relations import Relation, full_relation, project_relation, relation_leq
 
-from conftest import random_relation
+from conftest import random_relation, random_relation_kb
 
 
 def test_screening_local_agreement_passes():
@@ -340,3 +342,32 @@ def test_analyze_knowledgebase_report_shape():
     assert not report.global_agreement.agrees
     assert report.global_agreement.certificate is not None
     assert report.complete_disagreement is False
+
+
+def test_relation_verdicts_read_off_the_combination_match_the_direct_checks():
+    # check_complete_disagreement and check_global_agreement_adjoint serve as
+    # oracles for what analyze_knowledgebase and combination_verdict read off
+    # one combination, on criterion-7-style random relation knowledgebases.
+    rng = random.Random(5)
+    seen = {"agree": 0, "disagree": 0, "complete": 0}
+    for _ in range(300):
+        kb = random_relation_kb(rng)
+        expected = check_global_agreement_adjoint(kb)
+        complete = check_complete_disagreement(kb)
+        report = analyze_knowledgebase(kb)
+        assert report.global_agreement == expected
+        assert report.complete_disagreement == complete
+        combination = solve_naive(InferenceProblem(kb, kb.joint_domain))
+        assert combination_verdict(kb, combination) == expected
+        seen["agree" if expected.agrees else "disagree"] += 1
+        seen["complete"] += complete
+    assert all(seen.values()), seen
+
+
+def test_relation_analysis_solves_no_complete_disagreement_problem(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_complete_disagreement called on a relation knowledgebase")
+
+    monkeypatch.setattr("valkit.disagreement.check_complete_disagreement", refuse)
+    for kb in (screening_knowledgebase(), malawi_knowledgebase(), liar_knowledgebase(4, consistent=True)):
+        analyze_knowledgebase(kb)

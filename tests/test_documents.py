@@ -20,6 +20,8 @@ from valkit.documents import (
 )
 from valkit.errors import ParseError
 
+from conftest import empty_domain_potential_kb
+
 
 def roundtrip(document: dict):
     return parse_document_text(canonical_json(document))
@@ -75,6 +77,13 @@ def test_potential_knowledgebase_roundtrip():
     doc = knowledgebase_document(kb)
     parsed = roundtrip(doc)
     assert parsed.payload == kb
+
+
+def test_empty_domain_potential_roundtrip():
+    kb = empty_domain_potential_kb()
+    doc = knowledgebase_document(kb)
+    assert doc["valuations"][1] == {"domain": [], "values": {"": 1}}
+    assert roundtrip(doc).payload == kb
 
 
 def test_rational_formatting():
