@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 
@@ -20,6 +19,7 @@ from .documents import (
     ParsedInput,
     canonical_json,
     document_for,
+    load_json,
     parse_document_text,
     potential_values,
     relation_rows,
@@ -155,10 +155,7 @@ def cmd_verify(args) -> int:
             raw = handle.read()
     except OSError as err:
         raise ParseError(f"cannot read {args.report}: {err.strerror}") from None
-    try:
-        report = json.loads(raw.decode("utf-8"))
-    except json.JSONDecodeError as err:
-        raise ParseError(f"invalid report JSON: {err.msg}", line=err.lineno, column=err.colno) from None
+    report = load_json(raw.decode("utf-8"), "report JSON")
     if not isinstance(report, dict):
         raise ParseError("report must be a JSON object")
     parsed, digest = _load_input(args.source)

@@ -32,7 +32,7 @@ from .potentials import (
     support_relation,
     total_mass,
 )
-from .relations import Relation, project_relation
+from .relations import Relation, Row, project_relation
 
 PROBABILISTIC = "probabilistic"
 POSSIBILISTIC = "possibilistic"
@@ -179,11 +179,11 @@ def flasque_check(model: EmpiricalModel) -> FlasqueReport:
         if support.is_empty():
             return FlasqueReport(False, empty_context=ctx)
 
-    def beneath(u: Domain) -> frozenset[Assignment]:
+    def beneath(u: Domain) -> frozenset[Row]:
         sections = set()
         for ctx, support in supports.items():
             if u <= frozenset(ctx):
-                sections.update(x.restrict(u) for x in support.tuples)
+                sections.update(project_relation(support, u).tuples)
         return frozenset(sections)
 
     for ctx, support in supports.items():
@@ -192,12 +192,11 @@ def flasque_check(model: EmpiricalModel) -> FlasqueReport:
         for size in range(len(names) + 1):
             subsets.extend(frozenset(c) for c in combinations(names, size))
         for u_prime in subsets:
-            restricted = frozenset(x.restrict(u_prime) for x in support.tuples)
+            restricted = project_relation(support, u_prime)
             for u in subsets:
                 if not u <= u_prime:
                     continue
-                image = frozenset(x.restrict(u) for x in restricted)
-                if image != beneath(u):
+                if project_relation(restricted, u).tuples != beneath(u):
                     return FlasqueReport(False, failure=(tuple(sorted(u)), tuple(sorted(u_prime))))
     return FlasqueReport(True)
 
@@ -209,9 +208,10 @@ def lc_at(
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ) -> bool:
     """True iff the supported section extends to no globally consistent assignment (needs no-signalling)."""
-    if section not in support_relation(model.section_for(context)).tuples:
+    support = support_relation(model.section_for(context))
+    if section.domain != support.domain or section.row not in support.tuples:
         raise ArgumentError(f"{section!r} is not in the support of context {tuple(context)!r}")
-    return section not in project_relation(gamma(model, cell_limit), frozenset(context)).tuples
+    return section.row not in project_relation(gamma(model, cell_limit), support.domain).tuples
 
 
 @dataclass(frozen=True)
@@ -260,8 +260,9 @@ def classify_checked(
     logically = not verdict.agrees
     lc_witness = None
     if logically:
-        missing = supports.valuations[verdict.witness_index - 1].tuples - verdict.projected.tuples
-        lc_witness = (model.scenario.contexts[verdict.witness_index - 1], min(missing, key=lambda a: a.items))
+        support = supports.valuations[verdict.witness_index - 1]
+        least_missing = Assignment.from_row(support.domain, min(support.tuples - verdict.projected.tuples))
+        lc_witness = (model.scenario.contexts[verdict.witness_index - 1], least_missing)
 
     probabilistically: bool | None = None
     feasibility: GlobalVerdict | None = None

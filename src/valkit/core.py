@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import ArgumentError, DomainError
 
@@ -94,8 +94,10 @@ class VariableUniverse:
             n *= len(self.frame(name))
         return n
 
-    def assignments(self, domain: Domain) -> list["Assignment"]:
-        return enumerate_assignments(domain, self)
+    def rows(self, domain: Domain) -> Iterator[tuple[str, ...]]:
+        """Every value tuple over `domain` in sorted-name order, lexicographic in frame order."""
+        self.check_domain(domain)
+        return product(*(self.frame(name).values for name in sorted(domain)))
 
 
 @dataclass(frozen=True)
@@ -108,9 +110,19 @@ class Assignment:
     def of(cls, mapping: Mapping[str, str]) -> "Assignment":
         return cls(tuple(sorted(mapping.items())))
 
+    @classmethod
+    def from_row(cls, domain: Domain, row: tuple[str, ...]) -> "Assignment":
+        """The point whose values, in sorted-name order, are `row`."""
+        return cls(tuple(zip(sorted(domain), row)))
+
     @property
     def domain(self) -> Domain:
         return frozenset(name for name, _ in self.items)
+
+    @property
+    def row(self) -> tuple[str, ...]:
+        """The values in sorted-name order: the form relations and potentials store."""
+        return tuple(value for _, value in self.items)
 
     def value(self, name: str) -> str:
         for var, val in self.items:
@@ -120,12 +132,6 @@ class Assignment:
 
     def restrict(self, domain: Domain) -> "Assignment":
         return Assignment(tuple(item for item in self.items if item[0] in domain))
-
-    def merge(self, other: "Assignment") -> "Assignment":
-        """Union of two assignments; the caller guarantees agreement on shared variables."""
-        merged = dict(self.items)
-        merged.update(other.items)
-        return Assignment(tuple(sorted(merged.items())))
 
     def values_in(self, order: Iterable[str]) -> tuple[str, ...]:
         mapping = dict(self.items)
@@ -146,10 +152,7 @@ def project_assignment(x: Assignment, target: Domain) -> Assignment:
 
 def enumerate_assignments(domain: Domain, universe: VariableUniverse) -> list[Assignment]:
     """All assignments over `domain`, lexicographic by variable name then frame order."""
-    universe.check_domain(domain)
-    names = sorted(domain)
-    frames = [universe.frame(name).values for name in names]
-    return [Assignment(tuple(zip(names, combo))) for combo in product(*frames)]
+    return [Assignment.from_row(domain, row) for row in universe.rows(domain)]
 
 
 @dataclass(frozen=True)

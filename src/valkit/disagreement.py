@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Knowledgebase, PotentialAlgebra
-from .core import Domain, NONNEG_RATIONAL, enumerate_assignments
+from .core import Domain, NONNEG_RATIONAL
 from .errors import ArgumentError, CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, run_solver
 from .potentials import Potential
-from .relations import Relation, relation_leq
+from .relations import Relation, relation_leq, restriction
 
 DEFAULT_FEASIBILITY_COLUMNS = 4096
 DEFAULT_TRUTH_SEARCH_STATES = 16
@@ -101,26 +101,27 @@ def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:
 def marginal_system(kb: Knowledgebase, column_limit: int | None = DEFAULT_FEASIBILITY_COLUMNS) -> LinearSystem:
     """The marginal equations of a rational-potential knowledgebase as A x = b.
 
-    One unknown per global assignment, one equation per member per local
-    assignment; every coefficient is 0 or 1.
+    One unknown per global row, one equation per member per local row (keyed
+    by the member's 1-based index and that row); every coefficient is 0 or 1.
     """
     universe = kb.universe
     joint = kb.joint_domain
     size = universe.size(joint)
     if column_limit is not None and size > column_limit:
         raise ResourceLimitError(f"joint assignment space has {size} elements (limit {column_limit})")
-    columns = tuple(enumerate_assignments(joint, universe))
+    columns = tuple(universe.rows(joint))
     rows = []
     rhs = {}
     entries = {}
     for index, phi in enumerate(kb, start=1):
-        for local in enumerate_assignments(phi.domain, universe):
+        for local in universe.rows(phi.domain):
             key = (index, local)
             rows.append(key)
             rhs[key] = Fraction(phi.table[local])
+    local_rows = [restriction(sorted(joint), sorted(phi.domain)) for phi in kb]
     for g in columns:
-        for index, phi in enumerate(kb, start=1):
-            entries[((index, g.restrict(phi.domain)), g)] = Fraction(1)
+        for index, local_row in enumerate(local_rows, start=1):
+            entries[((index, local_row(g)), g)] = Fraction(1)
     return LinearSystem(columns=columns, rows=tuple(rows), entries=entries, rhs=rhs)
 
 
@@ -171,17 +172,17 @@ def search_truth_valuations(
         raise CapabilityError("truth-valuation search is defined for relation knowledgebases")
     universe = kb.universe
     joint = kb.joint_domain
-    globals_ = enumerate_assignments(joint, universe)
+    globals_ = list(universe.rows(joint))
     if len(globals_) > state_limit:
         raise ResourceLimitError(f"global assignment space has {len(globals_)} elements (limit {state_limit})")
     member_data = []
     for phi in kb:
-        locals_ = enumerate_assignments(phi.domain, universe)
-        index = {a: k for k, a in enumerate(locals_)}
+        index = {a: k for k, a in enumerate(universe.rows(phi.domain))}
         target = 0
         for t in phi.tuples:
             target |= 1 << index[t]
-        proj_bits = [1 << index[g.restrict(phi.domain)] for g in globals_]
+        local_row = restriction(sorted(joint), sorted(phi.domain))
+        proj_bits = [1 << index[local_row(g)] for g in globals_]
         member_data.append((target, proj_bits))
     candidates = [
         gi for gi in range(len(globals_)) if all(bits[gi] & target for target, bits in member_data)

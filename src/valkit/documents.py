@@ -27,12 +27,11 @@ from .core import (
     Domain,
     NONNEG_RATIONAL,
     VariableUniverse,
-    enumerate_assignments,
 )
 from .errors import ParseError, ValkitError
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase
 from .potentials import Potential
-from .relations import Relation
+from .relations import Relation, restriction
 
 KINDS = ("empirical-model", "knowledgebase", "csp")
 
@@ -66,18 +65,37 @@ def format_rational(value: Fraction) -> int | str:
 
 
 def relation_rows(r: Relation, names) -> list[list[str]]:
-    """The sorted tuples of a relation, each as its values in the order of `names`."""
-    return [list(t.values_in(names)) for t in r.sorted_tuples()]
+    """The sorted rows of a relation, each as its values in the order of `names`."""
+    in_order = restriction(sorted(r.domain), names)
+    return [list(in_order(t)) for t in r.sorted_tuples()]
 
 
 def potential_values(p: Potential, names, nonzero_only: bool = False) -> dict[str, int | str]:
-    """Each assignment's value, keyed by its values in the order of `names` joined by commas."""
+    """Each row's value in frame order, keyed by its values in the order of `names` joined by commas."""
+    in_order = restriction(sorted(p.domain), names)
     values = {}
-    for a in enumerate_assignments(p.domain, p.universe):
-        v = p.table[a]
+    for row in p.universe.rows(p.domain):
+        v = p.table[row]
         if not (nonzero_only and v == 0):
-            values[",".join(a.values_in(names))] = format_rational(v)
+            values[",".join(in_order(row))] = format_rational(v)
     return values
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def load_json(text: str, what: str = "JSON") -> object:
+    """Parse JSON text, refusing an object that repeats a key (json.loads would keep the last)."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as err:
+        raise ParseError(f"invalid {what}: {err.msg}", line=err.lineno, column=err.colno) from None
 
 
 def parse_signed_rational(raw, where: str) -> Fraction:
@@ -164,6 +182,25 @@ def _outcome_assignment(key: str, context: tuple[str, ...], universe: VariableUn
     return Assignment.of(dict(zip(context, labels)))
 
 
+def parse_potential(raw: dict, names, universe: VariableUniverse, where: str, kind: str = PROBABILISTIC) -> Potential:
+    """A section or rational potential from a value map keyed by labels in `names` order; absent keys are 0."""
+    table = {}
+    for key, value in raw.items():
+        spot = f"{where}[{key!r}]"
+        outcome = _outcome_assignment(key, names, universe, spot)
+        if kind == PROBABILISTIC:
+            table[outcome] = parse_rational(value, spot)
+        elif type(value) is not int or value not in (0, 1):
+            raise ParseError(f"{spot}: possibilistic values must be the integers 0 or 1")
+        else:
+            table[outcome] = value
+    semiring, zero = (NONNEG_RATIONAL, Fraction(0)) if kind == PROBABILISTIC else (BOOLEAN, 0)
+    try:
+        return Potential.from_table(universe, frozenset(names), semiring, table, default=zero)
+    except ValkitError as err:
+        raise ParseError(f"{where}: {err}") from None
+
+
 def _parse_empirical_model(doc: dict) -> EmpiricalModel:
     _expect_keys(doc, ("kind", "universe", "model-kind", "contexts", "sections"), (), "document")
     universe = _parse_universe(doc["universe"], "universe")
@@ -191,25 +228,7 @@ def _parse_empirical_model(doc: dict) -> EmpiricalModel:
         raw = _expect_mapping(sections_raw[key], where)
         if not raw:
             raise ParseError(f"{where}: a section must list at least one outcome")
-        table = {}
-        for outcome_key, raw_value in raw.items():
-            spot = f"{where}[{outcome_key!r}]"
-            outcome = _outcome_assignment(outcome_key, ctx, universe, spot)
-            if outcome in table:
-                raise ParseError(f"{spot}: duplicate outcome")
-            if model_kind == PROBABILISTIC:
-                table[outcome] = parse_rational(raw_value, spot)
-            else:
-                if type(raw_value) is not int or raw_value not in (0, 1):
-                    raise ParseError(f"{spot}: possibilistic values must be the integers 0 or 1")
-                table[outcome] = raw_value
-        domain = frozenset(ctx)
-        semiring = NONNEG_RATIONAL if model_kind == PROBABILISTIC else BOOLEAN
-        default = Fraction(0) if model_kind == PROBABILISTIC else 0
-        try:
-            sections.append(Potential.from_table(universe, domain, semiring, table, default=default))
-        except ValkitError as err:
-            raise ParseError(f"{where}: {err}") from None
+        sections.append(parse_potential(raw, ctx, universe, where, model_kind))
     try:
         scenario = MeasurementScenario(universe, tuple(tuple(c) for c in contexts))
         return EmpiricalModel(scenario, model_kind, tuple(sections))
@@ -251,19 +270,7 @@ def _parse_knowledgebase(doc: dict) -> Knowledgebase:
                 raise ParseError(f"{where}: {err}") from None
         else:
             raw_values = _expect_mapping(item["values"], f"{where}.values")
-            table = {}
-            for outcome_key, raw_value in raw_values.items():
-                spot = f"{where}.values[{outcome_key!r}]"
-                outcome = _outcome_assignment(outcome_key, domain_names, universe, spot)
-                if outcome in table:
-                    raise ParseError(f"{spot}: duplicate assignment")
-                table[outcome] = parse_rational(raw_value, spot)
-            try:
-                valuations.append(
-                    Potential.from_table(universe, frozenset(domain_names), NONNEG_RATIONAL, table, default=Fraction(0))
-                )
-            except ValkitError as err:
-                raise ParseError(f"{where}: {err}") from None
+            valuations.append(parse_potential(raw_values, domain_names, universe, f"{where}.values"))
     try:
         return Knowledgebase(universe, tuple(valuations))
     except ValkitError as err:
@@ -306,11 +313,7 @@ def _parse_csp(doc: dict) -> CSPDocumentPayload:
 
 
 def parse_document_text(text: str) -> ParsedInput:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ParseError(f"invalid JSON: {err.msg}", line=err.lineno, column=err.colno) from None
-    doc = _expect_mapping(doc, "document")
+    doc = _expect_mapping(load_json(text), "document")
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ParseError(f"document 'kind' must be one of {list(KINDS)}, got {kind!r}")

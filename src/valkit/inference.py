@@ -110,8 +110,10 @@ def run_solver(
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
     order: Sequence[str] | None = None,
 ) -> object:
-    """Dispatch to the named solver; `order` only applies to fusion."""
+    """Dispatch to the named solver; only fusion takes an elimination `order`."""
     if method == "naive":
+        if order is not None:
+            raise ArgumentError("an elimination order applies only to the fusion method")
         return solve_naive(problem, cell_limit=cell_limit)
     if method == "fusion":
         return solve_fusion(problem, order=order, cell_limit=cell_limit)

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Knowledgebase
-from .core import Assignment, Domain, VariableUniverse, enumerate_assignments
+from .core import Assignment, Domain, VariableUniverse
 from .errors import ArgumentError, DomainError
-from .relations import Relation, project_relation
+from .relations import Relation, project_relation, restriction
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def evaluation_satisfies(v: Assignment, constraint: Constraint) -> bool:
     overlap = v.domain & constraint.scheme_set
     if not overlap:
         return True
-    return v.restrict(overlap) in project_relation(constraint.allowed, overlap).tuples
+    return v.restrict(overlap).row in project_relation(constraint.allowed, overlap).tuples
 
 
 def csp_to_knowledgebase(csp: CSPInstance, covers: Sequence[Domain]) -> Knowledgebase:
@@ -65,11 +65,12 @@ def csp_to_knowledgebase(csp: CSPInstance, covers: Sequence[Domain]) -> Knowledg
         for c in csp.constraints:
             overlap = cover & c.scheme_set
             if overlap:
-                relevant.append((overlap, project_relation(c.allowed, overlap).tuples))
+                on_overlap = restriction(sorted(cover), sorted(overlap))
+                relevant.append((on_overlap, project_relation(c.allowed, overlap).tuples))
         good = [
             v
-            for v in enumerate_assignments(cover, csp.universe)
-            if all(v.restrict(overlap) in allowed for overlap, allowed in relevant)
+            for v in csp.universe.rows(cover)
+            if all(on_overlap(v) in allowed for on_overlap, allowed in relevant)
         ]
         valuations.append(Relation(csp.universe, cover, frozenset(good)))
     return Knowledgebase(csp.universe, tuple(valuations))

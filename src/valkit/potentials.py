@@ -1,4 +1,4 @@
-"""Semiring potentials: total maps from assignments to semiring values.
+"""Semiring potentials: total maps from rows to semiring values.
 
 Combination multiplies pointwise over the union domain; projection sums each
 fiber. Over the Boolean semiring this mirrors relations exactly (support of
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Mapping
 
 from .core import (
@@ -22,26 +21,28 @@ from .core import (
     VariableUniverse,
 )
 from .errors import ArgumentError, DomainError, ResourceLimitError, SemiringMismatchError, UniverseMismatchError
-from .relations import Relation
+from .relations import Relation, Row, restriction
 
 
 @dataclass(frozen=True)
 class Potential:
+    """A total table from rows (values in sorted-domain order) to semiring values.
+
+    The dataclass constructor trusts its table; `Potential.from_table`
+    validates outside input keyed by assignments.
+    """
+
     universe: VariableUniverse
     domain: Domain
     semiring: Semiring
-    table: Mapping[Assignment, object]
+    table: Mapping[Row, object]
 
     def __post_init__(self):
-        self.universe.check_domain(self.domain)
         expected = self.universe.size(self.domain)
         if len(self.table) != expected:
             raise DomainError(
                 f"table has {len(self.table)} entries but Ω_domain has {expected}; potentials must be total"
             )
-        for key in self.table:
-            if key.domain != self.domain:
-                raise DomainError(f"table key {key!r} does not match domain {sorted(self.domain)}")
 
     @classmethod
     def from_table(
@@ -53,29 +54,32 @@ class Potential:
         default: object | None = None,
     ) -> "Potential":
         """Validated constructor; missing assignments get `default` when given."""
-        table: dict[Assignment, object] = {}
-        for key in universe.assignments(domain):
-            if key in values:
-                v = values[key]
+        given = {key.row: v for key, v in values.items() if key.domain == domain}
+        table: dict[Row, object] = {}
+        for row in universe.rows(domain):
+            if row in given:
+                v = given.pop(row)
             elif default is not None:
                 v = default
             else:
-                raise DomainError(f"missing table entry for {key!r}")
+                raise DomainError(f"missing table entry for {Assignment.from_row(domain, row)!r}")
             if isinstance(v, int) and not isinstance(v, bool) and semiring is NONNEG_RATIONAL:
                 v = Fraction(v)
             if not semiring.contains(v):
                 raise ArgumentError(f"value {v!r} is outside the {semiring.name} carrier")
-            table[key] = v
-        stray = set(values) - set(table)
+            table[row] = v
+        stray = [key for key in values if key.domain != domain or key.row in given]
         if stray:
-            example = sorted(stray, key=lambda a: a.items)[0]
+            example = min(stray, key=lambda a: a.items)
             raise ArgumentError(f"assignment {example!r} is not a point of the domain's frame product")
         return cls(universe, domain, semiring, table)
 
     def __call__(self, x: Assignment) -> object:
-        return self.table[x]
+        if x.domain != self.domain:
+            raise DomainError(f"{x!r} is not a point of the domain {sorted(self.domain)}")
+        return self.table[x.row]
 
-    def support(self) -> frozenset[Assignment]:
+    def support(self) -> frozenset[Row]:
         zero = self.semiring.zero
         return frozenset(x for x, v in self.table.items() if v != zero)
 
@@ -83,19 +87,15 @@ class Potential:
         zero = self.semiring.zero
         return all(v == zero for v in self.table.values())
 
-    def sorted_items(self) -> list[tuple[Assignment, object]]:
-        return sorted(self.table.items(), key=lambda kv: kv[0].items)
-
     def __repr__(self) -> str:
         names = ",".join(sorted(self.domain)) or "∅"
-        shown = ", ".join(f"{k!r}->{v}" for k, v in self.sorted_items()[:8])
+        shown = ", ".join(f"{Assignment.from_row(self.domain, k)!r}->{v}" for k, v in sorted(self.table.items())[:8])
         suffix = ", ..." if len(self.table) > 8 else ""
         return f"Potential[{names}|{self.semiring.name}]{{{shown}{suffix}}}"
 
 
 def constant_potential(universe: VariableUniverse, domain: Domain, semiring: Semiring, value) -> Potential:
-    table = {x: value for x in universe.assignments(domain)}
-    return Potential(universe, domain, semiring, table)
+    return Potential(universe, domain, semiring, dict.fromkeys(universe.rows(domain), value))
 
 
 def neutral_potential(universe: VariableUniverse, domain: Domain, semiring: Semiring) -> Potential:
@@ -106,11 +106,6 @@ def null_potential(universe: VariableUniverse, domain: Domain, semiring: Semirin
     return constant_potential(universe, domain, semiring, semiring.zero)
 
 
-def _values_by_tuple(phi: Potential) -> dict[tuple[str, ...], object]:
-    # Assignment items are sorted by name, so the value tuple lines up with the sorted domain.
-    return {tuple(v for _, v in key.items): val for key, val in phi.table.items()}
-
-
 def combine_potentials(phi: Potential, psi: Potential, cell_limit: int | None = None) -> Potential:
     """Pointwise product over the union domain."""
     if phi.semiring != psi.semiring:
@@ -118,44 +113,28 @@ def combine_potentials(phi: Potential, psi: Potential, cell_limit: int | None = 
     if phi.universe != psi.universe:
         raise UniverseMismatchError("potentials live in different variable universes")
     universe = phi.universe
-    union = sorted(phi.domain | psi.domain)
-    size = 1
-    for name in union:
-        size *= len(universe.frame(name))
+    union = phi.domain | psi.domain
+    size = universe.size(union)
     if cell_limit is not None and size > cell_limit:
         raise ResourceLimitError(f"combination table would need {size} cells (limit {cell_limit})")
-    frames = [universe.frame(name).values for name in union]
-    pos_phi = [i for i, name in enumerate(union) if name in phi.domain]
-    pos_psi = [i for i, name in enumerate(union) if name in psi.domain]
-    phi_vals = _values_by_tuple(phi)
-    psi_vals = _values_by_tuple(psi)
-    mul = phi.semiring.mul
-    table = {}
-    for combo in product(*frames):
-        a = phi_vals[tuple(combo[i] for i in pos_phi)]
-        b = psi_vals[tuple(combo[i] for i in pos_psi)]
-        table[Assignment(tuple(zip(union, combo)))] = mul(a, b)
-    return Potential(universe, frozenset(union), phi.semiring, table)
+    names = sorted(union)
+    phi_row, psi_row = restriction(names, sorted(phi.domain)), restriction(names, sorted(psi.domain))
+    phi_table, psi_table, mul = phi.table, psi.table, phi.semiring.mul
+    table = {row: mul(phi_table[phi_row(row)], psi_table[psi_row(row)]) for row in universe.rows(union)}
+    return Potential(universe, union, phi.semiring, table)
 
 
 def project_potential(phi: Potential, target: Domain) -> Potential:
-    """Fiber sums: each target assignment collects the values of its extensions."""
+    """Fiber sums: each target row collects the values of its extensions."""
     extra = target - phi.domain
     if extra:
         raise DomainError(f"projection target not within the potential domain; offending variables: {sorted(extra)}")
-    names = sorted(phi.domain)
-    target_names = sorted(target)
-    keep = [i for i, name in enumerate(names) if name in target]
+    sub_row = restriction(sorted(phi.domain), sorted(target))
     add = phi.semiring.add
-    acc: dict[tuple[str, ...], object] = {}
-    for key, val in phi.table.items():
-        values = tuple(v for _, v in key.items)
-        sub = tuple(values[i] for i in keep)
-        if sub in acc:
-            acc[sub] = add(acc[sub], val)
-        else:
-            acc[sub] = val
-    table = {Assignment(tuple(zip(target_names, sub))): val for sub, val in acc.items()}
+    table: dict[Row, object] = {}
+    for row, val in phi.table.items():
+        sub = sub_row(row)
+        table[sub] = add(table[sub], val) if sub in table else val
     return Potential(phi.universe, target, phi.semiring, table)
 
 
@@ -179,5 +158,5 @@ def support_relation(phi: Potential) -> Relation:
 def indicator_potential(r: Relation, semiring: Semiring = BOOLEAN) -> Potential:
     """The characteristic function of a relation, over the given semiring."""
     one, zero = semiring.one, semiring.zero
-    table = {x: (one if x in r.tuples else zero) for x in r.universe.assignments(r.domain)}
+    table = {x: (one if x in r.tuples else zero) for x in r.universe.rows(r.domain)}
     return Potential(r.universe, r.domain, semiring, table)

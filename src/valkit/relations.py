@@ -1,46 +1,62 @@
-"""Relations: sets of assignments over a common domain.
+"""Relations: sets of rows over a common domain.
 
 This is the information-set instance of the valuation algebra contract:
 combination is the natural join, projection keeps the restriction of every
-tuple, the neutral element is the full product of frames, and the null
+row, the neutral element is the full product of frames, and the null
 element is the empty relation. The order is set inclusion, with the empty
 relation as the bottom of every domain.
+
+A row is a tuple of values in sorted(domain) order, so variable names are
+stored once, in the domain, and rows sort exactly as the assignments they
+stand for. The dataclass constructor trusts its arguments; internal results
+use it, while `Relation.of` and `Relation.from_rows` validate outside input.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Assignment, Domain, VariableUniverse, enumerate_assignments
+from .core import Assignment, Domain, VariableUniverse
 from .errors import ArgumentError, DomainError, UniverseMismatchError
+
+Row = tuple[str, ...]
+
+
+def restriction(names: Sequence[str], order: Sequence[str]) -> Callable[[Row], Row]:
+    """The map from a row whose values follow `names` to its values at `order`, in that order."""
+    index = {name: i for i, name in enumerate(names)}
+    positions = [index[name] for name in order]
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return lambda row: ()
 
 
 @dataclass(frozen=True)
 class Relation:
     universe: VariableUniverse
     domain: Domain
-    tuples: frozenset[Assignment]
+    tuples: frozenset[Row]
 
     def __post_init__(self):
         self.universe.check_domain(self.domain)
-        for x in self.tuples:
-            if x.domain != self.domain:
-                raise DomainError(f"tuple {x!r} does not match relation domain {sorted(self.domain)}")
 
     @classmethod
     def of(cls, universe: VariableUniverse, rows: Iterable[Assignment | Mapping[str, str]]) -> "Relation":
         """Build and validate a relation from assignments or mappings (nonempty input)."""
-        tuples = frozenset(row if isinstance(row, Assignment) else Assignment.of(row) for row in rows)
-        if not tuples:
+        points = [row if isinstance(row, Assignment) else Assignment.of(row) for row in rows]
+        if not points:
             raise ArgumentError("cannot infer a domain from zero rows; use empty_relation")
-        domain = next(iter(tuples)).domain
-        for x in tuples:
-            for var, val in x.items:
-                if val not in universe.frame(var):
-                    raise ArgumentError(f"value {val!r} not in the frame of {var!r}")
-        return cls(universe, domain, tuples)
+        domain = points[0].domain
+        for x in points:
+            if x.domain != domain:
+                raise DomainError(f"tuple {x!r} does not match relation domain {sorted(domain)}")
+        return cls.from_rows(universe, sorted(domain), [x.row for x in points])
 
     @classmethod
     def from_rows(
@@ -49,28 +65,34 @@ class Relation:
         variables: Sequence[str],
         rows: Iterable[Sequence[str]],
     ) -> "Relation":
-        """Build a relation from value rows aligned with an explicit variable order."""
-        assignments = []
+        """Build and validate a relation from value rows aligned with an explicit variable order."""
+        variables = tuple(variables)
+        domain = frozenset(variables)
+        frames = [universe.frame(name) for name in variables]
+        to_sorted = restriction(variables, sorted(domain))
+        tuples = set()
         for row in rows:
+            row = tuple(row)
             if len(row) != len(variables):
-                raise ArgumentError(f"row {tuple(row)!r} does not match variables {tuple(variables)!r}")
-            assignments.append(Assignment.of(dict(zip(variables, row))))
-        if not assignments:
-            return empty_relation(universe, frozenset(variables))
-        return cls.of(universe, assignments)
+                raise ArgumentError(f"row {row!r} does not match variables {variables!r}")
+            for name, frame, value in zip(variables, frames, row):
+                if value not in frame:
+                    raise ArgumentError(f"value {value!r} not in the frame of {name!r}")
+            tuples.add(to_sorted(row))
+        return cls(universe, domain, frozenset(tuples))
 
     def is_empty(self) -> bool:
         return not self.tuples
 
-    def sorted_tuples(self) -> list[Assignment]:
-        return sorted(self.tuples, key=lambda a: a.items)
+    def sorted_tuples(self) -> list[Row]:
+        return sorted(self.tuples)
 
     def __len__(self) -> int:
         return len(self.tuples)
 
     def __repr__(self) -> str:
         names = ",".join(sorted(self.domain)) or "∅"
-        shown = ", ".join(repr(t) for t in self.sorted_tuples()[:8])
+        shown = ", ".join(repr(Assignment.from_row(self.domain, t)) for t in self.sorted_tuples()[:8])
         suffix = ", ..." if len(self.tuples) > 8 else ""
         return f"Relation[{names}]{{{shown}{suffix}}}"
 
@@ -82,7 +104,7 @@ def empty_relation(universe: VariableUniverse, domain: Domain) -> Relation:
 
 def full_relation(universe: VariableUniverse, domain: Domain) -> Relation:
     """The neutral element e_S, materialized. Exponential in |S|; callers keep S small."""
-    return Relation(universe, domain, frozenset(enumerate_assignments(domain, universe)))
+    return Relation(universe, domain, frozenset(universe.rows(domain)))
 
 
 def _check_same_universe(r1: Relation, r2: Relation) -> None:
@@ -91,30 +113,34 @@ def _check_same_universe(r1: Relation, r2: Relation) -> None:
 
 
 def natural_join(r1: Relation, r2: Relation) -> Relation:
-    """All assignments over the union domain whose restrictions lie in both operands."""
+    """All rows over the union domain whose restrictions lie in both operands."""
     _check_same_universe(r1, r2)
     union = r1.domain | r2.domain
     if not r1.tuples or not r2.tuples:
         return Relation(r1.universe, union, frozenset())
-    # Index the smaller side by its restriction to the shared variables.
+    # Index the smaller side by its values on the shared variables; an output
+    # row picks each union variable from the concatenation of the two rows.
     small, large = (r1, r2) if len(r1.tuples) <= len(r2.tuples) else (r2, r1)
-    common = r1.domain & r2.domain
-    buckets: dict[Assignment, list[Assignment]] = {}
+    common = sorted(r1.domain & r2.domain)
+    small_names, large_names = sorted(small.domain), sorted(large.domain)
+    small_key, large_key = restriction(small_names, common), restriction(large_names, common)
+    joined_row = restriction(small_names + large_names, sorted(union))
+    buckets: dict[Row, list[Row]] = {}
     for x in small.tuples:
-        buckets.setdefault(x.restrict(common), []).append(x)
+        buckets.setdefault(small_key(x), []).append(x)
     joined = set()
     for y in large.tuples:
-        for x in buckets.get(y.restrict(common), ()):
-            joined.add(x.merge(y))
+        for x in buckets.get(large_key(y), ()):
+            joined.add(joined_row(x + y))
     return Relation(r1.universe, union, frozenset(joined))
 
 
 def project_relation(r: Relation, target: Domain) -> Relation:
-    """Set of restrictions of the relation's tuples (duplicates collapse)."""
+    """Set of restrictions of the relation's rows (duplicates collapse)."""
     extra = target - r.domain
     if extra:
         raise DomainError(f"projection target not within the relation domain; offending variables: {sorted(extra)}")
-    return Relation(r.universe, target, frozenset(x.restrict(target) for x in r.tuples))
+    return Relation(r.universe, target, frozenset(map(restriction(sorted(r.domain), sorted(target)), r.tuples)))
 
 
 class Ordering(Enum):

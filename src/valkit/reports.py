@@ -10,8 +10,6 @@ piece of evidence directly against the input.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Knowledgebase
 from .contextuality import (
     ContextualityReport,
@@ -19,9 +17,8 @@ from .contextuality import (
     NoSignallingVerdict,
     check_no_signalling,
     classify_checked,
-    lc_at,
 )
-from .core import NONNEG_RATIONAL, Assignment
+from .core import Assignment
 from .disagreement import (
     AgreementReport,
     analyze_knowledgebase,
@@ -30,16 +27,16 @@ from .disagreement import (
 from .documents import (
     ParsedInput,
     format_rational,
-    parse_rational,
+    parse_potential,
     parse_signed_rational,
     potential_values,
     relation_rows,
 )
 from .errors import ValkitError
 from .feasibility import FarkasCertificate, validate_certificate
-from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, run_solver
+from .inference import DEFAULT_CELL_LIMIT
 from .potentials import Potential, project_potential, support_relation
-from .relations import Relation
+from .relations import Relation, project_relation, restriction
 
 REPORT_SCHEMA = "vk-report/1"
 TUPLE_CAP = 4096
@@ -65,20 +62,6 @@ def valuation_doc(v) -> dict:
     return relation_doc(v) if isinstance(v, Relation) else potential_doc(v)
 
 
-def _parse_relation_doc(doc: dict, kb: Knowledgebase) -> Relation:
-    names = doc["domain"]
-    return Relation.from_rows(kb.universe, names, doc.get("tuples", []))
-
-
-def _parse_potential_doc(doc: dict, kb: Knowledgebase) -> Potential:
-    names = tuple(doc["domain"])
-    table = {}
-    for key, raw in doc["values"].items():
-        labels = key.split(",") if key else []
-        table[Assignment.of(dict(zip(names, labels)))] = parse_rational(raw, f"values[{key!r}]")
-    return Potential.from_table(kb.universe, frozenset(names), NONNEG_RATIONAL, table, default=Fraction(0))
-
-
 def _kb_certificate_layout(kb: Knowledgebase) -> tuple[tuple[str, str], list]:
     """Rows name a member by its 1-based index and write assignments in sorted-domain order."""
     return ("member", "assignment"), [(index, sorted(phi.domain)) for index, phi in enumerate(kb, start=1)]
@@ -92,15 +75,15 @@ def _model_certificate_layout(model: EmpiricalModel) -> tuple[tuple[str, str], l
 def certificate_doc(certificate: FarkasCertificate, fields: tuple[str, str], members: list) -> list[dict]:
     """One row per nonzero multiplier; `members[i - 1]` is member i's label and variable order."""
     member_field, assignment_field = fields
+    in_order = [restriction(sorted(names), names) for _, names in members]
     rows = []
-    for (index, assignment), coefficient in certificate.coefficients:
+    for (index, local), coefficient in certificate.coefficients:
         if coefficient == 0:
             continue
-        label, names = members[index - 1]
         rows.append(
             {
-                member_field: label,
-                assignment_field: ",".join(assignment.values_in(names)),
+                member_field: members[index - 1][0],
+                assignment_field: ",".join(in_order[index - 1](local)),
                 "coefficient": format_rational(coefficient),
             }
         )
@@ -109,13 +92,12 @@ def certificate_doc(certificate: FarkasCertificate, fields: tuple[str, str], mem
 
 def _certificate_from_doc(rows: list[dict], fields: tuple[str, str], members: list) -> FarkasCertificate:
     member_field, assignment_field = fields
-    by_label = {label: (index, names) for index, (label, names) in enumerate(members, start=1)}
+    by_label = {label: (i, restriction(names, sorted(names))) for i, (label, names) in enumerate(members, start=1)}
     coefficients = []
     for row in rows:
-        index, names = by_label[row[member_field]]
-        labels = row[assignment_field].split(",") if row[assignment_field] else []
-        assignment = Assignment.of(dict(zip(names, labels)))
-        coefficients.append(((index, assignment), parse_signed_rational(row["coefficient"], "certificate")))
+        index, sorted_order = by_label[row[member_field]]
+        labels = tuple(row[assignment_field].split(",")) if row[assignment_field] else ()
+        coefficients.append(((index, sorted_order(labels)), parse_signed_rational(row["coefficient"], "certificate")))
     return FarkasCertificate(tuple(coefficients))
 
 
@@ -184,18 +166,18 @@ def contextuality_analysis_doc(model: EmpiricalModel, report: ContextualityRepor
     }
 
 
-def analysis_document(parsed: ParsedInput, method: str, cell_limit: int | None) -> dict:
-    """Run the analysis appropriate for the input kind and render it."""
+def analysis_document(parsed: ParsedInput, method: str, cell_limit: int | None) -> tuple[dict, object]:
+    """Run the analysis appropriate for the input kind; returns its rendering and the verdict it renders."""
     payload = parsed.payload
     if isinstance(payload, EmpiricalModel):
         signalling = check_no_signalling(payload)
         if not signalling.passed:
-            return {"no-signalling": _no_signalling_doc(signalling), "class": None}
+            return {"no-signalling": _no_signalling_doc(signalling), "class": None}, signalling
         report = classify_checked(payload, signalling, cell_limit=cell_limit)
-        return contextuality_analysis_doc(payload, report)
+        return contextuality_analysis_doc(payload, report), report
     kb = parsed.knowledgebase()
     report = analyze_knowledgebase(kb, method=method, cell_limit=cell_limit)
-    return agreement_analysis_doc(kb, report)
+    return agreement_analysis_doc(kb, report), report
 
 
 def build_report(
@@ -212,7 +194,7 @@ def build_report(
         "input-sha256": input_sha256,
         "method": method,
         "cell-limit": cell_limit,
-        "analysis": analysis_document(parsed, method, cell_limit),
+        "analysis": analysis_document(parsed, method, cell_limit)[0],
     }
 
 
@@ -226,7 +208,10 @@ def verify_report(
 
     The re-derivation uses fusion under the caller's cell limit. The report's
     own "method" and "cell-limit" fields are not read: a report must not be
-    able to switch off the resource guard that bounds its own checking.
+    able to switch off the resource guard that bounds its own checking. The
+    witness checks that would need inference (the adjoint witness member and
+    the LC section) read the re-derived verdict, which solved those problems
+    already; every other witness is checked against the input directly.
     """
     problems: list[str] = []
     if report.get("report") != REPORT_SCHEMA:
@@ -234,17 +219,18 @@ def verify_report(
     if report.get("input-sha256") != input_sha256:
         problems.append("input hash does not match the report")
         return problems
-    rebuilt = analysis_document(parsed, "fusion", cell_limit)
+    rebuilt, verdict = analysis_document(parsed, "fusion", cell_limit)
     if rebuilt != report.get("analysis"):
         problems.append("analysis does not reproduce the report")
     try:
-        problems.extend(_revalidate_witnesses(report, parsed, cell_limit))
+        problems.extend(_revalidate_witnesses(report, parsed, verdict))
     except (ValkitError, KeyError, IndexError, TypeError, AttributeError) as err:
         problems.append(f"witness re-validation failed on malformed report data: {err!r}")
     return problems
 
 
-def _revalidate_witnesses(report: dict, parsed: ParsedInput, cell_limit) -> list[str]:
+def _revalidate_witnesses(report: dict, parsed: ParsedInput, verdict) -> list[str]:
+    """Check the report's witnesses against the input and the re-derived `verdict` object."""
     problems: list[str] = []
     analysis = report.get("analysis", {})
     payload = parsed.payload
@@ -264,10 +250,8 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, cell_limit) -> list
                 if not validate_certificate(system, certificate):
                     problems.append("infeasibility certificate fails validation")
             else:
-                dist = _parse_potential_doc(
-                    {"domain": sorted(kb.joint_domain), "values": probabilistic["global-distribution"]},
-                    kb,
-                )
+                raw = probabilistic["global-distribution"]
+                dist = parse_potential(raw, sorted(kb.joint_domain), kb.universe, "global-distribution")
                 for ctx, section in zip(payload.scenario.contexts, payload.sections):
                     if project_potential(dist, frozenset(ctx)) != section:
                         problems.append(f"global distribution does not marginalize to context {','.join(ctx)}")
@@ -277,9 +261,10 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, cell_limit) -> list
             ctx = tuple(witness["context"].split(","))
             labels = witness["section"].split(",")
             section = Assignment.of(dict(zip(ctx, labels)))
-            if section not in support_relation(payload.section_for(ctx)).tuples:
+            support = support_relation(payload.section_for(ctx))
+            if section.domain != support.domain or section.row not in support.tuples:
                 problems.append("logical-contextuality witness is not a supported section")
-            elif not lc_at(payload, ctx, section, cell_limit):
+            elif section.row in project_relation(verdict.gamma, support.domain).tuples:
                 problems.append("logical-contextuality witness extends to a global assignment")
         if analysis.get("strong", {}).get("contextual") and gamma_doc.get("size") != 0:
             problems.append("strong contextuality claimed but gamma is nonempty")
@@ -298,17 +283,14 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, cell_limit) -> list
             problems.append(f"reported local disagreement pair ({i}, {j}) actually agrees")
     global_doc = analysis.get("global", {})
     if global_doc.get("verdict") == "agree" and "truth" in global_doc:
-        truth_doc = global_doc["truth"]
+        truth_doc, truth = global_doc["truth"], None  # a relation beyond TUPLE_CAP omits its tuples
         if truth_doc["type"] == "relation" and "tuples" in truth_doc:
-            truth = _parse_relation_doc(truth_doc, kb)
-            for index, member in enumerate(members, start=1):
-                if not algebra.equal(algebra.project(truth, member.domain), member):
-                    problems.append(f"reported truth valuation does not project onto member {index}")
+            truth = Relation.from_rows(kb.universe, truth_doc["domain"], truth_doc["tuples"])
         elif truth_doc["type"] == "potential":
-            truth = _parse_potential_doc(truth_doc, kb)
-            for index, member in enumerate(members, start=1):
-                if project_potential(truth, member.domain) != member:
-                    problems.append(f"reported truth valuation does not project onto member {index}")
+            truth = parse_potential(truth_doc["values"], truth_doc["domain"], kb.universe, "truth")
+        for index, member in enumerate(members, start=1):
+            if truth is not None and not algebra.equal(algebra.project(truth, member.domain), member):
+                problems.append(f"reported truth valuation does not project onto member {index}")
     elif global_doc.get("verdict") == "disagree":
         if "certificate" in global_doc:
             system = marginal_system(kb)
@@ -317,8 +299,7 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, cell_limit) -> list
                 problems.append("infeasibility certificate fails validation")
         elif "witness-index" in global_doc:
             index = global_doc["witness-index"]
-            member = members[index - 1]
-            projected = run_solver(InferenceProblem(kb, algebra.label(member)), "fusion", cell_limit)
-            if algebra.equal(projected, member):
-                problems.append(f"reported witness member {index} actually agrees with the combination")
+            g = verdict.global_agreement
+            if g.witness_index != index or algebra.equal(g.projected, members[index - 1]):
+                problems.append(f"reported witness member {index} is not the first member unlike the combination")
     return problems

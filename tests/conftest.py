@@ -33,8 +33,8 @@ def random_relation(rng: random.Random, universe: VariableUniverse, domain=None,
         names = sorted(universe.vars)
         size = rng.randint(1, min(3, len(names)))
         domain = frozenset(rng.sample(names, size))
-    tuples = [a for a in enumerate_assignments(domain, universe) if rng.random() < keep]
-    return Relation(universe, domain, frozenset(tuples))
+    rows = [row for row in universe.rows(domain) if rng.random() < keep]
+    return Relation.from_rows(universe, sorted(domain), rows)
 
 
 def random_potential(rng: random.Random, universe: VariableUniverse, domain=None) -> Potential:
@@ -46,7 +46,7 @@ def random_potential(rng: random.Random, universe: VariableUniverse, domain=None
         a: Fraction(rng.randint(0, 4), rng.randint(1, 4))
         for a in enumerate_assignments(domain, universe)
     }
-    return Potential(universe, domain, NONNEG_RATIONAL, table)
+    return Potential.from_table(universe, domain, NONNEG_RATIONAL, table)
 
 
 def random_relation_kb(rng: random.Random, max_vars=6, max_frame=3, max_vals=5) -> Knowledgebase:
@@ -68,14 +68,20 @@ def empty_domain_potential_kb():
     return Knowledgebase(
         universe,
         (
-            Potential(universe, frozenset({"x"}), NONNEG_RATIONAL, half),
-            Potential(universe, frozenset(), NONNEG_RATIONAL, {Assignment.of({}): Fraction(1)}),
+            Potential.from_table(universe, frozenset({"x"}), NONNEG_RATIONAL, half),
+            Potential.from_table(universe, frozenset(), NONNEG_RATIONAL, {Assignment.of({}): Fraction(1)}),
         ),
     )
 
 
 def assignment_of(universe: VariableUniverse, **values) -> Assignment:
     return Assignment.of(values)
+
+
+def values_in(row: tuple[str, ...], order) -> tuple[str, ...]:
+    """A row of a table over the names in `order` (values in sorted-name order), read in `order`."""
+    by_name = dict(zip(sorted(order), row))
+    return tuple(by_name[name] for name in order)
 
 
 def cycle_model(correlators):

@@ -36,7 +36,7 @@ from valkit.builtins import (
 )
 from valkit.cli import main as cli_main
 from valkit.contextuality import classify, check_no_signalling, probabilistic_model
-from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse, enumerate_assignments
+from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse
 from valkit.disagreement import (
     check_complete_disagreement,
     check_global_agreement_adjoint,
@@ -48,6 +48,8 @@ from valkit.disagreement import (
 from valkit.feasibility import validate_certificate
 from valkit.inference import InferenceProblem, solve_fusion, solve_naive
 from valkit.relations import Relation, adjointness_suite, project_relation, relation_leq
+
+from conftest import values_in
 
 
 @contextmanager
@@ -82,7 +84,7 @@ def brute_force_possibilistic(model):
     supports = {}
     for ctx, section in zip(model.scenario.contexts, model.sections):
         zero = section.semiring.zero
-        supports[ctx] = {tuple(a.values_in(ctx)) for a, v in section.table.items() if v != zero}
+        supports[ctx] = {values_in(row, ctx) for row, v in section.table.items() if v != zero}
     compatible = [
         dict(zip(names, combo))
         for combo in product(*frames)
@@ -103,7 +105,7 @@ def test_criterion_1_bell_reproduction():
             section = model.section_for(ctx)
             for outcome, value in zip(BELL_COLUMNS, values):
                 key = Assignment.of(dict(zip(ctx, outcome)))
-                assert section.table[key] == Fraction(value)
+                assert section(key) == Fraction(value)
         assert sum(len(s.table) for s in model.sections) == 16
         assert check_no_signalling(model).passed
         report = classify(model)
@@ -179,11 +181,7 @@ def test_criterion_4_liar_cycles():
             kb = liar_knowledgebase(n, consistent=True)
             verdict = check_global_agreement_adjoint(kb)
             assert verdict.agrees
-            names = [f"s{i}" for i in range(1, n + 1)]
-            constants = {
-                Assignment.of({s: "0" for s in names}),
-                Assignment.of({s: "1" for s in names}),
-            }
+            constants = {("0",) * n, ("1",) * n}
             assert verdict.truth.tuples == constants
 
 
@@ -221,8 +219,8 @@ def test_criterion_6_axiom_suites():
         for _ in range(10):
             names = sorted(universe.vars)
             domain = frozenset(rng.sample(names, rng.randint(1, 3)))
-            tuples = [a for a in enumerate_assignments(domain, universe) if rng.random() < 0.6]
-            relations.append(Relation(universe, domain, frozenset(tuples)))
+            rows = [row for row in universe.rows(domain) if rng.random() < 0.6]
+            relations.append(Relation.from_rows(universe, sorted(domain), rows))
         relation_results = axiom_suite(RelationAlgebra(universe), relations)
         assert [r.axiom for r in relation_results] == [
             "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10", "A11", "A12", "A13"
@@ -246,8 +244,8 @@ def test_criterion_6_axiom_suites():
         for _ in range(200):
             names = sorted(universe.vars)
             domain = frozenset(rng.sample(names, rng.randint(2, 3)))
-            tuples = [a for a in enumerate_assignments(domain, universe) if rng.random() < 0.6]
-            samples.append(Relation(universe, domain, frozenset(tuples)))
+            rows = [row for row in universe.rows(domain) if rng.random() < 0.6]
+            samples.append(Relation.from_rows(universe, sorted(domain), rows))
         report = adjointness_suite(samples)
         assert report.passed, report.counterexample
         assert report.checks >= 200
@@ -285,8 +283,8 @@ def _random_adjoint_kb(rng):
     members = []
     if rng.random() < 0.5:
         # Projection families of one global relation agree globally by construction.
-        base_tuples = [a for a in enumerate_assignments(universe.vars, universe) if rng.random() < 0.5]
-        base = Relation(universe, universe.vars, frozenset(base_tuples))
+        base_rows = [row for row in universe.rows(universe.vars) if rng.random() < 0.5]
+        base = Relation.from_rows(universe, names, base_rows)
         count = rng.randint(2, 4)
         for _ in range(count):
             domain = frozenset(rng.sample(names, rng.randint(1, len(names))))
@@ -296,8 +294,8 @@ def _random_adjoint_kb(rng):
     else:
         for _ in range(rng.randint(2, 4)):
             domain = frozenset(rng.sample(names, rng.randint(1, len(names))))
-            tuples = [a for a in enumerate_assignments(domain, universe) if rng.random() < 0.55]
-            members.append(Relation(universe, domain, frozenset(tuples)))
+            rows = [row for row in universe.rows(domain) if rng.random() < 0.55]
+            members.append(Relation.from_rows(universe, sorted(domain), rows))
     return Knowledgebase(universe, tuple(members))
 
 
@@ -364,11 +362,11 @@ def test_criterion_9_theorem_equivalence_two_contexts():
             idx = {n: i for i, n in enumerate(sorted(names))}
             for ctx, section in zip(model.scenario.contexts, model.sections):
                 marginal = {}
-                for a, w in gamma.table.items():
-                    key = tuple(a.values_in(ctx))
+                for g, w in gamma.table.items():
+                    key = tuple(g[idx[m]] for m in ctx)
                     marginal[key] = marginal.get(key, Fraction(0)) + w
                 for point, value in section.table.items():
-                    assert marginal.get(tuple(point.values_in(ctx)), Fraction(0)) == value
+                    assert marginal.get(values_in(point, ctx), Fraction(0)) == value
             report = classify(model)
             assert report.probabilistically_contextual is False
         # The infeasible side of the certificate contract, on the known pair.

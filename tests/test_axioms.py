@@ -54,7 +54,7 @@ def test_idempotency_counterexample_is_concrete():
 
     universe = VariableUniverse.of([("x", ("0", "1"))])
     algebra = PotentialAlgebra(universe, NONNEG_RATIONAL)
-    half = Potential(
+    half = Potential.from_table(
         universe,
         frozenset({"x"}),
         NONNEG_RATIONAL,

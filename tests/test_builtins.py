@@ -12,8 +12,8 @@ from valkit.errors import ArgumentError
 
 def test_bell_spot_values():
     model = builtin("bell")
-    assert model.section_for(("a2", "b2")).table[Assignment.of({"a2": "0", "b2": "0"})] == Fraction(1, 8)
-    assert model.section_for(("a1", "b1")).table[Assignment.of({"a1": "1", "b1": "0"})] == 0
+    assert model.section_for(("a2", "b2"))(Assignment.of({"a2": "0", "b2": "0"})) == Fraction(1, 8)
+    assert model.section_for(("a1", "b1"))(Assignment.of({"a1": "1", "b1": "0"})) == 0
 
 
 def test_liar_parameterized_builtin():
@@ -51,7 +51,7 @@ def test_liar_cycle_as_measurement_scenario_is_strongly_contextual():
     kb = liar_knowledgebase(3)
     contexts = [tuple(sorted(phi.domain)) for phi in kb]
     supports = {
-        ctx: [tuple(t.values_in(ctx)) for t in phi.sorted_tuples()]
+        ctx: phi.sorted_tuples()  # rows follow sorted(phi.domain), which is ctx
         for ctx, phi in zip(contexts, kb)
     }
     model = possibilistic_model(kb.universe, contexts, supports)

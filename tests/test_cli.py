@@ -234,6 +234,54 @@ def test_verify_rejects_tampered_report(tmp_path):
     assert "FAIL" in err
 
 
+def test_duplicate_json_keys_exit_2(tmp_path):
+    # json.loads keeps the last of two equal keys; the parser must refuse them instead.
+    doc = tmp_path / "dup.json"
+    doc.write_text(
+        '{"kind": "knowledgebase", "universe": [{"name": "x", "frame": ["0", "1"]}],'
+        ' "valuations": [{"domain": ["x"], "values": {"0": "1/2", "1": "1/2", "0": 0}}]}',
+        encoding="utf-8",
+    )
+    code, _, err = run_cli("analyze", str(doc), "--json")
+    assert code == 2
+    assert "duplicate key '0'" in err
+    code, out, _ = run_cli("analyze", "builtin:screening", "--json")
+    assert code == 0
+    report = tmp_path / "report.json"
+    duplicated = out.replace('"kind": "knowledgebase",', '"kind": "knowledgebase",\n  "kind": "csp",', 1)
+    report.write_text(duplicated, encoding="utf-8")
+    code, _, err = run_cli("verify", str(report), "builtin:screening")
+    assert code == 2
+    assert "duplicate key 'kind'" in err
+
+
+@pytest.mark.parametrize("name", ["screening", "malawi", "hardy"])
+def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
+    # verify re-derives the analysis and reads the witness checks off it, so it
+    # makes no solve_fusion call beyond those of the analysis itself.
+    from valkit import contextuality, inference, reports
+    from valkit.cli import _load_input
+
+    calls = []
+    original = inference.solve_fusion
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].query)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "solve_fusion", counted)
+    monkeypatch.setattr(contextuality, "solve_fusion", counted)
+    parsed, digest = _load_input(f"builtin:{name}")
+    report = reports.build_report(f"builtin:{name}", digest, parsed)
+    calls.clear()
+    reports.analysis_document(parsed, "fusion", inference.DEFAULT_CELL_LIMIT)
+    analysed = list(calls)
+    calls.clear()
+    assert reports.verify_report(report, parsed, digest) == []
+    assert calls == analysed
+    assert analysed
+
+
 def test_verify_never_crashes_on_mutated_reports(tmp_path):
     code, out, _ = run_cli("analyze", "builtin:bell", "--json")
     base = json.loads(out)
@@ -342,6 +390,17 @@ def test_infer_respects_explicit_order():
     assert "tuples: 0" in out
     code, _, err = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--order", "TZA")
     assert code == 2
+
+
+def test_infer_order_with_naive_method_is_an_input_error():
+    # An elimination order only means something to fusion; naive must not drop it silently.
+    for order in ("TZA,ZMB,ZWE", "bogus"):
+        code, out, err = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--order", order, "--method", "naive")
+        assert code == 2, (order, out)
+        assert "fusion" in err
+    code, out, _ = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--method", "naive")
+    assert code == 0
+    assert "tuples: 0" in out
 
 
 def test_infer_on_empirical_model_gives_potential():

@@ -22,7 +22,7 @@ from valkit.inference import InferenceProblem, solve_naive
 from valkit.potentials import support_relation
 from valkit.relations import project_relation
 
-from conftest import cycle_model, noisy_cycle_correlators
+from conftest import cycle_model, noisy_cycle_correlators, values_in
 
 
 # Independent oracle: scan all global outcome assignments with plain dicts,
@@ -35,7 +35,7 @@ def possibilistic_oracle(model):
     for ctx, section in zip(model.scenario.contexts, model.sections):
         zero = section.semiring.zero
         supports[ctx] = {
-            tuple(a.values_in(ctx)) for a, v in section.table.items() if v != zero
+            values_in(row, ctx) for row, v in section.table.items() if v != zero
         }
     compatible = []
     for combo in product(*frames):
@@ -68,7 +68,7 @@ def test_signalling_detected_on_tampered_bell():
     sections = {}
     for ctx, section in zip(contexts, model.sections):
         sections[ctx] = {
-            tuple(a.values_in(ctx)): section.table[a] for a in section.table
+            values_in(row, ctx): section.table[row] for row in section.table
         }
     # Replace the (a1, b1) row with (1, 0, 0, 0): the a1-marginal becomes (1, 0).
     sections[("a1", "b1")] = {("0", "0"): Fraction(1)}
@@ -127,7 +127,7 @@ def test_classification_matches_oracle_on_all_builtins():
         strongly, logically, compatible = possibilistic_oracle(model)
         assert report.strongly_contextual == strongly
         assert report.logically_contextual == logically
-        got = {tuple(t.values_in(sorted(model.scenario.universe.vars))) for t in report.gamma.tuples}
+        got = set(report.gamma.tuples)
         expected = {
             tuple(g[m] for m in sorted(model.scenario.universe.vars)) for g in compatible
         }
@@ -164,16 +164,16 @@ def test_lc_at_hardy_distinguished_section():
     bell = bell_model()
     collapse = possibilistic_collapse_model(bell)
     for ctx, sec in zip(collapse.scenario.contexts, collapse.sections):
-        for a in support_relation(sec).tuples:
-            assert not lc_at(bell, ctx, a)
+        for row in support_relation(sec).tuples:
+            assert not lc_at(bell, ctx, Assignment.from_row(sec.domain, row))
 
 
 def test_lc_at_everywhere_on_ghz():
     model = ghz_model()
     collapse = possibilistic_collapse_model(model)
     for ctx, sec in zip(collapse.scenario.contexts, collapse.sections):
-        for a in support_relation(sec).tuples:
-            assert lc_at(model, ctx, a)
+        for row in support_relation(sec).tuples:
+            assert lc_at(model, ctx, Assignment.from_row(sec.domain, row))
 
 
 def test_lc_at_rejects_unsupported_section():
@@ -229,7 +229,7 @@ def test_classification_invariant_under_context_reordering():
     universe = model.scenario.universe
     contexts = list(model.scenario.contexts)
     sections = {
-        ctx: {tuple(a.values_in(ctx)): v for a, v in section.table.items()}
+        ctx: {values_in(row, ctx): v for row, v in section.table.items()}
         for ctx, section in zip(contexts, model.sections)
     }
     reordered = probabilistic_model(universe, list(reversed(contexts)), sections)
@@ -253,9 +253,9 @@ def lc_loop_oracle(model):
     sc_context = model.scenario.contexts[0] if strongly else None
     for ctx, section in zip(model.scenario.contexts, model.sections):
         covered = project_relation(g, frozenset(ctx))
-        missing = sorted(support_relation(section).tuples - covered.tuples, key=lambda a: a.items)
+        missing = sorted(support_relation(section).tuples - covered.tuples)
         if missing:
-            return True, (ctx, missing[0]), strongly, sc_context
+            return True, (ctx, Assignment.from_row(section.domain, missing[0])), strongly, sc_context
     return False, None, strongly, sc_context
 
 

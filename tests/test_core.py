@@ -11,6 +11,7 @@ from valkit.core import (
     project_assignment,
 )
 from valkit.errors import ArgumentError, DomainError
+from valkit.relations import Relation, natural_join
 
 
 def test_frame_rejects_duplicates_and_empty():
@@ -102,8 +103,11 @@ def test_rational_semiring_rejects_negatives_and_floats():
     assert not BOOLEAN.contains(2)
 
 
-def test_assignment_merge_and_values_in():
+def test_join_of_points_and_values_in(screening_universe):
     x = Assignment.of({"a": "54-", "e": "M"})
     y = Assignment.of({"e": "M", "f": "Y"})
-    assert x.merge(y) == Assignment.of({"a": "54-", "e": "M", "f": "Y"})
+    joined = natural_join(Relation.of(screening_universe, [x]), Relation.of(screening_universe, [y]))
+    assert joined == Relation.of(screening_universe, [Assignment.of({"a": "54-", "e": "M", "f": "Y"})])
     assert x.values_in(("e", "a")) == ("M", "54-")
+    assert x.row == ("54-", "M")
+    assert Assignment.from_row(x.domain, x.row) == x

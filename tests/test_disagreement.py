@@ -46,10 +46,9 @@ def test_constructed_local_disagreement_detected(screening_universe):
     kb = screening_knowledgebase()
     r1 = kb.valuations[0]
     # Delete the tuples with e = M so the e-projection differs from source 2.
-    smaller = Relation(
+    smaller = Relation.of(
         screening_universe,
-        r1.domain,
-        frozenset(t for t in r1.tuples if t.value("e") != "M"),
+        [x for x in (Assignment.from_row(r1.domain, t) for t in r1.tuples) if x.value("e") != "M"],
     )
     broken = Knowledgebase(screening_universe, (smaller, kb.valuations[1], kb.valuations[2]))
     verdict = check_local_agreement(broken)
@@ -110,11 +109,7 @@ def test_consistent_cycles_agree_globally(n):
     kb = liar_knowledgebase(n, consistent=True)
     verdict = check_global_agreement_adjoint(kb)
     assert verdict.agrees
-    names = [f"s{i}" for i in range(1, n + 1)]
-    constants = {
-        Assignment.of({s: "0" for s in names}),
-        Assignment.of({s: "1" for s in names}),
-    }
+    constants = {("0",) * n, ("1",) * n}
     assert verdict.truth.tuples == constants
 
 
@@ -162,7 +157,7 @@ def test_uniform_product_sections_agree_on_bell_scenario():
     # Oracle: the uniform global distribution reproduces every section by fiber
     # sums, so it must satisfy the marginal equations directly.
     uniform_global = {
-        g: Fraction(1, 16) for g in enumerate_assignments(kb.joint_domain, universe)
+        g: Fraction(1, 16) for g in universe.rows(kb.joint_domain)
     }
     assert validate_solution(marginal_system(kb), uniform_global)
     for section in uniform_sections:
@@ -196,12 +191,12 @@ def naive_truth_search(kb):
         for chosen in combinations(points, size):
             ok = True
             for phi in kb:
-                projected = {p.restrict(phi.domain) for p in chosen}
+                projected = {p.restrict(phi.domain).row for p in chosen}
                 if projected != set(phi.tuples):
                     ok = False
                     break
             if ok:
-                found.append(frozenset(chosen))
+                found.append(frozenset(p.row for p in chosen))
     return found
 
 
@@ -296,12 +291,12 @@ def test_locally_disagreeing_potentials_still_get_certificate():
     # Replace the first section with a point mass: the a1-marginal now clashes
     # with the second section, and no global distribution can exist either.
     domain = sections[0].domain
-    point = min(sections[0].table, key=lambda a: a.items)
-    sections[0] = Potential(
+    point = min(sections[0].table)
+    sections[0] = Potential.from_table(
         universe,
         domain,
         NONNEG_RATIONAL,
-        {a: (Fraction(1) if a == point else Fraction(0)) for a in sections[0].table},
+        {Assignment.from_row(domain, a): (Fraction(1) if a == point else Fraction(0)) for a in sections[0].table},
     )
     kb = Knowledgebase(universe, tuple(sections))
     report = analyze_knowledgebase(kb)
@@ -313,13 +308,13 @@ def test_locally_disagreeing_potentials_still_get_certificate():
 
 def test_complete_disagreement_for_potentials():
     universe = VariableUniverse.of([("x", ("0", "1"))])
-    left = Potential(
+    left = Potential.from_table(
         universe,
         frozenset({"x"}),
         NONNEG_RATIONAL,
         {Assignment.of({"x": "0"}): Fraction(1), Assignment.of({"x": "1"}): Fraction(0)},
     )
-    right = Potential(
+    right = Potential.from_table(
         universe,
         frozenset({"x"}),
         NONNEG_RATIONAL,

@@ -157,6 +157,24 @@ def test_json_syntax_error_carries_location():
     assert err.value.column is not None
 
 
+def test_duplicated_section_outcome_rejected():
+    text = canonical_json(model_document(bell_model()))
+    first = text.index('"0,0"')
+    duplicated = text[:first] + '"0,0": "1/8",\n      ' + text[first:]
+    with pytest.raises(ParseError) as err:
+        parse_document_text(duplicated)
+    assert "duplicate key '0,0'" in str(err.value)
+
+
+def test_duplicated_top_level_field_rejected():
+    text = canonical_json(knowledgebase_document(screening_knowledgebase()))
+    duplicated = text.replace('"kind": "knowledgebase",', '"kind": "csp",\n  "kind": "knowledgebase",', 1)
+    assert json.loads(duplicated)["kind"] == "knowledgebase"  # what json.loads alone would accept
+    with pytest.raises(ParseError) as err:
+        parse_document_text(duplicated)
+    assert "duplicate key 'kind'" in str(err.value)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ParseError):
         parse_document_text(json.dumps({"kind": "mystery"}))

@@ -1,9 +1,14 @@
-"""Every valkit module uses each name it imports.
+"""Structural lints on the valkit sources, checked with `ast`.
 
-A stdlib-only stand-in for a linter's unused-import rule: each module under
-`src/valkit` is parsed with `ast`, and every name bound by an import must be
-read somewhere in that module, in code or in a string annotation. The
-package `__init__.py` is exempt because its imports are re-exports.
+Every valkit module uses each name it imports: a stdlib-only stand-in for a
+linter's unused-import rule. Each module under `src/valkit` is parsed, and
+every name bound by an import must be read somewhere in that module, in code
+or in a string annotation. The package `__init__.py` is exempt because its
+imports are re-exports.
+
+Tables work on rows: generic inference (`inference.py`, `algebra.py`) and the
+four table operations never name `Assignment` or call an assignment's
+`.restrict` or `.merge`, which would rebuild per-row assignments.
 """
 
 import ast
@@ -64,3 +69,49 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Mapping\ndef f(x: 'Mapping') -> int:\n    return 1\n")
     assert set(_imported(tree)) - _used(tree) == {"os"}
+
+
+ROW_ONLY_MODULES = ("inference.py", "algebra.py")
+TABLE_OPERATIONS = {
+    "relations.py": ("natural_join", "project_relation"),
+    "potentials.py": ("combine_potentials", "project_potential"),
+}
+
+
+def _assignment_uses(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "Assignment":
+            found.append(f"{node.lineno}: names Assignment")
+        elif isinstance(node, ast.alias) and node.name == "Assignment":
+            found.append("imports Assignment")
+        elif isinstance(node, ast.Attribute) and node.attr == "Assignment":
+            found.append(f"{node.lineno}: names Assignment")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in ("restrict", "merge"):
+                found.append(f"{node.lineno}: calls .{node.func.attr}")
+    return found
+
+
+def test_inference_and_table_operations_work_on_rows():
+    offences = []
+    for name in ROW_ONLY_MODULES:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        offences.extend(f"{name}:{use}" for use in _assignment_uses(tree))
+    for name, functions in TABLE_OPERATIONS.items():
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        defined = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for function in functions:
+            assert function in defined, f"{name} no longer defines {function}"
+            offences.extend(f"{name}:{function}:{use}" for use in _assignment_uses(defined[function]))
+    assert not offences, "per-row Assignment use:\n" + "\n".join(offences)
+
+
+def test_the_row_check_sees_assignment_use():
+    tree = ast.parse(
+        "from .core import Assignment\n"
+        "def join(r1, r2):\n"
+        "    return {x.merge(y) for x in r1 for y in r2 if x.restrict(d) == core.Assignment(())}\n"
+    )
+    assert len(_assignment_uses(tree)) == 4
+    assert _assignment_uses(ast.parse("def join(r1, r2):\n    return r1 | r2\n")) == []

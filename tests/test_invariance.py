@@ -16,7 +16,7 @@ from valkit.logic import csp_to_knowledgebase
 from valkit.potentials import Potential
 from valkit.relations import Relation, empty_relation, full_relation
 
-from conftest import random_relation
+from conftest import random_relation, values_in
 
 
 def renamed_potential_kb(kb: Knowledgebase, mapping: dict) -> Knowledgebase:
@@ -26,10 +26,10 @@ def renamed_potential_kb(kb: Knowledgebase, mapping: dict) -> Knowledgebase:
     renamed = []
     for phi in kb:
         table = {}
-        for a, v in phi.table.items():
-            table[Assignment.of({mapping[k]: val for k, val in a.items})] = v
+        for row, v in phi.table.items():
+            table[Assignment.of({mapping[k]: val for k, val in zip(sorted(phi.domain), row)})] = v
         renamed.append(
-            Potential(universe, frozenset(mapping[n] for n in phi.domain), NONNEG_RATIONAL, table)
+            Potential.from_table(universe, frozenset(mapping[n] for n in phi.domain), NONNEG_RATIONAL, table)
         )
     return Knowledgebase(universe, tuple(renamed))
 
@@ -52,7 +52,7 @@ def test_classification_invariant_under_measurement_renaming():
     for ctx, section in zip(model.scenario.contexts, model.sections):
         renamed_ctx = tuple(mapping[m] for m in ctx)
         sections[renamed_ctx] = {
-            tuple(a.values_in(ctx)): v for a, v in section.table.items()
+            values_in(row, ctx): v for row, v in section.table.items()
         }
     renamed = probabilistic_model(universe, contexts, sections)
     assert classify(renamed).classification == classify(model).classification
@@ -110,11 +110,11 @@ def test_projection_to_empty_domain_counts_mass():
     table = {
         a: Fraction(1, 4) for a in enumerate_assignments(frozenset({"x", "y"}), universe)
     }
-    phi = Potential(universe, frozenset({"x", "y"}), NONNEG_RATIONAL, table)
+    phi = Potential.from_table(universe, frozenset({"x", "y"}), NONNEG_RATIONAL, table)
     from valkit.potentials import project_potential
 
     collapsed = project_potential(phi, frozenset())
-    assert collapsed.table[Assignment(())] == 1
+    assert collapsed.table[()] == 1
 
 
 def test_malawi_csp_equals_precompiled_knowledgebase():

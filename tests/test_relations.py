@@ -44,7 +44,7 @@ def test_screening_projection_back_to_first_source(screening_universe):
     back = project_relation(g, r1.domain)
     assert back == Relation.from_rows(screening_universe, ("e", "f"), [("M", "Y"), ("CBE", "2Y")])
     assert back != r1
-    assert Assignment.of({"e": "CBE", "f": "Y"}) not in back.tuples
+    assert Assignment.of({"e": "CBE", "f": "Y"}).row not in back.tuples
 
 
 def test_screening_local_projections(screening_universe):
@@ -113,9 +113,9 @@ def brute_join(universe, r1, r2):
     union = r1.domain | r2.domain
     out = []
     for x in enumerate_assignments(union, universe):
-        if x.restrict(r1.domain) in r1.tuples and x.restrict(r2.domain) in r2.tuples:
-            out.append(x)
-    return Relation(universe, union, frozenset(out))
+        if x.restrict(r1.domain).row in r1.tuples and x.restrict(r2.domain).row in r2.tuples:
+            out.append(x.row)
+    return Relation.from_rows(universe, sorted(union), out)
 
 
 def test_join_matches_brute_force_on_random_relations():
@@ -156,7 +156,7 @@ def small_relation_pair(draw):
         domain = draw(st.sampled_from(domains))
         points = enumerate_assignments(domain, universe)
         chosen = draw(st.lists(st.sampled_from(points), unique=True))
-        rels.append(Relation(universe, domain, frozenset(chosen)))
+        rels.append(Relation.from_rows(universe, sorted(domain), [a.row for a in chosen]))
     return universe, rels[0], rels[1]
 
 

@@ -30,7 +30,7 @@ def noisy_pr_box(noise_weight: Fraction):
     sections = {}
     for ctx, section in zip(contexts, base.sections):
         sections[ctx] = {
-            tuple(a.values_in(ctx)): noise_weight * section.table[a] + (1 - noise_weight) * uniform
+            tuple(a.values_in(ctx)): noise_weight * section(a) + (1 - noise_weight) * uniform
             for a in enumerate_assignments(frozenset(ctx), universe)
         }
     return probabilistic_model(universe, contexts, sections)
