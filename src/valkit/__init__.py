@@ -69,6 +69,8 @@ from .feasibility import (
 from .inference import (
     DEFAULT_CELL_LIMIT,
     InferenceProblem,
+    JoinTree,
+    calibrate,
     heuristic_order,
     run_solver,
     solve_fusion,

@@ -3,8 +3,8 @@
 Local agreement compares every pair of valuations on their shared variables.
 Global agreement asks for one valuation over all variables that projects onto
 every member. For adjoint algebras (relations) the combination of the whole
-knowledgebase is the only candidate, so the check reduces to inference
-problems; for rational potentials no such shortcut exists and the question
+knowledgebase is the only candidate, so the check reduces to one calibrated
+join tree; for rational potentials no such shortcut exists and the question
 becomes exact linear feasibility, with a Farkas certificate on failure.
 Complete disagreement means the combination collapses to the null element,
 which a single projection detects.
@@ -19,7 +19,7 @@ from .algebra import Knowledgebase, PotentialAlgebra
 from .core import Domain, NONNEG_RATIONAL
 from .errors import ArgumentError, CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
-from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, run_solver
+from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, calibrate, run_solver
 from .potentials import Potential
 from .relations import Relation, relation_leq, restriction
 
@@ -52,14 +52,36 @@ class AgreementReport:
 
 
 def check_local_agreement(kb: Knowledgebase) -> LocalVerdict:
-    """Pass iff every pair projects identically onto its shared variables."""
+    """Pass iff every pair projects identically onto its shared variables; else name the first pair that differs.
+
+    Projection is transitive, so two members whose projections onto ∅ differ
+    disagree on any overlap. For each member only the later members that share
+    one of its variables and come before the first later member unlike it on ∅
+    need a projection onto their overlap.
+    """
     algebra = kb.algebra()
     members = list(kb)
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            overlap = algebra.label(members[i]) & algebra.label(members[j])
-            left = algebra.project(members[i], overlap)
-            right = algebra.project(members[j], overlap)
+    labels = [algebra.label(phi) for phi in members]
+    on_empty = [algebra.project(phi, frozenset()) for phi in members]
+    count = len(members)
+    next_unlike = [count] * count  # the first later member whose projection onto ∅ differs
+    for i in reversed(range(count - 1)):
+        next_unlike[i] = i + 1 if not algebra.equal(on_empty[i], on_empty[i + 1]) else next_unlike[i + 1]
+    holders: dict[str, list[int]] = {}
+    for i, label in enumerate(labels):
+        for v in label:
+            holders.setdefault(v, []).append(i)
+    for i, label in enumerate(labels):
+        stop = next_unlike[i]
+        candidates = sorted({j for v in label for j in holders[v] if i < j < stop})
+        if stop < count:
+            candidates.append(stop)
+        for j in candidates:
+            overlap = label & labels[j]
+            if overlap:
+                left, right = algebra.project(members[i], overlap), algebra.project(members[j], overlap)
+            else:
+                left, right = on_empty[i], on_empty[j]
             if not algebra.equal(left, right):
                 return LocalVerdict(False, pair=(i + 1, j + 1), overlap=overlap, projections=(left, right))
     return LocalVerdict(True)
@@ -72,20 +94,23 @@ def check_global_agreement_adjoint(
 ) -> GlobalVerdict:
     """Adjoint-algebra path: the combination is the only truth candidate.
 
-    Solves one inference problem per member, comparing the projection of the
-    combination with the member itself.
+    Fusion calibrates one join tree and reads each member's projection of the
+    combination off the member's clique; the combination itself is built only
+    on agreement. The naive method combines everything once and reads the
+    verdict off that.
     """
     algebra = kb.algebra()
     if not algebra.adjoint:
         raise CapabilityError(
             f"{algebra.name} is not adjoint; use the feasibility path (check_global_agreement_potentials)"
         )
-    for index, phi in enumerate(kb, start=1):
-        projected = run_solver(InferenceProblem(kb, algebra.label(phi)), method, cell_limit)
+    if method != "fusion":
+        return combination_verdict(kb, run_solver(InferenceProblem(kb, kb.joint_domain), method, cell_limit))
+    tree = calibrate(kb, cell_limit)
+    for index, (phi, projected) in enumerate(zip(kb, tree.marginals()), start=1):
         if not algebra.equal(projected, phi):
             return GlobalVerdict(False, witness_index=index, projected=projected)
-    gamma = run_solver(InferenceProblem(kb, kb.joint_domain), method, cell_limit)
-    return GlobalVerdict(True, truth=gamma)
+    return GlobalVerdict(True, truth=tree.combination(cell_limit))
 
 
 def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:

@@ -6,6 +6,11 @@ the valuations whose domains mention it; the two must agree exactly, which
 the test suite checks by oracle equivalence. Elimination orders come from
 the caller or from the min-degree / min-fill heuristics with variable-name
 tie-breaking, so runs are reproducible.
+
+For an idempotent algebra, `calibrate` answers at once every query that fits
+inside one of the bucket tree's cliques: one collect pass and one distribute
+pass over the tree of the elimination order (Shenoy & Shafer 1990), with no
+division.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Sequence
 
 from .algebra import Knowledgebase, ValuationAlgebra
 from .core import Domain
-from .errors import ArgumentError, DomainError, ResourceLimitError
+from .errors import ArgumentError, CapabilityError, DomainError, ResourceLimitError
 
 DEFAULT_CELL_LIMIT = 10_000_000
 HEURISTICS = ("min-degree", "min-fill")
@@ -102,6 +107,78 @@ def solve_fusion(
     for phi in factors[1:]:
         result = _guarded_combine(algebra, result, phi, cell_limit)
     return algebra.project(result, problem.query)
+
+
+@dataclass(frozen=True)
+class JoinTree:
+    """A calibrated bucket tree: each clique is the combination projected onto the clique's domain.
+
+    Bucket k belongs to the k-th eliminated variable and the last bucket, over
+    the empty domain, is the root. Every bucket's parent comes after it, so
+    the cliques read backwards run root first.
+    """
+
+    knowledgebase: Knowledgebase
+    cliques: tuple
+    homes: tuple[int, ...]  # the bucket holding each member, in knowledgebase order
+
+    def marginals(self):
+        """Each member's projection of the combination, read off its home clique, in member order."""
+        algebra = self.knowledgebase.algebra()
+        for phi, home in zip(self.knowledgebase, self.homes):
+            yield algebra.project(self.cliques[home], algebra.label(phi))
+
+    def combination(self, cell_limit: int | None = DEFAULT_CELL_LIMIT):
+        """The whole combination: the cliques joined root first, so each intermediate projects it."""
+        algebra = self.knowledgebase.algebra()
+        cliques = self.cliques[::-1]
+        result = cliques[0]
+        for clique in cliques[1:]:
+            result = _guarded_combine(algebra, result, clique, cell_limit)
+        return result
+
+
+def calibrate(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> JoinTree:
+    """One collect and one distribute pass over the bucket tree of `heuristic_order(kb, ∅)`.
+
+    A member sits in the bucket of its first-eliminated variable, or in the
+    root if its domain is empty. Collect combines each bucket in solve_fusion's
+    order, under the same guard, and sends the projection onto its separator
+    to the bucket of the separator's first-eliminated variable (the root when
+    the separator is empty, so a disconnected cover is still one tree).
+    Distribute combines each bucket with its parent's clique projected onto
+    the separator. With an idempotent algebra that is a semijoin, never larger
+    than the bucket's own table, so it needs no guard.
+    """
+    algebra = kb.algebra()
+    if not algebra.idempotent:
+        raise CapabilityError(f"{algebra.name} is not idempotent; calibration without division needs it")
+    order = heuristic_order(kb, frozenset())
+    position = {var: k for k, var in enumerate(order)}
+    root = len(order)
+
+    def bucket_of(domain: Domain) -> int:
+        return min((position[v] for v in domain), default=root)
+
+    buckets: list[list] = [[] for _ in range(root + 1)]
+    homes = []
+    for phi in kb:
+        homes.append(bucket_of(algebra.label(phi)))
+        buckets[homes[-1]].append(phi)
+    cliques, separators, parents = [], [], []
+    for k, bucket in enumerate(buckets):
+        combined = bucket[0]
+        for phi in bucket[1:]:
+            combined = _guarded_combine(algebra, combined, phi, cell_limit)
+        cliques.append(combined)
+        if k < root:
+            separator = algebra.label(combined) - {order[k]}
+            separators.append(separator)
+            parents.append(bucket_of(separator))
+            buckets[parents[-1]].append(algebra.project(combined, separator))
+    for k in reversed(range(root)):  # a parent is calibrated before its children
+        cliques[k] = algebra.combine(cliques[k], algebra.project(cliques[parents[k]], separators[k]))
+    return JoinTree(kb, tuple(cliques), tuple(homes))
 
 
 def run_solver(

@@ -166,18 +166,24 @@ def contextuality_analysis_doc(model: EmpiricalModel, report: ContextualityRepor
     }
 
 
-def analysis_document(parsed: ParsedInput, method: str, cell_limit: int | None) -> tuple[dict, object]:
-    """Run the analysis appropriate for the input kind; returns its rendering and the verdict it renders."""
+def analysis_document(
+    parsed: ParsedInput, method: str, cell_limit: int | None
+) -> tuple[dict, object, Knowledgebase | None]:
+    """Run the analysis appropriate for the input kind.
+
+    Returns its rendering, the verdict it renders and the knowledgebase it
+    analysed (None for an empirical model).
+    """
     payload = parsed.payload
     if isinstance(payload, EmpiricalModel):
         signalling = check_no_signalling(payload)
         if not signalling.passed:
-            return {"no-signalling": _no_signalling_doc(signalling), "class": None}, signalling
+            return {"no-signalling": _no_signalling_doc(signalling), "class": None}, signalling, None
         report = classify_checked(payload, signalling, cell_limit=cell_limit)
-        return contextuality_analysis_doc(payload, report), report
+        return contextuality_analysis_doc(payload, report), report, None
     kb = parsed.knowledgebase()
     report = analyze_knowledgebase(kb, method=method, cell_limit=cell_limit)
-    return agreement_analysis_doc(kb, report), report
+    return agreement_analysis_doc(kb, report), report, kb
 
 
 def build_report(
@@ -219,18 +225,18 @@ def verify_report(
     if report.get("input-sha256") != input_sha256:
         problems.append("input hash does not match the report")
         return problems
-    rebuilt, verdict = analysis_document(parsed, "fusion", cell_limit)
+    rebuilt, verdict, kb = analysis_document(parsed, "fusion", cell_limit)
     if rebuilt != report.get("analysis"):
         problems.append("analysis does not reproduce the report")
     try:
-        problems.extend(_revalidate_witnesses(report, parsed, verdict))
+        problems.extend(_revalidate_witnesses(report, parsed, verdict, kb))
     except (ValkitError, KeyError, IndexError, TypeError, AttributeError) as err:
         problems.append(f"witness re-validation failed on malformed report data: {err!r}")
     return problems
 
 
-def _revalidate_witnesses(report: dict, parsed: ParsedInput, verdict) -> list[str]:
-    """Check the report's witnesses against the input and the re-derived `verdict` object."""
+def _revalidate_witnesses(report: dict, parsed: ParsedInput, verdict, kb: Knowledgebase | None) -> list[str]:
+    """Check the report's witnesses against the input, the re-derived `verdict` and the `kb` it analysed."""
     problems: list[str] = []
     analysis = report.get("analysis", {})
     payload = parsed.payload
@@ -270,7 +276,6 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, verdict) -> list[st
             problems.append("strong contextuality claimed but gamma is nonempty")
         return problems
 
-    kb = parsed.knowledgebase()
     members = list(kb)
     algebra = kb.algebra()
     local = analysis.get("local", {})

@@ -110,3 +110,39 @@ def noisy_cycle_correlators(n: int, contextual: bool) -> list[Fraction]:
     """
     t = Fraction(n - 2, n) + Fraction(1 if contextual else -1, 2 * n)
     return [-t] + [t] * (n - 1)
+
+
+def grid_colouring_document(rows, cols):
+    """Proper 3-colourings of a rows x cols grid as a CSP, one constraint per edge."""
+    colours = ["b", "g", "r"]
+    cell = [[f"r{i}c{j}" for j in range(cols)] for i in range(rows)]
+    differ = [[a, b] for a in colours for b in colours if a != b]
+    constraints = []
+    for i in range(rows):
+        for j in range(cols):
+            if j + 1 < cols:
+                constraints.append({"scheme": [cell[i][j], cell[i][j + 1]], "allowed": differ})
+            if i + 1 < rows:
+                constraints.append({"scheme": [cell[i][j], cell[i + 1][j]], "allowed": differ})
+    return {
+        "kind": "csp",
+        "universe": [{"name": name, "frame": colours} for row in cell for name in row],
+        "constraints": constraints,
+    }
+
+
+def split_components_document():
+    """A chain a = b = c that agrees, beside an inconsistent triangle over p, q, r."""
+    frame = ["0", "1"]
+    equal, differ = [["0", "0"], ["1", "1"]], [["0", "1"], ["1", "0"]]
+    return {
+        "kind": "knowledgebase",
+        "universe": [{"name": n, "frame": frame} for n in ("a", "b", "c", "p", "q", "r")],
+        "valuations": [
+            {"domain": ["a", "b"], "tuples": equal},
+            {"domain": ["b", "c"], "tuples": equal},
+            {"domain": ["p", "q"], "tuples": equal},
+            {"domain": ["q", "r"], "tuples": equal},
+            {"domain": ["p", "r"], "tuples": differ},
+        ],
+    }

@@ -14,7 +14,13 @@ from valkit.cli import main
 from valkit.documents import canonical_json, model_document
 from valkit.builtins import bell_model
 
-from conftest import cycle_model, empty_domain_potential_kb, noisy_cycle_correlators
+from conftest import (
+    cycle_model,
+    empty_domain_potential_kb,
+    grid_colouring_document,
+    noisy_cycle_correlators,
+    split_components_document,
+)
 
 
 def run_cli(*args):
@@ -223,6 +229,70 @@ def test_analyze_json_matches_golden_relation_kb_digests(tmp_path, monkeypatch):
     }
 
 
+# sha256 of `vk analyze FILE --json` on inputs where the join tree does the
+# work: the consistent liar(70) (Gamma has 2 tuples), the 4x4 grid
+# 3-colouring CSP (Gamma has 7812 tuples, more than the report lists), and two
+# components of which one is inconsistent, so the empty combination reaches
+# the other component's cliques through the root. Recorded before the
+# per-member fusion problems gave way to one calibrated tree.
+GOLDEN_JOIN_TREE_SHA256 = {
+    "liar70-consistent.json": "4ff683cab3c401ab1432f823f163f3bcd0be865a28130c55868cbbe7361c9add",
+    "grid-4x4.json": "dbc83aeb9086d24fbd115168ae8c76097f96b97a084d4a94b77e75ecf5a21853",
+    "split-components.json": "fab833b9ea3fdbed423859f0eae94e285f7684d523bc05b5f7357e6785acb82a",
+}
+
+
+def test_analyze_json_matches_golden_join_tree_digests(tmp_path, monkeypatch):
+    from valkit.builtins import liar_knowledgebase
+    from valkit.documents import knowledgebase_document
+
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)  # the report names its source path
+    documents = {
+        "liar70-consistent.json": knowledgebase_document(liar_knowledgebase(70, consistent=True)),
+        "grid-4x4.json": grid_colouring_document(4, 4),
+        "split-components.json": split_components_document(),
+    }
+    verdicts = {}
+    for name, expected in GOLDEN_JOIN_TREE_SHA256.items():
+        Path(name).write_text(canonical_json(documents[name]), encoding="utf-8")
+        code, out, err = run_cli("analyze", name, "--json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, name
+        analysis = json.loads(out)["analysis"]
+        verdicts[name] = (analysis["global"]["verdict"], analysis["global"].get("witness-index"),
+                          analysis["complete-disagreement"])
+        Path(f"{name}.report").write_text(out, encoding="utf-8")
+        code, _, err = run_cli("verify", f"{name}.report", name)
+        assert code == 0, err
+    assert verdicts == {
+        "liar70-consistent.json": ("agree", None, False),
+        "grid-4x4.json": ("agree", None, False),
+        "split-components.json": ("disagree", 1, True),
+    }
+
+
+def test_verify_compiles_a_csp_once(monkeypatch):
+    # verify re-checks the witnesses against the knowledgebase its
+    # re-derivation compiled, so it compiles a CSP document only once.
+    from valkit import documents, reports
+
+    text = canonical_json(grid_colouring_document(2, 2))
+    parsed = documents.parse_document_text(text)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    report = reports.build_report("grid-2x2.json", digest, parsed)
+    calls = []
+    original = documents.csp_to_knowledgebase
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(documents, "csp_to_knowledgebase", counted)
+    assert reports.verify_report(report, parsed, digest) == []
+    assert len(calls) == 1
+
+
 def test_verify_rejects_tampered_report(tmp_path):
     code, out, _ = run_cli("analyze", "builtin:screening", "--json")
     report = json.loads(out)
@@ -258,19 +328,27 @@ def test_duplicate_json_keys_exit_2(tmp_path):
 @pytest.mark.parametrize("name", ["screening", "malawi", "hardy"])
 def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
     # verify re-derives the analysis and reads the witness checks off it, so it
-    # makes no solve_fusion call beyond those of the analysis itself.
-    from valkit import contextuality, inference, reports
+    # makes no solve_fusion or calibrate call beyond those of the analysis
+    # itself. A relation knowledgebase calibrates one join tree; a model solves
+    # one fusion problem over its supports.
+    from valkit import contextuality, disagreement, inference, reports
     from valkit.cli import _load_input
 
     calls = []
-    original = inference.solve_fusion
+    solve_fusion, calibrate = inference.solve_fusion, inference.calibrate
 
-    def counted(*args, **kwargs):
-        calls.append(args[0].query)
-        return original(*args, **kwargs)
+    def counted_fusion(*args, **kwargs):
+        calls.append(("solve_fusion", args[0].query))
+        return solve_fusion(*args, **kwargs)
 
-    monkeypatch.setattr(inference, "solve_fusion", counted)
-    monkeypatch.setattr(contextuality, "solve_fusion", counted)
+    def counted_calibrate(*args, **kwargs):
+        calls.append(("calibrate", args[0].joint_domain))
+        return calibrate(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "solve_fusion", counted_fusion)
+    monkeypatch.setattr(contextuality, "solve_fusion", counted_fusion)
+    monkeypatch.setattr(inference, "calibrate", counted_calibrate)
+    monkeypatch.setattr(disagreement, "calibrate", counted_calibrate)
     parsed, digest = _load_input(f"builtin:{name}")
     report = reports.build_report(f"builtin:{name}", digest, parsed)
     calls.clear()
