@@ -69,8 +69,6 @@ from .feasibility import (
 from .inference import (
     DEFAULT_CELL_LIMIT,
     InferenceProblem,
-    JoinTree,
-    calibrate,
     heuristic_order,
     run_solver,
     solve_fusion,

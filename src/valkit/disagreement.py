@@ -110,7 +110,7 @@ def check_global_agreement_adjoint(
     for index, (phi, projected) in enumerate(zip(kb, tree.marginals()), start=1):
         if not algebra.equal(projected, phi):
             return GlobalVerdict(False, witness_index=index, projected=projected)
-    return GlobalVerdict(True, truth=tree.combination(cell_limit))
+    return GlobalVerdict(True, truth=tree.combination())
 
 
 def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:

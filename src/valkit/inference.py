@@ -57,9 +57,11 @@ class InferenceProblem:
         return self.knowledgebase.joint_domain
 
 
-def _guarded_combine(algebra: ValuationAlgebra, phi, psi, cell_limit: int | None):
+def _guarded_combine(algebra: ValuationAlgebra, phi, psi, cell_limit: int | None, bound: int | None = None):
+    """combine(phi, psi), refused when `bound` (by default the algebra's size bound) exceeds `cell_limit`."""
     if cell_limit is not None:
-        bound = algebra.combine_size_bound(phi, psi)
+        if bound is None:
+            bound = algebra.combine_size_bound(phi, psi)
         if bound > cell_limit:
             raise ResourceLimitError(
                 f"intermediate combination over {sorted(algebra.label(phi) | algebra.label(psi))} "
@@ -76,6 +78,45 @@ def solve_naive(problem: InferenceProblem, cell_limit: int | None = DEFAULT_CELL
     for phi in valuations[1:]:
         joint = _guarded_combine(algebra, joint, phi, cell_limit)
     return algebra.project(joint, problem.query)
+
+
+def _collect(kb: Knowledgebase, order: Sequence[str], cell_limit: int | None, keep: bool):
+    """Bucket elimination along `order`: the collect pass of its bucket tree.
+
+    Bucket k belongs to order[k]; the last bucket, the root, gets what no
+    eliminated variable claims. A member sits in the bucket of its
+    first-eliminated variable. Each bucket combines its members and then the
+    messages it received, in sender order, under the guard, and sends the
+    projection onto its separator (the combination's domain without order[k])
+    to the bucket of the separator's first-eliminated variable, or to the root.
+
+    Returns each bucket's combination (only the root's unless `keep`), each
+    non-root bucket's parent and each member's bucket.
+    """
+    algebra = kb.algebra()
+    position = {var: k for k, var in enumerate(order)}
+    root = len(order)
+
+    def bucket_of(domain: Domain) -> int:
+        return min((position[v] for v in domain if v in position), default=root)
+
+    buckets: list = [[] for _ in range(root + 1)]
+    homes = []
+    for phi in kb:
+        homes.append(bucket_of(algebra.label(phi)))
+        buckets[homes[-1]].append(phi)
+    combined, parents = [], []
+    for k, bucket in enumerate(buckets):
+        result = bucket[0]
+        for phi in bucket[1:]:
+            result = _guarded_combine(algebra, result, phi, cell_limit)
+        buckets[k] = None
+        if k < root:
+            separator = algebra.label(result) - {order[k]}
+            parents.append(bucket_of(separator))
+            buckets[parents[-1]].append(algebra.project(result, separator))
+        combined.append(result if keep or k == root else None)
+    return combined, parents, homes
 
 
 def solve_fusion(
@@ -95,32 +136,25 @@ def solve_fusion(
             raise ArgumentError(
                 f"elimination order must be a permutation of {sorted(to_eliminate)}, got {list(order)}"
             )
-    factors = list(problem.knowledgebase)
-    for var in order:
-        bucket = [f for f in factors if var in algebra.label(f)]
-        factors = [f for f in factors if var not in algebra.label(f)]
-        combined = bucket[0]
-        for phi in bucket[1:]:
-            combined = _guarded_combine(algebra, combined, phi, cell_limit)
-        factors.append(algebra.project(combined, algebra.label(combined) - {var}))
-    result = factors[0]
-    for phi in factors[1:]:
-        result = _guarded_combine(algebra, result, phi, cell_limit)
-    return algebra.project(result, problem.query)
+    combined, _, _ = _collect(problem.knowledgebase, order, cell_limit, keep=False)
+    return algebra.project(combined[-1], problem.query)
 
 
 @dataclass(frozen=True)
 class JoinTree:
     """A calibrated bucket tree: each clique is the combination projected onto the clique's domain.
 
-    Bucket k belongs to the k-th eliminated variable and the last bucket, over
-    the empty domain, is the root. Every bucket's parent comes after it, so
-    the cliques read backwards run root first.
+    Clique k belongs to order[k] and the last clique, over the empty domain,
+    is the root. Every bucket's parent comes after it, so the cliques read
+    backwards run root first. `cell_limit` is the limit the tree was built
+    under, and it guards the combination too.
     """
 
     knowledgebase: Knowledgebase
+    order: tuple[str, ...]
     cliques: tuple
     homes: tuple[int, ...]  # the bucket holding each member, in knowledgebase order
+    cell_limit: int | None
 
     def marginals(self):
         """Each member's projection of the combination, read off its home clique, in member order."""
@@ -128,57 +162,45 @@ class JoinTree:
         for phi, home in zip(self.knowledgebase, self.homes):
             yield algebra.project(self.cliques[home], algebra.label(phi))
 
-    def combination(self, cell_limit: int | None = DEFAULT_CELL_LIMIT):
-        """The whole combination: the cliques joined root first, so each intermediate projects it."""
+    def combination(self):
+        """The whole combination: the cliques joined root first, so each intermediate projects it.
+
+        Clique k's separator lies in its parent's clique, joined before it, so
+        the join adds only order[k]: it is bounded by the running result
+        combined with the neutral element over order[k] (for relations, the
+        result's size times that variable's frame), which is far below the
+        product with a large clique.
+        """
         algebra = self.knowledgebase.algebra()
-        cliques = self.cliques[::-1]
-        result = cliques[0]
-        for clique in cliques[1:]:
-            result = _guarded_combine(algebra, result, clique, cell_limit)
+        result = self.cliques[-1]
+        for var, clique in zip(reversed(self.order), reversed(self.cliques[:-1])):
+            bound = min(
+                algebra.combine_size_bound(result, clique),
+                algebra.combine_size_bound(result, algebra.neutral(frozenset({var}))),
+            )
+            result = _guarded_combine(algebra, result, clique, self.cell_limit, bound)
         return result
 
 
 def calibrate(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> JoinTree:
     """One collect and one distribute pass over the bucket tree of `heuristic_order(kb, ∅)`.
 
-    A member sits in the bucket of its first-eliminated variable, or in the
-    root if its domain is empty. Collect combines each bucket in solve_fusion's
-    order, under the same guard, and sends the projection onto its separator
-    to the bucket of the separator's first-eliminated variable (the root when
-    the separator is empty, so a disconnected cover is still one tree).
-    Distribute combines each bucket with its parent's clique projected onto
-    the separator. With an idempotent algebra that is a semijoin, never larger
+    The collect pass is solve_fusion's elimination with an empty query, so an
+    empty-domain member or a message with an empty separator meets the rest
+    at the root and a disconnected cover is still one tree. Distribute
+    combines each bucket with its parent's clique projected onto the
+    separator. With an idempotent algebra that is a semijoin, never larger
     than the bucket's own table, so it needs no guard.
     """
     algebra = kb.algebra()
     if not algebra.idempotent:
         raise CapabilityError(f"{algebra.name} is not idempotent; calibration without division needs it")
     order = heuristic_order(kb, frozenset())
-    position = {var: k for k, var in enumerate(order)}
-    root = len(order)
-
-    def bucket_of(domain: Domain) -> int:
-        return min((position[v] for v in domain), default=root)
-
-    buckets: list[list] = [[] for _ in range(root + 1)]
-    homes = []
-    for phi in kb:
-        homes.append(bucket_of(algebra.label(phi)))
-        buckets[homes[-1]].append(phi)
-    cliques, separators, parents = [], [], []
-    for k, bucket in enumerate(buckets):
-        combined = bucket[0]
-        for phi in bucket[1:]:
-            combined = _guarded_combine(algebra, combined, phi, cell_limit)
-        cliques.append(combined)
-        if k < root:
-            separator = algebra.label(combined) - {order[k]}
-            separators.append(separator)
-            parents.append(bucket_of(separator))
-            buckets[parents[-1]].append(algebra.project(combined, separator))
-    for k in reversed(range(root)):  # a parent is calibrated before its children
-        cliques[k] = algebra.combine(cliques[k], algebra.project(cliques[parents[k]], separators[k]))
-    return JoinTree(kb, tuple(cliques), tuple(homes))
+    cliques, parents, homes = _collect(kb, order, cell_limit, keep=True)
+    for k in reversed(range(len(order))):  # a parent is calibrated before its children
+        separator = algebra.label(cliques[k]) - {order[k]}
+        cliques[k] = algebra.combine(cliques[k], algebra.project(cliques[parents[k]], separator))
+    return JoinTree(kb, order, tuple(cliques), tuple(homes), cell_limit)
 
 
 def run_solver(

@@ -7,6 +7,7 @@ inference problem per member plus one over all variables, and every pair
 projected onto its overlap. The verdicts must be equal, witnesses included.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from valkit.disagreement import (
     check_local_agreement,
 )
 from valkit.documents import canonical_json, parse_document_text
-from valkit.errors import CapabilityError
+from valkit.errors import CapabilityError, ResourceLimitError
 from valkit.inference import InferenceProblem, calibrate, run_solver, solve_fusion, solve_naive
 from valkit.potentials import Potential, constant_potential, project_potential, total_mass
 from valkit.relations import Relation, project_relation
@@ -178,6 +179,22 @@ def test_the_combination_joins_the_cliques_root_first(monkeypatch):
         monkeypatch.undo()
         for step in steps:
             assert step == project_relation(gamma, step.domain)
+
+
+def test_a_single_large_member_is_answered_at_the_default_limit():
+    # The full relation over 13 bits is its own combination. Its cliques are
+    # the chain of its projections, and each root-first join adds one binary
+    # variable, so the last join is bounded by 4096 x 2 tuples, not by the
+    # product 4096 x 8192 with the whole clique.
+    names = [f"v{i:02d}" for i in range(13)]
+    universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
+    full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
+    kb = Knowledgebase(universe, (full,))
+    verdict = check_global_agreement_adjoint(kb)
+    assert verdict.agrees and verdict.truth == full
+    assert calibrate(kb, cell_limit=8192).combination() == full
+    with pytest.raises(ResourceLimitError, match="could reach 8192 cells"):
+        calibrate(kb, cell_limit=8191).combination()
 
 
 def random_local_potential_kb(rng: random.Random) -> Knowledgebase:
