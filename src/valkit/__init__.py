@@ -70,7 +70,6 @@ from .inference import (
     DEFAULT_CELL_LIMIT,
     InferenceProblem,
     heuristic_order,
-    run_solver,
     solve_fusion,
     solve_naive,
 )

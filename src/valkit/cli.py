@@ -32,7 +32,7 @@ from .errors import (
     ResourceLimitError,
     ValkitError,
 )
-from .inference import InferenceProblem, resolve_cell_limit, run_solver
+from .inference import InferenceProblem, resolve_cell_limit, solve_fusion
 from .relations import Relation
 from .reports import build_report, verify_report
 
@@ -98,7 +98,7 @@ def cmd_analyze(args) -> int:
     parsed, digest = _load_input(args.source)
     cell_limit = resolve_cell_limit(args.limit)
     started = time.perf_counter()
-    report = build_report(args.source, digest, parsed, method=args.method, cell_limit=cell_limit)
+    report = build_report(args.source, digest, parsed, cell_limit=cell_limit)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if args.json:
         sys.stdout.write(canonical_json(report))
@@ -119,8 +119,7 @@ def cmd_infer(args) -> int:
     order = None
     if args.order:
         order = tuple(name.strip() for name in args.order.split(","))
-    problem = InferenceProblem(kb, query)
-    result = run_solver(problem, method=args.method, cell_limit=cell_limit, order=order)
+    result = solve_fusion(InferenceProblem(kb, query), order=order, cell_limit=cell_limit)
     names = sorted(query)
     if isinstance(result, Relation):
         body = {"type": "relation", "tuples": relation_rows(result, names)}
@@ -178,15 +177,13 @@ def make_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="classify a model or knowledgebase and emit a report")
     analyze.add_argument("source", help="input file or builtin:NAME (see list-builtins)")
     analyze.add_argument("--json", action="store_true", help="emit the machine-readable report")
-    analyze.add_argument("--method", choices=("fusion", "naive"), default="fusion")
     analyze.add_argument("--limit", default=None, help="intermediate-table cell limit")
     analyze.set_defaults(func=cmd_analyze)
 
     infer = sub.add_parser("infer", help="project the combined knowledgebase onto a query")
     infer.add_argument("source", help="input file or builtin:NAME")
     infer.add_argument("--query", required=True, help="comma-separated query variables")
-    infer.add_argument("--method", choices=("fusion", "naive"), default="fusion")
-    infer.add_argument("--order", default=None, help="comma-separated elimination order (fusion only)")
+    infer.add_argument("--order", default=None, help="comma-separated elimination order")
     infer.add_argument("--limit", default=None, help="intermediate-table cell limit")
     infer.add_argument("--json", action="store_true")
     infer.set_defaults(func=cmd_infer)

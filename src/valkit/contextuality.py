@@ -25,7 +25,7 @@ from .disagreement import (
     combination_verdict,
 )
 from .errors import ArgumentError, PreconditionError
-from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, solve_fusion
+from .inference import DEFAULT_CELL_LIMIT, calibrate
 from .potentials import (
     Potential,
     possibilistic_collapse,
@@ -67,13 +67,6 @@ class MeasurementScenario:
                         f"cover must be an antichain; context {self.contexts[i]!r} "
                         f"is contained in {self.contexts[j]!r}"
                     )
-
-    @property
-    def measurements(self) -> Domain:
-        return self.universe.vars
-
-    def context_sets(self) -> list[Domain]:
-        return [frozenset(c) for c in self.contexts]
 
 
 @dataclass(frozen=True)
@@ -149,15 +142,14 @@ def _require_no_signalling(verdict: NoSignallingVerdict) -> None:
         raise PreconditionError(f"model signals between contexts {verdict.pair[0]!r} and {verdict.pair[1]!r}")
 
 
-def _support_combination(supports: Knowledgebase, cell_limit: int | None) -> Relation:
-    # Over the joint domain fusion eliminates nothing, so any method gives the same table.
-    return solve_fusion(InferenceProblem(supports, supports.joint_domain), cell_limit=cell_limit)
-
-
 def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Relation:
-    """The combination of all context supports: every globally consistent assignment."""
+    """The combination of all context supports, every globally consistent assignment.
+
+    It is joined from the supports' calibrated join tree, as a relation
+    knowledgebase's combination is.
+    """
     _require_no_signalling(check_no_signalling(model))
-    return _support_combination(model.support_knowledgebase(), cell_limit)
+    return calibrate(model.support_knowledgebase(), cell_limit).combination()
 
 
 @dataclass(frozen=True)
@@ -251,7 +243,7 @@ def classify_checked(
     """
     _require_no_signalling(no_signalling)
     supports = model.support_knowledgebase()
-    g = _support_combination(supports, cell_limit)
+    g = calibrate(supports, cell_limit).combination()
     verdict = combination_verdict(supports, g)
 
     strongly = g.is_empty()

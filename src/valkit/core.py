@@ -19,8 +19,6 @@ from .errors import ArgumentError, DomainError
 
 Domain = frozenset[str]
 
-EMPTY_DOMAIN: Domain = frozenset()
-
 
 def dom(*names: str) -> Domain:
     """Shorthand for building a domain from variable names."""
@@ -195,11 +193,3 @@ NONNEG_RATIONAL = Semiring(
     mul=operator.mul,
     contains=_is_nonneg_fraction,
 )
-
-
-def as_rational(value) -> Fraction:
-    """Coerce ints/strings like '3/8' into a nonnegative Fraction."""
-    q = Fraction(value)
-    if q < 0:
-        raise ArgumentError(f"negative value {value!r} is outside the nonnegative rational carrier")
-    return q

@@ -19,7 +19,7 @@ from .algebra import Knowledgebase, PotentialAlgebra
 from .core import Domain, NONNEG_RATIONAL
 from .errors import ArgumentError, CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
-from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, calibrate, run_solver
+from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, calibrate, solve_fusion
 from .potentials import Potential
 from .relations import Relation, relation_leq, restriction
 
@@ -87,25 +87,18 @@ def check_local_agreement(kb: Knowledgebase) -> LocalVerdict:
     return LocalVerdict(True)
 
 
-def check_global_agreement_adjoint(
-    kb: Knowledgebase,
-    method: str = "fusion",
-    cell_limit: int | None = DEFAULT_CELL_LIMIT,
-) -> GlobalVerdict:
+def check_global_agreement_adjoint(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> GlobalVerdict:
     """Adjoint-algebra path: the combination is the only truth candidate.
 
-    Fusion calibrates one join tree and reads each member's projection of the
+    One calibrated join tree gives each member's projection of the
     combination off the member's clique; the combination itself is built only
-    on agreement. The naive method combines everything once and reads the
-    verdict off that.
+    on agreement.
     """
     algebra = kb.algebra()
     if not algebra.adjoint:
         raise CapabilityError(
             f"{algebra.name} is not adjoint; use the feasibility path (check_global_agreement_potentials)"
         )
-    if method != "fusion":
-        return combination_verdict(kb, run_solver(InferenceProblem(kb, kb.joint_domain), method, cell_limit))
     tree = calibrate(kb, cell_limit)
     for index, (phi, projected) in enumerate(zip(kb, tree.marginals()), start=1):
         if not algebra.equal(projected, phi):
@@ -167,17 +160,13 @@ def check_global_agreement_potentials(
     return GlobalVerdict(False, certificate=outcome.certificate)
 
 
-def check_complete_disagreement(
-    kb: Knowledgebase,
-    method: str = "fusion",
-    cell_limit: int | None = DEFAULT_CELL_LIMIT,
-) -> bool:
+def check_complete_disagreement(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> bool:
     """True iff the combination is null; one inference problem suffices."""
     algebra = kb.algebra()
     if not algebra.has_null:
         raise CapabilityError(f"{algebra.name} has no null elements")
     first_domain = algebra.label(kb.valuations[0])
-    projected = run_solver(InferenceProblem(kb, first_domain), method, cell_limit)
+    projected = solve_fusion(InferenceProblem(kb, first_domain), cell_limit=cell_limit)
     return algebra.equal(projected, algebra.null(first_domain))
 
 
@@ -243,7 +232,6 @@ def verify_truth_maximality(
 
 def analyze_knowledgebase(
     kb: Knowledgebase,
-    method: str = "fusion",
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
     feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
 ) -> AgreementReport:
@@ -251,12 +239,12 @@ def analyze_knowledgebase(
     algebra = kb.algebra()
     local = check_local_agreement(kb)
     if algebra.adjoint:
-        global_verdict = check_global_agreement_adjoint(kb, method, cell_limit)
+        global_verdict = check_global_agreement_adjoint(kb, cell_limit)
         # The verdict carries the combination or a projection of it: empty iff the combination is null.
         complete = (global_verdict.truth if global_verdict.agrees else global_verdict.projected).is_empty()
     elif isinstance(algebra, PotentialAlgebra) and algebra.semiring == NONNEG_RATIONAL:
         global_verdict = check_global_agreement_potentials(kb, feasibility_columns)
-        complete = check_complete_disagreement(kb, method, cell_limit)
+        complete = check_complete_disagreement(kb, cell_limit)
     else:
         raise CapabilityError(f"no global-agreement decision procedure for {algebra.name}")
     return AgreementReport(local, global_verdict, complete)

@@ -1,9 +1,10 @@
 """Inference problems: projecting the combination of a knowledgebase to a query.
 
-Two solvers are provided. The naive one combines everything and projects at
-the end. Fusion eliminates one non-query variable at a time, combining only
-the valuations whose domains mention it; the two must agree exactly, which
-the test suite checks by oracle equivalence. Elimination orders come from
+Two solvers are provided. Fusion eliminates one non-query variable at a
+time, combining only the valuations whose domains mention it; `vk infer`
+and every analysis use it. The naive one combines everything and projects
+at the end; it is the reference that fusion must equal exactly, which the
+test suite checks by oracle equivalence. Elimination orders come from
 the caller or from the min-degree / min-fill heuristics with variable-name
 tie-breaking, so runs are reproducible.
 
@@ -201,22 +202,6 @@ def calibrate(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
         separator = algebra.label(cliques[k]) - {order[k]}
         cliques[k] = algebra.combine(cliques[k], algebra.project(cliques[parents[k]], separator))
     return JoinTree(kb, order, tuple(cliques), tuple(homes), cell_limit)
-
-
-def run_solver(
-    problem: InferenceProblem,
-    method: str = "fusion",
-    cell_limit: int | None = DEFAULT_CELL_LIMIT,
-    order: Sequence[str] | None = None,
-) -> object:
-    """Dispatch to the named solver; only fusion takes an elimination `order`."""
-    if method == "naive":
-        if order is not None:
-            raise ArgumentError("an elimination order applies only to the fusion method")
-        return solve_naive(problem, cell_limit=cell_limit)
-    if method == "fusion":
-        return solve_fusion(problem, order=order, cell_limit=cell_limit)
-    raise ArgumentError(f"unknown inference method {method!r}; choose 'naive' or 'fusion'")
 
 
 def heuristic_order(kb: Knowledgebase, query: Domain, kind: str = "min-degree") -> tuple[str, ...]:

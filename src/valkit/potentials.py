@@ -20,7 +20,7 @@ from .core import (
     Semiring,
     VariableUniverse,
 )
-from .errors import ArgumentError, DomainError, ResourceLimitError, SemiringMismatchError, UniverseMismatchError
+from .errors import ArgumentError, DomainError, SemiringMismatchError, UniverseMismatchError
 from .relations import Relation, Row, restriction
 
 
@@ -106,7 +106,7 @@ def null_potential(universe: VariableUniverse, domain: Domain, semiring: Semirin
     return constant_potential(universe, domain, semiring, semiring.zero)
 
 
-def combine_potentials(phi: Potential, psi: Potential, cell_limit: int | None = None) -> Potential:
+def combine_potentials(phi: Potential, psi: Potential) -> Potential:
     """Pointwise product over the union domain."""
     if phi.semiring != psi.semiring:
         raise SemiringMismatchError(f"cannot combine {phi.semiring.name} with {psi.semiring.name} potentials")
@@ -114,9 +114,6 @@ def combine_potentials(phi: Potential, psi: Potential, cell_limit: int | None = 
         raise UniverseMismatchError("potentials live in different variable universes")
     universe = phi.universe
     union = phi.domain | psi.domain
-    size = universe.size(union)
-    if cell_limit is not None and size > cell_limit:
-        raise ResourceLimitError(f"combination table would need {size} cells (limit {cell_limit})")
     names = sorted(union)
     phi_row, psi_row = restriction(names, sorted(phi.domain)), restriction(names, sorted(psi.domain))
     phi_table, psi_table, mul = phi.table, psi.table, phi.semiring.mul

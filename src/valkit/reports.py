@@ -166,9 +166,7 @@ def contextuality_analysis_doc(model: EmpiricalModel, report: ContextualityRepor
     }
 
 
-def analysis_document(
-    parsed: ParsedInput, method: str, cell_limit: int | None
-) -> tuple[dict, object, Knowledgebase | None]:
+def analysis_document(parsed: ParsedInput, cell_limit: int | None) -> tuple[dict, object, Knowledgebase | None]:
     """Run the analysis appropriate for the input kind.
 
     Returns its rendering, the verdict it renders and the knowledgebase it
@@ -182,7 +180,7 @@ def analysis_document(
         report = classify_checked(payload, signalling, cell_limit=cell_limit)
         return contextuality_analysis_doc(payload, report), report, None
     kb = parsed.knowledgebase()
-    report = analyze_knowledgebase(kb, method=method, cell_limit=cell_limit)
+    report = analyze_knowledgebase(kb, cell_limit=cell_limit)
     return agreement_analysis_doc(kb, report), report, kb
 
 
@@ -190,7 +188,6 @@ def build_report(
     source: str,
     input_sha256: str,
     parsed: ParsedInput,
-    method: str = "fusion",
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ) -> dict:
     return {
@@ -198,9 +195,9 @@ def build_report(
         "source": source,
         "kind": parsed.kind,
         "input-sha256": input_sha256,
-        "method": method,
+        "method": "fusion",  # a constant, kept in the schema for older readers
         "cell-limit": cell_limit,
-        "analysis": analysis_document(parsed, method, cell_limit)[0],
+        "analysis": analysis_document(parsed, cell_limit)[0],
     }
 
 
@@ -212,9 +209,10 @@ def verify_report(
 ) -> list[str]:
     """Re-derive the analysis and re-check each witness; returns problems found.
 
-    The re-derivation uses fusion under the caller's cell limit. The report's
-    own "method" and "cell-limit" fields are not read: a report must not be
-    able to switch off the resource guard that bounds its own checking. The
+    The re-derivation runs under the caller's cell limit. The report's own
+    "cell-limit" field is not read: a report must not be able to switch off
+    the resource guard that bounds its own checking. Nor is its "method"
+    field, which older reports may set to "naive". The
     witness checks that would need inference (the adjoint witness member and
     the LC section) read the re-derived verdict, which solved those problems
     already; every other witness is checked against the input directly.
@@ -225,7 +223,7 @@ def verify_report(
     if report.get("input-sha256") != input_sha256:
         problems.append("input hash does not match the report")
         return problems
-    rebuilt, verdict, kb = analysis_document(parsed, "fusion", cell_limit)
+    rebuilt, verdict, kb = analysis_document(parsed, cell_limit)
     if rebuilt != report.get("analysis"):
         problems.append("analysis does not reproduce the report")
     try:

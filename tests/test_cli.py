@@ -329,8 +329,8 @@ def test_duplicate_json_keys_exit_2(tmp_path):
 def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
     # verify re-derives the analysis and reads the witness checks off it, so it
     # makes no solve_fusion or calibrate call beyond those of the analysis
-    # itself. A relation knowledgebase calibrates one join tree; a model solves
-    # one fusion problem over its supports.
+    # itself. A relation knowledgebase calibrates one join tree, and so does a
+    # model, over its supports.
     from valkit import contextuality, disagreement, inference, reports
     from valkit.cli import _load_input
 
@@ -346,13 +346,14 @@ def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
         return calibrate(*args, **kwargs)
 
     monkeypatch.setattr(inference, "solve_fusion", counted_fusion)
-    monkeypatch.setattr(contextuality, "solve_fusion", counted_fusion)
+    monkeypatch.setattr(disagreement, "solve_fusion", counted_fusion)
     monkeypatch.setattr(inference, "calibrate", counted_calibrate)
     monkeypatch.setattr(disagreement, "calibrate", counted_calibrate)
+    monkeypatch.setattr(contextuality, "calibrate", counted_calibrate)
     parsed, digest = _load_input(f"builtin:{name}")
     report = reports.build_report(f"builtin:{name}", digest, parsed)
     calls.clear()
-    reports.analysis_document(parsed, "fusion", inference.DEFAULT_CELL_LIMIT)
+    reports.analysis_document(parsed, inference.DEFAULT_CELL_LIMIT)
     analysed = list(calls)
     calls.clear()
     assert reports.verify_report(report, parsed, digest) == []
@@ -456,10 +457,15 @@ def test_infer_malawi_empty_table():
     assert "tuples: 0" in out
 
 
-def test_infer_methods_agree_on_dump():
-    naive = run_cli("infer", "builtin:screening", "--query", "a,e", "--method", "naive", "--json")
-    fusion = run_cli("infer", "builtin:screening", "--query", "a,e", "--method", "fusion", "--json")
-    assert naive == fusion
+def test_method_flag_is_an_unknown_option():
+    # Every verdict and every query has one route, so there is no method to choose.
+    for argv in (
+        ("analyze", "builtin:screening", "--method", "naive"),
+        ("infer", "builtin:screening", "--query", "a,e", "--method", "naive"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2, argv
 
 
 def test_infer_respects_explicit_order():
@@ -468,17 +474,6 @@ def test_infer_respects_explicit_order():
     assert "tuples: 0" in out
     code, _, err = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--order", "TZA")
     assert code == 2
-
-
-def test_infer_order_with_naive_method_is_an_input_error():
-    # An elimination order only means something to fusion; naive must not drop it silently.
-    for order in ("TZA,ZMB,ZWE", "bogus"):
-        code, out, err = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--order", order, "--method", "naive")
-        assert code == 2, (order, out)
-        assert "fusion" in err
-    code, out, _ = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--method", "naive")
-    assert code == 0
-    assert "tuples: 0" in out
 
 
 def test_infer_on_empirical_model_gives_potential():
@@ -508,27 +503,6 @@ def test_cell_limit_flag_and_env(tmp_path, monkeypatch):
     assert code == 0
 
 
-def test_method_changes_only_the_method_field(tmp_path, monkeypatch):
-    # Model analyses solve only over the joint domain, where fusion
-    # eliminates nothing; knowledgebase analyses give the same answers too.
-    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
-    monkeypatch.chdir(tmp_path)
-    sources = [f"builtin:{name}" for name in GOLDEN_ANALYZE_SHA256]
-    for contextual in (False, True):
-        name = f"cycle6-{'pc' if contextual else 'nc'}.json"
-        doc = model_document(cycle_model(noisy_cycle_correlators(6, contextual)))
-        Path(name).write_text(canonical_json(doc), encoding="utf-8")
-        sources.append(name)
-    for source in sources:
-        reports = {}
-        for method in ("fusion", "naive"):
-            code, out, err = run_cli("analyze", source, "--json", "--method", method)
-            assert code == 0, err
-            reports[method] = json.loads(out)
-            assert reports[method].pop("method") == method
-        assert reports["naive"] == reports["fusion"], source
-
-
 def test_analyze_csp_file(tmp_path):
     from valkit.builtins import malawi_csp
     from valkit.documents import CSPDocumentPayload, csp_document
@@ -550,11 +524,14 @@ def test_analyze_csp_file(tmp_path):
 
 
 def test_verify_report_made_with_naive_method(tmp_path):
-    code, out, _ = run_cli("analyze", "builtin:screening", "--json", "--method", "naive")
+    # Older versions of vk wrote "naive" here on request; verify does not read the field.
+    code, out, _ = run_cli("analyze", "builtin:screening", "--json")
     assert code == 0
-    assert json.loads(out)["method"] == "naive"
+    report = json.loads(out)
+    assert report["method"] == "fusion"
+    report["method"] = "naive"
     path = tmp_path / "naive.json"
-    path.write_text(out, encoding="utf-8")
+    path.write_text(canonical_json(report), encoding="utf-8")
     code, _, err = run_cli("verify", str(path), "builtin:screening")
     assert code == 0, err
 

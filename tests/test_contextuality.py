@@ -245,7 +245,7 @@ def test_gamma_requires_possibilistic_or_collapses():
 
 # The per-context loop classify ran before it read LC and SC off the global
 # verdict of the support knowledgebase, kept here as an oracle. Gamma comes
-# from the naive solver.
+# from the naive solver and is returned beside the verdicts.
 def lc_loop_oracle(model):
     supports = model.support_knowledgebase()
     g = solve_naive(InferenceProblem(supports, supports.joint_domain))
@@ -255,8 +255,8 @@ def lc_loop_oracle(model):
         covered = project_relation(g, frozenset(ctx))
         missing = sorted(support_relation(section).tuples - covered.tuples)
         if missing:
-            return True, (ctx, Assignment.from_row(section.domain, missing[0])), strongly, sc_context
-    return False, None, strongly, sc_context
+            return (True, (ctx, Assignment.from_row(section.domain, missing[0])), strongly, sc_context), g
+    return (False, None, strongly, sc_context), g
 
 
 def random_no_signalling_possibilistic(rng):
@@ -308,9 +308,10 @@ def test_lc_and_sc_read_off_the_global_verdict_match_the_per_context_loop():
     late_witness = 0
     for model in models:
         report = classify(model)
-        expected = lc_loop_oracle(model)
+        expected, naive_gamma = lc_loop_oracle(model)
         got = (report.logically_contextual, report.lc_witness, report.strongly_contextual, report.sc_context)
         assert got == expected
+        assert report.gamma == naive_gamma
         seen.add((report.classification, model.kind))
         if report.lc_witness is not None:
             late_witness += report.lc_witness[0] != model.scenario.contexts[0]

@@ -9,14 +9,20 @@ imports are re-exports.
 Tables work on rows: generic inference (`inference.py`, `algebra.py`) and the
 four table operations never name `Assignment` or call an assignment's
 `.restrict` or `.merge`, which would rebuild per-row assignments.
+
+The traced benchmark wraps valkit functions by name: every `(module,
+function)` pair in `LAYERS` of `bench/tracing.py` must still name a callable
+in `valkit.<module>`, so a rename under `src/` cannot silently drop a layer.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import valkit
 
 PACKAGE = Path(valkit.__file__).resolve().parent
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -115,3 +121,23 @@ def test_the_row_check_sees_assignment_use():
     )
     assert len(_assignment_uses(tree)) == 4
     assert _assignment_uses(ast.parse("def join(r1, r2):\n    return r1 | r2\n")) == []
+
+
+def _traced_layers() -> tuple[tuple[str, str], ...]:
+    """`LAYERS` of bench/tracing.py, read with `ast` so that `bench` is never imported."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"), filename=str(TRACING))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "LAYERS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACING} assigns no LAYERS")
+
+
+def test_every_traced_layer_names_a_valkit_function():
+    layers = _traced_layers()
+    assert layers
+    missing = [
+        f"{module}.{function}"
+        for module, function in layers
+        if not callable(getattr(importlib.import_module(f"valkit.{module}"), function, None))
+    ]
+    assert not missing, "bench/tracing.py LAYERS names no valkit function:\n" + "\n".join(missing)

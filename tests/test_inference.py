@@ -10,7 +10,6 @@ from valkit.errors import ArgumentError, DomainError, ResourceLimitError
 from valkit.inference import (
     InferenceProblem,
     heuristic_order,
-    run_solver,
     solve_fusion,
     solve_naive,
 )
@@ -82,8 +81,6 @@ def test_invalid_order_rejected():
         solve_fusion(problem, order=("a", "f", "e"))  # e is in the query
     with pytest.raises(ArgumentError):
         solve_fusion(problem, order=("a", "a", "f"))  # duplicate
-    with pytest.raises(ArgumentError):
-        run_solver(problem, method="magic")
 
 
 def test_unknown_heuristic_rejected():

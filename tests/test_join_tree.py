@@ -25,7 +25,7 @@ from valkit.disagreement import (
 )
 from valkit.documents import canonical_json, parse_document_text
 from valkit.errors import CapabilityError, ResourceLimitError
-from valkit.inference import InferenceProblem, calibrate, run_solver, solve_fusion, solve_naive
+from valkit.inference import InferenceProblem, calibrate, solve_fusion, solve_naive
 from valkit.potentials import Potential, constant_potential, project_potential, total_mass
 from valkit.relations import Relation, project_relation
 
@@ -38,14 +38,14 @@ from conftest import (
 )
 
 
-def oracle_global_adjoint(kb, method="fusion"):
+def oracle_global_adjoint(kb):
     """One inference problem per member, then one over all variables on agreement."""
     algebra = kb.algebra()
     for index, phi in enumerate(kb, start=1):
-        projected = run_solver(InferenceProblem(kb, algebra.label(phi)), method)
+        projected = solve_fusion(InferenceProblem(kb, algebra.label(phi)))
         if not algebra.equal(projected, phi):
             return GlobalVerdict(False, witness_index=index, projected=projected)
-    return GlobalVerdict(True, truth=run_solver(InferenceProblem(kb, kb.joint_domain), method))
+    return GlobalVerdict(True, truth=solve_fusion(InferenceProblem(kb, kb.joint_domain)))
 
 
 def oracle_local_agreement(kb):
@@ -124,24 +124,6 @@ def test_join_tree_verdicts_match_the_per_member_oracle():
         seen["empty-domain"] += any(not phi.domain for phi in kb)
         seen["split"] += is_disconnected(kb)
     assert min(seen.values()) >= 20, seen
-
-
-def test_naive_method_matches_its_per_member_oracle_with_one_combination(monkeypatch):
-    rng = random.Random(4)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].query)
-        return solve_naive(*args, **kwargs)
-
-    for _ in range(150):
-        kb = random_tree_kb(rng)
-        expected = oracle_global_adjoint(kb, method="naive")
-        calls.clear()
-        monkeypatch.setattr(inference, "solve_naive", counted)
-        assert check_global_agreement_adjoint(kb, method="naive") == expected
-        monkeypatch.undo()
-        assert calls == [kb.joint_domain]
 
 
 def test_calibrated_cliques_give_every_marginal_and_the_combination():
