@@ -41,23 +41,29 @@ EXIT_INPUT = 2
 EXIT_RESOURCE = 3
 
 
+def _read_text(path: str) -> tuple[str, bytes]:
+    """A file's text and raw bytes; an unreadable or non-UTF-8 file is a ParseError."""
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as err:
+        raise ParseError(f"cannot read {path}: {err.strerror}") from None
+    try:
+        return raw.decode("utf-8"), raw
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+
+
 def _load_input(source: str) -> tuple[ParsedInput, str]:
     """Resolve a path or builtin:NAME into a parsed input plus its content hash."""
     if source.startswith("builtin:"):
         name = source[len("builtin:"):]
         payload = builtin(name)
         document = document_for(payload)
-        kind = document["kind"]
-        parsed = ParsedInput(kind, payload, document)
         digest = hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
-        return parsed, digest
-    try:
-        with open(source, "rb") as handle:
-            raw = handle.read()
-    except OSError as err:
-        raise ParseError(f"cannot read {source}: {err.strerror}") from None
-    parsed = parse_document_text(raw.decode("utf-8"))
-    return parsed, hashlib.sha256(raw).hexdigest()
+        return ParsedInput(document["kind"], payload), digest
+    text, raw = _read_text(source)
+    return parse_document_text(text), hashlib.sha256(raw).hexdigest()
 
 
 def _human_analysis(doc: dict) -> list[str]:
@@ -149,12 +155,7 @@ def cmd_list_builtins(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        with open(args.report, "rb") as handle:
-            raw = handle.read()
-    except OSError as err:
-        raise ParseError(f"cannot read {args.report}: {err.strerror}") from None
-    report = load_json(raw.decode("utf-8"), "report JSON")
+    report = load_json(_read_text(args.report)[0], "report JSON")
     if not isinstance(report, dict):
         raise ParseError("report must be a JSON object")
     parsed, digest = _load_input(args.source)

@@ -22,7 +22,7 @@ from .disagreement import (
     GlobalVerdict,
     check_global_agreement_potentials,
     check_local_agreement,
-    combination_verdict,
+    tree_verdict,
 )
 from .errors import ArgumentError, PreconditionError
 from .inference import DEFAULT_CELL_LIMIT, calibrate
@@ -208,8 +208,6 @@ def lc_at(
 
 @dataclass(frozen=True)
 class ContextualityReport:
-    kind: str
-    no_signalling: NoSignallingVerdict
     gamma: Relation
     strongly_contextual: bool
     logically_contextual: bool
@@ -226,25 +224,27 @@ def classify(
     feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
 ) -> ContextualityReport:
     """Place a no-signalling model in the hierarchy NC < PC < LC < SC."""
-    return classify_checked(model, check_no_signalling(model), cell_limit, feasibility_columns)
+    _require_no_signalling(check_no_signalling(model))
+    return classify_checked(model, cell_limit, feasibility_columns)
 
 
 def classify_checked(
     model: EmpiricalModel,
-    no_signalling: NoSignallingVerdict,
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
     feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
 ) -> ContextualityReport:
-    """classify, given the model's no-signalling verdict.
+    """classify, for a model already known to be no-signalling.
 
-    The LC witness is the first context whose support exceeds its projection
-    of Gamma, with its least missing section; probabilistic contextuality is
-    the failure of the marginal feasibility system.
+    LC and SC are the global and complete disagreement of the support
+    knowledgebase, read off its calibrated tree as for a relation
+    knowledgebase. The LC witness is the first context whose support exceeds
+    its projection of Gamma, with its least missing section; probabilistic
+    contextuality is the failure of the marginal feasibility system.
     """
-    _require_no_signalling(no_signalling)
     supports = model.support_knowledgebase()
-    g = calibrate(supports, cell_limit).combination()
-    verdict = combination_verdict(supports, g)
+    tree = calibrate(supports, cell_limit)
+    verdict = tree_verdict(tree)
+    g = verdict.truth if verdict.agrees else tree.combination()
 
     strongly = g.is_empty()
     sc_context = model.scenario.contexts[0] if strongly else None
@@ -272,8 +272,6 @@ def classify_checked(
         classification = "NC"
 
     return ContextualityReport(
-        kind=model.kind,
-        no_signalling=no_signalling,
         gamma=g,
         strongly_contextual=strongly,
         logically_contextual=logically,

@@ -19,7 +19,7 @@ from .algebra import Knowledgebase, PotentialAlgebra
 from .core import Domain, NONNEG_RATIONAL
 from .errors import ArgumentError, CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
-from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, calibrate, solve_fusion
+from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, JoinTree, calibrate, solve_fusion
 from .potentials import Potential
 from .relations import Relation, relation_leq, restriction
 
@@ -88,18 +88,23 @@ def check_local_agreement(kb: Knowledgebase) -> LocalVerdict:
 
 
 def check_global_agreement_adjoint(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> GlobalVerdict:
-    """Adjoint-algebra path: the combination is the only truth candidate.
-
-    One calibrated join tree gives each member's projection of the
-    combination off the member's clique; the combination itself is built only
-    on agreement.
-    """
+    """Adjoint-algebra path: the combination is the only truth candidate, so its tree decides."""
     algebra = kb.algebra()
     if not algebra.adjoint:
         raise CapabilityError(
             f"{algebra.name} is not adjoint; use the feasibility path (check_global_agreement_potentials)"
         )
-    tree = calibrate(kb, cell_limit)
+    return tree_verdict(calibrate(kb, cell_limit))
+
+
+def tree_verdict(tree: JoinTree) -> GlobalVerdict:
+    """Global agreement read off a calibrated tree: the first member unlike its clique's projection, if any.
+
+    Each member's projection of the combination comes off its home clique;
+    the combination itself is joined only on agreement.
+    """
+    kb = tree.knowledgebase
+    algebra = kb.algebra()
     for index, (phi, projected) in enumerate(zip(kb, tree.marginals()), start=1):
         if not algebra.equal(projected, phi):
             return GlobalVerdict(False, witness_index=index, projected=projected)
@@ -107,7 +112,7 @@ def check_global_agreement_adjoint(kb: Knowledgebase, cell_limit: int | None = D
 
 
 def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:
-    """Global agreement given the combination `gamma`: the first member unlike its projection, if any."""
+    """Global agreement given the combination `gamma`, projected onto each member: the tests' reference for tree_verdict."""
     algebra = kb.algebra()
     for index, phi in enumerate(kb, start=1):
         projected = algebra.project(gamma, algebra.label(phi))

@@ -40,7 +40,6 @@ KINDS = ("empirical-model", "knowledgebase", "csp")
 class ParsedInput:
     kind: str
     payload: object  # EmpiricalModel | Knowledgebase | CSPDocumentPayload
-    document: dict
 
     def knowledgebase(self) -> Knowledgebase:
         """A model's sections, a CSP's compiled covers, or the knowledgebase itself."""
@@ -91,11 +90,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_json(text: str, what: str = "JSON") -> object:
-    """Parse JSON text, refusing an object that repeats a key (json.loads would keep the last)."""
+    """Parse JSON text, refusing an object that repeats a key (json.loads would keep the last) or nests too deep."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid {what}: {err.msg}", line=err.lineno, column=err.colno) from None
+    except RecursionError:
+        raise ParseError(f"invalid {what}: nested too deeply") from None
 
 
 def parse_signed_rational(raw, where: str) -> Fraction:
@@ -318,10 +319,10 @@ def parse_document_text(text: str) -> ParsedInput:
     if kind not in KINDS:
         raise ParseError(f"document 'kind' must be one of {list(KINDS)}, got {kind!r}")
     if kind == "empirical-model":
-        return ParsedInput(kind, _parse_empirical_model(doc), doc)
+        return ParsedInput(kind, _parse_empirical_model(doc))
     if kind == "knowledgebase":
-        return ParsedInput(kind, _parse_knowledgebase(doc), doc)
-    return ParsedInput(kind, _parse_csp(doc), doc)
+        return ParsedInput(kind, _parse_knowledgebase(doc))
+    return ParsedInput(kind, _parse_csp(doc))
 
 
 def _universe_document(universe: VariableUniverse) -> list[dict]:

@@ -2,16 +2,17 @@
 
 Two solvers are provided. Fusion eliminates one non-query variable at a
 time, combining only the valuations whose domains mention it; `vk infer`
-and every analysis use it. The naive one combines everything and projects
-at the end; it is the reference that fusion must equal exactly, which the
-test suite checks by oracle equivalence. Elimination orders come from
-the caller or from the min-degree / min-fill heuristics with variable-name
-tie-breaking, so runs are reproducible.
+and the complete-disagreement check of potentials use it. The naive one
+combines everything and projects at the end; it is the reference that
+fusion must equal exactly, which the test suite checks by oracle
+equivalence. Elimination orders come from the caller or from the
+min-degree / min-fill heuristics with variable-name tie-breaking, so runs
+are reproducible.
 
 For an idempotent algebra, `calibrate` answers at once every query that fits
 inside one of the bucket tree's cliques: one collect pass and one distribute
 pass over the tree of the elimination order (Shenoy & Shafer 1990), with no
-division.
+division. Relation and model analyses read their verdicts off that tree.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Reports carry machine-checkable evidence for every verdict: the offending
 pair of projections for a local failure, the truth valuation for global
 agreement, the witness member for adjoint disagreement, a Farkas certificate
 for infeasibility, and the section that fails to extend for logical
-contextuality. verify_report re-derives the analysis and re-checks each
-piece of evidence directly against the input.
+contextuality. verify_report re-derives the analysis and, once it reproduces
+the report, re-checks each piece of evidence directly against the input.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .documents import (
     potential_values,
     relation_rows,
 )
-from .errors import ValkitError
 from .feasibility import FarkasCertificate, validate_certificate
 from .inference import DEFAULT_CELL_LIMIT
 from .potentials import Potential, project_potential, support_relation
@@ -177,7 +176,7 @@ def analysis_document(parsed: ParsedInput, cell_limit: int | None) -> tuple[dict
         signalling = check_no_signalling(payload)
         if not signalling.passed:
             return {"no-signalling": _no_signalling_doc(signalling), "class": None}, signalling, None
-        report = classify_checked(payload, signalling, cell_limit=cell_limit)
+        report = classify_checked(payload, cell_limit=cell_limit)
         return contextuality_analysis_doc(payload, report), report, None
     kb = parsed.knowledgebase()
     report = analyze_knowledgebase(kb, cell_limit=cell_limit)
@@ -207,49 +206,42 @@ def verify_report(
     input_sha256: str,
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ) -> list[str]:
-    """Re-derive the analysis and re-check each witness; returns problems found.
+    """Re-derive the analysis and, once it reproduces the report, re-check each witness; returns problems found.
 
     The re-derivation runs under the caller's cell limit. The report's own
     "cell-limit" field is not read: a report must not be able to switch off
     the resource guard that bounds its own checking. Nor is its "method"
-    field, which older reports may set to "naive". The
-    witness checks that would need inference (the adjoint witness member and
-    the LC section) read the re-derived verdict, which solved those problems
-    already; every other witness is checked against the input directly.
+    field, which older reports may set to "naive". A report whose analysis
+    does not reproduce fails with that one problem, before any witness is
+    checked; otherwise the witnesses are read off the re-derived analysis,
+    which equals the report's. The witness checks that would need inference
+    (the adjoint witness member and the LC section) read the re-derived
+    verdict, which solved those problems already; every other witness is
+    checked against the input directly.
     """
-    problems: list[str] = []
     if report.get("report") != REPORT_SCHEMA:
         return [f"unknown report schema {report.get('report')!r}"]
     if report.get("input-sha256") != input_sha256:
-        problems.append("input hash does not match the report")
-        return problems
+        return ["input hash does not match the report"]
     rebuilt, verdict, kb = analysis_document(parsed, cell_limit)
     if rebuilt != report.get("analysis"):
-        problems.append("analysis does not reproduce the report")
-    try:
-        problems.extend(_revalidate_witnesses(report, parsed, verdict, kb))
-    except (ValkitError, KeyError, IndexError, TypeError, AttributeError) as err:
-        problems.append(f"witness re-validation failed on malformed report data: {err!r}")
-    return problems
+        return ["analysis does not reproduce the report"]
+    return _revalidate_witnesses(rebuilt, parsed, verdict, kb)
 
 
-def _revalidate_witnesses(report: dict, parsed: ParsedInput, verdict, kb: Knowledgebase | None) -> list[str]:
-    """Check the report's witnesses against the input, the re-derived `verdict` and the `kb` it analysed."""
+def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Knowledgebase | None) -> list[str]:
+    """Check the witnesses of a re-derived `analysis` against the input, its `verdict` and the `kb` it analysed."""
     problems: list[str] = []
-    analysis = report.get("analysis", {})
     payload = parsed.payload
 
     if isinstance(payload, EmpiricalModel):
-        if analysis.get("class") is None:
-            if check_no_signalling(payload).passed:
-                problems.append("report claims signalling but the model is no-signalling")
+        if analysis["class"] is None:  # a signalling model: its verdict was re-derived, and it has no witness
             return problems
-        gamma_doc = analysis.get("gamma", {})
-        probabilistic = analysis.get("probabilistic")
+        probabilistic = analysis["probabilistic"]
         if probabilistic is not None:
             kb = payload.knowledgebase()
             system = marginal_system(kb)
-            if probabilistic.get("contextual"):
+            if probabilistic["contextual"]:
                 certificate = _certificate_from_doc(probabilistic["certificate"], *_model_certificate_layout(payload))
                 if not validate_certificate(system, certificate):
                     problems.append("infeasibility certificate fails validation")
@@ -259,9 +251,8 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, verdict, kb: Knowle
                 for ctx, section in zip(payload.scenario.contexts, payload.sections):
                     if project_potential(dist, frozenset(ctx)) != section:
                         problems.append(f"global distribution does not marginalize to context {','.join(ctx)}")
-        logical = analysis.get("logical", {})
-        if logical.get("contextual") and "witness" in logical:
-            witness = logical["witness"]
+        if analysis["logical"]["contextual"]:
+            witness = analysis["logical"]["witness"]
             ctx = tuple(witness["context"].split(","))
             labels = witness["section"].split(",")
             section = Assignment.of(dict(zip(ctx, labels)))
@@ -270,22 +261,22 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, verdict, kb: Knowle
                 problems.append("logical-contextuality witness is not a supported section")
             elif section.row in project_relation(verdict.gamma, support.domain).tuples:
                 problems.append("logical-contextuality witness extends to a global assignment")
-        if analysis.get("strong", {}).get("contextual") and gamma_doc.get("size") != 0:
+        if analysis["strong"]["contextual"] and analysis["gamma"]["size"] != 0:
             problems.append("strong contextuality claimed but gamma is nonempty")
         return problems
 
     members = list(kb)
     algebra = kb.algebra()
-    local = analysis.get("local", {})
-    if local.get("verdict") == "fail":
+    local = analysis["local"]
+    if local["verdict"] == "fail":
         i, j = local["pair"]
         overlap = frozenset(local["overlap"])
         left = algebra.project(members[i - 1], overlap)
         right = algebra.project(members[j - 1], overlap)
         if algebra.equal(left, right):
             problems.append(f"reported local disagreement pair ({i}, {j}) actually agrees")
-    global_doc = analysis.get("global", {})
-    if global_doc.get("verdict") == "agree" and "truth" in global_doc:
+    global_doc = analysis["global"]
+    if global_doc["verdict"] == "agree":
         truth_doc, truth = global_doc["truth"], None  # a relation beyond TUPLE_CAP omits its tuples
         if truth_doc["type"] == "relation" and "tuples" in truth_doc:
             truth = Relation.from_rows(kb.universe, truth_doc["domain"], truth_doc["tuples"])
@@ -294,15 +285,12 @@ def _revalidate_witnesses(report: dict, parsed: ParsedInput, verdict, kb: Knowle
         for index, member in enumerate(members, start=1):
             if truth is not None and not algebra.equal(algebra.project(truth, member.domain), member):
                 problems.append(f"reported truth valuation does not project onto member {index}")
-    elif global_doc.get("verdict") == "disagree":
-        if "certificate" in global_doc:
-            system = marginal_system(kb)
-            certificate = _certificate_from_doc(global_doc["certificate"], *_kb_certificate_layout(kb))
-            if not validate_certificate(system, certificate):
-                problems.append("infeasibility certificate fails validation")
-        elif "witness-index" in global_doc:
-            index = global_doc["witness-index"]
-            g = verdict.global_agreement
-            if g.witness_index != index or algebra.equal(g.projected, members[index - 1]):
-                problems.append(f"reported witness member {index} is not the first member unlike the combination")
+    elif "certificate" in global_doc:
+        certificate = _certificate_from_doc(global_doc["certificate"], *_kb_certificate_layout(kb))
+        if not validate_certificate(marginal_system(kb), certificate):
+            problems.append("infeasibility certificate fails validation")
+    else:
+        index = global_doc["witness-index"]
+        if algebra.equal(verdict.global_agreement.projected, members[index - 1]):
+            problems.append(f"reported witness member {index} is not unlike its projection of the combination")
     return problems

@@ -361,30 +361,102 @@ def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
     assert analysed
 
 
-def test_verify_never_crashes_on_mutated_reports(tmp_path):
-    code, out, _ = run_cli("analyze", "builtin:bell", "--json")
-    base = json.loads(out)
-    mutations = []
-    m = json.loads(out)
-    m["analysis"]["probabilistic"]["certificate"][0]["context"] = "zz,yy"
-    mutations.append(m)
-    m = json.loads(out)
-    m["analysis"]["probabilistic"]["certificate"][0]["coefficient"] = "nonsense"
-    mutations.append(m)
-    m = json.loads(out)
-    m["analysis"]["gamma"] = {"size": "huh"}
-    mutations.append(m)
-    m = json.loads(out)
-    m["analysis"] = None
-    mutations.append(m)
-    m = json.loads(out)
-    m["report"] = "other/9"
-    mutations.append(m)
-    for index, mutant in enumerate(mutations):
-        path = tmp_path / f"mutant{index}.json"
-        path.write_text(json.dumps(mutant), encoding="utf-8")
-        code, _, err = run_cli("verify", str(path), "builtin:bell")
+@pytest.mark.parametrize(
+    "name, mutations",
+    [
+        (
+            "bell",
+            [
+                (("analysis", "probabilistic", "certificate", 0, "context"), "zz,yy"),
+                (("analysis", "probabilistic", "certificate", 0, "coefficient"), "nonsense"),
+                (("analysis", "gamma"), {"size": "huh"}),
+                (("analysis",), None),
+                (("report",), "other/9"),
+            ],
+        ),
+        (
+            "liar(2)",
+            [
+                (("analysis", "local", "pair"), [1, 2, 3]),
+                (("analysis", "local", "pair"), [1]),
+                (("analysis", "global", "witness-index"), 0),
+            ],
+        ),
+    ],
+    ids=["bell", "liar(2)"],
+)
+def test_verify_never_crashes_on_mutated_reports(name, mutations, tmp_path):
+    # A report whose analysis does not reproduce fails with that one problem,
+    # before any of its (possibly malformed) witnesses is read.
+    code, out, _ = run_cli("analyze", f"builtin:{name}", "--json")
+    for index, (path, value) in enumerate(mutations):
+        mutant = json.loads(out)
+        target = mutant
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        report = tmp_path / f"mutant{index}.json"
+        report.write_text(json.dumps(mutant), encoding="utf-8")
+        code, _, err = run_cli("verify", str(report), f"builtin:{name}")
         assert code == 1, (index, err)
+        if path != ("report",):
+            assert err.splitlines() == ["FAIL: analysis does not reproduce the report"], (index, err)
+
+
+def test_verify_runs_no_signalling_as_often_as_the_analysis(tmp_path, monkeypatch):
+    # A signalling model's verdict is re-derived with the analysis; verify
+    # does not check no-signalling a second time.
+    from valkit import contextuality, reports
+    from valkit.cli import _load_input
+
+    doc = model_document(bell_model())
+    doc["sections"]["a1,b1"] = {"0,0": 1}
+    path = tmp_path / "signalling.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    parsed, digest = _load_input(str(path))
+    report = reports.build_report(str(path), digest, parsed)
+    assert report["analysis"]["class"] is None
+    calls = []
+    check_no_signalling = contextuality.check_no_signalling
+
+    def counted(model):
+        calls.append(model)
+        return check_no_signalling(model)
+
+    monkeypatch.setattr(contextuality, "check_no_signalling", counted)
+    monkeypatch.setattr(reports, "check_no_signalling", counted)
+    reports.analysis_document(parsed, None)
+    analysed = len(calls)
+    calls.clear()
+    assert reports.verify_report(report, parsed, digest) == []
+    assert len(calls) == analysed == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "{doc}"),
+        ("infer", "{doc}", "--query", "a"),
+        ("verify", "{doc}", "builtin:bell"),
+        ("verify", "{report}", "{doc}"),
+    ],
+)
+@pytest.mark.parametrize(
+    "content",
+    [b"[" * 100000 + b"]" * 100000, b'{"kind": "csp", "universe": "\xff\xfe"}'],
+    ids=["deep", "not-utf8"],
+)
+def test_hostile_documents_exit_2(args, content, tmp_path):
+    # A document nested past the recursion limit, or one that is not UTF-8,
+    # is unusable input whether it is analysed, queried or verified.
+    doc = tmp_path / "hostile.json"
+    doc.write_bytes(content)
+    code, out, _ = run_cli("analyze", "builtin:bell", "--json")
+    report = tmp_path / "report.json"
+    report.write_text(out, encoding="utf-8")
+    code, _, err = run_cli(*(arg.format(doc=doc, report=report) for arg in args))
+    assert code == 2, err
+    assert err.startswith("error:"), err
 
 
 def test_verify_rejects_wrong_input(tmp_path):

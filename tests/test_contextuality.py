@@ -17,8 +17,9 @@ from valkit.contextuality import (
     probabilistic_model,
 )
 from valkit.core import Assignment, VariableUniverse
+from valkit.disagreement import combination_verdict, tree_verdict
 from valkit.errors import ArgumentError, PreconditionError
-from valkit.inference import InferenceProblem, solve_naive
+from valkit.inference import InferenceProblem, calibrate, solve_naive
 from valkit.potentials import support_relation
 from valkit.relations import project_relation
 
@@ -312,6 +313,8 @@ def test_lc_and_sc_read_off_the_global_verdict_match_the_per_context_loop():
         got = (report.logically_contextual, report.lc_witness, report.strongly_contextual, report.sc_context)
         assert got == expected
         assert report.gamma == naive_gamma
+        supports = model.support_knowledgebase()
+        assert tree_verdict(calibrate(supports)) == combination_verdict(supports, naive_gamma)
         seen.add((report.classification, model.kind))
         if report.lc_witness is not None:
             late_witness += report.lc_witness[0] != model.scenario.contexts[0]

@@ -10,6 +10,10 @@ Tables work on rows: generic inference (`inference.py`, `algebra.py`) and the
 four table operations never name `Assignment` or call an assignment's
 `.restrict` or `.merge`, which would rebuild per-row assignments.
 
+The reference implementations are for the tests alone: no module other than
+its defining one calls `solve_naive` or `combination_verdict`, so the analysis
+path cannot drift back onto them.
+
 The traced benchmark wraps valkit functions by name: every `(module,
 function)` pair in `LAYERS` of `bench/tracing.py` must still name a callable
 in `valkit.<module>`, so a rename under `src/` cannot silently drop a layer.
@@ -121,6 +125,35 @@ def test_the_row_check_sees_assignment_use():
     )
     assert len(_assignment_uses(tree)) == 4
     assert _assignment_uses(ast.parse("def join(r1, r2):\n    return r1 | r2\n")) == []
+
+
+REFERENCE_ONLY = {"solve_naive": "inference.py", "combination_verdict": "disagreement.py"}
+
+
+def _reference_calls(tree: ast.AST, module: str) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in REFERENCE_ONLY and REFERENCE_ONLY[name] != module:
+                found.append(f"{module}:{node.lineno}: calls {name}")
+    return found
+
+
+def test_reference_implementations_have_no_caller_outside_their_module():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(_reference_calls(tree, path.name))
+    assert not offences, "reference implementation called on the analysis path:\n" + "\n".join(offences)
+
+
+def test_the_reference_check_sees_calls():
+    source = "def f(kb, g, p):\n    return combination_verdict(kb, g), inference.solve_naive(p)\n"
+    assert len(_reference_calls(ast.parse(source), "contextuality.py")) == 2
+    assert _reference_calls(ast.parse(source), "disagreement.py") == ["disagreement.py:2: calls solve_naive"]
+    assert _reference_calls(ast.parse("from .inference import solve_naive\n"), "cli.py") == []
 
 
 def _traced_layers() -> tuple[tuple[str, str], ...]:
