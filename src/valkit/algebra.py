@@ -63,9 +63,6 @@ class ValuationAlgebra:
     def leq(self, phi, psi) -> bool:
         raise CapabilityError(f"{self.name} is not ordered")
 
-    def equal(self, phi, psi) -> bool:
-        return phi == psi
-
     def combine_size_bound(self, phi, psi) -> int:
         """Upper bound on the size of combine(phi, psi), used by resource guards."""
         raise NotImplementedError
@@ -243,7 +240,9 @@ def axiom_suite(
 
     By default exactly the axioms the instance claims are checked; pass an
     explicit list to probe others (e.g. A9 on a non-idempotent algebra, which
-    should fail with a counterexample).
+    should fail with a counterexample). Each axiom's case generator yields
+    `(holds, describe)` per case; this driver alone counts the cases, stops at
+    the first that fails and calls its `describe` for the counterexample.
     """
     rng = random.Random(seed)
     requested = tuple(axioms) if axioms is not None else algebra.claimed_axioms()
@@ -251,140 +250,93 @@ def axiom_suite(
     samples = list(samples)
     pairs = _pairs(samples, rng)
     triples = _triples(samples, rng)
-    eq = algebra.equal
-
-    def finish(axiom: str, cases: int, counterexample: str | None = None):
-        results.append(AxiomCheck(axiom, counterexample is None, cases, counterexample))
-
     for axiom in requested:
-        cases = 0
-        bad: str | None = None
-
-        if axiom == "A1":
-            for phi, psi in pairs:
-                cases += 1
-                if not eq(algebra.combine(phi, psi), algebra.combine(psi, phi)):
-                    bad = f"commutativity: phi={phi!r} psi={psi!r}"
-                    break
-            if bad is None:
-                for phi, psi, chi in triples:
-                    cases += 1
-                    lhs = algebra.combine(algebra.combine(phi, psi), chi)
-                    rhs = algebra.combine(phi, algebra.combine(psi, chi))
-                    if not eq(lhs, rhs):
-                        bad = f"associativity: phi={phi!r} psi={psi!r} chi={chi!r}"
-                        break
-
-        elif axiom == "A2":
-            for phi in samples:
-                for sub in _subset_choices(algebra.label(phi), rng):
-                    cases += 1
-                    if algebra.label(algebra.project(phi, sub)) != sub:
-                        bad = f"d(phi↓S) != S for phi={phi!r} S={sorted(sub)}"
-                        break
-                if bad:
-                    break
-
-        elif axiom == "A3":
-            for phi in samples:
-                for mid in _subset_choices(algebra.label(phi), rng, cap=8):
-                    for sub in _subset_choices(mid, rng, cap=8):
-                        cases += 1
-                        lhs = algebra.project(algebra.project(phi, mid), sub)
-                        if not eq(lhs, algebra.project(phi, sub)):
-                            bad = f"transitivity: phi={phi!r} T={sorted(mid)} S={sorted(sub)}"
-                            break
-                    if bad:
-                        break
-                if bad:
-                    break
-
-        elif axiom == "A4":
-            for phi in samples:
-                cases += 1
-                if not eq(algebra.project(phi, algebra.label(phi)), phi):
-                    bad = f"phi↓d(phi) != phi for phi={phi!r}"
-                    break
-
-        elif axiom == "A5":
-            for phi, psi in pairs:
-                cases += 1
-                if algebra.label(algebra.combine(phi, psi)) != algebra.label(phi) | algebra.label(psi):
-                    bad = f"labelling: phi={phi!r} psi={psi!r}"
-                    break
-
-        elif axiom == "A6":
-            for phi, psi in pairs:
-                s, t = algebra.label(phi), algebra.label(psi)
-                for extra in _subset_choices(t - s, rng, cap=8):
-                    u = s | extra
-                    cases += 1
-                    lhs = algebra.project(algebra.combine(phi, psi), u)
-                    rhs = algebra.combine(phi, algebra.project(psi, u & t))
-                    if not eq(lhs, rhs):
-                        bad = f"combination: phi={phi!r} psi={psi!r} U={sorted(u)}"
-                        break
-                if bad:
-                    break
-
-        elif axiom == "A7":
-            seen_domains = []
-            universe = getattr(algebra, "universe", None)
-            for phi in samples:
-                s = algebra.label(phi)
-                if universe is not None and universe.size(s) > _NEUTRAL_SIZE_CAP:
-                    continue
-                cases += 1
-                if not eq(algebra.combine(phi, algebra.neutral(s)), phi):
-                    bad = f"phi ⊗ e_S != phi for phi={phi!r}"
-                    break
-                seen_domains.append(s)
-            if bad is None:
-                for s in seen_domains[:4]:
-                    for t in seen_domains[:4]:
-                        cases += 1
-                        lhs = algebra.combine(algebra.neutral(s), algebra.neutral(t))
-                        if not eq(lhs, algebra.neutral(s | t)):
-                            bad = f"e_S ⊗ e_T != e_(S∪T) for S={sorted(s)} T={sorted(t)}"
-                            break
-                    if bad:
-                        break
-
-        elif axiom == "A8":
-            for phi in samples:
-                s = algebra.label(phi)
-                cases += 1
-                if not eq(algebra.combine(phi, algebra.null(s)), algebra.null(s)):
-                    bad = f"phi ⊗ z_S != z_S for phi={phi!r}"
-                    break
-                for sub in _subset_choices(s, rng, cap=8):
-                    cases += 1
-                    proj_is_null = eq(algebra.project(phi, sub), algebra.null(sub))
-                    phi_is_null = eq(phi, algebra.null(s))
-                    if proj_is_null != phi_is_null:
-                        bad = f"null biconditional fails for phi={phi!r} S={sorted(sub)}"
-                        break
-                if bad:
-                    break
-
-        elif axiom == "A9":
-            for phi in samples:
-                for sub in _subset_choices(algebra.label(phi), rng, cap=8):
-                    cases += 1
-                    if not eq(algebra.combine(phi, algebra.project(phi, sub)), phi):
-                        bad = f"phi ⊗ phi↓S != phi for phi={phi!r} S={sorted(sub)}"
-                        break
-                if bad:
-                    break
-
-        elif axiom in ORDER_AXIOMS:
-            cases, bad = _check_order_axiom(algebra, axiom, samples, pairs, rng)
-
-        else:
+        law = _LAWS.get(axiom)
+        if law is None:
             raise ArgumentError(f"unknown axiom {axiom!r}")
-
-        finish(axiom, cases, bad)
+        cases, bad = 0, None
+        for holds, describe in law(algebra, samples, pairs, triples, rng):
+            cases += 1
+            if not holds:
+                bad = describe()
+                break
+        results.append(AxiomCheck(axiom, bad is None, cases, bad))
     return results
+
+
+# Case generators, one per axiom. Each `describe` reads its loop variables
+# before the generator resumes, because the driver calls it at once.
+
+
+def _semigroup(a, samples, pairs, triples, rng):
+    for phi, psi in pairs:
+        yield a.combine(phi, psi) == a.combine(psi, phi), lambda: f"commutativity: phi={phi!r} psi={psi!r}"
+    for phi, psi, chi in triples:
+        lhs = a.combine(a.combine(phi, psi), chi)
+        yield lhs == a.combine(phi, a.combine(psi, chi)), lambda: f"associativity: phi={phi!r} psi={psi!r} chi={chi!r}"
+
+
+def _projection_labelling(a, samples, pairs, triples, rng):
+    for phi in samples:
+        for sub in _subset_choices(a.label(phi), rng):
+            yield a.label(a.project(phi, sub)) == sub, lambda: f"d(phi↓S) != S for phi={phi!r} S={sorted(sub)}"
+
+
+def _transitivity(a, samples, pairs, triples, rng):
+    for phi in samples:
+        for mid in _subset_choices(a.label(phi), rng, cap=8):
+            for sub in _subset_choices(mid, rng, cap=8):
+                lhs = a.project(a.project(phi, mid), sub)
+                yield lhs == a.project(phi, sub), lambda: f"transitivity: phi={phi!r} T={sorted(mid)} S={sorted(sub)}"
+
+
+def _projection_identity(a, samples, pairs, triples, rng):
+    for phi in samples:
+        yield a.project(phi, a.label(phi)) == phi, lambda: f"phi↓d(phi) != phi for phi={phi!r}"
+
+
+def _combination_labelling(a, samples, pairs, triples, rng):
+    for phi, psi in pairs:
+        yield a.label(a.combine(phi, psi)) == a.label(phi) | a.label(psi), lambda: f"labelling: phi={phi!r} psi={psi!r}"
+
+
+def _combination(a, samples, pairs, triples, rng):
+    for phi, psi in pairs:
+        s, t = a.label(phi), a.label(psi)
+        for extra in _subset_choices(t - s, rng, cap=8):
+            u = s | extra
+            lhs = a.project(a.combine(phi, psi), u)
+            yield lhs == a.combine(phi, a.project(psi, u & t)), lambda: f"combination: phi={phi!r} psi={psi!r} U={sorted(u)}"
+
+
+def _neutrality(a, samples, pairs, triples, rng):
+    seen_domains = []
+    universe = getattr(a, "universe", None)
+    for phi in samples:
+        s = a.label(phi)
+        if universe is not None and universe.size(s) > _NEUTRAL_SIZE_CAP:
+            continue
+        yield a.combine(phi, a.neutral(s)) == phi, lambda: f"phi ⊗ e_S != phi for phi={phi!r}"
+        seen_domains.append(s)
+    for s in seen_domains[:4]:
+        for t in seen_domains[:4]:
+            lhs = a.combine(a.neutral(s), a.neutral(t))
+            yield lhs == a.neutral(s | t), lambda: f"e_S ⊗ e_T != e_(S∪T) for S={sorted(s)} T={sorted(t)}"
+
+
+def _nullity(a, samples, pairs, triples, rng):
+    for phi in samples:
+        s = a.label(phi)
+        yield a.combine(phi, a.null(s)) == a.null(s), lambda: f"phi ⊗ z_S != z_S for phi={phi!r}"
+        for sub in _subset_choices(s, rng, cap=8):
+            holds = (a.project(phi, sub) == a.null(sub)) == (phi == a.null(s))
+            yield holds, lambda: f"null biconditional fails for phi={phi!r} S={sorted(sub)}"
+
+
+def _idempotency(a, samples, pairs, triples, rng):
+    for phi in samples:
+        for sub in _subset_choices(a.label(phi), rng, cap=8):
+            yield a.combine(phi, a.project(phi, sub)) == phi, lambda: f"phi ⊗ phi↓S != phi for phi={phi!r} S={sorted(sub)}"
 
 
 def _comparable_pairs(algebra: ValuationAlgebra, samples: Sequence, pairs: Sequence[tuple]) -> list[tuple]:
@@ -399,68 +351,59 @@ def _comparable_pairs(algebra: ValuationAlgebra, samples: Sequence, pairs: Seque
     return out
 
 
-def _check_order_axiom(algebra, axiom, samples, pairs, rng):
-    cases = 0
-    bad = None
-    comparable = _comparable_pairs(algebra, samples, pairs)
+def _order(a, samples, pairs, triples, rng):
+    for low, high in _comparable_pairs(a, samples, pairs):
+        below = a.leq(low, high)
+        yield below and a.label(low) == a.label(high), lambda: (
+            f"comparable pair with different domains: {low!r}, {high!r}" if below else f"expected {low!r} ⪯ {high!r}"
+        )
+    if not a.idempotent:
+        return
+    # Same-domain combination acts as a meet: a lower bound dominating sampled lower bounds.
+    for phi, psi in pairs:
+        if a.label(phi) != a.label(psi):
+            continue
+        meet = a.combine(phi, psi)
+        yield a.leq(meet, phi) and a.leq(meet, psi), lambda: f"meet not a lower bound: phi={phi!r} psi={psi!r}"
+        for chi in samples:
+            if a.label(chi) == a.label(phi) and a.leq(chi, phi) and a.leq(chi, psi):
+                yield a.leq(chi, meet), lambda: f"meet not greatest lower bound: chi={chi!r}"
 
-    if axiom == "A10":
-        for low, high in comparable:
-            cases += 1
-            if not algebra.leq(low, high):
-                bad = f"expected {low!r} ⪯ {high!r}"
-                break
-            if algebra.label(low) != algebra.label(high):
-                bad = f"comparable pair with different domains: {low!r}, {high!r}"
-                break
-        if bad is None and algebra.idempotent:
-            # Same-domain combination acts as a meet: a lower bound dominating sampled lower bounds.
-            for phi, psi in pairs:
-                if algebra.label(phi) != algebra.label(psi):
-                    continue
-                meet = algebra.combine(phi, psi)
-                cases += 1
-                if not (algebra.leq(meet, phi) and algebra.leq(meet, psi)):
-                    bad = f"meet not a lower bound: phi={phi!r} psi={psi!r}"
-                    break
-                for chi in samples:
-                    if algebra.label(chi) != algebra.label(phi):
-                        continue
-                    if algebra.leq(chi, phi) and algebra.leq(chi, psi):
-                        cases += 1
-                        if not algebra.leq(chi, meet):
-                            bad = f"meet not greatest lower bound: chi={chi!r}"
-                            break
-                if bad:
-                    break
 
-    elif axiom == "A11":
-        for phi in samples:
-            cases += 1
-            if not algebra.leq(algebra.null(algebra.label(phi)), phi):
-                bad = f"z_S not below phi={phi!r}"
-                break
+def _null_is_least(a, samples, pairs, triples, rng):
+    for phi in samples:
+        yield a.leq(a.null(a.label(phi)), phi), lambda: f"z_S not below phi={phi!r}"
 
-    elif axiom == "A12":
-        for i in range(len(comparable)):
-            for j in range(i, min(i + 4, len(comparable))):
-                lo1, hi1 = comparable[i]
-                lo2, hi2 = comparable[j]
-                cases += 1
-                if not algebra.leq(algebra.combine(lo1, lo2), algebra.combine(hi1, hi2)):
-                    bad = f"combination not monotone: ({lo1!r} ⪯ {hi1!r}), ({lo2!r} ⪯ {hi2!r})"
-                    break
-            if bad:
-                break
 
-    elif axiom == "A13":
-        for low, high in comparable:
-            for sub in _subset_choices(algebra.label(low), rng, cap=8):
-                cases += 1
-                if not algebra.leq(algebra.project(low, sub), algebra.project(high, sub)):
-                    bad = f"projection not monotone: {low!r} ⪯ {high!r}, S={sorted(sub)}"
-                    break
-            if bad:
-                break
+def _combination_monotone(a, samples, pairs, triples, rng):
+    comparable = _comparable_pairs(a, samples, pairs)
+    for i, (lo1, hi1) in enumerate(comparable):
+        for lo2, hi2 in comparable[i : i + 4]:
+            yield a.leq(a.combine(lo1, lo2), a.combine(hi1, hi2)), lambda: (
+                f"combination not monotone: ({lo1!r} ⪯ {hi1!r}), ({lo2!r} ⪯ {hi2!r})"
+            )
 
-    return cases, bad
+
+def _projection_monotone(a, samples, pairs, triples, rng):
+    for low, high in _comparable_pairs(a, samples, pairs):
+        for sub in _subset_choices(a.label(low), rng, cap=8):
+            yield a.leq(a.project(low, sub), a.project(high, sub)), lambda: (
+                f"projection not monotone: {low!r} ⪯ {high!r}, S={sorted(sub)}"
+            )
+
+
+_LAWS = {
+    "A1": _semigroup,
+    "A2": _projection_labelling,
+    "A3": _transitivity,
+    "A4": _projection_identity,
+    "A5": _combination_labelling,
+    "A6": _combination,
+    "A7": _neutrality,
+    "A8": _nullity,
+    "A9": _idempotency,
+    "A10": _order,
+    "A11": _null_is_least,
+    "A12": _combination_monotone,
+    "A13": _projection_monotone,
+}

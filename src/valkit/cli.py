@@ -24,15 +24,8 @@ from .documents import (
     potential_values,
     relation_rows,
 )
-from .errors import (
-    ArgumentError,
-    CapabilityError,
-    ParseError,
-    PreconditionError,
-    ResourceLimitError,
-    ValkitError,
-)
-from .inference import InferenceProblem, resolve_cell_limit, solve_fusion
+from .errors import CapabilityError, ParseError, ResourceLimitError, ValkitError
+from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, resolve_cell_limit, solve_fusion
 from .relations import Relation
 from .reports import build_report, verify_report
 
@@ -54,8 +47,8 @@ def _read_text(path: str) -> tuple[str, bytes]:
         raise ParseError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
 
 
-def _load_input(source: str) -> tuple[ParsedInput, str]:
-    """Resolve a path or builtin:NAME into a parsed input plus its content hash."""
+def _load_input(source: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> tuple[ParsedInput, str]:
+    """Resolve a path or builtin:NAME into a parsed input plus its content hash; tables obey `cell_limit`."""
     if source.startswith("builtin:"):
         name = source[len("builtin:"):]
         payload = builtin(name)
@@ -63,7 +56,7 @@ def _load_input(source: str) -> tuple[ParsedInput, str]:
         digest = hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
         return ParsedInput(document["kind"], payload), digest
     text, raw = _read_text(source)
-    return parse_document_text(text), hashlib.sha256(raw).hexdigest()
+    return parse_document_text(text, cell_limit), hashlib.sha256(raw).hexdigest()
 
 
 def _human_analysis(doc: dict) -> list[str]:
@@ -101,8 +94,8 @@ def _human_analysis(doc: dict) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
-    parsed, digest = _load_input(args.source)
     cell_limit = resolve_cell_limit(args.limit)
+    parsed, digest = _load_input(args.source, cell_limit)
     started = time.perf_counter()
     report = build_report(args.source, digest, parsed, cell_limit=cell_limit)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -118,10 +111,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_infer(args) -> int:
-    parsed, _ = _load_input(args.source)
-    kb = parsed.knowledgebase()
-    query = frozenset(name.strip() for name in args.query.split(",") if name.strip())
     cell_limit = resolve_cell_limit(args.limit)
+    parsed, _ = _load_input(args.source, cell_limit)
+    kb = parsed.knowledgebase(cell_limit)
+    query = frozenset(name.strip() for name in args.query.split(",") if name.strip())
     order = None
     if args.order:
         order = tuple(name.strip() for name in args.order.split(","))
@@ -155,11 +148,12 @@ def cmd_list_builtins(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    cell_limit = resolve_cell_limit()
     report = load_json(_read_text(args.report)[0], "report JSON")
     if not isinstance(report, dict):
         raise ParseError("report must be a JSON object")
-    parsed, digest = _load_input(args.source)
-    problems = verify_report(report, parsed, digest, resolve_cell_limit())
+    parsed, digest = _load_input(args.source, cell_limit)
+    problems = verify_report(report, parsed, digest, cell_limit)
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)
@@ -212,9 +206,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CapabilityError, ResourceLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ArgumentError, PreconditionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except ValkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -12,7 +12,7 @@ which a single projection detects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Knowledgebase, PotentialAlgebra
@@ -42,6 +42,7 @@ class GlobalVerdict:
     witness_index: int | None = None  # 1-based member whose projection differs
     projected: object | None = None  # what the combination projects to there
     certificate: FarkasCertificate | None = None  # infeasibility proof (potentials path)
+    system: LinearSystem | None = field(default=None, compare=False, repr=False)  # what the potentials path solved
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def check_local_agreement(kb: Knowledgebase) -> LocalVerdict:
     count = len(members)
     next_unlike = [count] * count  # the first later member whose projection onto ∅ differs
     for i in reversed(range(count - 1)):
-        next_unlike[i] = i + 1 if not algebra.equal(on_empty[i], on_empty[i + 1]) else next_unlike[i + 1]
+        next_unlike[i] = i + 1 if on_empty[i] != on_empty[i + 1] else next_unlike[i + 1]
     holders: dict[str, list[int]] = {}
     for i, label in enumerate(labels):
         for v in label:
@@ -82,7 +83,7 @@ def check_local_agreement(kb: Knowledgebase) -> LocalVerdict:
                 left, right = algebra.project(members[i], overlap), algebra.project(members[j], overlap)
             else:
                 left, right = on_empty[i], on_empty[j]
-            if not algebra.equal(left, right):
+            if left != right:
                 return LocalVerdict(False, pair=(i + 1, j + 1), overlap=overlap, projections=(left, right))
     return LocalVerdict(True)
 
@@ -104,9 +105,8 @@ def tree_verdict(tree: JoinTree) -> GlobalVerdict:
     the combination itself is joined only on agreement.
     """
     kb = tree.knowledgebase
-    algebra = kb.algebra()
     for index, (phi, projected) in enumerate(zip(kb, tree.marginals()), start=1):
-        if not algebra.equal(projected, phi):
+        if projected != phi:
             return GlobalVerdict(False, witness_index=index, projected=projected)
     return GlobalVerdict(True, truth=tree.combination())
 
@@ -116,7 +116,7 @@ def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:
     algebra = kb.algebra()
     for index, phi in enumerate(kb, start=1):
         projected = algebra.project(gamma, algebra.label(phi))
-        if not algebra.equal(projected, phi):
+        if projected != phi:
             return GlobalVerdict(False, witness_index=index, projected=projected)
     return GlobalVerdict(True, truth=gamma)
 
@@ -161,8 +161,8 @@ def check_global_agreement_potentials(
     if outcome.feasible:
         table = {g: outcome.solution[g] for g in system.columns}
         gamma = Potential(kb.universe, kb.joint_domain, NONNEG_RATIONAL, table)
-        return GlobalVerdict(True, truth=gamma)
-    return GlobalVerdict(False, certificate=outcome.certificate)
+        return GlobalVerdict(True, truth=gamma, system=system)
+    return GlobalVerdict(False, certificate=outcome.certificate, system=system)
 
 
 def check_complete_disagreement(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> bool:
@@ -172,7 +172,7 @@ def check_complete_disagreement(kb: Knowledgebase, cell_limit: int | None = DEFA
         raise CapabilityError(f"{algebra.name} has no null elements")
     first_domain = algebra.label(kb.valuations[0])
     projected = solve_fusion(InferenceProblem(kb, first_domain), cell_limit=cell_limit)
-    return algebra.equal(projected, algebra.null(first_domain))
+    return projected == algebra.null(first_domain)
 
 
 def search_truth_valuations(

@@ -29,6 +29,7 @@ from .core import (
     VariableUniverse,
 )
 from .errors import ParseError, ValkitError
+from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase
 from .potentials import Potential
 from .relations import Relation, restriction
@@ -41,12 +42,12 @@ class ParsedInput:
     kind: str
     payload: object  # EmpiricalModel | Knowledgebase | CSPDocumentPayload
 
-    def knowledgebase(self) -> Knowledgebase:
-        """A model's sections, a CSP's compiled covers, or the knowledgebase itself."""
+    def knowledgebase(self, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Knowledgebase:
+        """A model's sections, a CSP's covers compiled under `cell_limit`, or the knowledgebase itself."""
         if isinstance(self.payload, EmpiricalModel):
             return self.payload.knowledgebase()
         if isinstance(self.payload, CSPDocumentPayload):
-            return csp_to_knowledgebase(self.payload.csp, self.payload.covers)
+            return csp_to_knowledgebase(self.payload.csp, self.payload.covers, cell_limit)
         return self.payload
 
 
@@ -183,8 +184,19 @@ def _outcome_assignment(key: str, context: tuple[str, ...], universe: VariableUn
     return Assignment.of(dict(zip(context, labels)))
 
 
-def parse_potential(raw: dict, names, universe: VariableUniverse, where: str, kind: str = PROBABILISTIC) -> Potential:
-    """A section or rational potential from a value map keyed by labels in `names` order; absent keys are 0."""
+def parse_potential(
+    raw: dict,
+    names,
+    universe: VariableUniverse,
+    where: str,
+    kind: str = PROBABILISTIC,
+    cell_limit: int | None = DEFAULT_CELL_LIMIT,
+) -> Potential:
+    """A section or rational potential from a value map keyed by labels in `names` order; absent keys are 0.
+
+    Every row of the table is filled, so a table with more than `cell_limit` rows is refused first.
+    """
+    check_table_size(universe, frozenset(names), cell_limit)
     table = {}
     for key, value in raw.items():
         spot = f"{where}[{key!r}]"
@@ -202,7 +214,7 @@ def parse_potential(raw: dict, names, universe: VariableUniverse, where: str, ki
         raise ParseError(f"{where}: {err}") from None
 
 
-def _parse_empirical_model(doc: dict) -> EmpiricalModel:
+def _parse_empirical_model(doc: dict, cell_limit: int | None) -> EmpiricalModel:
     _expect_keys(doc, ("kind", "universe", "model-kind", "contexts", "sections"), (), "document")
     universe = _parse_universe(doc["universe"], "universe")
     model_kind = doc["model-kind"]
@@ -229,7 +241,7 @@ def _parse_empirical_model(doc: dict) -> EmpiricalModel:
         raw = _expect_mapping(sections_raw[key], where)
         if not raw:
             raise ParseError(f"{where}: a section must list at least one outcome")
-        sections.append(parse_potential(raw, ctx, universe, where, model_kind))
+        sections.append(parse_potential(raw, ctx, universe, where, model_kind, cell_limit))
     try:
         scenario = MeasurementScenario(universe, tuple(tuple(c) for c in contexts))
         return EmpiricalModel(scenario, model_kind, tuple(sections))
@@ -237,7 +249,7 @@ def _parse_empirical_model(doc: dict) -> EmpiricalModel:
         raise ParseError(str(err)) from None
 
 
-def _parse_knowledgebase(doc: dict) -> Knowledgebase:
+def _parse_knowledgebase(doc: dict, cell_limit: int | None) -> Knowledgebase:
     _expect_keys(doc, ("kind", "universe", "valuations"), (), "document")
     universe = _parse_universe(doc["universe"], "universe")
     raw_valuations = _expect_list(doc["valuations"], "valuations")
@@ -271,7 +283,9 @@ def _parse_knowledgebase(doc: dict) -> Knowledgebase:
                 raise ParseError(f"{where}: {err}") from None
         else:
             raw_values = _expect_mapping(item["values"], f"{where}.values")
-            valuations.append(parse_potential(raw_values, domain_names, universe, f"{where}.values"))
+            valuations.append(
+                parse_potential(raw_values, domain_names, universe, f"{where}.values", cell_limit=cell_limit)
+            )
     try:
         return Knowledgebase(universe, tuple(valuations))
     except ValkitError as err:
@@ -313,15 +327,16 @@ def _parse_csp(doc: dict) -> CSPDocumentPayload:
         raise ParseError(str(err)) from None
 
 
-def parse_document_text(text: str) -> ParsedInput:
+def parse_document_text(text: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> ParsedInput:
+    """Parse a document; a model section or potential with more than `cell_limit` rows is refused."""
     doc = _expect_mapping(load_json(text), "document")
     kind = doc.get("kind")
     if kind not in KINDS:
         raise ParseError(f"document 'kind' must be one of {list(KINDS)}, got {kind!r}")
     if kind == "empirical-model":
-        return ParsedInput(kind, _parse_empirical_model(doc))
+        return ParsedInput(kind, _parse_empirical_model(doc, cell_limit))
     if kind == "knowledgebase":
-        return ParsedInput(kind, _parse_knowledgebase(doc))
+        return ParsedInput(kind, _parse_knowledgebase(doc, cell_limit))
     return ParsedInput(kind, _parse_csp(doc))
 
 

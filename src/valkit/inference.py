@@ -22,18 +22,18 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Knowledgebase, ValuationAlgebra
-from .core import Domain
+from .core import Domain, VariableUniverse
 from .errors import ArgumentError, CapabilityError, DomainError, ResourceLimitError
 
 DEFAULT_CELL_LIMIT = 10_000_000
 HEURISTICS = ("min-degree", "min-fill")
 
 
-def resolve_cell_limit(flag: str | None = None, default: int = DEFAULT_CELL_LIMIT) -> int:
+def resolve_cell_limit(flag: str | None = None) -> int:
     """The --limit value if given, else VK_CELL_LIMIT, else the default; each must be a positive integer."""
     source, raw = ("--limit", flag) if flag is not None else ("VK_CELL_LIMIT", os.environ.get("VK_CELL_LIMIT"))
     if raw is None:
-        return default
+        return DEFAULT_CELL_LIMIT
     try:
         value = int(raw)
     except ValueError:
@@ -41,6 +41,14 @@ def resolve_cell_limit(flag: str | None = None, default: int = DEFAULT_CELL_LIMI
     if value <= 0:
         raise ArgumentError(f"{source} must be positive")
     return value
+
+
+def check_table_size(universe: VariableUniverse, domain: Domain, cell_limit: int | None) -> None:
+    """Refuse, before any row is enumerated, a full table over `domain` with more than `cell_limit` cells."""
+    if cell_limit is not None and universe.size(domain) > cell_limit:
+        raise ResourceLimitError(
+            f"a table over {sorted(domain)} would have {universe.size(domain)} cells (limit {cell_limit})"
+        )
 
 
 @dataclass(frozen=True)

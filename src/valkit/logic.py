@@ -13,6 +13,7 @@ from typing import Sequence
 from .algebra import Knowledgebase
 from .core import Assignment, Domain, VariableUniverse
 from .errors import ArgumentError, DomainError
+from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .relations import Relation, project_relation, restriction
 
 
@@ -56,11 +57,20 @@ def evaluation_satisfies(v: Assignment, constraint: Constraint) -> bool:
     return v.restrict(overlap).row in project_relation(constraint.allowed, overlap).tuples
 
 
-def csp_to_knowledgebase(csp: CSPInstance, covers: Sequence[Domain]) -> Knowledgebase:
-    """One relation per cover set: every evaluation on it satisfying all constraints."""
+def csp_to_knowledgebase(
+    csp: CSPInstance,
+    covers: Sequence[Domain],
+    cell_limit: int | None = DEFAULT_CELL_LIMIT,
+) -> Knowledgebase:
+    """One relation per cover set: every evaluation on it satisfying all constraints.
+
+    Each cover's evaluations are enumerated, so a cover with more than
+    `cell_limit` of them is refused first.
+    """
     valuations = []
     for cover in covers:
         csp.universe.check_domain(cover)
+        check_table_size(csp.universe, cover, cell_limit)
         relevant = []
         for c in csp.constraints:
             overlap = cover & c.scheme_set

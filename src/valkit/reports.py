@@ -19,11 +19,7 @@ from .contextuality import (
     classify_checked,
 )
 from .core import Assignment
-from .disagreement import (
-    AgreementReport,
-    analyze_knowledgebase,
-    marginal_system,
-)
+from .disagreement import AgreementReport, analyze_knowledgebase
 from .documents import (
     ParsedInput,
     format_rational,
@@ -32,9 +28,9 @@ from .documents import (
     potential_values,
     relation_rows,
 )
-from .feasibility import FarkasCertificate, validate_certificate
+from .feasibility import FarkasCertificate, validate_certificate, validate_solution
 from .inference import DEFAULT_CELL_LIMIT
-from .potentials import Potential, project_potential, support_relation
+from .potentials import Potential, support_relation
 from .relations import Relation, project_relation, restriction
 
 REPORT_SCHEMA = "vk-report/1"
@@ -51,10 +47,9 @@ def relation_doc(r: Relation) -> dict:
     return doc
 
 
-def potential_doc(p: Potential, nonzero_only: bool = False) -> dict:
+def potential_doc(p: Potential) -> dict:
     names = sorted(p.domain)
-    values = potential_values(p, names, nonzero_only)
-    return {"type": "potential", "domain": names, "semiring": p.semiring.name, "values": values}
+    return {"type": "potential", "domain": names, "semiring": p.semiring.name, "values": potential_values(p, names)}
 
 
 def valuation_doc(v) -> dict:
@@ -151,9 +146,10 @@ def contextuality_analysis_doc(model: EmpiricalModel, report: ContextualityRepor
             "certificate": certificate_doc(report.feasibility.certificate, *_model_certificate_layout(model)),
         }
     else:
+        truth = report.feasibility.truth
         probabilistic = {
             "contextual": False,
-            "global-distribution": potential_doc(report.feasibility.truth, nonzero_only=True)["values"],
+            "global-distribution": potential_values(truth, sorted(truth.domain), nonzero_only=True),
         }
     return {
         "no-signalling": {"verdict": "pass"},
@@ -178,7 +174,7 @@ def analysis_document(parsed: ParsedInput, cell_limit: int | None) -> tuple[dict
             return {"no-signalling": _no_signalling_doc(signalling), "class": None}, signalling, None
         report = classify_checked(payload, cell_limit=cell_limit)
         return contextuality_analysis_doc(payload, report), report, None
-    kb = parsed.knowledgebase()
+    kb = parsed.knowledgebase(cell_limit)
     report = analyze_knowledgebase(kb, cell_limit=cell_limit)
     return agreement_analysis_doc(kb, report), report, kb
 
@@ -211,18 +207,23 @@ def verify_report(
     The re-derivation runs under the caller's cell limit. The report's own
     "cell-limit" field is not read: a report must not be able to switch off
     the resource guard that bounds its own checking. Nor is its "method"
-    field, which older reports may set to "naive". A report whose analysis
-    does not reproduce fails with that one problem, before any witness is
-    checked; otherwise the witnesses are read off the re-derived analysis,
-    which equals the report's. The witness checks that would need inference
-    (the adjoint witness member and the LC section) read the re-derived
-    verdict, which solved those problems already; every other witness is
+    field, which older reports may set to "naive". A report whose "kind"
+    is not the input's fails at once, as one with another input hash does.
+    A report whose analysis does not reproduce fails with that one problem,
+    before any witness is checked; otherwise the witnesses are read off the
+    re-derived analysis, which equals the report's. The witness checks that
+    would need inference (the adjoint witness member and the LC section) read
+    the re-derived verdict, which solved those problems already; Farkas
+    certificates and a global distribution are checked against the marginal
+    system the re-derivation built from the input; every other witness is
     checked against the input directly.
     """
     if report.get("report") != REPORT_SCHEMA:
         return [f"unknown report schema {report.get('report')!r}"]
     if report.get("input-sha256") != input_sha256:
         return ["input hash does not match the report"]
+    if report.get("kind") != parsed.kind:
+        return [f"report kind {report.get('kind')!r} does not match the input's kind {parsed.kind!r}"]
     rebuilt, verdict, kb = analysis_document(parsed, cell_limit)
     if rebuilt != report.get("analysis"):
         return ["analysis does not reproduce the report"]
@@ -239,18 +240,17 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Know
             return problems
         probabilistic = analysis["probabilistic"]
         if probabilistic is not None:
-            kb = payload.knowledgebase()
-            system = marginal_system(kb)
+            system = verdict.feasibility.system
             if probabilistic["contextual"]:
                 certificate = _certificate_from_doc(probabilistic["certificate"], *_model_certificate_layout(payload))
                 if not validate_certificate(system, certificate):
                     problems.append("infeasibility certificate fails validation")
             else:
+                kb = payload.knowledgebase()
                 raw = probabilistic["global-distribution"]
                 dist = parse_potential(raw, sorted(kb.joint_domain), kb.universe, "global-distribution")
-                for ctx, section in zip(payload.scenario.contexts, payload.sections):
-                    if project_potential(dist, frozenset(ctx)) != section:
-                        problems.append(f"global distribution does not marginalize to context {','.join(ctx)}")
+                if not validate_solution(system, dist.table):
+                    problems.append("global distribution does not marginalize to every context")
         if analysis["logical"]["contextual"]:
             witness = analysis["logical"]["witness"]
             ctx = tuple(witness["context"].split(","))
@@ -273,7 +273,7 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Know
         overlap = frozenset(local["overlap"])
         left = algebra.project(members[i - 1], overlap)
         right = algebra.project(members[j - 1], overlap)
-        if algebra.equal(left, right):
+        if left == right:
             problems.append(f"reported local disagreement pair ({i}, {j}) actually agrees")
     global_doc = analysis["global"]
     if global_doc["verdict"] == "agree":
@@ -283,14 +283,14 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Know
         elif truth_doc["type"] == "potential":
             truth = parse_potential(truth_doc["values"], truth_doc["domain"], kb.universe, "truth")
         for index, member in enumerate(members, start=1):
-            if truth is not None and not algebra.equal(algebra.project(truth, member.domain), member):
+            if truth is not None and algebra.project(truth, member.domain) != member:
                 problems.append(f"reported truth valuation does not project onto member {index}")
     elif "certificate" in global_doc:
         certificate = _certificate_from_doc(global_doc["certificate"], *_kb_certificate_layout(kb))
-        if not validate_certificate(marginal_system(kb), certificate):
+        if not validate_certificate(verdict.global_agreement.system, certificate):
             problems.append("infeasibility certificate fails validation")
     else:
         index = global_doc["witness-index"]
-        if algebra.equal(verdict.global_agreement.projected, members[index - 1]):
+        if verdict.global_agreement.projected == members[index - 1]:
             problems.append(f"reported witness member {index} is not unlike its projection of the combination")
     return problems

@@ -468,6 +468,93 @@ def test_verify_rejects_wrong_input(tmp_path):
     assert "hash" in err
 
 
+def test_verify_rejects_a_report_of_another_kind(tmp_path):
+    code, out, _ = run_cli("analyze", "builtin:screening", "--json")
+    report = json.loads(out)
+    assert report["kind"] == "knowledgebase"
+    report["kind"] = "empirical-model"
+    path = tmp_path / "rekinded.json"
+    path.write_text(canonical_json(report), encoding="utf-8")
+    code, _, err = run_cli("verify", str(path), "builtin:screening")
+    assert code == 1
+    assert "kind" in err
+
+
+@pytest.mark.parametrize("source", ["builtin:bell", "cycle6-pc", "cycle6-nc"])
+def test_verify_builds_the_marginal_system_once(source, monkeypatch):
+    # The re-derived analysis hands its marginal system to the witness checks
+    # with its verdict, so verify builds it once, as analyze does.
+    from valkit import disagreement, reports
+    from valkit.cli import _load_input
+    from valkit.documents import ParsedInput
+
+    if source.startswith("builtin:"):
+        parsed, digest = _load_input(source)
+    else:
+        parsed, digest = ParsedInput("empirical-model", cycle_model(noisy_cycle_correlators(6, source.endswith("pc")))), "0"
+    report = reports.build_report(source, digest, parsed)
+    calls = []
+    marginal_system = disagreement.marginal_system
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return marginal_system(*args, **kwargs)
+
+    monkeypatch.setattr(disagreement, "marginal_system", counted)
+    monkeypatch.setattr(reports, "marginal_system", counted, raising=False)
+    assert reports.verify_report(report, parsed, digest) == []
+    assert len(calls) == 1
+
+
+def wide_documents(n):
+    """Three documents, each with one table over n binary variables, written with a single row or none."""
+    names = [f"x{i}" for i in range(n)]
+    universe = [{"name": name, "frame": ["0", "1"]} for name in names]
+    return {
+        "csp": {
+            "kind": "csp",
+            "universe": universe,
+            "constraints": [{"scheme": names[:2], "allowed": [["0", "0"]]}],
+            "covers": [names],
+        },
+        "knowledgebase": {"kind": "knowledgebase", "universe": universe, "valuations": [{"domain": names, "values": {}}]},
+        "possibilistic": {
+            "kind": "empirical-model",
+            "universe": universe,
+            "model-kind": "possibilistic",
+            "contexts": [names],
+            "sections": {",".join(names): {",".join("0" * n): 1}},
+        },
+    }
+
+
+@pytest.mark.parametrize("name", ["csp", "knowledgebase", "possibilistic"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("analyze", "{doc}", "--limit", "1000"),
+        ("infer", "{doc}", "--query", "x0", "--limit", "1000"),
+        ("verify", "{report}", "{doc}"),
+    ],
+    ids=["analyze", "infer", "verify"],
+)
+def test_tables_from_a_document_obey_the_cell_limit(name, args, tmp_path, monkeypatch):
+    # Every table a document spells out row by row (a CSP cover, a potential
+    # member, a model section) is refused before its rows are enumerated. The
+    # report under verification gets as far as the analysis, which the CSP
+    # compile needs.
+    document = wide_documents(14)[name]
+    doc = tmp_path / f"{name}.json"
+    doc.write_text(canonical_json(document), encoding="utf-8")
+    digest = hashlib.sha256(doc.read_bytes()).hexdigest()
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"report": "vk-report/1", "kind": document["kind"], "input-sha256": digest}))
+    monkeypatch.setenv("VK_CELL_LIMIT", "1000")
+    code, _, err = run_cli(*(arg.format(doc=doc, report=report) for arg in args))
+    assert code == 3, err
+    assert "would have 16384 cells (limit 1000)" in err
+
+
 def test_analyze_file_input(tmp_path):
     doc = model_document(bell_model())
     path = tmp_path / "bell.json"

@@ -43,7 +43,7 @@ def oracle_global_adjoint(kb):
     algebra = kb.algebra()
     for index, phi in enumerate(kb, start=1):
         projected = solve_fusion(InferenceProblem(kb, algebra.label(phi)))
-        if not algebra.equal(projected, phi):
+        if projected != phi:
             return GlobalVerdict(False, witness_index=index, projected=projected)
     return GlobalVerdict(True, truth=solve_fusion(InferenceProblem(kb, kb.joint_domain)))
 
@@ -57,7 +57,7 @@ def oracle_local_agreement(kb):
             overlap = algebra.label(members[i]) & algebra.label(members[j])
             left = algebra.project(members[i], overlap)
             right = algebra.project(members[j], overlap)
-            if not algebra.equal(left, right):
+            if left != right:
                 return LocalVerdict(False, pair=(i + 1, j + 1), overlap=overlap, projections=(left, right))
     return LocalVerdict(True)
 
