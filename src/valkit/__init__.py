@@ -18,12 +18,10 @@ from .contextuality import (
     flasque_check,
     gamma,
     lc_at,
-    possibilistic_collapse_model,
     possibilistic_model,
     probabilistic_model,
 )
 from .core import (
-    BOOLEAN,
     NONNEG_RATIONAL,
     Assignment,
     Domain,
@@ -88,7 +86,6 @@ from .potentials import (
     indicator_potential,
     neutral_potential,
     null_potential,
-    possibilistic_collapse,
     project_potential,
     support_relation,
     total_mass,

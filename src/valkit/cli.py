@@ -26,6 +26,7 @@ from .documents import (
 )
 from .errors import CapabilityError, ParseError, ResourceLimitError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, resolve_cell_limit, solve_fusion
+from .potentials import indicator_potential
 from .relations import Relation
 from .reports import build_report, verify_report
 
@@ -119,6 +120,8 @@ def cmd_infer(args) -> int:
     if args.order:
         order = tuple(name.strip() for name in args.order.split(","))
     result = solve_fusion(InferenceProblem(kb, query), order=order, cell_limit=cell_limit)
+    if isinstance(result, Relation) and parsed.kind == "empirical-model":
+        result = indicator_potential(result)  # a possibilistic model's query is written as a Boolean potential
     names = sorted(query)
     if isinstance(result, Relation):
         body = {"type": "relation", "tuples": relation_rows(result, names)}

@@ -1,12 +1,13 @@
 """Measurement scenarios, empirical models, and the contextuality hierarchy.
 
-An empirical model is a knowledgebase of potentials, one per context.
-No-signalling is exactly local agreement of that knowledgebase. The support
-of each section gives a relation knowledgebase whose combination Gamma holds
-every globally consistent assignment. The model is logically contextual when
-that knowledgebase disagrees globally, strongly contextual when it disagrees
-completely (Gamma is empty), and probabilistically contextual when no global
-distribution reproduces the sections, which exact feasibility decides.
+An empirical model is a knowledgebase of sections, one per context: rational
+potentials, or for a possibilistic model the relations of possible outcomes.
+No-signalling is exactly local agreement of that knowledgebase. The supports
+form a relation knowledgebase whose combination Gamma holds every globally
+consistent assignment. The model is logically contextual when it disagrees
+globally, strongly contextual when it disagrees completely (Gamma is empty),
+and probabilistically contextual when no global distribution reproduces the
+sections, which exact feasibility decides.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .algebra import Knowledgebase
-from .core import Assignment, BOOLEAN, Domain, NONNEG_RATIONAL, VariableUniverse
+from .core import Assignment, Domain, NONNEG_RATIONAL, VariableUniverse
 from .disagreement import (
     DEFAULT_FEASIBILITY_COLUMNS,
     GlobalVerdict,
@@ -26,12 +27,7 @@ from .disagreement import (
 )
 from .errors import ArgumentError, PreconditionError
 from .inference import DEFAULT_CELL_LIMIT, calibrate
-from .potentials import (
-    Potential,
-    possibilistic_collapse,
-    support_relation,
-    total_mass,
-)
+from .potentials import Potential, support_relation, total_mass
 from .relations import Relation, Row, project_relation
 
 PROBABILISTIC = "probabilistic"
@@ -73,7 +69,7 @@ class MeasurementScenario:
 class EmpiricalModel:
     scenario: MeasurementScenario
     kind: str  # PROBABILISTIC | POSSIBILISTIC
-    sections: tuple[Potential, ...]  # aligned with scenario.contexts
+    sections: tuple[Potential, ...] | tuple[Relation, ...]  # aligned with scenario.contexts
 
     def __post_init__(self):
         if self.kind not in (PROBABILISTIC, POSSIBILISTIC):
@@ -84,39 +80,36 @@ class EmpiricalModel:
             if section.domain != frozenset(ctx):
                 raise ArgumentError(f"section domain {sorted(section.domain)} does not match context {ctx!r}")
             if self.kind == PROBABILISTIC:
-                if section.semiring != NONNEG_RATIONAL:
+                if not isinstance(section, Potential) or section.semiring != NONNEG_RATIONAL:
                     raise ArgumentError("probabilistic sections must be rational potentials")
                 mass = total_mass(section)
                 if mass != 1:
                     raise ArgumentError(f"section over {ctx!r} sums to {mass}, not 1")
             else:
-                if section.semiring != BOOLEAN:
-                    raise ArgumentError("possibilistic sections must be Boolean potentials")
-                if section.is_null():
+                if not isinstance(section, Relation):
+                    raise ArgumentError("possibilistic sections must be relations")
+                if section.is_empty():
                     raise ArgumentError(f"section over {ctx!r} has empty support")
 
-    def section_for(self, context: tuple[str, ...]) -> Potential:
+    def section_for(self, context: tuple[str, ...]) -> Potential | Relation:
         for ctx, section in zip(self.scenario.contexts, self.sections):
             if ctx == tuple(context):
                 return section
         raise ArgumentError(f"{tuple(context)!r} is not a context of this scenario")
 
+    def support_for(self, context: tuple[str, ...]) -> Relation:
+        return _support(self.section_for(context))
+
     def knowledgebase(self) -> Knowledgebase:
         return Knowledgebase(self.scenario.universe, self.sections)
 
     def support_knowledgebase(self) -> Knowledgebase:
-        return Knowledgebase(self.scenario.universe, tuple(support_relation(s) for s in self.sections))
+        """The supports as a relation knowledgebase: a possibilistic model's own knowledgebase."""
+        return Knowledgebase(self.scenario.universe, tuple(map(_support, self.sections)))
 
 
-def possibilistic_collapse_model(model: EmpiricalModel) -> EmpiricalModel:
-    """Forget probabilities, keep supports."""
-    if model.kind == POSSIBILISTIC:
-        return model
-    return EmpiricalModel(
-        model.scenario,
-        POSSIBILISTIC,
-        tuple(possibilistic_collapse(s) for s in model.sections),
-    )
+def _support(section: Potential | Relation) -> Relation:
+    return section if isinstance(section, Relation) else support_relation(section)
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,7 @@ class NoSignallingVerdict:
     passed: bool
     pair: tuple[tuple[str, ...], tuple[str, ...]] | None = None
     overlap: Domain | None = None
-    marginals: tuple[Potential, Potential] | None = None
+    marginals: tuple[Potential, Potential] | tuple[Relation, Relation] | None = None
 
 
 def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
@@ -166,7 +159,7 @@ def flasque_check(model: EmpiricalModel) -> FlasqueReport:
     The value on a set beneath the cover is the union of the projections of
     the covering contexts' supports.
     """
-    supports = {ctx: support_relation(s) for ctx, s in zip(model.scenario.contexts, model.sections)}
+    supports = dict(zip(model.scenario.contexts, model.support_knowledgebase()))
     for ctx, support in supports.items():
         if support.is_empty():
             return FlasqueReport(False, empty_context=ctx)
@@ -199,11 +192,17 @@ def lc_at(
     section: Assignment,
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ) -> bool:
-    """True iff the supported section extends to no globally consistent assignment (needs no-signalling)."""
-    support = support_relation(model.section_for(context))
+    """True iff the supported section extends to no globally consistent assignment (needs no-signalling).
+
+    The context's projection of Gamma comes off the supports' calibrated tree.
+    """
+    support = model.support_for(context)
     if section.domain != support.domain or section.row not in support.tuples:
         raise ArgumentError(f"{section!r} is not in the support of context {tuple(context)!r}")
-    return section.row not in project_relation(gamma(model, cell_limit), support.domain).tuples
+    _require_no_signalling(check_no_signalling(model))
+    tree = calibrate(model.support_knowledgebase(), cell_limit)
+    projected = list(tree.marginals())[model.scenario.contexts.index(tuple(context))]
+    return section.row not in projected.tuples
 
 
 @dataclass(frozen=True)
@@ -306,10 +305,7 @@ def possibilistic_model(
     contexts: list[tuple[str, ...]],
     supports: dict[tuple[str, ...], list[tuple[str, ...]]],
 ) -> EmpiricalModel:
-    """Convenience constructor from supported outcome lists."""
+    """Convenience constructor from supported outcome lists, each outcome in context order."""
     scenario = MeasurementScenario(universe, tuple(contexts))
-    built = []
-    for ctx in scenario.contexts:
-        table = {Assignment.of(dict(zip(ctx, outcome))): 1 for outcome in supports[ctx]}
-        built.append(Potential.from_table(universe, frozenset(ctx), BOOLEAN, table, default=0))
-    return EmpiricalModel(scenario, POSSIBILISTIC, tuple(built))
+    built = tuple(Relation.from_rows(universe, ctx, supports[ctx]) for ctx in scenario.contexts)
+    return EmpiricalModel(scenario, POSSIBILISTIC, built)

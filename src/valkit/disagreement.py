@@ -101,14 +101,17 @@ def check_global_agreement_adjoint(kb: Knowledgebase, cell_limit: int | None = D
 def tree_verdict(tree: JoinTree) -> GlobalVerdict:
     """Global agreement read off a calibrated tree: the first member unlike its clique's projection, if any.
 
-    Each member's projection of the combination comes off its home clique;
-    the combination itself is joined only on agreement.
+    Each member's projection of the combination comes off its home clique.
+    On agreement a member over the joint domain is its own projection, so it
+    is the combination; only without one is the combination joined.
     """
     kb = tree.knowledgebase
     for index, (phi, projected) in enumerate(zip(kb, tree.marginals()), start=1):
         if projected != phi:
             return GlobalVerdict(False, witness_index=index, projected=projected)
-    return GlobalVerdict(True, truth=tree.combination())
+    joint = kb.joint_domain
+    whole = [phi for phi in kb if phi.domain == joint]
+    return GlobalVerdict(True, truth=whole[0] if whole else tree.combination())
 
 
 def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:

@@ -21,13 +21,7 @@ from .contextuality import (
     EmpiricalModel,
     MeasurementScenario,
 )
-from .core import (
-    Assignment,
-    BOOLEAN,
-    Domain,
-    NONNEG_RATIONAL,
-    VariableUniverse,
-)
+from .core import Assignment, Domain, NONNEG_RATIONAL, VariableUniverse
 from .errors import ParseError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase
@@ -68,6 +62,14 @@ def relation_rows(r: Relation, names) -> list[list[str]]:
     """The sorted rows of a relation, each as its values in the order of `names`."""
     in_order = restriction(sorted(r.domain), names)
     return [list(in_order(t)) for t in r.sorted_tuples()]
+
+
+def _support_values(r: Relation, names) -> dict[str, int]:
+    """A 1 for each row in frame order, keyed by its values in the order of `names` joined by commas."""
+    ranks = [{value: k for k, value in enumerate(r.universe.frame(name).values)} for name in sorted(r.domain)]
+    in_order = restriction(sorted(r.domain), names)
+    rows = sorted(r.tuples, key=lambda row: [rank[value] for rank, value in zip(ranks, row)])
+    return {",".join(in_order(row)): 1 for row in rows}
 
 
 def potential_values(p: Potential, names, nonzero_only: bool = False) -> dict[str, int | str]:
@@ -174,14 +176,18 @@ def _parse_name_list(raw, universe: VariableUniverse, where: str) -> tuple[str, 
     return names
 
 
-def _outcome_assignment(key: str, context: tuple[str, ...], universe: VariableUniverse, where: str) -> Assignment:
-    labels = key.split(",") if key else []  # "" is the one assignment of the empty domain
-    if len(labels) != len(context):
-        raise ParseError(f"{where}: key {key!r} must have {len(context)} comma-separated labels")
-    for name, label in zip(context, labels):
-        if label not in universe.frame(name):
-            raise ParseError(f"{where}: label {label!r} is not in the frame of {name!r}")
-    return Assignment.of(dict(zip(context, labels)))
+def _outcomes(raw: dict, names, universe: VariableUniverse, where: str, cell_limit: int | None):
+    """Each key's assignment, its value and its place, once a table over `names` is known to obey `cell_limit`."""
+    check_table_size(universe, frozenset(names), cell_limit)
+    for key, value in raw.items():
+        spot = f"{where}[{key!r}]"
+        labels = key.split(",") if key else []  # "" is the one assignment of the empty domain
+        if len(labels) != len(names):
+            raise ParseError(f"{spot}: key {key!r} must have {len(names)} comma-separated labels")
+        for name, label in zip(names, labels):
+            if label not in universe.frame(name):
+                raise ParseError(f"{spot}: label {label!r} is not in the frame of {name!r}")
+        yield Assignment.of(dict(zip(names, labels))), value, spot
 
 
 def parse_potential(
@@ -189,29 +195,29 @@ def parse_potential(
     names,
     universe: VariableUniverse,
     where: str,
-    kind: str = PROBABILISTIC,
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ) -> Potential:
-    """A section or rational potential from a value map keyed by labels in `names` order; absent keys are 0.
+    """A rational potential from a value map keyed by labels in `names` order; absent keys are 0.
 
     Every row of the table is filled, so a table with more than `cell_limit` rows is refused first.
     """
-    check_table_size(universe, frozenset(names), cell_limit)
-    table = {}
-    for key, value in raw.items():
-        spot = f"{where}[{key!r}]"
-        outcome = _outcome_assignment(key, names, universe, spot)
-        if kind == PROBABILISTIC:
-            table[outcome] = parse_rational(value, spot)
-        elif type(value) is not int or value not in (0, 1):
-            raise ParseError(f"{spot}: possibilistic values must be the integers 0 or 1")
-        else:
-            table[outcome] = value
-    semiring, zero = (NONNEG_RATIONAL, Fraction(0)) if kind == PROBABILISTIC else (BOOLEAN, 0)
+    outcomes = _outcomes(raw, names, universe, where, cell_limit)
+    table = {outcome: parse_rational(value, spot) for outcome, value, spot in outcomes}
     try:
-        return Potential.from_table(universe, frozenset(names), semiring, table, default=zero)
+        return Potential.from_table(universe, frozenset(names), NONNEG_RATIONAL, table, default=Fraction(0))
     except ValkitError as err:
         raise ParseError(f"{where}: {err}") from None
+
+
+def _parse_support(raw: dict, names, universe: VariableUniverse, where: str, cell_limit: int | None) -> Relation:
+    """A possibilistic section: the relation of the outcomes a 0/1 map keyed like a potential's marks 1."""
+    rows = set()
+    for outcome, value, spot in _outcomes(raw, names, universe, where, cell_limit):
+        if type(value) is not int or value not in (0, 1):
+            raise ParseError(f"{spot}: possibilistic values must be the integers 0 or 1")
+        if value:
+            rows.add(outcome.row)
+    return Relation(universe, frozenset(names), frozenset(rows))
 
 
 def _parse_empirical_model(doc: dict, cell_limit: int | None) -> EmpiricalModel:
@@ -241,7 +247,8 @@ def _parse_empirical_model(doc: dict, cell_limit: int | None) -> EmpiricalModel:
         raw = _expect_mapping(sections_raw[key], where)
         if not raw:
             raise ParseError(f"{where}: a section must list at least one outcome")
-        sections.append(parse_potential(raw, ctx, universe, where, model_kind, cell_limit))
+        parse = parse_potential if model_kind == PROBABILISTIC else _parse_support
+        sections.append(parse(raw, ctx, universe, where, cell_limit))
     try:
         scenario = MeasurementScenario(universe, tuple(tuple(c) for c in contexts))
         return EmpiricalModel(scenario, model_kind, tuple(sections))
@@ -345,10 +352,8 @@ def _universe_document(universe: VariableUniverse) -> list[dict]:
 
 
 def model_document(model: EmpiricalModel) -> dict:
-    sections = {
-        ",".join(ctx): potential_values(section, ctx, nonzero_only=model.kind == POSSIBILISTIC)
-        for ctx, section in zip(model.scenario.contexts, model.sections)
-    }
+    values = _support_values if model.kind == POSSIBILISTIC else potential_values
+    sections = {",".join(ctx): values(section, ctx) for ctx, section in zip(model.scenario.contexts, model.sections)}
     return {
         "kind": "empirical-model",
         "universe": _universe_document(model.scenario.universe),

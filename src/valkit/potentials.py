@@ -1,9 +1,11 @@
 """Semiring potentials: total maps from rows to semiring values.
 
 Combination multiplies pointwise over the union domain; projection sums each
-fiber. Over the Boolean semiring this mirrors relations exactly (support of
-a combination is the join of supports), over the nonnegative rationals it is
-the algebra of probability-like weights.
+fiber. Over the nonnegative rationals it is the algebra of probability-like
+weights. Over the Boolean semiring it mirrors relations exactly (the support
+of a combination is the join of the supports), so possibilistic data stays a
+relation throughout; `indicator_potential` turns one into a Boolean
+potential only where an output is written as one.
 """
 
 from __future__ import annotations
@@ -79,14 +81,6 @@ class Potential:
             raise DomainError(f"{x!r} is not a point of the domain {sorted(self.domain)}")
         return self.table[x.row]
 
-    def support(self) -> frozenset[Row]:
-        zero = self.semiring.zero
-        return frozenset(x for x, v in self.table.items() if v != zero)
-
-    def is_null(self) -> bool:
-        zero = self.semiring.zero
-        return all(v == zero for v in self.table.values())
-
     def __repr__(self) -> str:
         names = ",".join(sorted(self.domain)) or "∅"
         shown = ", ".join(f"{Assignment.from_row(self.domain, k)!r}->{v}" for k, v in sorted(self.table.items())[:8])
@@ -140,20 +134,13 @@ def total_mass(phi: Potential):
     return next(iter(project_potential(phi, frozenset()).table.values()))
 
 
-def possibilistic_collapse(phi: Potential) -> Potential:
-    """Boolean potential that is 1 exactly on the support."""
-    zero = phi.semiring.zero
-    table = {key: (0 if val == zero else 1) for key, val in phi.table.items()}
-    return Potential(phi.universe, phi.domain, BOOLEAN, table)
-
-
 def support_relation(phi: Potential) -> Relation:
     """The support of a potential as a relation over the same domain."""
-    return Relation(phi.universe, phi.domain, phi.support())
+    zero = phi.semiring.zero
+    return Relation(phi.universe, phi.domain, frozenset(x for x, v in phi.table.items() if v != zero))
 
 
-def indicator_potential(r: Relation, semiring: Semiring = BOOLEAN) -> Potential:
-    """The characteristic function of a relation, over the given semiring."""
-    one, zero = semiring.one, semiring.zero
-    table = {x: (one if x in r.tuples else zero) for x in r.universe.rows(r.domain)}
-    return Potential(r.universe, r.domain, semiring, table)
+def indicator_potential(r: Relation) -> Potential:
+    """The characteristic function of a relation: the Boolean potential that is 1 exactly on its rows."""
+    table = {x: int(x in r.tuples) for x in r.universe.rows(r.domain)}
+    return Potential(r.universe, r.domain, BOOLEAN, table)

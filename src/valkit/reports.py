@@ -30,7 +30,7 @@ from .documents import (
 )
 from .feasibility import FarkasCertificate, validate_certificate, validate_solution
 from .inference import DEFAULT_CELL_LIMIT
-from .potentials import Potential, support_relation
+from .potentials import Potential, indicator_potential
 from .relations import Relation, project_relation, restriction
 
 REPORT_SCHEMA = "vk-report/1"
@@ -126,7 +126,7 @@ def _no_signalling_doc(verdict: NoSignallingVerdict) -> dict:
         "verdict": "fail",
         "contexts": [",".join(c) for c in verdict.pair],
         "overlap": sorted(verdict.overlap),
-        "marginals": [potential_doc(m) for m in verdict.marginals],
+        "marginals": [potential_doc(m if isinstance(m, Potential) else indicator_potential(m)) for m in verdict.marginals],
     }
 
 
@@ -256,7 +256,7 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Know
             ctx = tuple(witness["context"].split(","))
             labels = witness["section"].split(",")
             section = Assignment.of(dict(zip(ctx, labels)))
-            support = support_relation(payload.section_for(ctx))
+            support = payload.support_for(ctx)
             if section.domain != support.domain or section.row not in support.tuples:
                 problems.append("logical-contextuality witness is not a supported section")
             elif section.row in project_relation(verdict.gamma, support.domain).tuples:

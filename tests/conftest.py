@@ -5,7 +5,7 @@ import pytest
 
 from valkit.algebra import Knowledgebase
 from valkit.contextuality import probabilistic_model
-from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse, enumerate_assignments
+from valkit.core import Assignment, BOOLEAN, NONNEG_RATIONAL, VariableUniverse, enumerate_assignments
 from valkit.potentials import Potential
 from valkit.relations import Relation
 
@@ -47,6 +47,12 @@ def random_potential(rng: random.Random, universe: VariableUniverse, domain=None
         for a in enumerate_assignments(domain, universe)
     }
     return Potential.from_table(universe, domain, NONNEG_RATIONAL, table)
+
+
+def random_boolean_potential(rng: random.Random, universe: VariableUniverse, domain=None) -> Potential:
+    """random_potential's draws, read as the Boolean potential that is 1 exactly on their support."""
+    phi = random_potential(rng, universe, domain)
+    return Potential(universe, phi.domain, BOOLEAN, {row: int(v != 0) for row, v in phi.table.items()})
 
 
 def random_relation_kb(rng: random.Random, max_vars=6, max_frame=3, max_vals=5) -> Knowledgebase:

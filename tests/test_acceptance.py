@@ -83,8 +83,11 @@ def brute_force_possibilistic(model):
     frames = [universe.frame(n).values for n in names]
     supports = {}
     for ctx, section in zip(model.scenario.contexts, model.sections):
-        zero = section.semiring.zero
-        supports[ctx] = {values_in(row, ctx) for row, v in section.table.items() if v != zero}
+        if model.kind == "possibilistic":
+            rows = section.tuples
+        else:
+            rows = {row for row, v in section.table.items() if v != section.semiring.zero}
+        supports[ctx] = {values_in(row, ctx) for row in rows}
     compatible = [
         dict(zip(names, combo))
         for combo in product(*frames)

@@ -9,7 +9,7 @@ from valkit.errors import ArgumentError
 from valkit.potentials import Potential, null_potential
 from valkit.relations import Relation, full_relation, natural_join, project_relation, relation_leq
 
-from conftest import random_potential, random_relation
+from conftest import random_boolean_potential, random_potential, random_relation
 
 UNIVERSE = VariableUniverse.of([(n, ("0", "1", "2")) for n in ("p", "q")] + [(n, ("0", "1")) for n in ("r", "s")])
 
@@ -77,9 +77,7 @@ def test_boolean_potentials_are_idempotent():
     algebra = PotentialAlgebra(UNIVERSE, BOOLEAN)
     assert "A9" in algebra.claimed_axioms()
     rng = random.Random(5)
-    from valkit.potentials import possibilistic_collapse
-
-    samples = [possibilistic_collapse(random_potential(rng, UNIVERSE)) for _ in range(8)]
+    samples = [random_boolean_potential(rng, UNIVERSE) for _ in range(8)]
     results = by_axiom(axiom_suite(algebra, samples))
     for axiom, result in results.items():
         assert result.passed, f"{axiom}: {result.counterexample}"

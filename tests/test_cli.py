@@ -13,6 +13,8 @@ import valkit
 from valkit.cli import main
 from valkit.documents import canonical_json, model_document
 from valkit.builtins import bell_model
+from valkit.contextuality import possibilistic_model
+from valkit.core import VariableUniverse
 
 from conftest import (
     cycle_model,
@@ -270,6 +272,50 @@ def test_analyze_json_matches_golden_join_tree_digests(tmp_path, monkeypatch):
         "grid-4x4.json": ("agree", None, False),
         "split-components.json": ("disagree", 1, True),
     }
+
+
+def reversed_frame_possibilistic_model():
+    """A signalling possibilistic model whose frames are not in string order.
+
+    The contexts (b, a, c) and (a, b, d) differ on the overlap {a, b}, so the
+    report carries two Boolean marginals over frames ("1", "0") and ("y", "x").
+    """
+    universe = VariableUniverse.of([("a", ("1", "0")), ("b", ("y", "x")), ("c", ("0", "1")), ("d", ("0", "1"))])
+    contexts = [("b", "a", "c"), ("a", "b", "d")]
+    supports = {
+        ("b", "a", "c"): [("x", "0", "1"), ("y", "1", "0"), ("x", "1", "1")],
+        ("a", "b", "d"): [("0", "y", "1"), ("1", "x", "0")],
+    }
+    return possibilistic_model(universe, contexts, supports)
+
+
+# sha256 of three outputs that render possibilistic sections over frames
+# written in frame order, not string order: the model's document, `vk analyze
+# --json` on that document (a signalling report with Boolean marginals), and
+# `vk infer builtin:hardy --query a1,b2 --json` (a Boolean potential).
+GOLDEN_POSSIBILISTIC_SHA256 = {
+    "document": "ed5dd2c30eeb95aff7808a010552747968a5f4946faa3319a35d8da6c93448e4",
+    "analyze": "de4b4c657cfa8ee3db0bec17765917566fb9fcac2d47af1e63cc16d5259c1457",
+    "infer-hardy": "4a219d2c5b3bf55c469997f4906e69031cb0aa9cbf3c0b7be8700d43bb84d99a",
+}
+
+
+def test_possibilistic_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)  # the report names its source path
+    document = canonical_json(model_document(reversed_frame_possibilistic_model()))
+    Path("reversed-frames.json").write_text(document, encoding="utf-8")
+    code, analyzed, err = run_cli("analyze", "reversed-frames.json", "--json")
+    assert code == 0, err
+    assert json.loads(analyzed)["analysis"]["no-signalling"]["verdict"] == "fail"
+    Path("reversed-frames.report").write_text(analyzed, encoding="utf-8")
+    code, _, err = run_cli("verify", "reversed-frames.report", "reversed-frames.json")
+    assert code == 0, err
+    code, inferred, err = run_cli("infer", "builtin:hardy", "--query", "a1,b2", "--json")
+    assert code == 0, err
+    outputs = {"document": document, "analyze": analyzed, "infer-hardy": inferred}
+    for name, expected in GOLDEN_POSSIBILISTIC_SHA256.items():
+        assert hashlib.sha256(outputs[name].encode("utf-8")).hexdigest() == expected, name
 
 
 def test_verify_compiles_a_csp_once(monkeypatch):
@@ -553,6 +599,32 @@ def test_tables_from_a_document_obey_the_cell_limit(name, args, tmp_path, monkey
     code, _, err = run_cli(*(arg.format(doc=doc, report=report) for arg in args))
     assert code == 3, err
     assert "would have 16384 cells (limit 1000)" in err
+
+
+def test_a_wide_possibilistic_section_is_read_as_its_listed_outcomes(tmp_path, monkeypatch):
+    # One context over 20 binary measurements lists one outcome. Its section
+    # is that one tuple, so neither analyze nor verify enumerates the rows of
+    # any domain wider than 12 variables.
+    from valkit.core import VariableUniverse
+
+    rows = VariableUniverse.rows
+
+    def narrow_rows(universe, domain):
+        assert len(domain) <= 12, f"enumerated the rows over {len(domain)} variables"
+        return rows(universe, domain)
+
+    monkeypatch.setattr(VariableUniverse, "rows", narrow_rows)
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    doc = tmp_path / "wide.json"
+    doc.write_text(canonical_json(wide_documents(20)["possibilistic"]), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(doc), "--json")
+    assert code == 0, err
+    analysis = json.loads(out)["analysis"]
+    assert (analysis["class"], analysis["gamma"]["size"]) == ("NC", 1)
+    report = tmp_path / "wide.report"
+    report.write_text(out, encoding="utf-8")
+    code, _, err = run_cli("verify", str(report), str(doc))
+    assert code == 0, err
 
 
 def test_analyze_file_input(tmp_path):

@@ -6,38 +6,40 @@ import pytest
 
 from valkit.builtins import bell_model, ghz_model, hardy_model, pr_box_model
 from valkit.contextuality import (
+    POSSIBILISTIC,
+    EmpiricalModel,
     MeasurementScenario,
     check_no_signalling,
     classify,
     flasque_check,
     gamma,
     lc_at,
-    possibilistic_collapse_model,
     possibilistic_model,
     probabilistic_model,
 )
 from valkit.core import Assignment, VariableUniverse
 from valkit.disagreement import combination_verdict, tree_verdict
 from valkit.errors import ArgumentError, PreconditionError
-from valkit.inference import InferenceProblem, calibrate, solve_naive
-from valkit.potentials import support_relation
+from valkit.inference import InferenceProblem, JoinTree, calibrate, solve_naive
 from valkit.relations import project_relation
 
 from conftest import cycle_model, noisy_cycle_correlators, values_in
 
 
 # Independent oracle: scan all global outcome assignments with plain dicts,
-# reading supports straight off the section tables.
+# reading supports straight off the sections: a possibilistic section's
+# tuples, or the nonzero rows of a probabilistic section's table.
 def possibilistic_oracle(model):
     universe = model.scenario.universe
     names = sorted(universe.vars)
     frames = [universe.frame(n).values for n in names]
     supports = {}
     for ctx, section in zip(model.scenario.contexts, model.sections):
-        zero = section.semiring.zero
-        supports[ctx] = {
-            values_in(row, ctx) for row, v in section.table.items() if v != zero
-        }
+        if model.kind == POSSIBILISTIC:
+            rows = section.tuples
+        else:
+            rows = {row for row, v in section.table.items() if v != section.semiring.zero}
+        supports[ctx] = {values_in(row, ctx) for row in rows}
     compatible = []
     for combo in product(*frames):
         g = dict(zip(names, combo))
@@ -50,6 +52,11 @@ def possibilistic_oracle(model):
         if block - extendable:
             logically = True
     return strongly, logically, compatible
+
+
+def support_model(model):
+    """The possibilistic model whose sections are the supports of `model`'s."""
+    return EmpiricalModel(model.scenario, POSSIBILISTIC, tuple(model.support_knowledgebase()))
 
 
 def test_bell_no_signalling_passes():
@@ -82,7 +89,7 @@ def test_signalling_detected_on_tampered_bell():
     with pytest.raises(PreconditionError):
         classify(tampered)
     with pytest.raises(PreconditionError):
-        gamma(possibilistic_collapse_model(tampered))
+        gamma(support_model(tampered))
 
 
 def test_bell_classification_is_pc_only():
@@ -149,8 +156,7 @@ def test_sc_equivalent_to_single_null_inference_problem():
     from valkit.inference import InferenceProblem, solve_fusion
 
     for model in (ghz_model(), pr_box_model(), hardy_model()):
-        collapse = possibilistic_collapse_model(model)
-        kb = collapse.support_knowledgebase()
+        kb = model.support_knowledgebase()
         first = kb.valuations[0]
         projected = solve_fusion(InferenceProblem(kb, first.domain))
         report = classify(model)
@@ -163,18 +169,16 @@ def test_lc_at_hardy_distinguished_section():
     assert lc_at(model, ("a1", "b1"), section)
     # Every supported section of a non-contextual collapse extends.
     bell = bell_model()
-    collapse = possibilistic_collapse_model(bell)
-    for ctx, sec in zip(collapse.scenario.contexts, collapse.sections):
-        for row in support_relation(sec).tuples:
-            assert not lc_at(bell, ctx, Assignment.from_row(sec.domain, row))
+    for ctx, support in zip(bell.scenario.contexts, bell.support_knowledgebase()):
+        for row in support.tuples:
+            assert not lc_at(bell, ctx, Assignment.from_row(support.domain, row))
 
 
 def test_lc_at_everywhere_on_ghz():
     model = ghz_model()
-    collapse = possibilistic_collapse_model(model)
-    for ctx, sec in zip(collapse.scenario.contexts, collapse.sections):
-        for row in support_relation(sec).tuples:
-            assert lc_at(model, ctx, Assignment.from_row(sec.domain, row))
+    for ctx, support in zip(model.scenario.contexts, model.support_knowledgebase()):
+        for row in support.tuples:
+            assert lc_at(model, ctx, Assignment.from_row(support.domain, row))
 
 
 def test_lc_at_rejects_unsupported_section():
@@ -239,7 +243,7 @@ def test_classification_invariant_under_context_reordering():
 
 def test_gamma_requires_possibilistic_or_collapses():
     model = bell_model()
-    g_prob = gamma(possibilistic_collapse_model(model))
+    g_prob = gamma(support_model(model))
     g_direct = gamma(model)  # supports are taken internally
     assert g_prob == g_direct
 
@@ -252,11 +256,11 @@ def lc_loop_oracle(model):
     g = solve_naive(InferenceProblem(supports, supports.joint_domain))
     strongly = g.is_empty()
     sc_context = model.scenario.contexts[0] if strongly else None
-    for ctx, section in zip(model.scenario.contexts, model.sections):
+    for ctx, support in zip(model.scenario.contexts, supports):
         covered = project_relation(g, frozenset(ctx))
-        missing = sorted(support_relation(section).tuples - covered.tuples)
+        missing = sorted(support.tuples - covered.tuples)
         if missing:
-            return (True, (ctx, Assignment.from_row(section.domain, missing[0])), strongly, sc_context), g
+            return (True, (ctx, Assignment.from_row(support.domain, missing[0])), strongly, sc_context), g
     return (False, None, strongly, sc_context), g
 
 
@@ -321,6 +325,33 @@ def test_lc_and_sc_read_off_the_global_verdict_match_the_per_context_loop():
     assert {("NC", "possibilistic"), ("LC", "possibilistic"), ("SC", "possibilistic")} <= seen, seen
     assert {("NC", "probabilistic"), ("PC", "probabilistic")} <= seen, seen
     assert late_witness > 0
+
+
+def test_lc_at_matches_the_projection_of_gamma():
+    # lc_at reads a context's projection off the calibrated support tree; the
+    # reference projects the whole of Gamma onto the context.
+    rng = random.Random(2011)
+    contextual = 0
+    for _ in range(150):
+        model = random_no_signalling_possibilistic(rng)
+        g = gamma(model)
+        for ctx, support in zip(model.scenario.contexts, model.sections):
+            covered = project_relation(g, frozenset(ctx)).tuples
+            for row in support.tuples:
+                expected = row not in covered
+                assert lc_at(model, ctx, Assignment.from_row(support.domain, row)) == expected, (model, ctx, row)
+                contextual += expected
+    assert contextual > 0
+
+
+def test_lc_at_never_joins_gamma(monkeypatch):
+    def refuse(tree):
+        raise AssertionError("lc_at joined Gamma")
+
+    monkeypatch.setattr(JoinTree, "combination", refuse)
+    assert lc_at(hardy_model(), ("a1", "b1"), Assignment.of({"a1": "0", "b1": "0"}))
+    assert not lc_at(hardy_model(), ("a1", "b1"), Assignment.of({"a1": "1", "b1": "1"}))
+    assert lc_at(ghz_model(), ("x1", "x2", "x3"), Assignment.of({"x1": "0", "x2": "0", "x3": "0"}))
 
 
 def test_models_from_global_distributions_are_never_pc():

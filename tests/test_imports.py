@@ -14,6 +14,11 @@ The reference implementations are for the tests alone: no module other than
 its defining one calls `solve_naive` or `combination_verdict`, so the analysis
 path cannot drift back onto them.
 
+Boolean potentials are relations: a possibilistic section is the relation of
+its outcomes, and only `core.py` (which defines the Boolean semiring) and
+`potentials.py` (whose `indicator_potential` writes a relation as a Boolean
+potential) name `BOOLEAN`.
+
 The traced benchmark wraps valkit functions by name: every `(module,
 function)` pair in `LAYERS` of `bench/tracing.py` must still name a callable
 in `valkit.<module>`, so a rename under `src/` cannot silently drop a layer.
@@ -154,6 +159,36 @@ def test_the_reference_check_sees_calls():
     assert len(_reference_calls(ast.parse(source), "contextuality.py")) == 2
     assert _reference_calls(ast.parse(source), "disagreement.py") == ["disagreement.py:2: calls solve_naive"]
     assert _reference_calls(ast.parse("from .inference import solve_naive\n"), "cli.py") == []
+
+
+BOOLEAN_MODULES = ("core.py", "potentials.py")
+
+
+def _boolean_uses(tree: ast.AST, module: str) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if (
+            (isinstance(node, ast.Name) and node.id == "BOOLEAN")
+            or (isinstance(node, ast.Attribute) and node.attr == "BOOLEAN")
+            or (isinstance(node, ast.alias) and node.name == "BOOLEAN")
+        ):
+            found.append(f"{module}:{getattr(node, 'lineno', '?')}: names BOOLEAN")
+    return found
+
+
+def test_only_the_semiring_and_potential_modules_name_boolean():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in BOOLEAN_MODULES:
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            offences.extend(_boolean_uses(tree, path.name))
+    assert not offences, "Boolean semiring named outside core.py and potentials.py:\n" + "\n".join(offences)
+
+
+def test_the_boolean_check_sees_a_use():
+    source = "from .core import BOOLEAN\nfrom . import core\nx = (BOOLEAN, core.BOOLEAN)\n"
+    assert len(_boolean_uses(ast.parse(source), "reports.py")) == 3
+    assert _boolean_uses(ast.parse("x = NONNEG_RATIONAL\n"), "reports.py") == []
 
 
 def _traced_layers() -> tuple[tuple[str, str], ...]:

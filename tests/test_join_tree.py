@@ -179,6 +179,33 @@ def test_a_single_large_member_is_answered_at_the_default_limit():
         calibrate(kb, cell_limit=8191).combination()
 
 
+def test_agreement_takes_a_member_over_the_joint_domain_as_the_combination(monkeypatch):
+    # On agreement such a member is its own projection of the combination,
+    # so the verdict needs no root-first join. Appending the combination to a
+    # random knowledgebase leaves its combination, and its verdict, as they were.
+    def refuse(tree):
+        raise AssertionError("the combination was joined")
+
+    names = [f"v{i:02d}" for i in range(13)]
+    universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
+    full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
+    cases = [Knowledgebase(universe, (project_relation(full, frozenset(names[:3])), full))]
+    rng = random.Random(97)
+    for _ in range(100):
+        kb = random_tree_kb(rng)
+        gamma = solve_naive(InferenceProblem(kb, kb.joint_domain))
+        cases.append(Knowledgebase(kb.universe, kb.valuations + (gamma,)))
+    monkeypatch.setattr(inference.JoinTree, "combination", refuse)
+    agreed = 0
+    for kb in cases:
+        verdict = check_global_agreement_adjoint(kb)
+        assert verdict == oracle_global_adjoint(kb)
+        if verdict.agrees:
+            assert verdict.truth == kb.valuations[-1]
+            agreed += 1
+    assert agreed > 1
+
+
 def random_local_potential_kb(rng: random.Random) -> Knowledgebase:
     """Potentials whose disjoint pairs differ, or not, by total mass alone."""
     universe = random_universe(rng, max_vars=5, max_frame=3)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valkit.core import (
-    BOOLEAN,
     NONNEG_RATIONAL,
     Assignment,
     VariableUniverse,
@@ -18,14 +17,13 @@ from valkit.potentials import (
     constant_potential,
     indicator_potential,
     neutral_potential,
-    possibilistic_collapse,
     project_potential,
     support_relation,
     total_mass,
 )
 from valkit.relations import natural_join, project_relation
 
-from conftest import random_potential
+from conftest import random_boolean_potential, random_potential
 
 
 def bell_row_a1b1():
@@ -90,7 +88,7 @@ def test_combine_disjoint_domains_is_product_table():
 
 def test_semiring_mismatch_raises():
     universe, row = bell_row_a1b1()
-    boolean = possibilistic_collapse(row)
+    boolean = indicator_potential(support_relation(row))
     with pytest.raises(SemiringMismatchError):
         combine_potentials(row, boolean)
 
@@ -101,27 +99,26 @@ def test_projection_outside_domain_raises():
         project_potential(row, frozenset({"zz"}))
 
 
+# The possibilistic collapse of a potential is its support relation.
 def test_possibilistic_collapse_bell_rows():
     universe, row = bell_row_a1b1()
-    collapsed = possibilistic_collapse(row)
-    assert collapsed.semiring == BOOLEAN
-    assert support_relation(collapsed).tuples == frozenset({("0", "0"), ("1", "1")})  # (a1, b1)
+    assert support_relation(row).tuples == frozenset({("0", "0"), ("1", "1")})  # (a1, b1)
     full_row = constant_potential(universe, row.domain, NONNEG_RATIONAL, Fraction(1, 4))
-    assert len(support_relation(possibilistic_collapse(full_row)).tuples) == 4
+    assert len(support_relation(full_row).tuples) == 4
 
 
 def test_collapse_of_all_zero_is_all_zero():
     universe = VariableUniverse.of([("x", ("0", "1"))])
     zero = constant_potential(universe, frozenset({"x"}), NONNEG_RATIONAL, Fraction(0))
-    assert possibilistic_collapse(zero).is_null()
+    assert support_relation(zero).is_empty()
 
 
 def test_boolean_potentials_mirror_relations():
     rng = random.Random(3)
     universe = VariableUniverse.of([(n, ("0", "1", "2")) for n in ("p", "q", "r")])
     for _ in range(40):
-        phi = possibilistic_collapse(random_potential(rng, universe))
-        psi = possibilistic_collapse(random_potential(rng, universe))
+        phi = random_boolean_potential(rng, universe)
+        psi = random_boolean_potential(rng, universe)
         lhs = support_relation(combine_potentials(phi, psi))
         rhs = natural_join(support_relation(phi), support_relation(psi))
         assert lhs == rhs
@@ -152,6 +149,6 @@ def test_collapse_commutes_with_projection_on_supports(phi, target):
     # No cancellation over the nonnegative rationals, so supports project cleanly.
     if not target <= phi.domain:
         target = frozenset()
-    lhs = support_relation(possibilistic_collapse(project_potential(phi, target)))
-    rhs = project_relation(support_relation(possibilistic_collapse(phi)), target)
+    lhs = support_relation(project_potential(phi, target))
+    rhs = project_relation(support_relation(phi), target)
     assert lhs == rhs
