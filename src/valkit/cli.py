@@ -23,10 +23,10 @@ from .documents import (
     parse_document_text,
     potential_values,
     relation_rows,
+    section_potential,
 )
 from .errors import CapabilityError, ParseError, ResourceLimitError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, resolve_cell_limit, solve_fusion
-from .potentials import indicator_potential
 from .relations import Relation
 from .reports import build_report, verify_report
 
@@ -120,8 +120,8 @@ def cmd_infer(args) -> int:
     if args.order:
         order = tuple(name.strip() for name in args.order.split(","))
     result = solve_fusion(InferenceProblem(kb, query), order=order, cell_limit=cell_limit)
-    if isinstance(result, Relation) and parsed.kind == "empirical-model":
-        result = indicator_potential(result)  # a possibilistic model's query is written as a Boolean potential
+    if parsed.kind == "empirical-model":
+        result = section_potential(result, cell_limit)
     names = sorted(query)
     if isinstance(result, Relation):
         body = {"type": "relation", "tuples": relation_rows(result, names)}

@@ -200,9 +200,8 @@ def lc_at(
     if section.domain != support.domain or section.row not in support.tuples:
         raise ArgumentError(f"{section!r} is not in the support of context {tuple(context)!r}")
     _require_no_signalling(check_no_signalling(model))
-    tree = calibrate(model.support_knowledgebase(), cell_limit)
-    projected = list(tree.marginals())[model.scenario.contexts.index(tuple(context))]
-    return section.row not in projected.tuples
+    marginals = list(calibrate(model.support_knowledgebase(), cell_limit).marginals())
+    return section.row not in marginals[model.scenario.contexts.index(tuple(context))].tuples
 
 
 @dataclass(frozen=True)

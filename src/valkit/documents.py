@@ -25,7 +25,7 @@ from .core import Assignment, Domain, NONNEG_RATIONAL, VariableUniverse
 from .errors import ParseError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase
-from .potentials import Potential
+from .potentials import Potential, indicator_potential
 from .relations import Relation, restriction
 
 KINDS = ("empirical-model", "knowledgebase", "csp")
@@ -81,6 +81,14 @@ def potential_values(p: Potential, names, nonzero_only: bool = False) -> dict[st
         if not (nonzero_only and v == 0):
             values[",".join(in_order(row))] = format_rational(v)
     return values
+
+
+def section_potential(v: Potential | Relation, cell_limit: int | None) -> Potential:
+    """A model's section, marginal or query as written: a relation as its indicator, refused past `cell_limit` rows."""
+    if isinstance(v, Potential):
+        return v
+    check_table_size(v.universe, v.domain, cell_limit)
+    return indicator_potential(v)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

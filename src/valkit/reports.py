@@ -27,10 +27,11 @@ from .documents import (
     parse_signed_rational,
     potential_values,
     relation_rows,
+    section_potential,
 )
 from .feasibility import FarkasCertificate, validate_certificate, validate_solution
 from .inference import DEFAULT_CELL_LIMIT
-from .potentials import Potential, indicator_potential
+from .potentials import Potential
 from .relations import Relation, project_relation, restriction
 
 REPORT_SCHEMA = "vk-report/1"
@@ -121,12 +122,12 @@ def agreement_analysis_doc(kb: Knowledgebase, report: AgreementReport) -> dict:
     }
 
 
-def _no_signalling_doc(verdict: NoSignallingVerdict) -> dict:
+def _no_signalling_doc(verdict: NoSignallingVerdict, cell_limit: int | None) -> dict:
     return {
         "verdict": "fail",
         "contexts": [",".join(c) for c in verdict.pair],
         "overlap": sorted(verdict.overlap),
-        "marginals": [potential_doc(m if isinstance(m, Potential) else indicator_potential(m)) for m in verdict.marginals],
+        "marginals": [potential_doc(section_potential(m, cell_limit)) for m in verdict.marginals],
     }
 
 
@@ -171,7 +172,7 @@ def analysis_document(parsed: ParsedInput, cell_limit: int | None) -> tuple[dict
     if isinstance(payload, EmpiricalModel):
         signalling = check_no_signalling(payload)
         if not signalling.passed:
-            return {"no-signalling": _no_signalling_doc(signalling), "class": None}, signalling, None
+            return {"no-signalling": _no_signalling_doc(signalling, cell_limit), "class": None}, signalling, None
         report = classify_checked(payload, cell_limit=cell_limit)
         return contextuality_analysis_doc(payload, report), report, None
     kb = parsed.knowledgebase(cell_limit)

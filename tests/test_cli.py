@@ -601,6 +601,27 @@ def test_tables_from_a_document_obey_the_cell_limit(name, args, tmp_path, monkey
     assert "would have 16384 cells (limit 1000)" in err
 
 
+def test_a_possibilistic_query_obeys_the_cell_limit(tmp_path):
+    # Two disjoint contexts of 128 cells each pass the limit, but vk infer
+    # writes a possibilistic query as a Boolean potential over its whole
+    # frame product, which over all 14 variables is refused before any row
+    # is listed.
+    names = [f"x{i}" for i in range(14)]
+    contexts = [names[:7], names[7:]]
+    document = {
+        "kind": "empirical-model",
+        "universe": [{"name": name, "frame": ["0", "1"]} for name in names],
+        "model-kind": "possibilistic",
+        "contexts": contexts,
+        "sections": {",".join(ctx): {",".join("0" * 7): 1} for ctx in contexts},
+    }
+    doc = tmp_path / "disjoint.json"
+    doc.write_text(canonical_json(document), encoding="utf-8")
+    code, _, err = run_cli("infer", str(doc), "--query", ",".join(names), "--limit", "1000")
+    assert code == 3, err
+    assert "would have 16384 cells (limit 1000)" in err
+
+
 def test_a_wide_possibilistic_section_is_read_as_its_listed_outcomes(tmp_path, monkeypatch):
     # One context over 20 binary measurements lists one outcome. Its section
     # is that one tuple, so neither analyze nor verify enumerates the rows of

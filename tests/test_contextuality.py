@@ -242,10 +242,15 @@ def test_classification_invariant_under_context_reordering():
 
 
 def test_gamma_requires_possibilistic_or_collapses():
+    # Gamma of the probabilistic Bell model, whose supports are taken
+    # internally, equals Gamma of the possibilistic model listing those
+    # supports by hand.
     model = bell_model()
-    g_prob = gamma(support_model(model))
-    g_direct = gamma(model)  # supports are taken internally
-    assert g_prob == g_direct
+    full = [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+    supports = {ctx: full for ctx in model.scenario.contexts}
+    supports[("a1", "b1")] = [("0", "0"), ("1", "1")]
+    listed = possibilistic_model(model.scenario.universe, list(model.scenario.contexts), supports)
+    assert gamma(listed) == gamma(model)
 
 
 # The per-context loop classify ran before it read LC and SC off the global
