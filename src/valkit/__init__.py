@@ -53,6 +53,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
     SemiringMismatchError,
+    SignallingError,
     UniverseMismatchError,
     ValkitError,
 )

@@ -25,8 +25,8 @@ from .disagreement import (
     check_local_agreement,
     tree_verdict,
 )
-from .errors import ArgumentError, PreconditionError
-from .inference import DEFAULT_CELL_LIMIT, calibrate
+from .errors import ArgumentError, SignallingError
+from .inference import DEFAULT_CELL_LIMIT, JoinTree, calibrate
 from .potentials import Potential, support_relation, total_mass
 from .relations import Relation, Row, project_relation
 
@@ -130,9 +130,12 @@ def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
     return NoSignallingVerdict(False, pair=(contexts[i - 1], contexts[j - 1]), overlap=local.overlap, marginals=local.projections)
 
 
-def _require_no_signalling(verdict: NoSignallingVerdict) -> None:
+def _support_tree(model: EmpiricalModel, cell_limit: int | None) -> JoinTree:
+    """Check no-signalling, raising SignallingError with the failed verdict, then calibrate the supports."""
+    verdict = check_no_signalling(model)
     if not verdict.passed:
-        raise PreconditionError(f"model signals between contexts {verdict.pair[0]!r} and {verdict.pair[1]!r}")
+        raise SignallingError(verdict)
+    return calibrate(model.support_knowledgebase(), cell_limit)
 
 
 def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Relation:
@@ -141,8 +144,7 @@ def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
     It is joined from the supports' calibrated join tree, as a relation
     knowledgebase's combination is.
     """
-    _require_no_signalling(check_no_signalling(model))
-    return calibrate(model.support_knowledgebase(), cell_limit).combination()
+    return _support_tree(model, cell_limit).combination()
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,7 @@ def lc_at(
     support = model.support_for(context)
     if section.domain != support.domain or section.row not in support.tuples:
         raise ArgumentError(f"{section!r} is not in the support of context {tuple(context)!r}")
-    _require_no_signalling(check_no_signalling(model))
-    marginals = list(calibrate(model.support_knowledgebase(), cell_limit).marginals())
+    marginals = list(_support_tree(model, cell_limit).marginals())
     return section.row not in marginals[model.scenario.contexts.index(tuple(context))].tuples
 
 
@@ -221,26 +222,16 @@ def classify(
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
     feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
 ) -> ContextualityReport:
-    """Place a no-signalling model in the hierarchy NC < PC < LC < SC."""
-    _require_no_signalling(check_no_signalling(model))
-    return classify_checked(model, cell_limit, feasibility_columns)
+    """The model analysis: place a model in the hierarchy NC < PC < LC < SC.
 
-
-def classify_checked(
-    model: EmpiricalModel,
-    cell_limit: int | None = DEFAULT_CELL_LIMIT,
-    feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
-) -> ContextualityReport:
-    """classify, for a model already known to be no-signalling.
-
-    LC and SC are the global and complete disagreement of the support
-    knowledgebase, read off its calibrated tree as for a relation
-    knowledgebase. The LC witness is the first context whose support exceeds
-    its projection of Gamma, with its least missing section; probabilistic
-    contextuality is the failure of the marginal feasibility system.
+    A signalling model raises SignallingError, whose `verdict` names the pair.
+    LC and SC are the global and complete disagreement of the supports, read
+    off their calibrated tree as for a relation knowledgebase. The LC witness
+    is the first context whose support exceeds its projection of Gamma, with
+    its least missing section; PC is the failure of the marginal feasibility
+    system.
     """
-    supports = model.support_knowledgebase()
-    tree = calibrate(supports, cell_limit)
+    tree = _support_tree(model, cell_limit)
     verdict = tree_verdict(tree)
     g = verdict.truth if verdict.agrees else tree.combination()
 
@@ -250,7 +241,7 @@ def classify_checked(
     logically = not verdict.agrees
     lc_witness = None
     if logically:
-        support = supports.valuations[verdict.witness_index - 1]
+        support = tree.knowledgebase.valuations[verdict.witness_index - 1]
         least_missing = Assignment.from_row(support.domain, min(support.tuples - verdict.projected.tuples))
         lc_witness = (model.scenario.contexts[verdict.witness_index - 1], least_missing)
 
@@ -260,21 +251,12 @@ def classify_checked(
         feasibility = check_global_agreement_potentials(model.knowledgebase(), feasibility_columns)
         probabilistically = not feasibility.agrees
 
-    if strongly:
-        classification = "SC"
-    elif logically:
-        classification = "LC"
-    elif probabilistically:
-        classification = "PC"
-    else:
-        classification = "NC"
-
     return ContextualityReport(
         gamma=g,
         strongly_contextual=strongly,
         logically_contextual=logically,
         probabilistically_contextual=probabilistically,
-        classification=classification,
+        classification="SC" if strongly else "LC" if logically else "PC" if probabilistically else "NC",
         lc_witness=lc_witness,
         sc_context=sc_context,
         feasibility=feasibility,

@@ -33,6 +33,14 @@ class PreconditionError(ValkitError):
     """The input violates a documented precondition (e.g. a signalling empirical model)."""
 
 
+class SignallingError(PreconditionError):
+    """An empirical model signals; `verdict` is its failed NoSignallingVerdict."""
+
+    def __init__(self, verdict):
+        super().__init__(f"model signals between contexts {verdict.pair[0]!r} and {verdict.pair[1]!r}")
+        self.verdict = verdict
+
+
 class ParseError(ValkitError):
     """An input document failed to parse or validate."""
 

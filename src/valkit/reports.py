@@ -11,13 +11,7 @@ the report, re-checks each piece of evidence directly against the input.
 from __future__ import annotations
 
 from .algebra import Knowledgebase
-from .contextuality import (
-    ContextualityReport,
-    EmpiricalModel,
-    NoSignallingVerdict,
-    check_no_signalling,
-    classify_checked,
-)
+from .contextuality import ContextualityReport, EmpiricalModel, NoSignallingVerdict, classify
 from .core import Assignment
 from .disagreement import AgreementReport, analyze_knowledgebase
 from .documents import (
@@ -29,6 +23,7 @@ from .documents import (
     relation_rows,
     section_potential,
 )
+from .errors import SignallingError
 from .feasibility import FarkasCertificate, validate_certificate, validate_solution
 from .inference import DEFAULT_CELL_LIMIT
 from .potentials import Potential
@@ -170,10 +165,10 @@ def analysis_document(parsed: ParsedInput, cell_limit: int | None) -> tuple[dict
     """
     payload = parsed.payload
     if isinstance(payload, EmpiricalModel):
-        signalling = check_no_signalling(payload)
-        if not signalling.passed:
-            return {"no-signalling": _no_signalling_doc(signalling, cell_limit), "class": None}, signalling, None
-        report = classify_checked(payload, cell_limit=cell_limit)
+        try:
+            report = classify(payload, cell_limit=cell_limit)
+        except SignallingError as err:
+            return {"no-signalling": _no_signalling_doc(err.verdict, cell_limit), "class": None}, err.verdict, None
         return contextuality_analysis_doc(payload, report), report, None
     kb = parsed.knowledgebase(cell_limit)
     report = analyze_knowledgebase(kb, cell_limit=cell_limit)
@@ -212,12 +207,11 @@ def verify_report(
     is not the input's fails at once, as one with another input hash does.
     A report whose analysis does not reproduce fails with that one problem,
     before any witness is checked; otherwise the witnesses are read off the
-    re-derived analysis, which equals the report's. The witness checks that
-    would need inference (the adjoint witness member and the LC section) read
-    the re-derived verdict, which solved those problems already; Farkas
-    certificates and a global distribution are checked against the marginal
-    system the re-derivation built from the input; every other witness is
-    checked against the input directly.
+    re-derived analysis, which equals the report's. Only the LC check, which
+    would need inference, reads the re-derived Gamma; Farkas certificates and
+    a global distribution are checked against the marginal system the
+    re-derivation built from the input; every other witness, a signalling
+    model's pair of contexts included, is checked against the input directly.
     """
     if report.get("report") != REPORT_SCHEMA:
         return [f"unknown report schema {report.get('report')!r}"]
@@ -231,14 +225,31 @@ def verify_report(
     return _revalidate_witnesses(rebuilt, parsed, verdict, kb)
 
 
+def _valuation_from_doc(doc: dict, universe, what: str) -> Relation | Potential | None:
+    """The valuation a report writes out, or None for a relation whose tuples it omits (beyond TUPLE_CAP)."""
+    if doc["type"] == "potential":
+        return parse_potential(doc["values"], doc["domain"], universe, what)
+    return Relation.from_rows(universe, doc["domain"], doc["tuples"]) if "tuples" in doc else None
+
+
+def _local_pair_problems(kb: Knowledgebase, pair: tuple, members: tuple, overlap: list[str]) -> list[str]:
+    """A local failure `pair` (of members, or of a signalling model's contexts) must differ on `overlap`."""
+    algebra = kb.algebra()
+    left, right = (algebra.project(phi, frozenset(overlap)) for phi in members)
+    return [f"reported local disagreement pair {pair} actually agrees"] if left == right else []
+
+
 def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Knowledgebase | None) -> list[str]:
     """Check the witnesses of a re-derived `analysis` against the input, its `verdict` and the `kb` it analysed."""
     problems: list[str] = []
     payload = parsed.payload
 
     if isinstance(payload, EmpiricalModel):
-        if analysis["class"] is None:  # a signalling model: its verdict was re-derived, and it has no witness
-            return problems
+        if analysis["class"] is None:  # a signalling model: its witness is the pair of contexts
+            signalling = analysis["no-signalling"]
+            pair = tuple(signalling["contexts"])
+            sections = tuple(payload.section_for(tuple(ctx.split(","))) for ctx in pair)
+            return _local_pair_problems(payload.knowledgebase(), pair, sections, signalling["overlap"])
         probabilistic = analysis["probabilistic"]
         if probabilistic is not None:
             system = verdict.feasibility.system
@@ -266,23 +277,15 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Know
             problems.append("strong contextuality claimed but gamma is nonempty")
         return problems
 
-    members = list(kb)
+    members = kb.valuations
     algebra = kb.algebra()
     local = analysis["local"]
     if local["verdict"] == "fail":
         i, j = local["pair"]
-        overlap = frozenset(local["overlap"])
-        left = algebra.project(members[i - 1], overlap)
-        right = algebra.project(members[j - 1], overlap)
-        if left == right:
-            problems.append(f"reported local disagreement pair ({i}, {j}) actually agrees")
+        problems.extend(_local_pair_problems(kb, (i, j), (members[i - 1], members[j - 1]), local["overlap"]))
     global_doc = analysis["global"]
     if global_doc["verdict"] == "agree":
-        truth_doc, truth = global_doc["truth"], None  # a relation beyond TUPLE_CAP omits its tuples
-        if truth_doc["type"] == "relation" and "tuples" in truth_doc:
-            truth = Relation.from_rows(kb.universe, truth_doc["domain"], truth_doc["tuples"])
-        elif truth_doc["type"] == "potential":
-            truth = parse_potential(truth_doc["values"], truth_doc["domain"], kb.universe, "truth")
+        truth = _valuation_from_doc(global_doc["truth"], kb.universe, "truth")
         for index, member in enumerate(members, start=1):
             if truth is not None and algebra.project(truth, member.domain) != member:
                 problems.append(f"reported truth valuation does not project onto member {index}")
@@ -292,6 +295,6 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Know
             problems.append("infeasibility certificate fails validation")
     else:
         index = global_doc["witness-index"]
-        if verdict.global_agreement.projected == members[index - 1]:
+        if _valuation_from_doc(global_doc["projected"], kb.universe, "projected") == members[index - 1]:
             problems.append(f"reported witness member {index} is not unlike its projection of the combination")
     return problems

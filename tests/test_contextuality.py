@@ -19,7 +19,7 @@ from valkit.contextuality import (
 )
 from valkit.core import Assignment, VariableUniverse
 from valkit.disagreement import combination_verdict, tree_verdict
-from valkit.errors import ArgumentError, PreconditionError
+from valkit.errors import ArgumentError, PreconditionError, SignallingError
 from valkit.inference import InferenceProblem, JoinTree, calibrate, solve_naive
 from valkit.relations import project_relation
 
@@ -90,6 +90,24 @@ def test_signalling_detected_on_tampered_bell():
         classify(tampered)
     with pytest.raises(PreconditionError):
         gamma(support_model(tampered))
+
+
+def test_a_signalling_model_raises_with_its_verdict():
+    # classify, gamma and lc_at share one no-signalling check, whose error
+    # carries the failed verdict under the message it has always had.
+    model = bell_model()
+    contexts = list(model.scenario.contexts)
+    sections = {ctx: {values_in(row, ctx): s.table[row] for row in s.table} for ctx, s in zip(contexts, model.sections)}
+    sections[("a1", "b1")] = {("0", "0"): Fraction(1)}
+    tampered = probabilistic_model(model.scenario.universe, contexts, sections)
+    verdict = check_no_signalling(tampered)
+    section = Assignment.of({"a1": "0", "b1": "0"})
+    for analysis in (classify, gamma, lambda m: lc_at(m, ("a1", "b1"), section)):
+        with pytest.raises(SignallingError) as raised:
+            analysis(tampered)
+        assert raised.value.verdict == verdict
+        assert isinstance(raised.value, PreconditionError)
+        assert str(raised.value) == "model signals between contexts ('a1', 'b1') and ('a1', 'b2')"
 
 
 def test_bell_classification_is_pc_only():

@@ -19,6 +19,10 @@ its outcomes, and only `core.py` (which defines the Boolean semiring) and
 `potentials.py` (whose `indicator_potential` writes a relation as a Boolean
 potential) name `BOOLEAN`.
 
+A model analysis is one `classify` call: no module other than
+`contextuality.py` calls `check_no_signalling`, and no module defines or calls
+`classify_checked`, the second entry point that `classify` absorbed.
+
 The traced benchmark wraps valkit functions by name: every `(module,
 function)` pair in `LAYERS` of `bench/tracing.py` must still name a callable
 in `valkit.<module>`, so a rename under `src/` cannot silently drop a layer.
@@ -189,6 +193,42 @@ def test_the_boolean_check_sees_a_use():
     source = "from .core import BOOLEAN\nfrom . import core\nx = (BOOLEAN, core.BOOLEAN)\n"
     assert len(_boolean_uses(ast.parse(source), "reports.py")) == 3
     assert _boolean_uses(ast.parse("x = NONNEG_RATIONAL\n"), "reports.py") == []
+
+
+def _model_analysis_offences(tree: ast.AST, module: str) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "classify_checked":
+            found.append(f"{module}:{node.lineno}: defines classify_checked")
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "classify_checked" or (name == "check_no_signalling" and module != "contextuality.py"):
+                found.append(f"{module}:{node.lineno}: calls {name}")
+    return found
+
+
+def test_a_model_analysis_has_one_entry_point():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(_model_analysis_offences(tree, path.name))
+    assert not offences, "model analysis outside classify:\n" + "\n".join(offences)
+
+
+def test_the_model_analysis_check_sees_a_second_entry_point():
+    source = (
+        "def classify_checked(model):\n"
+        "    return model\n"
+        "def f(model):\n"
+        "    return check_no_signalling(model), contextuality.classify_checked(model)\n"
+    )
+    assert len(_model_analysis_offences(ast.parse(source), "reports.py")) == 3
+    assert _model_analysis_offences(ast.parse(source), "contextuality.py") == [
+        "contextuality.py:1: defines classify_checked",
+        "contextuality.py:4: calls classify_checked",
+    ]
+    assert _model_analysis_offences(ast.parse("from .contextuality import check_no_signalling\n"), "reports.py") == []
 
 
 def _traced_layers() -> tuple[tuple[str, str], ...]:
