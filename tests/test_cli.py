@@ -1,7 +1,9 @@
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -316,6 +318,60 @@ def test_possibilistic_outputs_match_golden_digests(tmp_path, monkeypatch):
     outputs = {"document": document, "analyze": analyzed, "infer-hardy": inferred}
     for name, expected in GOLDEN_POSSIBILISTIC_SHA256.items():
         assert hashlib.sha256(outputs[name].encode("utf-8")).hexdigest() == expected, name
+
+
+def coprime_bayes_net_document(seed: int, k: int = 3):
+    """A k x k binary Bayesian-network grid whose CPT rows have pairwise coprime denominators.
+
+    Cell (i, j) has parents (i-1, j) and (i, j-1). Each CPT row is (a/p, (p-a)/p)
+    for its own odd prime p and a drawn from the seed, so a marginal's
+    denominator is a product of many distinct primes.
+    """
+    rng = random.Random(seed)
+    primes = (p for p in range(3, 10_000, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2)))
+    cell = [[f"r{i}c{j}" for j in range(k)] for i in range(k)]
+    valuations = []
+    for i in range(k):
+        for j in range(k):
+            parents = ([cell[i - 1][j]] if i else []) + ([cell[i][j - 1]] if j else [])
+            values = {}
+            for combo in itertools.product("01", repeat=len(parents)):
+                p = next(primes)
+                a = rng.randint(1, p - 1)
+                values[",".join(("0",) + combo)] = f"{a}/{p}"
+                values[",".join(("1",) + combo)] = f"{p - a}/{p}"
+            valuations.append({"domain": [cell[i][j]] + parents, "values": values})
+    return {
+        "kind": "knowledgebase",
+        "universe": [{"name": name, "frame": ["0", "1"]} for row in cell for name in row],
+        "valuations": valuations,
+    }
+
+
+# sha256 of `vk infer ... --json` on rational potentials: Bell's model at one
+# context's pair (a1, b2), and the seed-7 coprime 3x3 Bayesian-network grid
+# at the far corner and the centre. The digests pin the exact values fusion
+# writes, so a change to how potentials store or reduce their values must
+# leave them as they are.
+GOLDEN_INFER_RATIONAL_SHA256 = {
+    "bell": "497a922db0f5842bcdc5ccab8d7b673a37d3112d41a9ac7e6fce5cea5982ec21",
+    "coprime-bn": "1111c2e23de03b48517d33d16100bcda329deeb2cf6da62c889b498a947d1464",
+}
+
+
+def test_rational_infer_outputs_match_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    Path("coprime-bn.json").write_text(canonical_json(coprime_bayes_net_document(7)), encoding="utf-8")
+    runs = {
+        "bell": ("builtin:bell", "a1,b2"),
+        "coprime-bn": ("coprime-bn.json", "r2c2,r1c1"),
+    }
+    for name, expected in GOLDEN_INFER_RATIONAL_SHA256.items():
+        source, query = runs[name]
+        code, out, err = run_cli("infer", source, "--query", query, "--json")
+        assert code == 0, err
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, name
 
 
 def test_verify_compiles_a_csp_once(monkeypatch):
