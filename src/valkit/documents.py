@@ -21,7 +21,7 @@ from .contextuality import (
     EmpiricalModel,
     MeasurementScenario,
 )
-from .core import Assignment, Domain, NONNEG_RATIONAL, VariableUniverse
+from .core import Domain, NONNEG_RATIONAL, VariableUniverse
 from .errors import ParseError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase
@@ -185,8 +185,9 @@ def _parse_name_list(raw, universe: VariableUniverse, where: str) -> tuple[str, 
 
 
 def _outcomes(raw: dict, names, universe: VariableUniverse, where: str, cell_limit: int | None):
-    """Each key's assignment, its value and its place, once a table over `names` is known to obey `cell_limit`."""
+    """Each key's row (its labels in sorted-name order), value and place, once a table over `names` obeys `cell_limit`."""
     check_table_size(universe, frozenset(names), cell_limit)
+    to_row = restriction(names, sorted(set(names)))  # a repeated name keeps its last label
     for key, value in raw.items():
         spot = f"{where}[{key!r}]"
         labels = key.split(",") if key else []  # "" is the one assignment of the empty domain
@@ -195,7 +196,7 @@ def _outcomes(raw: dict, names, universe: VariableUniverse, where: str, cell_lim
         for name, label in zip(names, labels):
             if label not in universe.frame(name):
                 raise ParseError(f"{spot}: label {label!r} is not in the frame of {name!r}")
-        yield Assignment.of(dict(zip(names, labels))), value, spot
+        yield to_row(labels), value, spot
 
 
 def parse_potential(
@@ -210,9 +211,9 @@ def parse_potential(
     Every row of the table is filled, so a table with more than `cell_limit` rows is refused first.
     """
     outcomes = _outcomes(raw, names, universe, where, cell_limit)
-    table = {outcome: parse_rational(value, spot) for outcome, value, spot in outcomes}
+    given = {row: parse_rational(value, spot) for row, value, spot in outcomes}
     try:
-        return Potential.from_table(universe, frozenset(names), NONNEG_RATIONAL, table, default=Fraction(0))
+        return Potential._from_rows(universe, frozenset(names), NONNEG_RATIONAL, given, default=Fraction(0))
     except ValkitError as err:
         raise ParseError(f"{where}: {err}") from None
 
@@ -220,11 +221,11 @@ def parse_potential(
 def _parse_support(raw: dict, names, universe: VariableUniverse, where: str, cell_limit: int | None) -> Relation:
     """A possibilistic section: the relation of the outcomes a 0/1 map keyed like a potential's marks 1."""
     rows = set()
-    for outcome, value, spot in _outcomes(raw, names, universe, where, cell_limit):
+    for row, value, spot in _outcomes(raw, names, universe, where, cell_limit):
         if type(value) is not int or value not in (0, 1):
             raise ParseError(f"{spot}: possibilistic values must be the integers 0 or 1")
         if value:
-            rows.add(outcome.row)
+            rows.add(row)
     return Relation(universe, frozenset(names), frozenset(rows))
 
 

@@ -37,16 +37,63 @@ def random_relation(rng: random.Random, universe: VariableUniverse, domain=None,
     return Relation.from_rows(universe, sorted(domain), rows)
 
 
+def random_domain(rng: random.Random, universe: VariableUniverse):
+    names = sorted(universe.vars)
+    return frozenset(rng.sample(names, rng.randint(1, min(3, len(names)))))
+
+
 def random_potential(rng: random.Random, universe: VariableUniverse, domain=None) -> Potential:
     if domain is None:
-        names = sorted(universe.vars)
-        size = rng.randint(1, min(3, len(names)))
-        domain = frozenset(rng.sample(names, size))
+        domain = random_domain(rng, universe)
     table = {
         a: Fraction(rng.randint(0, 4), rng.randint(1, 4))
         for a in enumerate_assignments(domain, universe)
     }
     return Potential.from_table(universe, domain, NONNEG_RATIONAL, table)
+
+
+# Distinct primes near 10^6: denominators drawn from them are pairwise coprime,
+# so a product of such tables has a large denominator that must stay reduced.
+PRIMES_NEAR_A_MILLION = tuple(p for p in range(999_001, 1_001_000, 2) if all(p % d for d in range(3, 1001, 2)))
+
+
+def random_rationals(rng: random.Random, count: int) -> list[Fraction]:
+    """`count` positive rationals in one style per table.
+
+    Small ones; pairwise coprime denominators (distinct primes near 10^6); or
+    numerators sharing a factor (one of those primes among them), so that
+    combining and summing must cancel common factors.
+    """
+    style = rng.randrange(3)
+    if style == 0:
+        return [Fraction(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(count)]
+    if style == 1:
+        return [Fraction(rng.randint(1, p - 1), p) for p in rng.sample(PRIMES_NEAR_A_MILLION, count)]
+    factor = rng.choice((6, 10, 15, PRIMES_NEAR_A_MILLION[0]))
+    return [Fraction(factor * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(count)]
+
+
+def drawn_potential(rng: random.Random, universe: VariableUniverse, domain=None, semiring=NONNEG_RATIONAL) -> Potential:
+    """A potential for the table oracles: no, 40% or all entries zero, the others 1 (Boolean) or random_rationals."""
+    if domain is None:
+        domain = random_domain(rng, universe)
+    zeros = rng.choice((0.0, 0.4, 1.0))
+    rows = list(universe.rows(domain))
+    weights = random_rationals(rng, len(rows))
+    table = {}
+    for row, weight in zip(rows, weights):
+        point = Assignment.from_row(domain, row)
+        if rng.random() < zeros:
+            table[point] = semiring.zero
+        else:
+            table[point] = 1 if semiring is BOOLEAN else weight
+    return Potential.from_table(universe, domain, semiring, table)
+
+
+def assert_canonical(p: Potential) -> None:
+    """A result equals the potential rebuilt from its values, so it is stored in lowest terms."""
+    values = {Assignment.from_row(p.domain, row): v for row, v in p.table.items()}
+    assert Potential.from_table(p.universe, p.domain, p.semiring, values) == p
 
 
 def random_boolean_potential(rng: random.Random, universe: VariableUniverse, domain=None) -> Potential:
@@ -61,10 +108,10 @@ def random_relation_kb(rng: random.Random, max_vars=6, max_frame=3, max_vals=5) 
     return Knowledgebase(universe, tuple(random_relation(rng, universe) for _ in range(count)))
 
 
-def random_potential_kb(rng: random.Random, max_vars=6, max_frame=3, max_vals=5) -> Knowledgebase:
+def random_potential_kb(rng: random.Random, max_vars=6, max_frame=3, max_vals=5, draw=random_potential) -> Knowledgebase:
     universe = random_universe(rng, max_vars, max_frame)
     count = rng.randint(1, max_vals)
-    return Knowledgebase(universe, tuple(random_potential(rng, universe) for _ in range(count)))
+    return Knowledgebase(universe, tuple(draw(rng, universe) for _ in range(count)))
 
 
 def empty_domain_potential_kb():

@@ -11,7 +11,6 @@ valkit. Each random input also round-trips through a knowledgebase document.
 """
 
 import random
-from fractions import Fraction
 from itertools import product
 
 from valkit.algebra import Knowledgebase
@@ -20,7 +19,7 @@ from valkit.documents import canonical_json, knowledgebase_document, parse_docum
 from valkit.potentials import Potential, combine_potentials, project_potential
 from valkit.relations import Relation, natural_join, project_relation
 
-from conftest import random_relation, random_universe
+from conftest import assert_canonical, drawn_potential, random_relation, random_universe
 
 CASES = 400
 
@@ -103,18 +102,6 @@ def domain_pair(rng: random.Random, universe: VariableUniverse, case: int):
     return first, frozenset(rng.sample(names, rng.randint(1, min(3, len(names)))))
 
 
-def random_potential(rng: random.Random, universe: VariableUniverse, domain, semiring) -> Potential:
-    zeros = rng.choice((0.0, 0.4, 1.0))
-    table = {}
-    for row in universe.rows(domain):
-        point = Assignment.from_row(domain, row)
-        if rng.random() < zeros:
-            table[point] = semiring.zero
-        else:
-            table[point] = 1 if semiring is BOOLEAN else Fraction(rng.randint(1, 5), rng.randint(1, 4))
-    return Potential.from_table(universe, domain, semiring, table)
-
-
 def subset(rng: random.Random, domain):
     return frozenset(name for name in sorted(domain) if rng.random() < 0.5)
 
@@ -151,15 +138,17 @@ def test_potential_operations_match_the_assignment_oracle():
         universe = random_universe(rng)
         semiring = NONNEG_RATIONAL if case % 3 else BOOLEAN
         d1, d2 = domain_pair(rng, universe, case)
-        phi = random_potential(rng, universe, d1, semiring)
-        psi = random_potential(rng, universe, d2, semiring)
+        phi = drawn_potential(rng, universe, d1, semiring)
+        psi = drawn_potential(rng, universe, d2, semiring)
         combined = combine_potentials(phi, psi)
         expected = oracle_combine(as_point_table(phi), as_point_table(psi), universe, semiring.mul)
         assert as_point_table(combined) == expected
+        assert_canonical(combined)
         for p in (phi, psi, combined):
             target = subset(rng, p.domain)
-            got = as_point_table(project_potential(p, target))
-            assert got == oracle_project_potential(as_point_table(p), target, semiring.add)
+            projected = project_potential(p, target)
+            assert as_point_table(projected) == oracle_project_potential(as_point_table(p), target, semiring.add)
+            assert_canonical(projected)
             if semiring is NONNEG_RATIONAL:
                 assert roundtrip(universe, p) == p
         zero_entries += any(v == semiring.zero for v in phi.table.values())
