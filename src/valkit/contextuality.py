@@ -18,16 +18,10 @@ from itertools import combinations
 
 from .algebra import Knowledgebase
 from .core import Assignment, Domain, NONNEG_RATIONAL, VariableUniverse
-from .disagreement import (
-    DEFAULT_FEASIBILITY_COLUMNS,
-    GlobalVerdict,
-    check_global_agreement_potentials,
-    check_local_agreement,
-    tree_verdict,
-)
+from .disagreement import GlobalVerdict, check_local_agreement, support_analysis, support_knowledgebase, tree_verdict
 from .errors import ArgumentError, SignallingError
-from .inference import DEFAULT_CELL_LIMIT, JoinTree, calibrate
-from .potentials import Potential, support_relation, total_mass
+from .inference import DEFAULT_CELL_LIMIT, calibrate
+from .potentials import Potential, total_mass
 from .relations import Relation, Row, project_relation
 
 PROBABILISTIC = "probabilistic"
@@ -91,25 +85,23 @@ class EmpiricalModel:
                 if section.is_empty():
                     raise ArgumentError(f"section over {ctx!r} has empty support")
 
+    def _position(self, context: tuple[str, ...]) -> int:
+        if tuple(context) not in self.scenario.contexts:
+            raise ArgumentError(f"{tuple(context)!r} is not a context of this scenario")
+        return self.scenario.contexts.index(tuple(context))
+
     def section_for(self, context: tuple[str, ...]) -> Potential | Relation:
-        for ctx, section in zip(self.scenario.contexts, self.sections):
-            if ctx == tuple(context):
-                return section
-        raise ArgumentError(f"{tuple(context)!r} is not a context of this scenario")
+        return self.sections[self._position(context)]
 
     def support_for(self, context: tuple[str, ...]) -> Relation:
-        return _support(self.section_for(context))
+        return self.support_knowledgebase().valuations[self._position(context)]
 
     def knowledgebase(self) -> Knowledgebase:
         return Knowledgebase(self.scenario.universe, self.sections)
 
     def support_knowledgebase(self) -> Knowledgebase:
         """The supports as a relation knowledgebase: a possibilistic model's own knowledgebase."""
-        return Knowledgebase(self.scenario.universe, tuple(map(_support, self.sections)))
-
-
-def _support(section: Potential | Relation) -> Relation:
-    return section if isinstance(section, Relation) else support_relation(section)
+        return support_knowledgebase(self.knowledgebase())
 
 
 @dataclass(frozen=True)
@@ -130,12 +122,12 @@ def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
     return NoSignallingVerdict(False, pair=(contexts[i - 1], contexts[j - 1]), overlap=local.overlap, marginals=local.projections)
 
 
-def _support_tree(model: EmpiricalModel, cell_limit: int | None) -> JoinTree:
-    """Check no-signalling, raising SignallingError with the failed verdict, then calibrate the supports."""
+def _signal_free(model: EmpiricalModel) -> Knowledgebase:
+    """The model's knowledgebase, once no-signalling holds; else SignallingError with the failed verdict."""
     verdict = check_no_signalling(model)
     if not verdict.passed:
         raise SignallingError(verdict)
-    return calibrate(model.support_knowledgebase(), cell_limit)
+    return model.knowledgebase()
 
 
 def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Relation:
@@ -144,7 +136,7 @@ def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
     It is joined from the supports' calibrated join tree, as a relation
     knowledgebase's combination is.
     """
-    return _support_tree(model, cell_limit).combination()
+    return calibrate(support_knowledgebase(_signal_free(model)), cell_limit).combination()
 
 
 @dataclass(frozen=True)
@@ -201,7 +193,7 @@ def lc_at(
     support = model.support_for(context)
     if section.domain != support.domain or section.row not in support.tuples:
         raise ArgumentError(f"{section!r} is not in the support of context {tuple(context)!r}")
-    marginals = list(_support_tree(model, cell_limit).marginals())
+    marginals = list(calibrate(support_knowledgebase(_signal_free(model)), cell_limit).marginals())
     return section.row not in marginals[model.scenario.contexts.index(tuple(context))].tuples
 
 
@@ -217,25 +209,21 @@ class ContextualityReport:
     feasibility: GlobalVerdict | None = None
 
 
-def classify(
-    model: EmpiricalModel,
-    cell_limit: int | None = DEFAULT_CELL_LIMIT,
-    feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
-) -> ContextualityReport:
+def classify(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> ContextualityReport:
     """The model analysis: place a model in the hierarchy NC < PC < LC < SC.
 
     A signalling model raises SignallingError, whose `verdict` names the pair.
     LC and SC are the global and complete disagreement of the supports, read
-    off their calibrated tree as for a relation knowledgebase. The LC witness
+    off the support analysis's tree as for a knowledgebase. The LC witness
     is the first context whose support exceeds its projection of Gamma, with
     its least missing section; PC is the failure of the marginal feasibility
-    system.
+    system that the same analysis solves.
     """
-    tree = _support_tree(model, cell_limit)
+    tree, feasibility = support_analysis(_signal_free(model), cell_limit)
     verdict = tree_verdict(tree)
     g = verdict.truth if verdict.agrees else tree.combination()
 
-    strongly = g.is_empty()
+    strongly = tree.cliques[-1].is_empty()
     sc_context = model.scenario.contexts[0] if strongly else None
 
     logically = not verdict.agrees
@@ -245,12 +233,7 @@ def classify(
         least_missing = Assignment.from_row(support.domain, min(support.tuples - verdict.projected.tuples))
         lc_witness = (model.scenario.contexts[verdict.witness_index - 1], least_missing)
 
-    probabilistically: bool | None = None
-    feasibility: GlobalVerdict | None = None
-    if model.kind == PROBABILISTIC:
-        feasibility = check_global_agreement_potentials(model.knowledgebase(), feasibility_columns)
-        probabilistically = not feasibility.agrees
-
+    probabilistically = None if feasibility is None else not feasibility.agrees
     return ContextualityReport(
         gamma=g,
         strongly_contextual=strongly,

@@ -6,8 +6,9 @@ every member. For adjoint algebras (relations) the combination of the whole
 knowledgebase is the only candidate, so the check reduces to one calibrated
 join tree; for rational potentials no such shortcut exists and the question
 becomes exact linear feasibility, with a Farkas certificate on failure.
-Complete disagreement means the combination collapses to the null element,
-which a single projection detects.
+Complete disagreement means the combination collapses to the null element.
+Knowledgebases and empirical models alike read it off the root of one
+calibrated tree of the members' supports (`support_analysis`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .core import Domain, NONNEG_RATIONAL
 from .errors import ArgumentError, CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, JoinTree, calibrate, solve_fusion
-from .potentials import Potential
+from .potentials import Potential, support_relation
 from .relations import Relation, relation_leq, restriction
 
 DEFAULT_FEASIBILITY_COLUMNS = 4096
@@ -169,7 +170,7 @@ def check_global_agreement_potentials(
 
 
 def check_complete_disagreement(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> bool:
-    """True iff the combination is null; one inference problem suffices."""
+    """True iff the combination is null, by one fusion: the tests' reference for support_analysis's root."""
     algebra = kb.algebra()
     if not algebra.has_null:
         raise CapabilityError(f"{algebra.name} has no null elements")
@@ -238,21 +239,33 @@ def verify_truth_maximality(
     return all(relation_leq(delta, gamma) for delta in found)
 
 
-def analyze_knowledgebase(
-    kb: Knowledgebase,
-    cell_limit: int | None = DEFAULT_CELL_LIMIT,
-    feasibility_columns: int | None = DEFAULT_FEASIBILITY_COLUMNS,
-) -> AgreementReport:
-    """Run the local, global, and complete checks, dispatching on capabilities."""
+def support_knowledgebase(kb: Knowledgebase) -> Knowledgebase:
+    """The members' supports as a relation knowledgebase; a relation is its own support."""
+    return Knowledgebase(kb.universe, tuple(phi if isinstance(phi, Relation) else support_relation(phi) for phi in kb))
+
+
+def support_analysis(
+    kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT
+) -> tuple[JoinTree, GlobalVerdict | None]:
+    """The calibrated tree of the members' supports, with the feasibility verdict of rational potentials.
+
+    The root clique is the supports' join projected onto ∅. Nonnegative
+    rationals have no zero divisors and no nonzero sums to 0, so that join is
+    the support of the combination: the root is empty iff the combination is
+    null. Rational potentials solve their marginal system first, under its
+    column cap; it enumerates every joint row, so their tree needs no guard.
+    """
     algebra = kb.algebra()
-    local = check_local_agreement(kb)
     if algebra.adjoint:
-        global_verdict = check_global_agreement_adjoint(kb, cell_limit)
-        # The verdict carries the combination or a projection of it: empty iff the combination is null.
-        complete = (global_verdict.truth if global_verdict.agrees else global_verdict.projected).is_empty()
-    elif isinstance(algebra, PotentialAlgebra) and algebra.semiring == NONNEG_RATIONAL:
-        global_verdict = check_global_agreement_potentials(kb, feasibility_columns)
-        complete = check_complete_disagreement(kb, cell_limit)
-    else:
-        raise CapabilityError(f"no global-agreement decision procedure for {algebra.name}")
-    return AgreementReport(local, global_verdict, complete)
+        return calibrate(kb, cell_limit), None
+    if isinstance(algebra, PotentialAlgebra) and algebra.semiring == NONNEG_RATIONAL:
+        feasibility = check_global_agreement_potentials(kb)
+        return calibrate(support_knowledgebase(kb), None), feasibility
+    raise CapabilityError(f"no global-agreement decision procedure for {algebra.name}")
+
+
+def analyze_knowledgebase(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> AgreementReport:
+    """Run the local check, then read the global and complete verdicts off the support analysis."""
+    local = check_local_agreement(kb)
+    tree, feasibility = support_analysis(kb, cell_limit)
+    return AgreementReport(local, feasibility or tree_verdict(tree), tree.cliques[-1].is_empty())

@@ -2,8 +2,8 @@
 
 Two solvers are provided. Fusion eliminates one non-query variable at a
 time, combining only the valuations whose domains mention it; `vk infer`
-and the complete-disagreement check of potentials use it. The naive one
-combines everything and projects at the end; it is the reference that
+uses it, and so does the tests' complete-disagreement reference. The naive
+one combines everything and projects at the end; it is the reference that
 fusion must equal exactly, which the test suite checks by oracle
 equivalence. Elimination orders come from the caller or from the
 min-degree / min-fill heuristics with variable-name tie-breaking, so runs
@@ -12,7 +12,8 @@ are reproducible.
 For an idempotent algebra, `calibrate` answers at once every query that fits
 inside one of the bucket tree's cliques: one collect pass and one distribute
 pass over the tree of the elimination order (Shenoy & Shafer 1990), with no
-division. Relation and model analyses read their verdicts off that tree.
+division. Every knowledgebase and model analysis reads its relational
+verdicts off the tree of its members' supports.
 """
 
 from __future__ import annotations

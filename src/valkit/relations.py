@@ -76,6 +76,8 @@ class Relation:
         """Build and validate a relation from value rows aligned with an explicit variable order."""
         variables = tuple(variables)
         domain = frozenset(variables)
+        if len(domain) != len(variables):
+            raise ArgumentError(f"variables {variables!r} repeat a variable")
         frames = [universe.frame(name) for name in variables]
         to_sorted = restriction(variables, sorted(domain))
         tuples = set()

@@ -11,6 +11,7 @@ from valkit.builtins import (
     malawi_knowledgebase,
     screening_knowledgebase,
 )
+from valkit.contextuality import classify
 from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse, enumerate_assignments
 from valkit.disagreement import (
     analyze_knowledgebase,
@@ -25,11 +26,19 @@ from valkit.disagreement import (
 )
 from valkit.errors import ArgumentError, CapabilityError, ResourceLimitError
 from valkit.feasibility import validate_certificate, validate_solution
-from valkit.inference import InferenceProblem, solve_naive
+from valkit.inference import DEFAULT_CELL_LIMIT, InferenceProblem, solve_naive
 from valkit.potentials import Potential, constant_potential, project_potential
 from valkit.relations import Relation, full_relation, project_relation, relation_leq
 
-from conftest import random_relation, random_relation_kb
+from conftest import (
+    cycle_model,
+    drawn_potential,
+    empty_domain_potential_kb,
+    noisy_cycle_correlators,
+    random_potential_kb,
+    random_relation,
+    random_relation_kb,
+)
 
 
 def test_screening_local_agreement_passes():
@@ -360,9 +369,43 @@ def test_relation_verdicts_read_off_the_combination_match_the_direct_checks():
 
 
 def test_relation_analysis_solves_no_complete_disagreement_problem(monkeypatch):
+    # Knowledgebases and models of either kind read complete disagreement off
+    # the support tree's root: no analysis calls the fusion reference or fusion.
     def refuse(*args, **kwargs):
-        raise AssertionError("check_complete_disagreement called on a relation knowledgebase")
+        raise AssertionError("an analysis solved a complete-disagreement problem by fusion")
 
     monkeypatch.setattr("valkit.disagreement.check_complete_disagreement", refuse)
-    for kb in (screening_knowledgebase(), malawi_knowledgebase(), liar_knowledgebase(4, consistent=True)):
+    monkeypatch.setattr("valkit.disagreement.solve_fusion", refuse)
+    monkeypatch.setattr("valkit.inference.solve_fusion", refuse)
+    rng = random.Random(19)
+    rational = [random_potential_kb(rng, draw=drawn_potential) for _ in range(20)]
+    for kb in (
+        screening_knowledgebase(),
+        malawi_knowledgebase(),
+        liar_knowledgebase(4, consistent=True),
+        bell_model().knowledgebase(),
+        empty_domain_potential_kb(),
+        *rational,
+    ):
         analyze_knowledgebase(kb)
+    for model in (bell_model(), *(cycle_model(noisy_cycle_correlators(5, c)) for c in (True, False))):
+        classify(model)
+
+
+def test_rational_complete_disagreement_matches_fusion_under_every_limit():
+    # The supports' tree is calibrated unguarded, so wherever the fusion
+    # reference answers, under the default limit or one of 2 to 128 cells,
+    # the analysis answers too, and with the same verdict.
+    rng = random.Random(13)
+    seen = {True: 0, False: 0, "refused": 0}
+    for _ in range(100):
+        kb = random_potential_kb(rng, draw=drawn_potential)
+        for limit in (DEFAULT_CELL_LIMIT, 2, 4, 8, 16, 32, 64, 128):
+            try:
+                expected = check_complete_disagreement(kb, limit)
+            except ResourceLimitError:
+                seen["refused"] += 1
+                continue
+            assert analyze_knowledgebase(kb, limit).complete_disagreement == expected, (kb, limit)
+            seen[expected] += 1
+    assert all(seen.values()), seen

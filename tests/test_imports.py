@@ -11,8 +11,9 @@ four table operations never name `Assignment` or call an assignment's
 `.restrict` or `.merge`, which would rebuild per-row assignments.
 
 The reference implementations are for the tests alone: no module other than
-its defining one calls `solve_naive` or `combination_verdict`, so the analysis
-path cannot drift back onto them.
+its defining one calls `solve_naive`, `combination_verdict` or
+`check_complete_disagreement`, so the analysis path cannot drift back onto
+them.
 
 Boolean potentials are relations: a possibilistic section is the relation of
 its outcomes, and only `core.py` (which defines the Boolean semiring) and
@@ -136,7 +137,11 @@ def test_the_row_check_sees_assignment_use():
     assert _assignment_uses(ast.parse("def join(r1, r2):\n    return r1 | r2\n")) == []
 
 
-REFERENCE_ONLY = {"solve_naive": "inference.py", "combination_verdict": "disagreement.py"}
+REFERENCE_ONLY = {
+    "solve_naive": "inference.py",
+    "combination_verdict": "disagreement.py",
+    "check_complete_disagreement": "disagreement.py",
+}
 
 
 def _reference_calls(tree: ast.AST, module: str) -> list[str]:
@@ -163,6 +168,11 @@ def test_the_reference_check_sees_calls():
     assert len(_reference_calls(ast.parse(source), "contextuality.py")) == 2
     assert _reference_calls(ast.parse(source), "disagreement.py") == ["disagreement.py:2: calls solve_naive"]
     assert _reference_calls(ast.parse("from .inference import solve_naive\n"), "cli.py") == []
+    complete = "def g(kb):\n    return disagreement.check_complete_disagreement(kb)\n"
+    assert _reference_calls(ast.parse(complete), "contextuality.py") == [
+        "contextuality.py:2: calls check_complete_disagreement"
+    ]
+    assert _reference_calls(ast.parse(complete), "disagreement.py") == []
 
 
 BOOLEAN_MODULES = ("core.py", "potentials.py")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valkit.core import Assignment, VariableUniverse, enumerate_assignments
-from valkit.errors import DomainError, UniverseMismatchError
+from valkit.errors import ArgumentError, DomainError, UniverseMismatchError
 from valkit.relations import (
     Ordering,
     Relation,
@@ -85,6 +85,16 @@ def test_universe_mismatch_raises(screening_universe):
     r1, _, _ = screening_relations(screening_universe)
     with pytest.raises(UniverseMismatchError):
         natural_join(r1, r)
+
+
+def test_from_rows_refuses_a_repeated_variable():
+    # A row over (a, a) could give a two values; it is refused, not read as its last value.
+    universe = VariableUniverse.of([("a", ("0", "1"))])
+    with pytest.raises(ArgumentError, match="repeat"):
+        Relation.from_rows(universe, ("a", "a"), [("0", "1")])
+    with pytest.raises(ArgumentError, match="repeat"):
+        Relation.from_rows(universe, ("a", "a"), [])
+    assert Relation.from_rows(universe, ("a",), [("1",)]).tuples == {("1",)}
 
 
 def test_relation_order_cases(screening_universe):
