@@ -280,7 +280,7 @@ def reversed_frame_possibilistic_model():
     """A signalling possibilistic model whose frames are not in string order.
 
     The contexts (b, a, c) and (a, b, d) differ on the overlap {a, b}, so the
-    report carries two Boolean marginals over frames ("1", "0") and ("y", "x").
+    report carries two relation marginals over frames ("1", "0") and ("y", "x").
     """
     universe = VariableUniverse.of([("a", ("1", "0")), ("b", ("y", "x")), ("c", ("0", "1")), ("d", ("0", "1"))])
     contexts = [("b", "a", "c"), ("a", "b", "d")]
@@ -291,14 +291,15 @@ def reversed_frame_possibilistic_model():
     return possibilistic_model(universe, contexts, supports)
 
 
-# sha256 of three outputs that render possibilistic sections over frames
-# written in frame order, not string order: the model's document, `vk analyze
-# --json` on that document (a signalling report with Boolean marginals), and
-# `vk infer builtin:hardy --query a1,b2 --json` (a Boolean potential).
+# sha256 of three outputs that render possibilistic data over frames written
+# out of string order: the model's document (its sections keyed in frame
+# order), `vk analyze --json` on that document (a signalling report whose
+# marginals are relations) and `vk infer builtin:hardy --query a1,b2 --json`
+# (a relation). Relations are written with their rows sorted as strings.
 GOLDEN_POSSIBILISTIC_SHA256 = {
     "document": "ed5dd2c30eeb95aff7808a010552747968a5f4946faa3319a35d8da6c93448e4",
-    "analyze": "de4b4c657cfa8ee3db0bec17765917566fb9fcac2d47af1e63cc16d5259c1457",
-    "infer-hardy": "4a219d2c5b3bf55c469997f4906e69031cb0aa9cbf3c0b7be8700d43bb84d99a",
+    "analyze": "a0d10b7f1bfe9f1bf067c6a805489375fa920d8045aa5faa5988570682ea0e58",
+    "infer-hardy": "8d01884a19404aab6a538b226ca031092244de077a849d0f827b1b0fc403bb6e",
 }
 
 
