@@ -84,7 +84,6 @@ from .potentials import (
     Potential,
     combine_potentials,
     constant_potential,
-    indicator_potential,
     neutral_potential,
     null_potential,
     project_potential,

@@ -25,7 +25,7 @@ from .core import Domain, NONNEG_RATIONAL, VariableUniverse
 from .errors import ParseError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase
-from .potentials import Potential, indicator_potential
+from .potentials import Potential
 from .relations import Relation, restriction
 
 KINDS = ("empirical-model", "knowledgebase", "csp")
@@ -81,14 +81,6 @@ def potential_values(p: Potential, names, nonzero_only: bool = False) -> dict[st
         if not (nonzero_only and v == 0):
             values[",".join(in_order(row))] = format_rational(v)
     return values
-
-
-def section_potential(v: Potential | Relation, cell_limit: int | None) -> Potential:
-    """A model's section, marginal or query as written: a relation as its indicator, refused past `cell_limit` rows."""
-    if isinstance(v, Potential):
-        return v
-    check_table_size(v.universe, v.domain, cell_limit)
-    return indicator_potential(v)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -229,6 +221,19 @@ def _parse_support(raw: dict, names, universe: VariableUniverse, where: str, cel
     return Relation(universe, frozenset(names), frozenset(rows))
 
 
+def _parse_relation(item: dict, field: str, names, universe: VariableUniverse, where: str) -> Relation:
+    """The relation over `names` whose rows `item[field]` lists, each row its labels in `names` order."""
+    rows_at = f"{where}.{field}"
+    rows = []
+    for r, row in enumerate(_expect_list(item[field], rows_at)):
+        row = _expect_list(row, f"{rows_at}[{r}]")
+        rows.append([_expect_label(v, f"{rows_at}[{r}]") for v in row])
+    try:
+        return Relation.from_rows(universe, names, rows)
+    except ValkitError as err:
+        raise ParseError(f"{where}: {err}") from None
+
+
 def _parse_empirical_model(doc: dict, cell_limit: int | None) -> EmpiricalModel:
     _expect_keys(doc, ("kind", "universe", "model-kind", "contexts", "sections"), (), "document")
     universe = _parse_universe(doc["universe"], "universe")
@@ -288,15 +293,7 @@ def _parse_knowledgebase(doc: dict, cell_limit: int | None) -> Knowledgebase:
         if len(styles) > 1:
             raise ParseError("valuations: cannot mix relations ('tuples') and potentials ('values') in one knowledgebase")
         if has_tuples:
-            rows = []
-            for r, row in enumerate(_expect_list(item["tuples"], f"{where}.tuples")):
-                row = _expect_list(row, f"{where}.tuples[{r}]")
-                labels = [_expect_label(v, f"{where}.tuples[{r}]") for v in row]
-                rows.append(labels)
-            try:
-                valuations.append(Relation.from_rows(universe, domain_names, rows))
-            except ValkitError as err:
-                raise ParseError(f"{where}: {err}") from None
+            valuations.append(_parse_relation(item, "tuples", domain_names, universe, where))
         else:
             raw_values = _expect_mapping(item["values"], f"{where}.values")
             valuations.append(
@@ -319,14 +316,7 @@ def _parse_csp(doc: dict) -> CSPDocumentPayload:
         scheme = _parse_name_list(item["scheme"], universe, f"{where}.scheme")
         if len(set(scheme)) != len(scheme):
             raise ParseError(f"{where}.scheme: repeated variable")
-        rows = []
-        for r, row in enumerate(_expect_list(item["allowed"], f"{where}.allowed")):
-            row = _expect_list(row, f"{where}.allowed[{r}]")
-            rows.append([_expect_label(v, f"{where}.allowed[{r}]") for v in row])
-        try:
-            constraints.append(Constraint(scheme, Relation.from_rows(universe, scheme, rows)))
-        except ValkitError as err:
-            raise ParseError(f"{where}: {err}") from None
+        constraints.append(Constraint(scheme, _parse_relation(item, "allowed", scheme, universe, where)))
     if "covers" in doc:
         covers = [
             frozenset(_parse_name_list(cover, universe, f"covers[{k}]"))

@@ -3,9 +3,8 @@
 Combination multiplies pointwise over the union domain; projection sums each
 fiber. Over the nonnegative rationals it is the algebra of probability-like
 weights. Over the Boolean semiring it mirrors relations exactly (the support
-of a combination is the join of the supports), so possibilistic data stays a
-relation throughout; `indicator_potential` turns one into a Boolean
-potential only where an output is written as one.
+of a combination is the join of the supports), so possibilistic data is a
+relation throughout, read, analysed and written as one.
 
 A rational potential keeps its values as integer numerators by row over one
 positive denominator, reduced as a whole: gcd(denominator, *numerators) is 1,
@@ -27,7 +26,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .core import (
-    BOOLEAN,
     Assignment,
     Domain,
     NONNEG_RATIONAL,
@@ -208,9 +206,3 @@ def support_relation(phi: Potential) -> Relation:
     """The support of a potential as a relation over the same domain."""
     zero = phi.semiring.zero
     return Relation(phi.universe, phi.domain, frozenset(x for x, n in phi.table.nums.items() if n != zero))
-
-
-def indicator_potential(r: Relation) -> Potential:
-    """The characteristic function of a relation: the Boolean potential that is 1 exactly on its rows."""
-    table = {x: int(x in r.tuples) for x in r.universe.rows(r.domain)}
-    return Potential(r.universe, r.domain, BOOLEAN, _Values(table, 1, False))

@@ -21,7 +21,6 @@ from .documents import (
     parse_signed_rational,
     potential_values,
     relation_rows,
-    section_potential,
 )
 from .errors import SignallingError
 from .feasibility import FarkasCertificate, validate_certificate, validate_solution
@@ -117,12 +116,12 @@ def agreement_analysis_doc(kb: Knowledgebase, report: AgreementReport) -> dict:
     }
 
 
-def _no_signalling_doc(verdict: NoSignallingVerdict, cell_limit: int | None) -> dict:
+def _no_signalling_doc(verdict: NoSignallingVerdict) -> dict:
     return {
         "verdict": "fail",
         "contexts": [",".join(c) for c in verdict.pair],
         "overlap": sorted(verdict.overlap),
-        "marginals": [potential_doc(section_potential(m, cell_limit)) for m in verdict.marginals],
+        "marginals": [valuation_doc(m) for m in verdict.marginals],
     }
 
 
@@ -168,7 +167,7 @@ def analysis_document(parsed: ParsedInput, cell_limit: int | None) -> tuple[dict
         try:
             report = classify(payload, cell_limit=cell_limit)
         except SignallingError as err:
-            return {"no-signalling": _no_signalling_doc(err.verdict, cell_limit), "class": None}, err.verdict, None
+            return {"no-signalling": _no_signalling_doc(err.verdict), "class": None}, err.verdict, None
         return contextuality_analysis_doc(payload, report), report, None
     kb = parsed.knowledgebase(cell_limit)
     report = analyze_knowledgebase(kb, cell_limit=cell_limit)

@@ -303,6 +303,37 @@ GOLDEN_POSSIBILISTIC_SHA256 = {
 }
 
 
+@pytest.mark.parametrize("name", ["hardy", "reversed-frames"])
+def test_a_possibilistic_query_is_written_as_its_knowledgebase_query(name, tmp_path, monkeypatch):
+    # A possibilistic model's knowledgebase is its sections as relations, so
+    # vk infer answers a query on the model exactly as on that knowledgebase.
+    from valkit.builtins import hardy_model
+    from valkit.documents import knowledgebase_document
+
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    if name == "hardy":
+        model, source = hardy_model(), "builtin:hardy"
+    else:
+        model, source = reversed_frame_possibilistic_model(), str(tmp_path / "model.json")
+        Path(source).write_text(canonical_json(model_document(model)), encoding="utf-8")
+    kb = tmp_path / "kb.json"
+    kb.write_text(canonical_json(knowledgebase_document(model.knowledgebase())), encoding="utf-8")
+    names = sorted(model.knowledgebase().joint_domain)
+    queries = [
+        ("--query", names[0]),
+        ("--query", f"{names[0]},{names[-1]}"),
+        ("--query", ",".join(names)),
+        ("--query", ",".join(names[:2]), "--order", ",".join(reversed(names[2:]))),
+    ]
+    for query in queries:
+        code, expected, err = run_cli("infer", str(kb), *query, "--json")
+        assert code == 0, err
+        code, out, err = run_cli("infer", source, *query, "--json")
+        assert code == 0, err
+        assert out == expected, query
+        assert json.loads(out)["type"] == "relation"
+
+
 def test_possibilistic_outputs_match_golden_digests(tmp_path, monkeypatch):
     monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
     monkeypatch.chdir(tmp_path)  # the report names its source path
@@ -659,10 +690,10 @@ def test_tables_from_a_document_obey_the_cell_limit(name, args, tmp_path, monkey
 
 
 def test_a_possibilistic_query_obeys_the_cell_limit(tmp_path):
-    # Two disjoint contexts of 128 cells each pass the limit, but vk infer
-    # writes a possibilistic query as a Boolean potential over its whole
-    # frame product, which over all 14 variables is refused before any row
-    # is listed.
+    # Two disjoint contexts of 128 cells each pass the limit. A possibilistic
+    # query is written as the relation it is, so the query over all 14
+    # variables is its one tuple; no table over its 16384-row frame product
+    # is built.
     names = [f"x{i}" for i in range(14)]
     contexts = [names[:7], names[7:]]
     document = {
@@ -674,17 +705,13 @@ def test_a_possibilistic_query_obeys_the_cell_limit(tmp_path):
     }
     doc = tmp_path / "disjoint.json"
     doc.write_text(canonical_json(document), encoding="utf-8")
-    code, _, err = run_cli("infer", str(doc), "--query", ",".join(names), "--limit", "1000")
-    assert code == 3, err
-    assert "would have 16384 cells (limit 1000)" in err
+    code, out, err = run_cli("infer", str(doc), "--query", ",".join(names), "--limit", "1000", "--json")
+    assert code == 0, err
+    assert json.loads(out) == {"query": sorted(names), "type": "relation", "tuples": [["0"] * 14]}
 
 
-def test_a_wide_possibilistic_section_is_read_as_its_listed_outcomes(tmp_path, monkeypatch):
-    # One context over 20 binary measurements lists one outcome. Its section
-    # is that one tuple, so neither analyze nor verify enumerates the rows of
-    # any domain wider than 12 variables.
-    from valkit.core import VariableUniverse
-
+def refuse_wide_rows(monkeypatch):
+    """Make enumerating the rows of any domain wider than 12 variables fail."""
     rows = VariableUniverse.rows
 
     def narrow_rows(universe, domain):
@@ -692,6 +719,13 @@ def test_a_wide_possibilistic_section_is_read_as_its_listed_outcomes(tmp_path, m
         return rows(universe, domain)
 
     monkeypatch.setattr(VariableUniverse, "rows", narrow_rows)
+
+
+def test_a_wide_possibilistic_section_is_read_as_its_listed_outcomes(tmp_path, monkeypatch):
+    # One context over 20 binary measurements lists one outcome. Its section
+    # is that one tuple, so neither analyze nor verify enumerates the rows of
+    # any domain wider than 12 variables.
+    refuse_wide_rows(monkeypatch)
     monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
     doc = tmp_path / "wide.json"
     doc.write_text(canonical_json(wide_documents(20)["possibilistic"]), encoding="utf-8")
@@ -700,6 +734,38 @@ def test_a_wide_possibilistic_section_is_read_as_its_listed_outcomes(tmp_path, m
     analysis = json.loads(out)["analysis"]
     assert (analysis["class"], analysis["gamma"]["size"]) == ("NC", 1)
     report = tmp_path / "wide.report"
+    report.write_text(out, encoding="utf-8")
+    code, _, err = run_cli("verify", str(report), str(doc))
+    assert code == 0, err
+
+
+def test_wide_signalling_marginals_are_written_as_relations(tmp_path, monkeypatch):
+    # Two contexts share 19 binary measurements and list one outcome each,
+    # which differ on the shared ones. The report's two marginals are those
+    # outcomes as one-tuple relations, so neither analyze nor verify
+    # enumerates the rows over the overlap.
+    refuse_wide_rows(monkeypatch)
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    shared = [f"x{i:02}" for i in range(19)]
+    contexts = [shared + ["p"], shared + ["q"]]
+    document = {
+        "kind": "empirical-model",
+        "universe": [{"name": name, "frame": ["0", "1"]} for name in shared + ["p", "q"]],
+        "model-kind": "possibilistic",
+        "contexts": contexts,
+        "sections": {",".join(ctx): {",".join(bit * 20): 1} for ctx, bit in zip(contexts, "01")},
+    }
+    doc = tmp_path / "signalling.json"
+    doc.write_text(canonical_json(document), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(doc), "--json")
+    assert code == 0, err
+    signalling = json.loads(out)["analysis"]["no-signalling"]
+    assert signalling["verdict"] == "fail"
+    assert [(m["type"], m["domain"], m["tuples"]) for m in signalling["marginals"]] == [
+        ("relation", shared, [["0"] * 19]),
+        ("relation", shared, [["1"] * 19]),
+    ]
+    report = tmp_path / "signalling.report"
     report.write_text(out, encoding="utf-8")
     code, _, err = run_cli("verify", str(report), str(doc))
     assert code == 0, err

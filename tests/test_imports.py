@@ -15,10 +15,9 @@ its defining one calls `solve_naive`, `combination_verdict` or
 `check_complete_disagreement`, so the analysis path cannot drift back onto
 them.
 
-Boolean potentials are relations: a possibilistic section is the relation of
-its outcomes, and only `core.py` (which defines the Boolean semiring) and
-`potentials.py` (whose `indicator_potential` writes a relation as a Boolean
-potential) name `BOOLEAN`.
+Boolean potentials are relations: possibilistic data is read, analysed and
+written as a relation, and only `core.py`, which defines the Boolean
+semiring, names `BOOLEAN`.
 
 A model analysis is one `classify` call: no module other than
 `contextuality.py` calls `check_no_signalling`, and no module defines or calls
@@ -175,7 +174,7 @@ def test_the_reference_check_sees_calls():
     assert _reference_calls(ast.parse(complete), "disagreement.py") == []
 
 
-BOOLEAN_MODULES = ("core.py", "potentials.py")
+BOOLEAN_MODULES = ("core.py",)
 
 
 def _boolean_uses(tree: ast.AST, module: str) -> list[str]:
@@ -190,13 +189,13 @@ def _boolean_uses(tree: ast.AST, module: str) -> list[str]:
     return found
 
 
-def test_only_the_semiring_and_potential_modules_name_boolean():
+def test_only_the_semiring_module_names_boolean():
     offences = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name not in BOOLEAN_MODULES:
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             offences.extend(_boolean_uses(tree, path.name))
-    assert not offences, "Boolean semiring named outside core.py and potentials.py:\n" + "\n".join(offences)
+    assert not offences, "Boolean semiring named outside core.py:\n" + "\n".join(offences)
 
 
 def test_the_boolean_check_sees_a_use():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valkit.core import (
+    BOOLEAN,
     NONNEG_RATIONAL,
     Assignment,
     VariableUniverse,
@@ -15,7 +16,6 @@ from valkit.potentials import (
     Potential,
     combine_potentials,
     constant_potential,
-    indicator_potential,
     neutral_potential,
     project_potential,
     support_relation,
@@ -88,7 +88,7 @@ def test_combine_disjoint_domains_is_product_table():
 
 def test_semiring_mismatch_raises():
     universe, row = bell_row_a1b1()
-    boolean = indicator_potential(support_relation(row))
+    boolean = Potential(universe, row.domain, BOOLEAN, {x: int(v != 0) for x, v in row.table.items()})
     with pytest.raises(SemiringMismatchError):
         combine_potentials(row, boolean)
 
@@ -124,13 +124,6 @@ def test_boolean_potentials_mirror_relations():
         assert lhs == rhs
         sub = frozenset(sorted(phi.domain)[:1])
         assert support_relation(project_potential(phi, sub)) == project_relation(support_relation(phi), sub)
-
-
-def test_indicator_round_trip(screening_universe):
-    from valkit.relations import Relation
-
-    r = Relation.from_rows(screening_universe, ("e", "f"), [("M", "Y"), ("CBE", "2Y")])
-    assert support_relation(indicator_potential(r)) == r
 
 
 @st.composite
