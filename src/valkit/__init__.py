@@ -15,7 +15,6 @@ from .contextuality import (
     MeasurementScenario,
     check_no_signalling,
     classify,
-    flasque_check,
     gamma,
     lc_at,
     possibilistic_model,
@@ -92,7 +91,6 @@ from .potentials import (
 )
 from .relations import (
     AdjointnessReport,
-    Ordering,
     Relation,
     adjointness_suite,
     empty_relation,
@@ -100,7 +98,6 @@ from .relations import (
     natural_join,
     project_relation,
     relation_leq,
-    relation_order,
 )
 
 __version__ = "0.1.0"

@@ -10,10 +10,9 @@ explicitly requested set) and reports a concrete counterexample on failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Domain, Semiring, VariableUniverse
+from .core import Domain, Record, Semiring, VariableUniverse
 from .errors import ArgumentError, CapabilityError
 from .potentials import (
     Potential,
@@ -149,8 +148,7 @@ class PotentialAlgebra(ValuationAlgebra):
         return self.universe.size(phi.domain | psi.domain)
 
 
-@dataclass(frozen=True)
-class Knowledgebase:
+class Knowledgebase(Record):
     """A finite list of valuations from one algebra instance."""
 
     universe: VariableUniverse
@@ -193,8 +191,7 @@ class Knowledgebase:
         return iter(self.valuations)
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
+class AxiomCheck(Record):
     axiom: str
     passed: bool
     cases: int

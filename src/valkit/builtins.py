@@ -11,13 +11,12 @@ edge).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .algebra import Knowledgebase
 from .contextuality import EmpiricalModel, possibilistic_model, probabilistic_model
-from .core import VariableUniverse
+from .core import Record, VariableUniverse
 from .errors import ArgumentError
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase, liar_cycle
 from .relations import Relation
@@ -135,8 +134,7 @@ def liar_knowledgebase(n: int, consistent: bool = False) -> Knowledgebase:
     return liar_cycle(n, consistent=consistent).knowledgebase()
 
 
-@dataclass(frozen=True)
-class BuiltinSpec:
+class BuiltinSpec(Record):
     name: str
     kind: str  # "empirical-model" | "knowledgebase"
     summary: str

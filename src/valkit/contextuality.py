@@ -12,24 +12,21 @@ sections, which exact feasibility decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .algebra import Knowledgebase
-from .core import Assignment, Domain, NONNEG_RATIONAL, VariableUniverse
+from .core import Assignment, Domain, NONNEG_RATIONAL, Record, VariableUniverse
 from .disagreement import GlobalVerdict, check_local_agreement, support_analysis, support_knowledgebase, tree_verdict
 from .errors import ArgumentError, SignallingError
 from .inference import DEFAULT_CELL_LIMIT, calibrate
 from .potentials import Potential, total_mass
-from .relations import Relation, Row, project_relation
+from .relations import Relation
 
 PROBABILISTIC = "probabilistic"
 POSSIBILISTIC = "possibilistic"
 
 
-@dataclass(frozen=True)
-class MeasurementScenario:
+class MeasurementScenario(Record):
     """Measurements with outcome frames and an antichain cover of contexts."""
 
     universe: VariableUniverse
@@ -59,8 +56,7 @@ class MeasurementScenario:
                     )
 
 
-@dataclass(frozen=True)
-class EmpiricalModel:
+class EmpiricalModel(Record):
     scenario: MeasurementScenario
     kind: str  # PROBABILISTIC | POSSIBILISTIC
     sections: tuple[Potential, ...] | tuple[Relation, ...]  # aligned with scenario.contexts
@@ -104,8 +100,7 @@ class EmpiricalModel:
         return support_knowledgebase(self.knowledgebase())
 
 
-@dataclass(frozen=True)
-class NoSignallingVerdict:
+class NoSignallingVerdict(Record):
     passed: bool
     pair: tuple[tuple[str, ...], tuple[str, ...]] | None = None
     overlap: Domain | None = None
@@ -139,47 +134,6 @@ def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
     return calibrate(support_knowledgebase(_signal_free(model)), cell_limit).combination()
 
 
-@dataclass(frozen=True)
-class FlasqueReport:
-    passed: bool
-    empty_context: tuple[str, ...] | None = None
-    failure: tuple[tuple[str, ...], tuple[str, ...]] | None = None  # (U, U') with a non-surjective restriction
-    note: str = "compatible families glue into the combination by construction"
-
-
-def flasque_check(model: EmpiricalModel) -> FlasqueReport:
-    """Support presheaf sanity: nonempty contexts and surjective restrictions beneath them.
-
-    The value on a set beneath the cover is the union of the projections of
-    the covering contexts' supports.
-    """
-    supports = dict(zip(model.scenario.contexts, model.support_knowledgebase()))
-    for ctx, support in supports.items():
-        if support.is_empty():
-            return FlasqueReport(False, empty_context=ctx)
-
-    def beneath(u: Domain) -> frozenset[Row]:
-        sections = set()
-        for ctx, support in supports.items():
-            if u <= frozenset(ctx):
-                sections.update(project_relation(support, u).tuples)
-        return frozenset(sections)
-
-    for ctx, support in supports.items():
-        names = tuple(ctx)
-        subsets = []
-        for size in range(len(names) + 1):
-            subsets.extend(frozenset(c) for c in combinations(names, size))
-        for u_prime in subsets:
-            restricted = project_relation(support, u_prime)
-            for u in subsets:
-                if not u <= u_prime:
-                    continue
-                if project_relation(restricted, u).tuples != beneath(u):
-                    return FlasqueReport(False, failure=(tuple(sorted(u)), tuple(sorted(u_prime))))
-    return FlasqueReport(True)
-
-
 def lc_at(
     model: EmpiricalModel,
     context: tuple[str, ...],
@@ -197,8 +151,7 @@ def lc_at(
     return section.row not in marginals[model.scenario.contexts.index(tuple(context))].tuples
 
 
-@dataclass(frozen=True)
-class ContextualityReport:
+class ContextualityReport(Record):
     gamma: Relation
     strongly_contextual: bool
     logically_contextual: bool

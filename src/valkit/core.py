@@ -4,13 +4,12 @@ Everything downstream is built from three currencies: a universe fixing each
 variable's frame of possible values, assignments of values to finite variable
 sets, and commutative semirings supplying the arithmetic for potentials.
 Value labels are opaque strings; frames are ordered so that enumeration and
-serialization are deterministic.
+serialization are deterministic. Every value type of valkit is a `Record`.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Mapping
@@ -25,8 +24,78 @@ def dom(*names: str) -> Domain:
     return frozenset(names)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Record:
+    """An immutable value whose fields are its class's annotations, in order.
+
+    Construction takes the fields positionally or by keyword, fills a field
+    left out from the class attribute of that name, and then calls
+    `__post_init__`. Two records are equal when they are of the same class
+    and their compared fields are equal, and the hash is that of the compared
+    fields' tuple; `repr` shows them as `Name(field=value, ...)`. Fields named
+    in `_uncompared` take part in none of the three. Assignment and deletion
+    raise `AttributeError`; `__post_init__` may store derived state with
+    `object.__setattr__`. Each subclass works out its fields once, when it is
+    defined, and every class shares these methods.
+    """
+
+    _uncompared = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._compared = tuple(name for name in cls._fields if name not in cls._uncompared)
+        get = operator.attrgetter(*cls._compared)
+        # The key is always a tuple, so a record hashes as a tuple of its compared fields.
+        cls._key = staticmethod(get if len(cls._compared) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        """The field values in order from positional and keyword arguments, with defaults filled in."""
+        name, fields = type(self).__qualname__, self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = list(args)
+        for field in fields[len(args) :]:
+            if field in kwargs:
+                values.append(kwargs.pop(field))
+            elif field in self._defaults:
+                values.append(self._defaults[field])
+            else:
+                raise TypeError(f"{name}() missing argument {field!r}")
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected or repeated keyword argument {next(iter(kwargs))!r}")
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Frame(Record):
     """The ordered, finite set of values a variable can take."""
 
     values: tuple[str, ...]
@@ -44,8 +113,7 @@ class Frame:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class VariableUniverse:
+class VariableUniverse(Record):
     """All known variables with their frames, in declaration order."""
 
     entries: tuple[tuple[str, Frame], ...]
@@ -98,8 +166,7 @@ class VariableUniverse:
         return product(*(self.frame(name).values for name in sorted(domain)))
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Record):
     """A tuple of values for a finite variable set, stored sorted by variable name."""
 
     items: tuple[tuple[str, str], ...]
@@ -153,17 +220,22 @@ def enumerate_assignments(domain: Domain, universe: VariableUniverse) -> list[As
     return [Assignment.from_row(domain, row) for row in universe.rows(domain)]
 
 
-@dataclass(frozen=True)
-class Semiring:
-    """A commutative semiring: the value arithmetic behind potentials."""
+class Semiring(Record):
+    """A commutative semiring: the value arithmetic behind potentials.
+
+    Two semirings are equal when their name, units and idempotence are; the
+    operations are left out of `==`, `hash` and `repr`.
+    """
+
+    _uncompared = ("add", "mul", "contains")
 
     name: str
     zero: object
     one: object
     additively_idempotent: bool
-    add: Callable = field(compare=False, repr=False)
-    mul: Callable = field(compare=False, repr=False)
-    contains: Callable = field(compare=False, repr=False)
+    add: Callable
+    mul: Callable
+    contains: Callable
 
 
 def _is_bit(v: object) -> bool:

@@ -13,11 +13,10 @@ calibrated tree of the members' supports (`support_analysis`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import Knowledgebase, PotentialAlgebra
-from .core import Domain, NONNEG_RATIONAL
+from .core import Domain, NONNEG_RATIONAL, Record
 from .errors import ArgumentError, CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, JoinTree, calibrate, solve_fusion
@@ -28,26 +27,25 @@ DEFAULT_FEASIBILITY_COLUMNS = 4096
 DEFAULT_TRUTH_SEARCH_STATES = 16
 
 
-@dataclass(frozen=True)
-class LocalVerdict:
+class LocalVerdict(Record):
     agrees: bool
     pair: tuple[int, int] | None = None  # 1-based member indices
     overlap: Domain | None = None
     projections: tuple | None = None
 
 
-@dataclass(frozen=True)
-class GlobalVerdict:
+class GlobalVerdict(Record):
+    _uncompared = ("system",)
+
     agrees: bool
     truth: object | None = None  # the truth valuation gamma, on agreement
     witness_index: int | None = None  # 1-based member whose projection differs
     projected: object | None = None  # what the combination projects to there
     certificate: FarkasCertificate | None = None  # infeasibility proof (potentials path)
-    system: LinearSystem | None = field(default=None, compare=False, repr=False)  # what the potentials path solved
+    system: LinearSystem | None = None  # what the potentials path solved; not compared or shown
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class AgreementReport(Record):
     local: LocalVerdict
     global_agreement: GlobalVerdict
     complete_disagreement: bool

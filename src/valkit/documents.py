@@ -11,7 +11,6 @@ byte-identical documents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Knowledgebase
@@ -21,7 +20,7 @@ from .contextuality import (
     EmpiricalModel,
     MeasurementScenario,
 )
-from .core import Domain, NONNEG_RATIONAL, VariableUniverse
+from .core import Domain, NONNEG_RATIONAL, Record, VariableUniverse
 from .errors import ParseError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase
@@ -31,8 +30,7 @@ from .relations import Relation, restriction
 KINDS = ("empirical-model", "knowledgebase", "csp")
 
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(Record):
     kind: str
     payload: object  # EmpiricalModel | Knowledgebase | CSPDocumentPayload
 
@@ -45,8 +43,7 @@ class ParsedInput:
         return self.payload
 
 
-@dataclass(frozen=True)
-class CSPDocumentPayload:
+class CSPDocumentPayload(Record):
     csp: CSPInstance
     covers: tuple[Domain, ...]
 

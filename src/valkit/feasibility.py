@@ -14,19 +14,18 @@ re-checkable without trusting the solver, and validate_certificate does so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Hashable, Mapping
 
+from .core import Record
 from .errors import ArgumentError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class LinearSystem:
+class LinearSystem(Record):
     """Equality system A x = b with named rows and columns and sparse entries."""
 
     columns: tuple[Hashable, ...]
@@ -46,8 +45,7 @@ class LinearSystem:
                 raise ArgumentError(f"right-hand side of row {row!r} must be nonnegative")
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+class FarkasCertificate(Record):
     """Row multipliers y with y.A <= 0 for every column and y.b > 0."""
 
     coefficients: tuple[tuple[Hashable, Fraction], ...]
@@ -56,8 +54,7 @@ class FarkasCertificate:
         return dict(self.coefficients)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(Record):
     feasible: bool
     solution: dict[Hashable, Fraction] | None = None
     certificate: FarkasCertificate | None = None

@@ -19,11 +19,10 @@ verdicts off the tree of its members' supports.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Knowledgebase, ValuationAlgebra
-from .core import Domain, VariableUniverse
+from .core import Domain, Record, VariableUniverse
 from .errors import ArgumentError, CapabilityError, DomainError, ResourceLimitError
 
 DEFAULT_CELL_LIMIT = 10_000_000
@@ -52,8 +51,7 @@ def check_table_size(universe: VariableUniverse, domain: Domain, cell_limit: int
         )
 
 
-@dataclass(frozen=True)
-class InferenceProblem:
+class InferenceProblem(Record):
     knowledgebase: Knowledgebase
     query: Domain
 
@@ -151,8 +149,7 @@ def solve_fusion(
     return algebra.project(combined[-1], problem.query)
 
 
-@dataclass(frozen=True)
-class JoinTree:
+class JoinTree(Record):
     """A calibrated bucket tree: each clique is the combination projected onto the clique's domain.
 
     Clique k belongs to order[k] and the last clique, over the empty domain,

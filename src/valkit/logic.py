@@ -7,18 +7,16 @@ kept as the relation of its satisfying truth assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import Knowledgebase
-from .core import Assignment, Domain, VariableUniverse
+from .core import Assignment, Domain, Record, VariableUniverse
 from .errors import ArgumentError, DomainError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .relations import Relation, project_relation, restriction
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """A scheme (tuple of variables) plus the relation of allowed evaluations on it."""
 
     scheme: tuple[str, ...]
@@ -35,8 +33,7 @@ class Constraint:
         return frozenset(self.scheme)
 
 
-@dataclass(frozen=True)
-class CSPInstance:
+class CSPInstance(Record):
     universe: VariableUniverse
     constraints: tuple[Constraint, ...]
 
@@ -86,8 +83,7 @@ def csp_to_knowledgebase(
     return Knowledgebase(csp.universe, tuple(valuations))
 
 
-@dataclass(frozen=True)
-class PropositionalSystem:
+class PropositionalSystem(Record):
     """Boolean symbols and formulas pre-compiled to their satisfying relations."""
 
     universe: VariableUniverse

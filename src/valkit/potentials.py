@@ -21,7 +21,6 @@ when an entry is read; the numerators never leave this module.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -29,6 +28,7 @@ from .core import (
     Assignment,
     Domain,
     NONNEG_RATIONAL,
+    Record,
     Semiring,
     VariableUniverse,
 )
@@ -68,11 +68,10 @@ def _values(semiring: Semiring, values: Mapping[Row, object]) -> _Values:
     return _Values({row: v.numerator * (den // v.denominator) for row, v in values.items()}, den, True)
 
 
-@dataclass(frozen=True)
-class Potential:
+class Potential(Record):
     """A total table from rows (values in sorted-domain order) to semiring values.
 
-    The dataclass constructor trusts its table (a mapping from rows to values)
+    The record constructor trusts its table (a mapping from rows to values)
     and stores it in canonical form; `table` then reads the values back.
     `Potential.from_table` validates outside input keyed by assignments.
     """

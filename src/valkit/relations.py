@@ -8,19 +8,17 @@ relation as the bottom of every domain.
 
 A row is a tuple of values in sorted(domain) order, so variable names are
 stored once, in the domain, and rows sort exactly as the assignments they
-stand for. The dataclass constructor trusts its arguments; internal results
+stand for. The record constructor trusts its arguments; internal results
 use it, while `Relation.of` and `Relation.from_rows` validate outside input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .core import Assignment, Domain, VariableUniverse
+from .core import Assignment, Domain, Record, VariableUniverse
 from .errors import ArgumentError, DomainError, UniverseMismatchError
 
 Row = tuple[str, ...]
@@ -45,8 +43,7 @@ def _restriction(names: tuple[str, ...], order: tuple[str, ...]) -> Callable[[Ro
     return lambda row: ()
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     universe: VariableUniverse
     domain: Domain
     tuples: frozenset[Row]
@@ -153,26 +150,6 @@ def project_relation(r: Relation, target: Domain) -> Relation:
     return Relation(r.universe, target, frozenset(map(restriction(sorted(r.domain), sorted(target)), r.tuples)))
 
 
-class Ordering(Enum):
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    INCOMPARABLE = "incomparable"
-
-
-def relation_order(r1: Relation, r2: Relation) -> Ordering:
-    """Compare by inclusion. Relations over different domains are incomparable."""
-    if r1.universe != r2.universe or r1.domain != r2.domain:
-        return Ordering.INCOMPARABLE
-    if r1.tuples == r2.tuples:
-        return Ordering.EQUAL
-    if r1.tuples <= r2.tuples:
-        return Ordering.LESS
-    if r1.tuples >= r2.tuples:
-        return Ordering.GREATER
-    return Ordering.INCOMPARABLE
-
-
 def relation_leq(r1: Relation, r2: Relation) -> bool:
     """Inclusion order on a shared domain; raises DomainError for incomparable operands."""
     if r1.universe != r2.universe:
@@ -182,8 +159,7 @@ def relation_leq(r1: Relation, r2: Relation) -> bool:
     return r1.tuples <= r2.tuples
 
 
-@dataclass(frozen=True)
-class AdjointnessReport:
+class AdjointnessReport(Record):
     passed: bool
     checks: int
     counterexample: str | None = None

@@ -1015,3 +1015,28 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "bell" in proc.stdout
+
+
+# Modules that only `dataclasses` brought onto valkit's import path: `dataclasses`
+# itself and the `inspect` chain it imports.
+STARTUP_FORBIDDEN = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+
+
+def loaded_modules(code: str) -> set[str]:
+    """The names in `sys.modules` of a child that ran `code`, started as a valkit child is."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint('\\n'.join(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_cli_adds_no_dataclasses_or_inspect():
+    # Compared with a bare child, not with a fixed list: `site` hooks may
+    # preload modules (`re`, `enum`, `typing`, `random`) before any import.
+    added = loaded_modules("import valkit.cli") - loaded_modules("pass")
+    assert "valkit.cli" in added and "valkit.core" in added
+    assert sorted(added.intersection(STARTUP_FORBIDDEN)) == []

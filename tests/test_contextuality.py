@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -11,17 +11,16 @@ from valkit.contextuality import (
     MeasurementScenario,
     check_no_signalling,
     classify,
-    flasque_check,
     gamma,
     lc_at,
     possibilistic_model,
     probabilistic_model,
 )
-from valkit.core import Assignment, VariableUniverse
+from valkit.core import Assignment, Domain, Record, VariableUniverse
 from valkit.disagreement import combination_verdict, tree_verdict
 from valkit.errors import ArgumentError, PreconditionError, SignallingError
 from valkit.inference import InferenceProblem, JoinTree, calibrate, solve_naive
-from valkit.relations import project_relation
+from valkit.relations import Row, project_relation
 
 from conftest import cycle_model, noisy_cycle_correlators, values_in
 
@@ -203,6 +202,48 @@ def test_lc_at_rejects_unsupported_section():
     model = hardy_model()
     with pytest.raises(ArgumentError):
         lc_at(model, ("a1", "b2"), Assignment.of({"a1": "0", "b2": "0"}))
+
+
+# The support presheaf of a model, checked on the subsets beneath each context.
+# No verdict, report or verify step uses it, so it lives here with its tests.
+class FlasqueReport(Record):
+    passed: bool
+    empty_context: tuple[str, ...] | None = None
+    failure: tuple[tuple[str, ...], tuple[str, ...]] | None = None  # (U, U') with a non-surjective restriction
+    note: str = "compatible families glue into the combination by construction"
+
+
+def flasque_check(model: EmpiricalModel) -> FlasqueReport:
+    """Support presheaf sanity: nonempty contexts and surjective restrictions beneath them.
+
+    The value on a set beneath the cover is the union of the projections of
+    the covering contexts' supports.
+    """
+    supports = dict(zip(model.scenario.contexts, model.support_knowledgebase()))
+    for ctx, support in supports.items():
+        if support.is_empty():
+            return FlasqueReport(False, empty_context=ctx)
+
+    def beneath(u: Domain) -> frozenset[Row]:
+        sections = set()
+        for ctx, support in supports.items():
+            if u <= frozenset(ctx):
+                sections.update(project_relation(support, u).tuples)
+        return frozenset(sections)
+
+    for ctx, support in supports.items():
+        names = tuple(ctx)
+        subsets = []
+        for size in range(len(names) + 1):
+            subsets.extend(frozenset(c) for c in combinations(names, size))
+        for u_prime in subsets:
+            restricted = project_relation(support, u_prime)
+            for u in subsets:
+                if not u <= u_prime:
+                    continue
+                if project_relation(restricted, u).tuples != beneath(u):
+                    return FlasqueReport(False, failure=(tuple(sorted(u)), tuple(sorted(u_prime))))
+    return FlasqueReport(True)
 
 
 def test_flasque_check_passes_on_collapses_and_ghz():

@@ -23,6 +23,10 @@ A model analysis is one `classify` call: no module other than
 `contextuality.py` calls `check_no_signalling`, and no module defines or calls
 `classify_checked`, the second entry point that `classify` absorbed.
 
+No valkit module imports `dataclasses`: every value type is a `core.Record`,
+and importing `dataclasses` would put it and `inspect` back on every
+command's start-up.
+
 The traced benchmark wraps valkit functions by name: every `(module,
 function)` pair in `LAYERS` of `bench/tracing.py` must still name a callable
 in `valkit.<module>`, so a rename under `src/` cannot silently drop a layer.
@@ -238,6 +242,38 @@ def test_the_model_analysis_check_sees_a_second_entry_point():
         "contextuality.py:4: calls classify_checked",
     ]
     assert _model_analysis_offences(ast.parse("from .contextuality import check_no_signalling\n"), "reports.py") == []
+
+
+def _dataclass_imports(tree: ast.AST, module: str) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            found.append(f"{module}:{node.lineno}: imports dataclasses")
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(_dataclass_imports(tree, path.name))
+    assert not offences, "dataclasses on the import path:\n" + "\n".join(offences)
+
+
+def test_the_dataclass_check_sees_an_import():
+    source = "import dataclasses\nfrom dataclasses import dataclass, field\nimport os, dataclasses as dc\n"
+    assert _dataclass_imports(ast.parse(source), "core.py") == [
+        "core.py:1: imports dataclasses",
+        "core.py:2: imports dataclasses",
+        "core.py:3: imports dataclasses",
+    ]
+    assert _dataclass_imports(ast.parse("from .core import Record\nimport operator\n"), "core.py") == []
 
 
 def _traced_layers() -> tuple[tuple[str, str], ...]:

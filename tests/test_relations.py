@@ -1,4 +1,5 @@
 import random
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from valkit.core import Assignment, VariableUniverse, enumerate_assignments
 from valkit.errors import ArgumentError, DomainError, UniverseMismatchError
 from valkit.relations import (
-    Ordering,
     Relation,
     adjointness_suite,
     empty_relation,
@@ -14,7 +14,6 @@ from valkit.relations import (
     natural_join,
     project_relation,
     relation_leq,
-    relation_order,
 )
 
 from conftest import random_relation
@@ -95,6 +94,27 @@ def test_from_rows_refuses_a_repeated_variable():
     with pytest.raises(ArgumentError, match="repeat"):
         Relation.from_rows(universe, ("a", "a"), [])
     assert Relation.from_rows(universe, ("a",), [("1",)]).tuples == {("1",)}
+
+
+# A four-way comparison by inclusion; valkit itself needs only relation_leq.
+class Ordering(Enum):
+    LESS = "less"
+    EQUAL = "equal"
+    GREATER = "greater"
+    INCOMPARABLE = "incomparable"
+
+
+def relation_order(r1: Relation, r2: Relation) -> Ordering:
+    """Compare by inclusion. Relations over different domains are incomparable."""
+    if r1.universe != r2.universe or r1.domain != r2.domain:
+        return Ordering.INCOMPARABLE
+    if r1.tuples == r2.tuples:
+        return Ordering.EQUAL
+    if r1.tuples <= r2.tuples:
+        return Ordering.LESS
+    if r1.tuples >= r2.tuples:
+        return Ordering.GREATER
+    return Ordering.INCOMPARABLE
 
 
 def test_relation_order_cases(screening_universe):
