@@ -16,7 +16,6 @@ from .contextuality import (
     check_no_signalling,
     classify,
     gamma,
-    lc_at,
     possibilistic_model,
     probabilistic_model,
 )
@@ -29,7 +28,6 @@ from .core import (
     VariableUniverse,
     dom,
     enumerate_assignments,
-    project_assignment,
 )
 from .disagreement import (
     AgreementReport,
@@ -42,7 +40,6 @@ from .disagreement import (
     check_local_agreement,
     combination_verdict,
     search_truth_valuations,
-    verify_truth_maximality,
 )
 from .errors import (
     ArgumentError,
@@ -76,7 +73,6 @@ from .logic import (
     CSPInstance,
     PropositionalSystem,
     csp_to_knowledgebase,
-    evaluation_satisfies,
     liar_cycle,
 )
 from .potentials import (

@@ -10,7 +10,6 @@ errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 
@@ -47,16 +46,22 @@ def _read_text(path: str) -> tuple[str, bytes]:
         raise ParseError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
 
 
-def _load_input(source: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> tuple[ParsedInput, str]:
-    """Resolve a path or builtin:NAME into a parsed input plus its content hash; tables obey `cell_limit`."""
+def _load_input(source: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> tuple[ParsedInput, bytes]:
+    """Resolve a path or builtin:NAME into a parsed input plus the bytes its digest covers; tables obey `cell_limit`."""
     if source.startswith("builtin:"):
         name = source[len("builtin:"):]
         payload = builtin(name)
         document = document_for(payload)
-        digest = hashlib.sha256(canonical_json(document).encode("utf-8")).hexdigest()
-        return ParsedInput(document["kind"], payload), digest
+        return ParsedInput(document["kind"], payload), canonical_json(document).encode("utf-8")
     text, raw = _read_text(source)
-    return parse_document_text(text, cell_limit), hashlib.sha256(raw).hexdigest()
+    return parse_document_text(text, cell_limit), raw
+
+
+def _digest(raw: bytes) -> str:
+    """The SHA-256 of an input's bytes, as a report records it; `hashlib` loads only when a digest is taken."""
+    import hashlib
+
+    return hashlib.sha256(raw).hexdigest()
 
 
 def _human_analysis(doc: dict) -> list[str]:
@@ -95,7 +100,8 @@ def _human_analysis(doc: dict) -> list[str]:
 
 def cmd_analyze(args) -> int:
     cell_limit = resolve_cell_limit(args.limit)
-    parsed, digest = _load_input(args.source, cell_limit)
+    parsed, raw = _load_input(args.source, cell_limit)
+    digest = _digest(raw)
     started = time.perf_counter()
     report = build_report(args.source, digest, parsed, cell_limit=cell_limit)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -152,8 +158,8 @@ def cmd_verify(args) -> int:
     report = load_json(_read_text(args.report)[0], "report JSON")
     if not isinstance(report, dict):
         raise ParseError("report must be a JSON object")
-    parsed, digest = _load_input(args.source, cell_limit)
-    problems = verify_report(report, parsed, digest, cell_limit)
+    parsed, raw = _load_input(args.source, cell_limit)
+    problems = verify_report(report, parsed, _digest(raw), cell_limit)
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)

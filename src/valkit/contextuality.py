@@ -18,7 +18,7 @@ from .algebra import Knowledgebase
 from .core import Assignment, Domain, NONNEG_RATIONAL, Record, VariableUniverse
 from .disagreement import GlobalVerdict, check_local_agreement, support_analysis, support_knowledgebase, tree_verdict
 from .errors import ArgumentError, SignallingError
-from .inference import DEFAULT_CELL_LIMIT, calibrate
+from .inference import DEFAULT_CELL_LIMIT
 from .potentials import Potential, total_mass
 from .relations import Relation
 
@@ -117,40 +117,6 @@ def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
     return NoSignallingVerdict(False, pair=(contexts[i - 1], contexts[j - 1]), overlap=local.overlap, marginals=local.projections)
 
 
-def _signal_free(model: EmpiricalModel) -> Knowledgebase:
-    """The model's knowledgebase, once no-signalling holds; else SignallingError with the failed verdict."""
-    verdict = check_no_signalling(model)
-    if not verdict.passed:
-        raise SignallingError(verdict)
-    return model.knowledgebase()
-
-
-def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Relation:
-    """The combination of all context supports, every globally consistent assignment.
-
-    It is joined from the supports' calibrated join tree, as a relation
-    knowledgebase's combination is.
-    """
-    return calibrate(support_knowledgebase(_signal_free(model)), cell_limit).combination()
-
-
-def lc_at(
-    model: EmpiricalModel,
-    context: tuple[str, ...],
-    section: Assignment,
-    cell_limit: int | None = DEFAULT_CELL_LIMIT,
-) -> bool:
-    """True iff the supported section extends to no globally consistent assignment (needs no-signalling).
-
-    The context's projection of Gamma comes off the supports' calibrated tree.
-    """
-    support = model.support_for(context)
-    if section.domain != support.domain or section.row not in support.tuples:
-        raise ArgumentError(f"{section!r} is not in the support of context {tuple(context)!r}")
-    marginals = list(calibrate(support_knowledgebase(_signal_free(model)), cell_limit).marginals())
-    return section.row not in marginals[model.scenario.contexts.index(tuple(context))].tuples
-
-
 class ContextualityReport(Record):
     gamma: Relation
     strongly_contextual: bool
@@ -172,7 +138,10 @@ def classify(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT)
     its least missing section; PC is the failure of the marginal feasibility
     system that the same analysis solves.
     """
-    tree, feasibility = support_analysis(_signal_free(model), cell_limit)
+    no_signalling = check_no_signalling(model)
+    if not no_signalling.passed:
+        raise SignallingError(no_signalling)
+    tree, feasibility = support_analysis(model.knowledgebase(), cell_limit)
     verdict = tree_verdict(tree)
     g = verdict.truth if verdict.agrees else tree.combination()
 
@@ -197,6 +166,15 @@ def classify(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT)
         sc_context=sc_context,
         feasibility=feasibility,
     )
+
+
+def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Relation:
+    """The combination of all context supports, every globally consistent assignment: `classify`'s Gamma.
+
+    It refuses wherever `classify` does, e.g. for a probabilistic model past
+    the marginal system's 4096-column cap.
+    """
+    return classify(model, cell_limit).gamma
 
 
 def probabilistic_model(

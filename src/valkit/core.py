@@ -207,14 +207,6 @@ class Assignment(Record):
         return f"({inner})" if inner else "(*)"
 
 
-def project_assignment(x: Assignment, target: Domain) -> Assignment:
-    """Cartesian projection of an assignment onto a subset of its domain."""
-    extra = target - x.domain
-    if extra:
-        raise DomainError(f"projection target is not a subset of the domain; offending variables: {sorted(extra)}")
-    return x.restrict(target)
-
-
 def enumerate_assignments(domain: Domain, universe: VariableUniverse) -> list[Assignment]:
     """All assignments over `domain`, lexicographic by variable name then frame order."""
     return [Assignment.from_row(domain, row) for row in universe.rows(domain)]

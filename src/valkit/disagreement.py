@@ -17,11 +17,11 @@ from fractions import Fraction
 
 from .algebra import Knowledgebase, PotentialAlgebra
 from .core import Domain, NONNEG_RATIONAL, Record
-from .errors import ArgumentError, CapabilityError, ResourceLimitError
+from .errors import CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, JoinTree, calibrate, solve_fusion
 from .potentials import Potential, support_relation
-from .relations import Relation, relation_leq, restriction
+from .relations import Relation, restriction
 
 DEFAULT_FEASIBILITY_COLUMNS = 4096
 DEFAULT_TRUTH_SEARCH_STATES = 16
@@ -100,17 +100,13 @@ def check_global_agreement_adjoint(kb: Knowledgebase, cell_limit: int | None = D
 def tree_verdict(tree: JoinTree) -> GlobalVerdict:
     """Global agreement read off a calibrated tree: the first member unlike its clique's projection, if any.
 
-    Each member's projection of the combination comes off its home clique.
-    On agreement a member over the joint domain is its own projection, so it
-    is the combination; only without one is the combination joined.
+    Each member's projection of the combination comes off its home clique;
+    on agreement the truth valuation is the tree's combination.
     """
-    kb = tree.knowledgebase
-    for index, (phi, projected) in enumerate(zip(kb, tree.marginals()), start=1):
+    for index, (phi, projected) in enumerate(zip(tree.knowledgebase, tree.marginals()), start=1):
         if projected != phi:
             return GlobalVerdict(False, witness_index=index, projected=projected)
-    joint = kb.joint_domain
-    whole = [phi for phi in kb if phi.domain == joint]
-    return GlobalVerdict(True, truth=whole[0] if whole else tree.combination())
+    return GlobalVerdict(True, truth=tree.combination())
 
 
 def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:
@@ -223,18 +219,6 @@ def search_truth_valuations(
             tuples = frozenset(globals_[candidates[i]] for i in range(k) if mask >> i & 1)
             found.append(Relation(universe, joint, tuples))
     return found
-
-
-def verify_truth_maximality(
-    kb: Knowledgebase,
-    gamma: Relation,
-    state_limit: int = DEFAULT_TRUTH_SEARCH_STATES,
-) -> bool:
-    """Check gamma dominates every truth valuation found by exhaustive search."""
-    found = search_truth_valuations(kb, state_limit)
-    if gamma not in found:
-        raise ArgumentError("gamma is not itself a truth valuation of this knowledgebase")
-    return all(relation_leq(delta, gamma) for delta in found)
 
 
 def support_knowledgebase(kb: Knowledgebase) -> Knowledgebase:

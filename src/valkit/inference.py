@@ -171,15 +171,21 @@ class JoinTree(Record):
             yield algebra.project(self.cliques[home], algebra.label(phi))
 
     def combination(self):
-        """The whole combination: the cliques joined root first, so each intermediate projects it.
+        """The whole combination: a clique over every variable if there is one, else the cliques joined root first.
 
-        Clique k's separator lies in its parent's clique, joined before it, so
-        the join adds only order[k]: it is bounded by the running result
-        combined with the neutral element over order[k] (for relations, the
-        result's size times that variable's frame), which is far below the
-        product with a large clique.
+        A calibrated clique over the joint domain is the combination itself.
+        Joined root first, each intermediate is a projection of it: clique k's
+        separator lies in its parent's clique, joined before it, so the join
+        adds only order[k]. It is bounded by the running result combined with
+        the neutral element over order[k] (for relations, the result's size
+        times that variable's frame), which is far below the product with a
+        large clique.
         """
         algebra = self.knowledgebase.algebra()
+        joint = self.knowledgebase.joint_domain
+        for clique in self.cliques:
+            if algebra.label(clique) == joint:
+                return clique
         result = self.cliques[-1]
         for var, clique in zip(reversed(self.order), reversed(self.cliques[:-1])):
             bound = min(

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import Knowledgebase
-from .core import Assignment, Domain, Record, VariableUniverse
+from .core import Domain, Record, VariableUniverse
 from .errors import ArgumentError, DomainError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .relations import Relation, project_relation, restriction
@@ -40,18 +40,6 @@ class CSPInstance(Record):
     def __post_init__(self):
         for c in self.constraints:
             self.universe.check_domain(c.scheme_set)
-
-
-def evaluation_satisfies(v: Assignment, constraint: Constraint) -> bool:
-    """Partial-overlap satisfaction: vacuous when the evaluation misses the scheme.
-
-    With a proper partial overlap, membership is tested against the allowed
-    relation projected to the shared variables.
-    """
-    overlap = v.domain & constraint.scheme_set
-    if not overlap:
-        return True
-    return v.restrict(overlap).row in project_relation(constraint.allowed, overlap).tuples
 
 
 def csp_to_knowledgebase(

@@ -465,8 +465,8 @@ def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
     # makes no solve_fusion or calibrate call beyond those of the analysis
     # itself. A relation knowledgebase calibrates one join tree, and so does a
     # model, over its supports.
-    from valkit import contextuality, disagreement, inference, reports
-    from valkit.cli import _load_input
+    from valkit import disagreement, inference, reports
+    from valkit.cli import _digest, _load_input
 
     calls = []
     solve_fusion, calibrate = inference.solve_fusion, inference.calibrate
@@ -483,8 +483,8 @@ def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
     monkeypatch.setattr(disagreement, "solve_fusion", counted_fusion)
     monkeypatch.setattr(inference, "calibrate", counted_calibrate)
     monkeypatch.setattr(disagreement, "calibrate", counted_calibrate)
-    monkeypatch.setattr(contextuality, "calibrate", counted_calibrate)
-    parsed, digest = _load_input(f"builtin:{name}")
+    parsed, raw = _load_input(f"builtin:{name}")
+    digest = _digest(raw)
     report = reports.build_report(f"builtin:{name}", digest, parsed)
     calls.clear()
     reports.analysis_document(parsed, inference.DEFAULT_CELL_LIMIT)
@@ -541,13 +541,14 @@ def test_verify_runs_no_signalling_as_often_as_the_analysis(tmp_path, monkeypatc
     # A signalling model's verdict is re-derived with the analysis; verify
     # does not check no-signalling a second time.
     from valkit import contextuality, reports
-    from valkit.cli import _load_input
+    from valkit.cli import _digest, _load_input
 
     doc = model_document(bell_model())
     doc["sections"]["a1,b1"] = {"0,0": 1}
     path = tmp_path / "signalling.json"
     path.write_text(canonical_json(doc), encoding="utf-8")
-    parsed, digest = _load_input(str(path))
+    parsed, raw = _load_input(str(path))
+    digest = _digest(raw)
     report = reports.build_report(str(path), digest, parsed)
     assert report["analysis"]["class"] is None
     calls = []
@@ -619,11 +620,12 @@ def test_verify_builds_the_marginal_system_once(source, monkeypatch):
     # The re-derived analysis hands its marginal system to the witness checks
     # with its verdict, so verify builds it once, as analyze does.
     from valkit import disagreement, reports
-    from valkit.cli import _load_input
+    from valkit.cli import _digest, _load_input
     from valkit.documents import ParsedInput
 
     if source.startswith("builtin:"):
-        parsed, digest = _load_input(source)
+        parsed, raw = _load_input(source)
+        digest = _digest(raw)
     else:
         parsed, digest = ParsedInput("empirical-model", cycle_model(noisy_cycle_correlators(6, source.endswith("pc")))), "0"
     report = reports.build_report(source, digest, parsed)
@@ -826,6 +828,23 @@ def test_infer_screening_query():
     assert "tuples: 2" in out
 
 
+def test_infer_takes_no_input_digest(tmp_path, monkeypatch):
+    # Only a report records its input's digest, so `vk infer` never takes one.
+    from valkit import cli
+    from valkit.builtins import builtin
+    from valkit.documents import document_for
+
+    def refuse(raw):
+        raise AssertionError("vk infer hashed its input")
+
+    path = tmp_path / "screening.json"
+    path.write_text(canonical_json(document_for(builtin("screening"))), encoding="utf-8")
+    monkeypatch.setattr(cli, "_digest", refuse)
+    for source in ("builtin:screening", str(path)):
+        code, out, _ = run_cli("infer", source, "--query", "e,f")
+        assert code == 0 and "tuples: 2" in out, source
+
+
 def test_infer_malawi_empty_table():
     code, out, _ = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI")
     assert code == 0
@@ -1018,8 +1037,9 @@ def test_console_script_entry_point():
 
 
 # Modules that only `dataclasses` brought onto valkit's import path: `dataclasses`
-# itself and the `inspect` chain it imports.
-STARTUP_FORBIDDEN = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+# itself and the `inspect` chain it imports. `hashlib` and OpenSSL's `_hashlib`
+# load only when a report's input digest is taken.
+STARTUP_FORBIDDEN = ("dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "_hashlib")
 
 
 def loaded_modules(code: str) -> set[str]:

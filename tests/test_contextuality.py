@@ -12,7 +12,6 @@ from valkit.contextuality import (
     check_no_signalling,
     classify,
     gamma,
-    lc_at,
     possibilistic_model,
     probabilistic_model,
 )
@@ -92,16 +91,15 @@ def test_signalling_detected_on_tampered_bell():
 
 
 def test_a_signalling_model_raises_with_its_verdict():
-    # classify, gamma and lc_at share one no-signalling check, whose error
-    # carries the failed verdict under the message it has always had.
+    # classify and gamma share one no-signalling check, whose error carries
+    # the failed verdict under the message it has always had.
     model = bell_model()
     contexts = list(model.scenario.contexts)
     sections = {ctx: {values_in(row, ctx): s.table[row] for row in s.table} for ctx, s in zip(contexts, model.sections)}
     sections[("a1", "b1")] = {("0", "0"): Fraction(1)}
     tampered = probabilistic_model(model.scenario.universe, contexts, sections)
     verdict = check_no_signalling(tampered)
-    section = Assignment.of({"a1": "0", "b1": "0"})
-    for analysis in (classify, gamma, lambda m: lc_at(m, ("a1", "b1"), section)):
+    for analysis in (classify, gamma):
         with pytest.raises(SignallingError) as raised:
             analysis(tampered)
         assert raised.value.verdict == verdict
@@ -180,28 +178,32 @@ def test_sc_equivalent_to_single_null_inference_problem():
         assert projected.is_empty() == report.strongly_contextual
 
 
+def context_projections(model):
+    """Each context's projection of Gamma, read off the calibrated support tree."""
+    return dict(zip(model.scenario.contexts, calibrate(model.support_knowledgebase()).marginals()))
+
+
 def test_lc_at_hardy_distinguished_section():
+    # A model is LC at a supported section that extends to no globally
+    # consistent assignment: Hardy's is (a1, b1) = (0, 0).
     model = hardy_model()
     section = Assignment.of({"a1": "0", "b1": "0"})
-    assert lc_at(model, ("a1", "b1"), section)
+    assert classify(model).lc_witness == (("a1", "b1"), section)
+    assert section.row not in context_projections(model)[("a1", "b1")].tuples
     # Every supported section of a non-contextual collapse extends.
     bell = bell_model()
+    assert classify(bell).lc_witness is None
+    projections = context_projections(bell)
     for ctx, support in zip(bell.scenario.contexts, bell.support_knowledgebase()):
-        for row in support.tuples:
-            assert not lc_at(bell, ctx, Assignment.from_row(support.domain, row))
+        assert projections[ctx] == support
 
 
 def test_lc_at_everywhere_on_ghz():
+    # GHZ is LC at every supported section: no context's support projects
+    # anything of Gamma.
     model = ghz_model()
-    for ctx, support in zip(model.scenario.contexts, model.support_knowledgebase()):
-        for row in support.tuples:
-            assert lc_at(model, ctx, Assignment.from_row(support.domain, row))
-
-
-def test_lc_at_rejects_unsupported_section():
-    model = hardy_model()
-    with pytest.raises(ArgumentError):
-        lc_at(model, ("a1", "b2"), Assignment.of({"a1": "0", "b2": "0"}))
+    assert classify(model).lc_witness[0] == model.scenario.contexts[0]
+    assert all(projection.is_empty() for projection in context_projections(model).values())
 
 
 # The support presheaf of a model, checked on the subsets beneath each context.
@@ -312,6 +314,24 @@ def test_gamma_requires_possibilistic_or_collapses():
     assert gamma(listed) == gamma(model)
 
 
+def test_gamma_answers_where_classify_does():
+    # A probabilistic model's supports are calibrated after its marginal
+    # system has enumerated every joint row, so a cell limit of 2 refuses
+    # neither classify nor gamma on Bell's model.
+    report = classify(bell_model(), 2)
+    assert len(report.gamma.tuples) == 8
+    assert gamma(bell_model(), 2) == report.gamma
+
+
+def test_gamma_is_classifys_gamma():
+    models = [bell_model(), hardy_model(), ghz_model(), pr_box_model()]
+    models += [cycle_model(noisy_cycle_correlators(n, side)) for n in (3, 4, 5, 6) for side in (False, True)]
+    rng = random.Random(2011)
+    models += [random_no_signalling_possibilistic(rng) for _ in range(150)]
+    for model in models:
+        assert gamma(model) == classify(model).gamma, model
+
+
 # The per-context loop classify ran before it read LC and SC off the global
 # verdict of the support knowledgebase, kept here as an oracle. Gamma comes
 # from the naive solver and is returned beside the verdicts.
@@ -392,30 +412,38 @@ def test_lc_and_sc_read_off_the_global_verdict_match_the_per_context_loop():
 
 
 def test_lc_at_matches_the_projection_of_gamma():
-    # lc_at reads a context's projection off the calibrated support tree; the
-    # reference projects the whole of Gamma onto the context.
+    # A section is LC when it lies outside its context's projection of Gamma.
+    # The calibrated support tree gives every context's projection at once;
+    # the reference projects the whole of classify's Gamma onto the context.
+    # The witness is the first context with such a section, and its least one.
     rng = random.Random(2011)
     contextual = 0
     for _ in range(150):
         model = random_no_signalling_possibilistic(rng)
-        g = gamma(model)
+        report = classify(model)
+        projections = context_projections(model)
+        witness = None
         for ctx, support in zip(model.scenario.contexts, model.sections):
-            covered = project_relation(g, frozenset(ctx)).tuples
-            for row in support.tuples:
-                expected = row not in covered
-                assert lc_at(model, ctx, Assignment.from_row(support.domain, row)) == expected, (model, ctx, row)
-                contextual += expected
+            covered = project_relation(report.gamma, frozenset(ctx))
+            assert projections[ctx] == covered, (model, ctx)
+            missing = sorted(support.tuples - covered.tuples)
+            if missing and witness is None:
+                witness = (ctx, Assignment.from_row(support.domain, missing[0]))
+            contextual += len(missing)
+        assert report.lc_witness == witness
     assert contextual > 0
 
 
 def test_lc_at_never_joins_gamma(monkeypatch):
+    # Whether a section is LC comes off the calibrated tree's context
+    # projections, without joining Gamma.
     def refuse(tree):
-        raise AssertionError("lc_at joined Gamma")
+        raise AssertionError("Gamma was joined")
 
     monkeypatch.setattr(JoinTree, "combination", refuse)
-    assert lc_at(hardy_model(), ("a1", "b1"), Assignment.of({"a1": "0", "b1": "0"}))
-    assert not lc_at(hardy_model(), ("a1", "b1"), Assignment.of({"a1": "1", "b1": "1"}))
-    assert lc_at(ghz_model(), ("x1", "x2", "x3"), Assignment.of({"x1": "0", "x2": "0", "x3": "0"}))
+    hardy = context_projections(hardy_model())[("a1", "b1")]
+    assert ("0", "0") not in hardy.tuples and ("1", "1") in hardy.tuples
+    assert all(projection.is_empty() for projection in context_projections(ghz_model()).values())
 
 
 def test_models_from_global_distributions_are_never_pc():

@@ -8,7 +8,6 @@ from valkit.core import (
     Assignment,
     Frame,
     enumerate_assignments,
-    project_assignment,
 )
 from valkit.errors import ArgumentError, DomainError
 from valkit.relations import Relation, natural_join
@@ -31,21 +30,14 @@ def test_universe_lookup_and_unknown_variable(screening_universe):
 
 def test_project_assignment_screening_example(screening_universe):
     x = Assignment.of({"e": "M", "f": "Y", "a": "54-"})
-    projected = project_assignment(x, frozenset({"e", "f"}))
+    projected = x.restrict(frozenset({"e", "f"}))
     assert projected == Assignment.of({"e": "M", "f": "Y"})
 
 
 def test_project_assignment_identity_and_empty():
     x = Assignment.of({"e": "M", "f": "Y"})
-    assert project_assignment(x, x.domain) == x
-    assert project_assignment(x, frozenset()) == Assignment(())
-
-
-def test_project_assignment_error_names_offenders():
-    x = Assignment.of({"e": "M"})
-    with pytest.raises(DomainError) as err:
-        project_assignment(x, frozenset({"e", "q"}))
-    assert "q" in str(err.value)
+    assert x.restrict(x.domain) == x
+    assert x.restrict(frozenset()) == Assignment(())
 
 
 def test_enumerate_single_variable_order(screening_universe):

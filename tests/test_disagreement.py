@@ -22,9 +22,8 @@ from valkit.disagreement import (
     combination_verdict,
     marginal_system,
     search_truth_valuations,
-    verify_truth_maximality,
 )
-from valkit.errors import ArgumentError, CapabilityError, ResourceLimitError
+from valkit.errors import CapabilityError, ResourceLimitError
 from valkit.feasibility import validate_certificate, validate_solution
 from valkit.inference import DEFAULT_CELL_LIMIT, InferenceProblem, solve_naive
 from valkit.potentials import Potential, constant_potential, project_potential
@@ -236,9 +235,9 @@ def test_truth_search_agrees_with_adjoint_verdict():
         assert verdict.agrees == bool(found)
         if verdict.agrees:
             seen_agree += 1
+            assert verdict.truth in found
             for delta in found:
                 assert relation_leq(delta, verdict.truth)
-            assert verify_truth_maximality(kb, verdict.truth)
     assert seen_agree > 0  # the sampler must exercise both outcomes
 
 
@@ -249,13 +248,17 @@ def test_truth_maximality_on_full_relations(screening_universe):
     verdict = check_global_agreement_adjoint(kb)
     assert verdict.agrees
     assert verdict.truth == full_relation(screening_universe, frozenset({"a", "e"}))
-    assert verify_truth_maximality(kb, verdict.truth)
+    found = search_truth_valuations(kb)
+    assert verdict.truth in found
+    assert all(relation_leq(delta, verdict.truth) for delta in found)
 
 
 def test_truth_maximality_rejects_non_truth_gamma(screening_universe):
+    # The screening knowledgebase disagrees, so it has no truth valuation,
+    # the full relation over its variables included.
     kb = screening_knowledgebase()
-    with pytest.raises(ArgumentError):
-        verify_truth_maximality(kb, full_relation(screening_universe, kb.joint_domain))
+    assert not check_global_agreement_adjoint(kb).agrees
+    assert full_relation(screening_universe, kb.joint_domain) not in search_truth_valuations(kb)
 
 
 def test_truth_search_resource_limit():

@@ -19,6 +19,12 @@ Boolean potentials are relations: possibilistic data is read, analysed and
 written as a relation, and only `core.py`, which defines the Boolean
 semiring, names `BOOLEAN`.
 
+Gamma has one producer, `JoinTree.combination`: no module other than
+`inference.py`, which defines `calibrate`, and `disagreement.py`, whose
+support analysis is the one caller on the analysis path, calls `calibrate`.
+So no helper can build a second tree under its own guard and answer, or
+refuse, what the analysis does not.
+
 A model analysis is one `classify` call: no module other than
 `contextuality.py` calls `check_no_signalling`, and no module defines or calls
 `classify_checked`, the second entry point that `classify` absorbed.
@@ -176,6 +182,41 @@ def test_the_reference_check_sees_calls():
         "contextuality.py:2: calls check_complete_disagreement"
     ]
     assert _reference_calls(ast.parse(complete), "disagreement.py") == []
+
+
+CALIBRATING_MODULES = ("inference.py", "disagreement.py")
+
+
+def _calibrate_calls(tree: ast.AST, module: str) -> list[str]:
+    found = []
+    if module in CALIBRATING_MODULES:
+        return found
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "calibrate":
+                found.append(f"{module}:{node.lineno}: calls calibrate")
+    return found
+
+
+def test_only_the_support_analysis_calibrates():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(_calibrate_calls(tree, path.name))
+    assert not offences, "a join tree calibrated outside the support analysis:\n" + "\n".join(offences)
+
+
+def test_the_calibrate_check_sees_calls():
+    source = "def gamma(model):\n    return calibrate(kb).combination(), inference.calibrate(kb, None)\n"
+    assert _calibrate_calls(ast.parse(source), "contextuality.py") == [
+        "contextuality.py:2: calls calibrate",
+        "contextuality.py:2: calls calibrate",
+    ]
+    assert _calibrate_calls(ast.parse(source), "disagreement.py") == []
+    assert _calibrate_calls(ast.parse(source), "inference.py") == []
+    assert _calibrate_calls(ast.parse("from .inference import calibrate\n"), "contextuality.py") == []
 
 
 BOOLEAN_MODULES = ("core.py",)

@@ -22,6 +22,7 @@ from valkit.disagreement import (
     analyze_knowledgebase,
     check_global_agreement_adjoint,
     check_local_agreement,
+    tree_verdict,
 )
 from valkit.documents import canonical_json, parse_document_text
 from valkit.errors import CapabilityError, ResourceLimitError
@@ -164,28 +165,51 @@ def test_the_combination_joins_the_cliques_root_first(monkeypatch):
 
 
 def test_a_single_large_member_is_answered_at_the_default_limit():
-    # The full relation over 13 bits is its own combination. Its cliques are
-    # the chain of its projections, and each root-first join adds one binary
-    # variable, so the last join is bounded by 4096 x 2 tuples, not by the
-    # product 4096 x 8192 with the whole clique.
+    # The full relation over 13 bits is its own combination, and its home
+    # clique spans every variable, so the combination is that clique: no join
+    # runs, and a limit below the member's own 8192 rows refuses nothing.
     names = [f"v{i:02d}" for i in range(13)]
     universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
     full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
     kb = Knowledgebase(universe, (full,))
     verdict = check_global_agreement_adjoint(kb)
     assert verdict.agrees and verdict.truth == full
+    assert calibrate(kb, cell_limit=8191).combination() == full
+
+
+def test_the_root_first_join_adds_one_variable_at_a_time():
+    # A chain of 12 full binary pairs over 13 bits has no clique over every
+    # variable, so its combination, the full relation, is joined root first.
+    # Each join adds one binary variable, so the last one is bounded by
+    # 4096 x 2 tuples, not by the product 4096 x 4 with its pair's clique.
+    names = [f"v{i:02d}" for i in range(13)]
+    universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
+    pairs = [Relation.from_rows(universe, names[i : i + 2], list(itertools.product("01", repeat=2))) for i in range(12)]
+    kb = Knowledgebase(universe, tuple(pairs))
+    full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
+    assert all(clique.domain != kb.joint_domain for clique in calibrate(kb).cliques)
+    assert check_global_agreement_adjoint(kb).truth == full
     assert calibrate(kb, cell_limit=8192).combination() == full
     with pytest.raises(ResourceLimitError, match="could reach 8192 cells"):
         calibrate(kb, cell_limit=8191).combination()
 
 
+def refuse_joins(monkeypatch):
+    """Make every natural join raise, wherever the relation algebra looks it up."""
+    from valkit import algebra, relations
+
+    def refuse(left, right):
+        raise AssertionError("a natural join ran")
+
+    monkeypatch.setattr(relations, "natural_join", refuse)
+    monkeypatch.setattr(algebra, "natural_join", refuse)
+
+
 def test_agreement_takes_a_member_over_the_joint_domain_as_the_combination(monkeypatch):
     # On agreement such a member is its own projection of the combination,
-    # so the verdict needs no root-first join. Appending the combination to a
-    # random knowledgebase leaves its combination, and its verdict, as they were.
-    def refuse(tree):
-        raise AssertionError("the combination was joined")
-
+    # so once the tree is calibrated the verdict joins nothing. Appending the
+    # combination to a random knowledgebase leaves its combination, and its
+    # verdict, as they were.
     names = [f"v{i:02d}" for i in range(13)]
     universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
     full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
@@ -195,15 +219,61 @@ def test_agreement_takes_a_member_over_the_joint_domain_as_the_combination(monke
         kb = random_tree_kb(rng)
         gamma = solve_naive(InferenceProblem(kb, kb.joint_domain))
         cases.append(Knowledgebase(kb.universe, kb.valuations + (gamma,)))
-    monkeypatch.setattr(inference.JoinTree, "combination", refuse)
+    trees = [calibrate(kb) for kb in cases]
+    expected = [oracle_global_adjoint(kb) for kb in cases]
+    refuse_joins(monkeypatch)
     agreed = 0
-    for kb in cases:
-        verdict = check_global_agreement_adjoint(kb)
-        assert verdict == oracle_global_adjoint(kb)
+    for kb, tree, oracle in zip(cases, trees, expected):
+        verdict = tree_verdict(tree)
+        assert verdict == oracle
         if verdict.agrees:
             assert verdict.truth == kb.valuations[-1]
             agreed += 1
     assert agreed > 1
+
+
+def test_a_clique_over_every_variable_is_the_combination(monkeypatch):
+    # Two kinds of tree have a clique over the joint domain: one whose
+    # knowledgebase has a member over it (appended here, either the
+    # combination or a random relation that may contradict the rest), and one
+    # where eliminating a variable alone makes such a clique (a cycle of pairs
+    # over three variables, projected from one relation half the time so
+    # that it agrees). Either way the combination is that clique and no
+    # natural join runs.
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(300):
+        kb = random_tree_kb(rng)
+        if kb.joint_domain and rng.random() < 0.5:
+            extra = solve_naive(InferenceProblem(kb, kb.joint_domain))
+            if rng.random() < 0.5:
+                extra = random_relation(rng, kb.universe, kb.joint_domain, keep=0.6)
+            kb = Knowledgebase(kb.universe, kb.valuations + (extra,))
+        cases.append(kb)
+    for _ in range(100):
+        universe = random_universe(rng, max_vars=3, max_frame=3)
+        names = sorted(universe.vars)
+        if len(names) == 3:
+            cycle = [frozenset(pair) for pair in itertools.combinations(names, 2)]
+            if rng.random() < 0.5:
+                base = random_relation(rng, universe, frozenset(names), keep=0.3)
+                members = [project_relation(base, domain) for domain in cycle]
+            else:
+                members = [random_relation(rng, universe, domain, keep=rng.choice((0.5, 0.9))) for domain in cycle]
+            cases.append(Knowledgebase(universe, tuple(members)))
+    seen = dict.fromkeys(itertools.product(("member", "elimination"), ("agree", "disagree")), 0)
+    for kb in cases:
+        tree = calibrate(kb)
+        if not any(clique.domain == kb.joint_domain for clique in tree.cliques):
+            continue
+        gamma = solve_naive(InferenceProblem(kb, kb.joint_domain))
+        agrees = oracle_global_adjoint(kb).agrees
+        with monkeypatch.context() as patch:
+            refuse_joins(patch)
+            assert tree.combination() == gamma, kb
+        kind = "member" if any(phi.domain == kb.joint_domain for phi in kb) else "elimination"
+        seen[kind, "agree" if agrees else "disagree"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def random_local_potential_kb(rng: random.Random) -> Knowledgebase:

@@ -3,9 +3,9 @@ from itertools import product
 import pytest
 
 from valkit.builtins import MALAWI_COLORS, MALAWI_COUNTRIES, MALAWI_EDGES, malawi_csp, malawi_knowledgebase
-from valkit.core import Assignment, VariableUniverse, enumerate_assignments
+from valkit.core import VariableUniverse, enumerate_assignments
 from valkit.errors import ArgumentError
-from valkit.logic import Constraint, CSPInstance, csp_to_knowledgebase, evaluation_satisfies, liar_cycle
+from valkit.logic import Constraint, CSPInstance, csp_to_knowledgebase, liar_cycle
 from valkit.relations import Relation, full_relation, project_relation
 
 
@@ -63,20 +63,21 @@ def test_unconstrained_cover_is_vacuously_full():
 
 
 def test_partial_overlap_satisfaction_rule():
-    universe = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1"))])
+    # A cover's relation holds the evaluations on it that satisfy every
+    # constraint, where a constraint meeting the cover in part is tested
+    # against its allowed relation projected to the shared variables.
+    universe = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1")), ("w", ("0", "1"))])
     allowed = Relation.from_rows(universe, ("x", "y"), [("0", "1")])
-    constraint = Constraint(("x", "y"), allowed)
+    csp = CSPInstance(universe, (Constraint(("x", "y"), allowed),))
+    full_overlap, partial, disjoint = csp_to_knowledgebase(
+        csp, [frozenset({"x", "y"}), frozenset({"x"}), frozenset({"w"})]
+    ).valuations
     # Full overlap: only (0, 1) passes.
-    assert evaluation_satisfies(Assignment.of({"x": "0", "y": "1"}), constraint)
-    assert not evaluation_satisfies(Assignment.of({"x": "1", "y": "1"}), constraint)
+    assert full_overlap == allowed
     # Partial overlap: x must be a projection of some allowed pair, so x = 0 only.
-    assert evaluation_satisfies(Assignment.of({"x": "0"}), constraint)
-    assert not evaluation_satisfies(Assignment.of({"x": "1"}), constraint)
+    assert partial.tuples == frozenset({("0",)})
     # No overlap: vacuous.
-    other = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1")), ("w", ("0", "1"))])
-    allowed2 = Relation.from_rows(other, ("x", "y"), [("0", "1")])
-    constraint2 = Constraint(("x", "y"), allowed2)
-    assert evaluation_satisfies(Assignment.of({"w": "1"}), constraint2)
+    assert disjoint == full_relation(universe, frozenset({"w"}))
 
 
 def test_liar_cycle_three_compiles_to_expected_relations():
