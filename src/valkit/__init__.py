@@ -27,7 +27,6 @@ from .core import (
     Semiring,
     VariableUniverse,
     dom,
-    enumerate_assignments,
 )
 from .disagreement import (
     AgreementReport,
@@ -68,13 +67,7 @@ from .inference import (
     solve_fusion,
     solve_naive,
 )
-from .logic import (
-    Constraint,
-    CSPInstance,
-    PropositionalSystem,
-    csp_to_knowledgebase,
-    liar_cycle,
-)
+from .logic import Constraint, CSPInstance, csp_to_knowledgebase
 from .potentials import (
     Potential,
     combine_potentials,

@@ -5,7 +5,8 @@ Empirical models: bell (probabilistic, the 1/8-grid two-party table), hardy
 (perfect correlations with one anti-correlated context). Knowledgebases:
 screening (three guideline relations), malawi (map-colouring constraints
 compiled to relations), liar(n) (a cycle of biconditionals with one negated
-edge).
+edge, each formula written as the relation of its satisfying truth
+assignments by `liar_knowledgebase`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .algebra import Knowledgebase
 from .contextuality import EmpiricalModel, possibilistic_model, probabilistic_model
 from .core import Record, VariableUniverse
 from .errors import ArgumentError
-from .logic import CSPInstance, Constraint, csp_to_knowledgebase, liar_cycle
+from .logic import CSPInstance, Constraint, csp_to_knowledgebase
 from .relations import Relation
 
 
@@ -131,7 +132,21 @@ def malawi_knowledgebase() -> Knowledgebase:
 
 
 def liar_knowledgebase(n: int, consistent: bool = False) -> Knowledgebase:
-    return liar_cycle(n, consistent=consistent).knowledgebase()
+    """A chain of biconditionals s_i <-> s_(i+1) closed by s_n <-> not s_1, each the relation of its models.
+
+    With `consistent=True` the closing edge is also a plain biconditional,
+    which makes the two constant assignments the global models.
+    """
+    if n < 2:
+        raise ArgumentError(f"a liar cycle needs length >= 2, got {n}")
+    names = [f"s{i}" for i in range(1, n + 1)]
+    universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
+    equal_pairs = [("0", "0"), ("1", "1")]
+    differ_pairs = [("0", "1"), ("1", "0")]
+    formulas = [Relation.from_rows(universe, (names[i], names[i + 1]), equal_pairs) for i in range(n - 1)]
+    closing = equal_pairs if consistent else differ_pairs
+    formulas.append(Relation.from_rows(universe, (names[0], names[n - 1]), closing))
+    return Knowledgebase(universe, tuple(formulas))
 
 
 class BuiltinSpec(Record):

@@ -14,6 +14,7 @@ import sys
 import time
 
 from .builtins import BUILTINS, builtin
+from .contextuality import EmpiricalModel
 from .documents import (
     ParsedInput,
     canonical_json,
@@ -46,21 +47,25 @@ def _read_text(path: str) -> tuple[str, bytes]:
         raise ParseError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
 
 
-def _load_input(source: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> tuple[ParsedInput, bytes]:
-    """Resolve a path or builtin:NAME into a parsed input plus the bytes its digest covers; tables obey `cell_limit`."""
+def _load_input(source: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> tuple[ParsedInput, bytes | None]:
+    """A path or builtin:NAME as a parsed input plus a file's bytes (None for a builtin); tables obey `cell_limit`."""
     if source.startswith("builtin:"):
-        name = source[len("builtin:"):]
-        payload = builtin(name)
-        document = document_for(payload)
-        return ParsedInput(document["kind"], payload), canonical_json(document).encode("utf-8")
+        payload = builtin(source[len("builtin:"):])
+        kind = "empirical-model" if isinstance(payload, EmpiricalModel) else "knowledgebase"
+        return ParsedInput(kind, payload), None
     text, raw = _read_text(source)
     return parse_document_text(text, cell_limit), raw
 
 
-def _digest(raw: bytes) -> str:
-    """The SHA-256 of an input's bytes, as a report records it; `hashlib` loads only when a digest is taken."""
+def _digest(parsed: ParsedInput, raw: bytes | None) -> str:
+    """The SHA-256 a report records: of a file's bytes, or of a builtin's canonical document.
+
+    The document is rendered, and `hashlib` loaded, only when a digest is taken.
+    """
     import hashlib
 
+    if raw is None:
+        raw = canonical_json(document_for(parsed.payload)).encode("utf-8")
     return hashlib.sha256(raw).hexdigest()
 
 
@@ -101,7 +106,7 @@ def _human_analysis(doc: dict) -> list[str]:
 def cmd_analyze(args) -> int:
     cell_limit = resolve_cell_limit(args.limit)
     parsed, raw = _load_input(args.source, cell_limit)
-    digest = _digest(raw)
+    digest = _digest(parsed, raw)
     started = time.perf_counter()
     report = build_report(args.source, digest, parsed, cell_limit=cell_limit)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -119,7 +124,7 @@ def cmd_analyze(args) -> int:
 def cmd_infer(args) -> int:
     cell_limit = resolve_cell_limit(args.limit)
     parsed, _ = _load_input(args.source, cell_limit)
-    kb = parsed.knowledgebase(cell_limit)
+    kb = parsed.knowledgebase()
     query = frozenset(name.strip() for name in args.query.split(",") if name.strip())
     order = None
     if args.order:
@@ -159,7 +164,7 @@ def cmd_verify(args) -> int:
     if not isinstance(report, dict):
         raise ParseError("report must be a JSON object")
     parsed, raw = _load_input(args.source, cell_limit)
-    problems = verify_report(report, parsed, _digest(raw), cell_limit)
+    problems = verify_report(report, parsed, _digest(parsed, raw), cell_limit)
     if problems:
         for problem in problems:
             print(f"FAIL: {problem}", file=sys.stderr)

@@ -207,11 +207,6 @@ class Assignment(Record):
         return f"({inner})" if inner else "(*)"
 
 
-def enumerate_assignments(domain: Domain, universe: VariableUniverse) -> list[Assignment]:
-    """All assignments over `domain`, lexicographic by variable name then frame order."""
-    return [Assignment.from_row(domain, row) for row in universe.rows(domain)]
-
-
 class Semiring(Record):
     """A commutative semiring: the value arithmetic behind potentials.
 

@@ -1,5 +1,8 @@
 """JSON documents for empirical models, knowledgebases, and CSPs.
 
+A CSP document is compiled as it is parsed: its payload is the
+knowledgebase of its covers, so a CSP is never written back out.
+
 The format is strict: unknown fields are rejected, every referenced name must
 be declared in the universe, and probability values are exact rationals
 written as integers or "p/q" strings (floats are refused so that parsing
@@ -20,7 +23,7 @@ from .contextuality import (
     EmpiricalModel,
     MeasurementScenario,
 )
-from .core import Domain, NONNEG_RATIONAL, Record, VariableUniverse
+from .core import NONNEG_RATIONAL, Record, VariableUniverse
 from .errors import ParseError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase
@@ -32,20 +35,13 @@ KINDS = ("empirical-model", "knowledgebase", "csp")
 
 class ParsedInput(Record):
     kind: str
-    payload: object  # EmpiricalModel | Knowledgebase | CSPDocumentPayload
+    payload: object  # EmpiricalModel | Knowledgebase (a CSP's covers, compiled at parse)
 
-    def knowledgebase(self, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Knowledgebase:
-        """A model's sections, a CSP's covers compiled under `cell_limit`, or the knowledgebase itself."""
+    def knowledgebase(self) -> Knowledgebase:
+        """A model's sections, or the knowledgebase itself."""
         if isinstance(self.payload, EmpiricalModel):
             return self.payload.knowledgebase()
-        if isinstance(self.payload, CSPDocumentPayload):
-            return csp_to_knowledgebase(self.payload.csp, self.payload.covers, cell_limit)
         return self.payload
-
-
-class CSPDocumentPayload(Record):
-    csp: CSPInstance
-    covers: tuple[Domain, ...]
 
 
 def format_rational(value: Fraction) -> int | str:
@@ -302,7 +298,8 @@ def _parse_knowledgebase(doc: dict, cell_limit: int | None) -> Knowledgebase:
         raise ParseError(str(err)) from None
 
 
-def _parse_csp(doc: dict) -> CSPDocumentPayload:
+def _parse_csp(doc: dict, cell_limit: int | None) -> Knowledgebase:
+    """The knowledgebase of a CSP's covers, each compiled to the evaluations on it that violate no constraint."""
     _expect_keys(doc, ("kind", "universe", "constraints"), ("covers",), "document")
     universe = _parse_universe(doc["universe"], "universe")
     constraints = []
@@ -324,14 +321,17 @@ def _parse_csp(doc: dict) -> CSPDocumentPayload:
         for c in constraints:
             if c.scheme_set not in covers:
                 covers.append(c.scheme_set)
+    if not covers:
+        raise ParseError("covers: a CSP needs at least one cover")
     try:
-        return CSPDocumentPayload(CSPInstance(universe, tuple(constraints)), tuple(covers))
+        csp = CSPInstance(universe, tuple(constraints))
     except ValkitError as err:
         raise ParseError(str(err)) from None
+    return csp_to_knowledgebase(csp, covers, cell_limit)  # a cover past `cell_limit` is a resource error
 
 
 def parse_document_text(text: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> ParsedInput:
-    """Parse a document; a model section or potential with more than `cell_limit` rows is refused."""
+    """Parse a document; a model section, potential or CSP cover with more than `cell_limit` rows is refused."""
     doc = _expect_mapping(load_json(text), "document")
     kind = doc.get("kind")
     if kind not in KINDS:
@@ -340,7 +340,7 @@ def parse_document_text(text: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) 
         return ParsedInput(kind, _parse_empirical_model(doc, cell_limit))
     if kind == "knowledgebase":
         return ParsedInput(kind, _parse_knowledgebase(doc, cell_limit))
-    return ParsedInput(kind, _parse_csp(doc))
+    return ParsedInput(kind, _parse_csp(doc, cell_limit))
 
 
 def _universe_document(universe: VariableUniverse) -> list[dict]:
@@ -374,24 +374,8 @@ def knowledgebase_document(kb: Knowledgebase) -> dict:
     }
 
 
-def csp_document(payload: CSPDocumentPayload) -> dict:
-    constraints = [{"scheme": list(c.scheme), "allowed": relation_rows(c.allowed, c.scheme)} for c in payload.csp.constraints]
-    return {
-        "kind": "csp",
-        "universe": _universe_document(payload.csp.universe),
-        "constraints": constraints,
-        "covers": [sorted(cover) for cover in payload.covers],
-    }
-
-
-def document_for(payload) -> dict:
-    if isinstance(payload, EmpiricalModel):
-        return model_document(payload)
-    if isinstance(payload, Knowledgebase):
-        return knowledgebase_document(payload)
-    if isinstance(payload, CSPDocumentPayload):
-        return csp_document(payload)
-    raise ParseError(f"no document form for {type(payload).__name__}")
+def document_for(payload: EmpiricalModel | Knowledgebase) -> dict:
+    return model_document(payload) if isinstance(payload, EmpiricalModel) else knowledgebase_document(payload)
 
 
 def canonical_json(document: dict) -> str:

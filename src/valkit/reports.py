@@ -156,22 +156,17 @@ def contextuality_analysis_doc(model: EmpiricalModel, report: ContextualityRepor
     }
 
 
-def analysis_document(parsed: ParsedInput, cell_limit: int | None) -> tuple[dict, object, Knowledgebase | None]:
-    """Run the analysis appropriate for the input kind.
-
-    Returns its rendering, the verdict it renders and the knowledgebase it
-    analysed (None for an empirical model).
-    """
+def analysis_document(parsed: ParsedInput, cell_limit: int | None) -> tuple[dict, object]:
+    """Run the analysis appropriate for the input kind; returns its rendering and the verdict it renders."""
     payload = parsed.payload
     if isinstance(payload, EmpiricalModel):
         try:
             report = classify(payload, cell_limit=cell_limit)
         except SignallingError as err:
-            return {"no-signalling": _no_signalling_doc(err.verdict), "class": None}, err.verdict, None
-        return contextuality_analysis_doc(payload, report), report, None
-    kb = parsed.knowledgebase(cell_limit)
-    report = analyze_knowledgebase(kb, cell_limit=cell_limit)
-    return agreement_analysis_doc(kb, report), report, kb
+            return {"no-signalling": _no_signalling_doc(err.verdict), "class": None}, err.verdict
+        return contextuality_analysis_doc(payload, report), report
+    report = analyze_knowledgebase(payload, cell_limit=cell_limit)
+    return agreement_analysis_doc(payload, report), report
 
 
 def build_report(
@@ -218,10 +213,10 @@ def verify_report(
         return ["input hash does not match the report"]
     if report.get("kind") != parsed.kind:
         return [f"report kind {report.get('kind')!r} does not match the input's kind {parsed.kind!r}"]
-    rebuilt, verdict, kb = analysis_document(parsed, cell_limit)
+    rebuilt, verdict = analysis_document(parsed, cell_limit)
     if rebuilt != report.get("analysis"):
         return ["analysis does not reproduce the report"]
-    return _revalidate_witnesses(rebuilt, parsed, verdict, kb)
+    return _revalidate_witnesses(rebuilt, parsed, verdict)
 
 
 def _valuation_from_doc(doc: dict, universe, what: str) -> Relation | Potential | None:
@@ -238,8 +233,8 @@ def _local_pair_problems(kb: Knowledgebase, pair: tuple, members: tuple, overlap
     return [f"reported local disagreement pair {pair} actually agrees"] if left == right else []
 
 
-def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Knowledgebase | None) -> list[str]:
-    """Check the witnesses of a re-derived `analysis` against the input, its `verdict` and the `kb` it analysed."""
+def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict) -> list[str]:
+    """Check the witnesses of a re-derived `analysis` against the input and the `verdict` it renders."""
     problems: list[str] = []
     payload = parsed.payload
 
@@ -276,6 +271,7 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict, kb: Know
             problems.append("strong contextuality claimed but gamma is nonempty")
         return problems
 
+    kb = payload
     members = kb.valuations
     algebra = kb.algebra()
     local = analysis["local"]

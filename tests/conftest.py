@@ -5,9 +5,26 @@ import pytest
 
 from valkit.algebra import Knowledgebase
 from valkit.contextuality import probabilistic_model
-from valkit.core import Assignment, BOOLEAN, NONNEG_RATIONAL, VariableUniverse, enumerate_assignments
+from valkit.core import Assignment, BOOLEAN, NONNEG_RATIONAL, Domain, VariableUniverse
+from valkit.documents import relation_rows
+from valkit.logic import CSPInstance
 from valkit.potentials import Potential
 from valkit.relations import Relation
+
+
+def enumerate_assignments(domain: Domain, universe: VariableUniverse) -> list[Assignment]:
+    """All assignments over `domain`, lexicographic by variable name then frame order."""
+    return [Assignment.from_row(domain, row) for row in universe.rows(domain)]
+
+
+def csp_document(csp: CSPInstance, covers) -> dict:
+    """The JSON document of `csp` with the given cover sets, in the form the parser reads."""
+    return {
+        "kind": "csp",
+        "universe": [{"name": name, "frame": list(frame.values)} for name, frame in csp.universe.entries],
+        "constraints": [{"scheme": list(c.scheme), "allowed": relation_rows(c.allowed, c.scheme)} for c in csp.constraints],
+        "covers": [sorted(cover) for cover in covers],
+    }
 
 
 @pytest.fixture

@@ -19,6 +19,7 @@ from valkit.contextuality import possibilistic_model
 from valkit.core import VariableUniverse
 
 from conftest import (
+    csp_document,
     cycle_model,
     empty_domain_potential_kb,
     grid_colouring_document,
@@ -406,15 +407,17 @@ def test_rational_infer_outputs_match_golden_digests(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, name
 
 
-def test_verify_compiles_a_csp_once(monkeypatch):
-    # verify re-checks the witnesses against the knowledgebase its
-    # re-derivation compiled, so it compiles a CSP document only once.
-    from valkit import documents, reports
+def test_verify_compiles_a_csp_once(tmp_path, monkeypatch):
+    # A CSP document is compiled when it is parsed, and verify re-derives the
+    # analysis and checks the witnesses against that one knowledgebase.
+    from valkit import documents
 
-    text = canonical_json(grid_colouring_document(2, 2))
-    parsed = documents.parse_document_text(text)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    report = reports.build_report("grid-2x2.json", digest, parsed)
+    doc = tmp_path / "grid-2x2.json"
+    doc.write_text(canonical_json(grid_colouring_document(2, 2)), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(doc), "--json")
+    assert code == 0, err
+    report = tmp_path / "report.json"
+    report.write_text(out, encoding="utf-8")
     calls = []
     original = documents.csp_to_knowledgebase
 
@@ -423,7 +426,8 @@ def test_verify_compiles_a_csp_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(documents, "csp_to_knowledgebase", counted)
-    assert reports.verify_report(report, parsed, digest) == []
+    code, _, err = run_cli("verify", str(report), str(doc))
+    assert code == 0, err
     assert len(calls) == 1
 
 
@@ -484,7 +488,7 @@ def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
     monkeypatch.setattr(inference, "calibrate", counted_calibrate)
     monkeypatch.setattr(disagreement, "calibrate", counted_calibrate)
     parsed, raw = _load_input(f"builtin:{name}")
-    digest = _digest(raw)
+    digest = _digest(parsed, raw)
     report = reports.build_report(f"builtin:{name}", digest, parsed)
     calls.clear()
     reports.analysis_document(parsed, inference.DEFAULT_CELL_LIMIT)
@@ -548,7 +552,7 @@ def test_verify_runs_no_signalling_as_often_as_the_analysis(tmp_path, monkeypatc
     path = tmp_path / "signalling.json"
     path.write_text(canonical_json(doc), encoding="utf-8")
     parsed, raw = _load_input(str(path))
-    digest = _digest(raw)
+    digest = _digest(parsed, raw)
     report = reports.build_report(str(path), digest, parsed)
     assert report["analysis"]["class"] is None
     calls = []
@@ -625,7 +629,7 @@ def test_verify_builds_the_marginal_system_once(source, monkeypatch):
 
     if source.startswith("builtin:"):
         parsed, raw = _load_input(source)
-        digest = _digest(raw)
+        digest = _digest(parsed, raw)
     else:
         parsed, digest = ParsedInput("empirical-model", cycle_model(noisy_cycle_correlators(6, source.endswith("pc")))), "0"
     report = reports.build_report(source, digest, parsed)
@@ -676,9 +680,8 @@ def wide_documents(n):
 )
 def test_tables_from_a_document_obey_the_cell_limit(name, args, tmp_path, monkeypatch):
     # Every table a document spells out row by row (a CSP cover, a potential
-    # member, a model section) is refused before its rows are enumerated. The
-    # report under verification gets as far as the analysis, which the CSP
-    # compile needs.
+    # member, a model section) is refused before its rows are enumerated, as
+    # the document is parsed, so a stub report under verification suffices.
     document = wide_documents(14)[name]
     doc = tmp_path / f"{name}.json"
     doc.write_text(canonical_json(document), encoding="utf-8")
@@ -834,7 +837,7 @@ def test_infer_takes_no_input_digest(tmp_path, monkeypatch):
     from valkit.builtins import builtin
     from valkit.documents import document_for
 
-    def refuse(raw):
+    def refuse(parsed, raw):
         raise AssertionError("vk infer hashed its input")
 
     path = tmp_path / "screening.json"
@@ -843,6 +846,28 @@ def test_infer_takes_no_input_digest(tmp_path, monkeypatch):
     for source in ("builtin:screening", str(path)):
         code, out, _ = run_cli("infer", source, "--query", "e,f")
         assert code == 0 and "tuples: 2" in out, source
+
+
+def test_infer_renders_no_builtin_document(monkeypatch):
+    # Only a report's digest covers a builtin's canonical document, so `vk
+    # infer` never renders one; its query output here is human-readable.
+    from valkit import cli, documents
+
+    calls = []
+
+    def counted(original):
+        def wrapper(document):
+            calls.append(document)
+            return original(document)
+
+        return wrapper
+
+    for module in (cli, documents):
+        monkeypatch.setattr(module, "canonical_json", counted(module.canonical_json))
+    code, out, err = run_cli("infer", "builtin:bell", "--query", "a1")
+    assert code == 0, err
+    assert out.startswith("query: a1\n")
+    assert calls == []
 
 
 def test_infer_malawi_empty_table():
@@ -899,12 +924,10 @@ def test_cell_limit_flag_and_env(tmp_path, monkeypatch):
 
 def test_analyze_csp_file(tmp_path):
     from valkit.builtins import malawi_csp
-    from valkit.documents import CSPDocumentPayload, csp_document
 
     csp = malawi_csp()
-    payload = CSPDocumentPayload(csp, tuple(c.scheme_set for c in csp.constraints))
     path = tmp_path / "malawi.json"
-    path.write_text(canonical_json(csp_document(payload)), encoding="utf-8")
+    path.write_text(canonical_json(csp_document(csp, [c.scheme_set for c in csp.constraints])), encoding="utf-8")
     code, out, _ = run_cli("analyze", str(path), "--json")
     assert code == 0
     report = json.loads(out)

@@ -2,15 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from valkit.core import (
-    BOOLEAN,
-    NONNEG_RATIONAL,
-    Assignment,
-    Frame,
-    enumerate_assignments,
-)
+from valkit.core import BOOLEAN, NONNEG_RATIONAL, Assignment, Frame
 from valkit.errors import ArgumentError, DomainError
 from valkit.relations import Relation, natural_join
+
+from conftest import enumerate_assignments
 
 
 def test_frame_rejects_duplicates_and_empty():

@@ -12,7 +12,7 @@ from valkit.builtins import (
     screening_knowledgebase,
 )
 from valkit.contextuality import classify
-from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse, enumerate_assignments
+from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse
 from valkit.disagreement import (
     analyze_knowledgebase,
     check_complete_disagreement,
@@ -33,6 +33,7 @@ from conftest import (
     cycle_model,
     drawn_potential,
     empty_domain_potential_kb,
+    enumerate_assignments,
     noisy_cycle_correlators,
     random_potential_kb,
     random_relation,

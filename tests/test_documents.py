@@ -1,4 +1,6 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from valkit.algebra import Knowledgebase
 from valkit.builtins import bell_model, hardy_model, malawi_csp, screening_knowledgebase
+from valkit.cli import main
 from valkit.contextuality import EmpiricalModel
 from valkit.documents import (
-    CSPDocumentPayload,
     canonical_json,
-    csp_document,
     document_for,
     format_rational,
     knowledgebase_document,
@@ -18,9 +19,10 @@ from valkit.documents import (
     parse_document_text,
     parse_rational,
 )
-from valkit.errors import ParseError
+from valkit.errors import ParseError, ResourceLimitError
+from valkit.logic import csp_to_knowledgebase
 
-from conftest import empty_domain_potential_kb
+from conftest import csp_document, empty_domain_potential_kb
 
 
 def roundtrip(document: dict):
@@ -54,21 +56,21 @@ def test_knowledgebase_document_roundtrip():
 
 
 def test_csp_document_roundtrip():
+    # A CSP document parses straight into the knowledgebase of its covers.
     csp = malawi_csp()
-    covers = tuple(c.scheme_set for c in csp.constraints)
-    doc = csp_document(CSPDocumentPayload(csp, covers))
-    parsed = roundtrip(doc)
+    covers = (frozenset({"MOZ", "MWI", "TZA"}), frozenset({"ZWE"}))
+    parsed = roundtrip(csp_document(csp, covers))
     assert parsed.kind == "csp"
-    assert parsed.payload.csp == csp
-    assert parsed.payload.covers == covers
+    assert parsed.payload == csp_to_knowledgebase(csp, covers)
+    assert parsed.knowledgebase() is parsed.payload
 
 
 def test_csp_covers_default_to_schemes():
     csp = malawi_csp()
-    doc = csp_document(CSPDocumentPayload(csp, tuple(c.scheme_set for c in csp.constraints)))
+    doc = csp_document(csp, ())
     del doc["covers"]
     parsed = roundtrip(doc)
-    assert parsed.payload.covers == tuple(c.scheme_set for c in csp.constraints)
+    assert parsed.payload == csp_to_knowledgebase(csp, [c.scheme_set for c in csp.constraints])
 
 
 def test_potential_knowledgebase_roundtrip():
@@ -188,8 +190,9 @@ def test_canonical_json_is_stable():
 def test_document_for_dispatch():
     assert document_for(bell_model())["kind"] == "empirical-model"
     assert document_for(screening_knowledgebase())["kind"] == "knowledgebase"
-    payload = CSPDocumentPayload(malawi_csp(), (frozenset({"MOZ", "MWI"}),))
-    assert document_for(payload)["kind"] == "csp"
+    # A CSP is compiled at parse, so its payload is written back as a knowledgebase.
+    payload = roundtrip(csp_document(malawi_csp(), (frozenset({"MOZ", "MWI"}),))).payload
+    assert document_for(payload)["kind"] == "knowledgebase"
 
 
 json_scalars = st.none() | st.booleans() | st.integers(min_value=-99, max_value=99) | st.text(max_size=6)
@@ -227,3 +230,101 @@ def test_section_key_mismatch_detected():
         roundtrip(doc)
     message = str(err.value)
     assert "unknown" in message and "missing" in message
+
+
+BIT = [{"name": "x", "frame": ["0", "1"]}]
+
+
+def bit_kb(**valuation):
+    """A knowledgebase document with one member over x, whose fields `valuation` sets."""
+    return {"kind": "knowledgebase", "universe": BIT, "valuations": [{"domain": ["x"], **valuation}]}
+
+
+def bit_model(model_kind, section):
+    return {
+        "kind": "empirical-model",
+        "universe": BIT,
+        "model-kind": model_kind,
+        "contexts": [["x"]],
+        "sections": {"x": section},
+    }
+
+
+def bit_csp(scheme=("x",), **fields):
+    return {"kind": "csp", "universe": BIT, "constraints": [{"scheme": list(scheme), "allowed": []}], **fields}
+
+
+# The messages documents.py raises for malformed input that no other test names, each with one document that raises it.
+MALFORMED = {
+    "boolean": (bit_kb(values={"0": True}), "valuations[0].values['0']: booleans are not rational values"),
+    "unparsable": (bit_kb(values={"0": "1/x"}), "valuations[0].values['0']: cannot parse '1/x' as a rational"),
+    "list-value": (
+        bit_kb(values={"0": [1]}),
+        "valuations[0].values['0']: expected an integer or 'p/q' string, got list",
+    ),
+    "negative": (bit_kb(values={"0": "-1/2"}), "valuations[0].values['0']: negative value '-1/2'"),
+    "universe-object": (
+        {"kind": "knowledgebase", "universe": {}, "valuations": []},
+        "universe: expected a list, got dict",
+    ),
+    "empty-name": (
+        {"kind": "knowledgebase", "universe": [{"name": "", "frame": ["0"]}], "valuations": []},
+        "universe[0].name: expected a nonempty string",
+    ),
+    "key-arity": (
+        bit_kb(values={"0,1": 1}),
+        "valuations[0].values['0,1']: key '0,1' must have 1 comma-separated labels",
+    ),
+    "foreign-label": (bit_kb(values={"2": 1}), "valuations[0].values['2']: label '2' is not in the frame of 'x'"),
+    "possibilistic-value": (
+        bit_model("possibilistic", {"0": 2}),
+        "sections['x']['0']: possibilistic values must be the integers 0 or 1",
+    ),
+    "model-kind": (
+        bit_model("quantum", {"0": 1}),
+        "model-kind must be 'probabilistic' or 'possibilistic', got 'quantum'",
+    ),
+    "no-valuations": (
+        {"kind": "knowledgebase", "universe": BIT, "valuations": []},
+        "valuations: a knowledgebase needs at least one valuation",
+    ),
+    "repeated-domain": (bit_kb(domain=["x", "x"], values={}), "valuations[0].domain: repeated variable"),
+    "repeated-scheme": (bit_csp(scheme=("x", "x")), "constraints[0].scheme: repeated variable"),
+    "neither-style": (bit_kb(), "valuations[0]: exactly one of 'tuples' or 'values' is required"),
+    "both-styles": (bit_kb(tuples=[], values={}), "valuations[0]: exactly one of 'tuples' or 'values' is required"),
+    "no-covers": (bit_csp(covers=[]), "covers: a CSP needs at least one cover"),
+    "no-constraints": ({"kind": "csp", "universe": BIT, "constraints": []}, "covers: a CSP needs at least one cover"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_each_malformed_document_raises_its_message(name):
+    document, message = MALFORMED[name]
+    with pytest.raises(ParseError) as err:
+        parse_document_text(json.dumps(document))
+    assert err.value.message == message
+
+
+def test_a_csp_cover_over_the_cell_limit_is_refused_at_parse():
+    # A cover is compiled as the document is parsed, so its size check is a
+    # resource error of the parse itself, not a parse error.
+    names = [f"x{i}" for i in range(14)]
+    document = {
+        "kind": "csp",
+        "universe": [{"name": name, "frame": ["0", "1"]} for name in names],
+        "constraints": [{"scheme": names[:2], "allowed": [["0", "0"]]}],
+        "covers": [names],
+    }
+    with pytest.raises(ResourceLimitError, match=r"would have 16384 cells \(limit 1000\)$"):
+        parse_document_text(json.dumps(document), cell_limit=1000)
+    assert len(parse_document_text(json.dumps(document), cell_limit=16384).payload.valuations[0].tuples) == 4096
+
+
+def test_malformed_documents_exit_2_from_the_cli(tmp_path):
+    for name, (document, message) in sorted(MALFORMED.items()):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["analyze", str(path)])
+        assert (code, err.getvalue()) == (2, f"error: {message}\n"), name

@@ -36,6 +36,9 @@ command's start-up.
 The traced benchmark wraps valkit functions by name: every `(module,
 function)` pair in `LAYERS` of `bench/tracing.py` must still name a callable
 in `valkit.<module>`, so a rename under `src/` cannot silently drop a layer.
+
+README's "Library entry points" block is run as written, so every name it
+lists must import from `valkit`; a deleted export cannot linger in the docs.
 """
 
 import ast
@@ -46,6 +49,7 @@ import valkit
 
 PACKAGE = Path(valkit.__file__).resolve().parent
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -335,3 +339,17 @@ def test_every_traced_layer_names_a_valkit_function():
         if not callable(getattr(importlib.import_module(f"valkit.{module}"), function, None))
     ]
     assert not missing, "bench/tracing.py LAYERS names no valkit function:\n" + "\n".join(missing)
+
+
+def _entry_point_block() -> str:
+    """The fenced Python block under README's "## Library entry points" heading."""
+    section = README.read_text(encoding="utf-8").split("\n## Library entry points\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_entry_points_import_from_valkit():
+    tree = ast.parse(_entry_point_block(), filename=str(README))
+    assert len(tree.body) == 1
+    statement = tree.body[0]
+    assert isinstance(statement, ast.ImportFrom) and statement.module == "valkit" and statement.names
+    exec(compile(tree, str(README), "exec"), {})  # an ImportError names any entry point valkit lacks

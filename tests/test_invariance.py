@@ -6,7 +6,7 @@ from fractions import Fraction
 from valkit.algebra import Knowledgebase
 from valkit.builtins import bell_model, malawi_csp
 from valkit.contextuality import classify, probabilistic_model
-from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse, enumerate_assignments
+from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse
 from valkit.disagreement import (
     check_global_agreement_potentials,
     check_local_agreement,
@@ -16,7 +16,7 @@ from valkit.logic import csp_to_knowledgebase
 from valkit.potentials import Potential
 from valkit.relations import Relation, empty_relation, full_relation
 
-from conftest import random_relation, values_in
+from conftest import enumerate_assignments, random_relation, values_in
 
 
 def renamed_potential_kb(kb: Knowledgebase, mapping: dict) -> Knowledgebase:

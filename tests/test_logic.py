@@ -2,11 +2,20 @@ from itertools import product
 
 import pytest
 
-from valkit.builtins import MALAWI_COLORS, MALAWI_COUNTRIES, MALAWI_EDGES, malawi_csp, malawi_knowledgebase
-from valkit.core import VariableUniverse, enumerate_assignments
+from valkit.builtins import (
+    MALAWI_COLORS,
+    MALAWI_COUNTRIES,
+    MALAWI_EDGES,
+    liar_knowledgebase,
+    malawi_csp,
+    malawi_knowledgebase,
+)
+from valkit.core import VariableUniverse
 from valkit.errors import ArgumentError
-from valkit.logic import Constraint, CSPInstance, csp_to_knowledgebase, liar_cycle
+from valkit.logic import Constraint, CSPInstance, csp_to_knowledgebase
 from valkit.relations import Relation, full_relation, project_relation
+
+from conftest import enumerate_assignments
 
 
 def test_malawi_cover_relation_is_six_differing_pairs():
@@ -81,8 +90,7 @@ def test_partial_overlap_satisfaction_rule():
 
 
 def test_liar_cycle_three_compiles_to_expected_relations():
-    system = liar_cycle(3)
-    kb = system.knowledgebase()
+    kb = liar_knowledgebase(3)
     assert len(kb) == 3
     phi1, phi2, phi3 = kb.valuations
     assert phi1.tuples == frozenset({("0", "0"), ("1", "1")})  # (s1, s2)
@@ -91,7 +99,7 @@ def test_liar_cycle_three_compiles_to_expected_relations():
 
 
 def test_liar_cycle_two_is_equality_plus_inequality():
-    kb = liar_cycle(2).knowledgebase()
+    kb = liar_knowledgebase(2)
     assert len(kb) == 2
     eq, neq = kb.valuations
     assert eq.domain == neq.domain == frozenset({"s1", "s2"})
@@ -101,7 +109,7 @@ def test_liar_cycle_two_is_equality_plus_inequality():
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 def test_liar_single_variable_projections_are_full(n):
-    kb = liar_cycle(n).knowledgebase()
+    kb = liar_knowledgebase(n)
     for phi in kb:
         for name in sorted(phi.domain):
             projected = project_relation(phi, frozenset({name}))
@@ -110,11 +118,11 @@ def test_liar_single_variable_projections_are_full(n):
 
 def test_liar_rejects_short_cycles():
     with pytest.raises(ArgumentError):
-        liar_cycle(1)
+        liar_knowledgebase(1)
 
 
 def test_consistent_cycle_has_constant_models():
-    kb = liar_cycle(4, consistent=True).knowledgebase()
+    kb = liar_knowledgebase(4, consistent=True)
     # Brute force over the 16 truth assignments.
     names = [f"s{i}" for i in range(1, 5)]
     universe = kb.universe

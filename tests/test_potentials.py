@@ -4,13 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valkit.core import (
-    BOOLEAN,
-    NONNEG_RATIONAL,
-    Assignment,
-    VariableUniverse,
-    enumerate_assignments,
-)
+from valkit.core import BOOLEAN, NONNEG_RATIONAL, Assignment, VariableUniverse
 from valkit.errors import DomainError, SemiringMismatchError
 from valkit.potentials import (
     Potential,
@@ -23,7 +17,7 @@ from valkit.potentials import (
 )
 from valkit.relations import natural_join, project_relation
 
-from conftest import random_boolean_potential, random_potential
+from conftest import enumerate_assignments, random_boolean_potential, random_potential
 
 
 def bell_row_a1b1():

@@ -26,11 +26,11 @@ from valkit.contextuality import (
 )
 from valkit.core import BOOLEAN, NONNEG_RATIONAL, Assignment, Frame, Semiring, VariableUniverse, dom
 from valkit.disagreement import AgreementReport, GlobalVerdict, LocalVerdict
-from valkit.documents import CSPDocumentPayload, ParsedInput
+from valkit.documents import ParsedInput
 from valkit.errors import ArgumentError, DomainError
 from valkit.feasibility import FarkasCertificate, FeasibilityResult, LinearSystem
 from valkit.inference import InferenceProblem, JoinTree
-from valkit.logic import Constraint, CSPInstance, PropositionalSystem
+from valkit.logic import Constraint, CSPInstance
 from valkit.potentials import Potential
 from valkit.relations import AdjointnessReport, Relation
 
@@ -95,12 +95,6 @@ RECORDS = {
         CSP,
         "CSPInstance(universe=VariableUniverse(entries=(('x', Frame(values=('0', '1'))),)), "
         "constraints=(Constraint(scheme=('x',), allowed=Relation[x]{(x=1)}),))",
-    ),
-    PropositionalSystem: (
-        ("universe", "formulas"),
-        PropositionalSystem(U, (R,)),
-        "PropositionalSystem(universe=VariableUniverse(entries=(('x', Frame(values=('0', '1'))),)), "
-        "formulas=(Relation[x]{(x=1)},))",
     ),
     InferenceProblem: (
         ("knowledgebase", "query"),
@@ -190,12 +184,6 @@ RECORDS = {
         ParsedInput("knowledgebase", KB),
         "ParsedInput(kind='knowledgebase', payload=Knowledgebase(universe=VariableUniverse(entries=(('x', "
         "Frame(values=('0', '1'))),)), valuations=(Relation[x]{(x=1)},)))",
-    ),
-    CSPDocumentPayload: (
-        ("csp", "covers"),
-        CSPDocumentPayload(CSP, (dom("x"),)),
-        "CSPDocumentPayload(csp=CSPInstance(universe=VariableUniverse(entries=(('x', Frame(values=('0', '1'))),)), "
-        "constraints=(Constraint(scheme=('x',), allowed=Relation[x]{(x=1)}),)), covers=(frozenset({'x'}),))",
     ),
     BuiltinSpec: (
         ("name", "kind", "summary", "factory"),
@@ -335,8 +323,6 @@ def test_post_init_checks_still_fire():
         Constraint(("x",), UNIT)
     with pytest.raises(DomainError):
         CSPInstance(VariableUniverse.of([("y", ("0", "1"))]), (CONSTRAINT,))
-    with pytest.raises(ArgumentError, match="Boolean frame"):
-        PropositionalSystem(VariableUniverse.of([("x", ("a", "b"))]), ())
     with pytest.raises(DomainError, match="outside the joint domain"):
         InferenceProblem(Knowledgebase(U, (UNIT,)), dom("x"))
     with pytest.raises(ArgumentError, match="undeclared row"):

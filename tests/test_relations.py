@@ -4,7 +4,7 @@ from enum import Enum
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from valkit.core import Assignment, VariableUniverse, enumerate_assignments
+from valkit.core import Assignment, VariableUniverse
 from valkit.errors import ArgumentError, DomainError, UniverseMismatchError
 from valkit.relations import (
     Relation,
@@ -16,7 +16,7 @@ from valkit.relations import (
     relation_leq,
 )
 
-from conftest import random_relation
+from conftest import enumerate_assignments, random_relation
 
 
 def screening_relations(universe):

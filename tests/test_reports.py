@@ -44,12 +44,12 @@ def tampered_bell():
 
 def problems_after(parsed, corrupt):
     """The problems verify finds in the re-derived analysis of `parsed` once `corrupt` has edited a copy."""
-    analysis, verdict, kb = reports.analysis_document(parsed, None)
-    assert reports._revalidate_witnesses(analysis, parsed, verdict, kb) == []
+    analysis, verdict = reports.analysis_document(parsed, None)
+    assert reports._revalidate_witnesses(analysis, parsed, verdict) == []
     corrupted = copy.deepcopy(analysis)
     corrupt(corrupted)
     assert corrupted != analysis
-    return reports._revalidate_witnesses(corrupted, parsed, verdict, kb)
+    return reports._revalidate_witnesses(corrupted, parsed, verdict)
 
 
 def negate_certificate(rows):
@@ -200,6 +200,6 @@ def test_a_model_analysis_is_one_classify_call(monkeypatch):
         monkeypatch.setattr(module, "check_no_signalling", counted(check_no_signalling), raising=False)
     for model, cls in ((bell_model(), "PC"), (tampered_bell(), None)):
         calls.clear()
-        analysis, _, _ = reports.analysis_document(model_input(model), None)
+        analysis, _ = reports.analysis_document(model_input(model), None)
         assert analysis["class"] == cls
         assert calls == ["classify", "check_no_signalling"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from valkit.builtins import pr_box_model
 from valkit.contextuality import classify, probabilistic_model
-from valkit.core import Assignment, enumerate_assignments
+from valkit.core import Assignment
 from valkit.disagreement import check_global_agreement_potentials, marginal_system
 from valkit.feasibility import (
     LinearSystem,
@@ -15,6 +15,8 @@ from valkit.feasibility import (
     validate_certificate,
     validate_solution,
 )
+
+from conftest import enumerate_assignments
 
 
 def noisy_pr_box(noise_weight: Fraction):
