@@ -17,8 +17,8 @@ from fractions import Fraction
 from .algebra import Knowledgebase
 from .core import Assignment, Domain, NONNEG_RATIONAL, Record, VariableUniverse
 from .disagreement import GlobalVerdict, check_local_agreement, support_analysis, support_knowledgebase, tree_verdict
-from .errors import ArgumentError, SignallingError
-from .inference import DEFAULT_CELL_LIMIT
+from .errors import ArgumentError, ResourceLimitError, SignallingError
+from .inference import DEFAULT_CELL_LIMIT, JoinTree
 from .potentials import Potential, total_mass
 from .relations import Relation
 
@@ -118,7 +118,7 @@ def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
 
 
 class ContextualityReport(Record):
-    gamma: Relation
+    gamma: Relation | JoinTree  # past TUPLE_CAP tuples, the calibrated tree that counts Gamma
     strongly_contextual: bool
     logically_contextual: bool
     probabilistically_contextual: bool | None
@@ -143,7 +143,7 @@ def classify(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT)
         raise SignallingError(no_signalling)
     tree, feasibility = support_analysis(model.knowledgebase(), cell_limit)
     verdict = tree_verdict(tree)
-    g = verdict.truth if verdict.agrees else tree.combination()
+    g = verdict.truth if verdict.agrees else tree.gamma()
 
     strongly = tree.cliques[-1].is_empty()
     sc_context = model.scenario.contexts[0] if strongly else None
@@ -169,12 +169,19 @@ def classify(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT)
 
 
 def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> Relation:
-    """The combination of all context supports, every globally consistent assignment: `classify`'s Gamma.
+    """The combination of all context supports, every globally consistent assignment: `classify`'s Gamma, joined.
 
     It refuses wherever `classify` does, e.g. for a probabilistic model past
-    the marginal system's 4096-column cap.
+    the marginal system's 4096-column cap. Past TUPLE_CAP, where `classify`
+    carries Gamma as its tree, a size over `cell_limit` is refused before
+    any join.
     """
-    return classify(model, cell_limit).gamma
+    g = classify(model, cell_limit).gamma
+    if isinstance(g, JoinTree):
+        if cell_limit is not None and g.size > cell_limit:
+            raise ResourceLimitError(f"Gamma has {g.size} tuples (limit {cell_limit})")
+        g = g.gamma(None)
+    return g
 
 
 def probabilistic_model(

@@ -38,7 +38,7 @@ class GlobalVerdict(Record):
     _uncompared = ("system",)
 
     agrees: bool
-    truth: object | None = None  # the truth valuation gamma, on agreement
+    truth: object | None = None  # the truth valuation gamma, on agreement (past TUPLE_CAP its JoinTree)
     witness_index: int | None = None  # 1-based member whose projection differs
     projected: object | None = None  # what the combination projects to there
     certificate: FarkasCertificate | None = None  # infeasibility proof (potentials path)
@@ -101,12 +101,13 @@ def tree_verdict(tree: JoinTree) -> GlobalVerdict:
     """Global agreement read off a calibrated tree: the first member unlike its clique's projection, if any.
 
     Each member's projection of the combination comes off its home clique;
-    on agreement the truth valuation is the tree's combination.
+    on agreement the truth valuation is the tree's Gamma: the combination up
+    to TUPLE_CAP tuples, or past that the tree itself, which counts it.
     """
     for index, (phi, projected) in enumerate(zip(tree.knowledgebase, tree.marginals()), start=1):
         if projected != phi:
             return GlobalVerdict(False, witness_index=index, projected=projected)
-    return GlobalVerdict(True, truth=tree.combination())
+    return GlobalVerdict(True, truth=tree.gamma())
 
 
 def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:

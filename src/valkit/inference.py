@@ -13,19 +13,24 @@ For an idempotent algebra, `calibrate` answers at once every query that fits
 inside one of the bucket tree's cliques: one collect pass and one distribute
 pass over the tree of the elimination order (Shenoy & Shafer 1990), with no
 division. Every knowledgebase and model analysis reads its relational
-verdicts off the tree of its members' supports.
+verdicts off the tree of its members' supports. The same tree counts the
+combination, Gamma, by one upward pass in the counting semiring (Kohlas &
+Wilson 2008), so Gamma's tuples are joined only when a report lists them.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import Knowledgebase, ValuationAlgebra
 from .core import Domain, Record, VariableUniverse
 from .errors import ArgumentError, CapabilityError, DomainError, ResourceLimitError
+from .relations import restriction
 
 DEFAULT_CELL_LIMIT = 10_000_000
+TUPLE_CAP = 4096  # the most tuples of Gamma that a verdict joins and a report lists
 HEURISTICS = ("min-degree", "min-fill")
 
 
@@ -66,11 +71,10 @@ class InferenceProblem(Record):
         return self.knowledgebase.joint_domain
 
 
-def _guarded_combine(algebra: ValuationAlgebra, phi, psi, cell_limit: int | None, bound: int | None = None):
-    """combine(phi, psi), refused when `bound` (by default the algebra's size bound) exceeds `cell_limit`."""
+def _guarded_combine(algebra: ValuationAlgebra, phi, psi, cell_limit: int | None):
+    """combine(phi, psi), refused when the algebra's size bound exceeds `cell_limit`."""
     if cell_limit is not None:
-        if bound is None:
-            bound = algebra.combine_size_bound(phi, psi)
+        bound = algebra.combine_size_bound(phi, psi)
         if bound > cell_limit:
             raise ResourceLimitError(
                 f"intermediate combination over {sorted(algebra.label(phi) | algebra.label(psi))} "
@@ -152,17 +156,19 @@ def solve_fusion(
 class JoinTree(Record):
     """A calibrated bucket tree: each clique is the combination projected onto the clique's domain.
 
-    Clique k belongs to order[k] and the last clique, over the empty domain,
-    is the root. Every bucket's parent comes after it, so the cliques read
-    backwards run root first. `cell_limit` is the limit the tree was built
-    under, and it guards the combination too.
+    Clique k belongs to order[k] and sends its separator, its domain without
+    order[k], to clique parents[k]; the last clique, over the empty domain, is
+    the root. Every bucket's parent comes after it, so the cliques read
+    forwards run leaves first and read backwards run root first. The cliques
+    of a relation tree hold Gamma, the combination, factored: `size` counts
+    it and `gamma` joins it when it is small enough to list.
     """
 
     knowledgebase: Knowledgebase
     order: tuple[str, ...]
     cliques: tuple
+    parents: tuple[int, ...]  # the bucket each non-root bucket sends its message to
     homes: tuple[int, ...]  # the bucket holding each member, in knowledgebase order
-    cell_limit: int | None
 
     def marginals(self):
         """Each member's projection of the combination, read off its home clique, in member order."""
@@ -170,16 +176,50 @@ class JoinTree(Record):
         for phi, home in zip(self.knowledgebase, self.homes):
             yield algebra.project(self.cliques[home], algebra.label(phi))
 
+    @cached_property
+    def size(self) -> int:
+        """The number of tuples of a relation tree's combination, counted leaves first in exact ints.
+
+        A clique row's count is the number of ways to extend it to the
+        variables eliminated below it: the product, over its children, of the
+        summed counts of the child's rows that agree with it on the child's
+        separator. The root, over ∅, then holds the size, which is 0 exactly
+        when the root is empty.
+        """
+        names = [sorted(clique.domain) for clique in self.cliques]
+        counts = [dict.fromkeys(clique.tuples, 1) for clique in self.cliques]
+        for k, parent in enumerate(self.parents):
+            separator = [name for name in names[k] if name != self.order[k]]
+            to_separator = restriction(names[k], separator)
+            message: dict = {}
+            for row, count in counts[k].items():
+                key = to_separator(row)
+                message[key] = message.get(key, 0) + count
+            counts[k] = None
+            to_separator = restriction(names[parent], separator)
+            counts[parent] = {row: n * message.get(to_separator(row), 0) for row, n in counts[parent].items()}
+        return sum(counts[-1].values())
+
+    def gamma(self, limit: int | None = TUPLE_CAP):
+        """Gamma as a verdict carries it: the combination, or this tree if that has more than `limit` tuples.
+
+        With `limit` None, or a clique over every variable that already holds
+        the combination, the combination is returned whatever its size. At
+        the default, TUPLE_CAP, no tuple is joined that a report would omit.
+        """
+        joint = self.knowledgebase.joint_domain
+        if limit is None or any(clique.domain == joint for clique in self.cliques) or self.size <= limit:
+            return self.combination()
+        return self
+
     def combination(self):
         """The whole combination: a clique over every variable if there is one, else the cliques joined root first.
 
         A calibrated clique over the joint domain is the combination itself.
         Joined root first, each intermediate is a projection of it: clique k's
         separator lies in its parent's clique, joined before it, so the join
-        adds only order[k]. It is bounded by the running result combined with
-        the neutral element over order[k] (for relations, the result's size
-        times that variable's frame), which is far below the product with a
-        large clique.
+        adds only order[k]. No intermediate has more rows than the
+        combination, so its count is the only guard the join needs.
         """
         algebra = self.knowledgebase.algebra()
         joint = self.knowledgebase.joint_domain
@@ -187,12 +227,8 @@ class JoinTree(Record):
             if algebra.label(clique) == joint:
                 return clique
         result = self.cliques[-1]
-        for var, clique in zip(reversed(self.order), reversed(self.cliques[:-1])):
-            bound = min(
-                algebra.combine_size_bound(result, clique),
-                algebra.combine_size_bound(result, algebra.neutral(frozenset({var}))),
-            )
-            result = _guarded_combine(algebra, result, clique, self.cell_limit, bound)
+        for clique in reversed(self.cliques[:-1]):
+            result = algebra.combine(result, clique)
         return result
 
 
@@ -214,7 +250,7 @@ def calibrate(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
     for k in reversed(range(len(order))):  # a parent is calibrated before its children
         separator = algebra.label(cliques[k]) - {order[k]}
         cliques[k] = algebra.combine(cliques[k], algebra.project(cliques[parents[k]], separator))
-    return JoinTree(kb, order, tuple(cliques), tuple(homes), cell_limit)
+    return JoinTree(kb, order, tuple(cliques), tuple(parents), tuple(homes))
 
 
 def heuristic_order(kb: Knowledgebase, query: Domain, kind: str = "min-degree") -> tuple[str, ...]:

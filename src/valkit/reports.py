@@ -10,6 +10,8 @@ the report, re-checks each piece of evidence directly against the input.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .algebra import Knowledgebase
 from .contextuality import ContextualityReport, EmpiricalModel, NoSignallingVerdict, classify
 from .core import Assignment
@@ -24,15 +26,17 @@ from .documents import (
 )
 from .errors import SignallingError
 from .feasibility import FarkasCertificate, validate_certificate, validate_solution
-from .inference import DEFAULT_CELL_LIMIT
+from .inference import DEFAULT_CELL_LIMIT, TUPLE_CAP, JoinTree
 from .potentials import Potential
 from .relations import Relation, project_relation, restriction
 
 REPORT_SCHEMA = "vk-report/1"
-TUPLE_CAP = 4096
 
 
-def relation_doc(r: Relation) -> dict:
+def relation_doc(r: Relation | JoinTree) -> dict:
+    """A relation's size and, up to TUPLE_CAP, its tuples; Gamma past the cap comes as the tree that counts it."""
+    if isinstance(r, JoinTree):
+        return {"type": "relation", "domain": sorted(r.knowledgebase.joint_domain), "size": r.size, "omitted": True}
     names = sorted(r.domain)
     doc = {"type": "relation", "domain": names, "size": len(r.tuples)}
     if len(r.tuples) <= TUPLE_CAP:
@@ -48,7 +52,7 @@ def potential_doc(p: Potential) -> dict:
 
 
 def valuation_doc(v) -> dict:
-    return relation_doc(v) if isinstance(v, Relation) else potential_doc(v)
+    return potential_doc(v) if isinstance(v, Potential) else relation_doc(v)
 
 
 def _kb_certificate_layout(kb: Knowledgebase) -> tuple[tuple[str, str], list]:
@@ -202,7 +206,8 @@ def verify_report(
     A report whose analysis does not reproduce fails with that one problem,
     before any witness is checked; otherwise the witnesses are read off the
     re-derived analysis, which equals the report's. Only the LC check, which
-    would need inference, reads the re-derived Gamma; Farkas certificates and
+    would need inference, reads the re-derived Gamma, or past TUPLE_CAP its
+    tree's clique of the witness context; Farkas certificates and
     a global distribution are checked against the marginal system the
     re-derivation built from the input; every other witness, a signalling
     model's pair of contexts included, is checked against the input directly.
@@ -231,6 +236,13 @@ def _local_pair_problems(kb: Knowledgebase, pair: tuple, members: tuple, overlap
     algebra = kb.algebra()
     left, right = (algebra.project(phi, frozenset(overlap)) for phi in members)
     return [f"reported local disagreement pair {pair} actually agrees"] if left == right else []
+
+
+def _gamma_on_context(gamma: Relation | JoinTree, model: EmpiricalModel, ctx: tuple[str, ...]) -> Relation:
+    """Gamma projected onto a context: off its listed tuples, or past TUPLE_CAP off the context's clique of its tree."""
+    if isinstance(gamma, JoinTree):
+        return next(islice(gamma.marginals(), model.scenario.contexts.index(ctx), None))
+    return project_relation(gamma, frozenset(ctx))
 
 
 def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict) -> list[str]:
@@ -265,7 +277,7 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict) -> list[
             support = payload.support_for(ctx)
             if section.domain != support.domain or section.row not in support.tuples:
                 problems.append("logical-contextuality witness is not a supported section")
-            elif section.row in project_relation(verdict.gamma, support.domain).tuples:
+            elif section.row in _gamma_on_context(verdict.gamma, payload, ctx).tuples:
                 problems.append("logical-contextuality witness extends to a global assignment")
         if analysis["strong"]["contextual"] and analysis["gamma"]["size"] != 0:
             problems.append("strong contextuality claimed but gamma is nonempty")

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from valkit.algebra import Knowledgebase
-from valkit.contextuality import probabilistic_model
+from valkit.contextuality import possibilistic_model, probabilistic_model
 from valkit.core import Assignment, BOOLEAN, NONNEG_RATIONAL, Domain, VariableUniverse
 from valkit.documents import relation_rows
 from valkit.logic import CSPInstance
@@ -180,6 +180,15 @@ def noisy_cycle_correlators(n: int, contextual: bool) -> list[Fraction]:
     """
     t = Fraction(n - 2, n) + Fraction(1 if contextual else -1, 2 * n)
     return [-t] + [t] * (n - 1)
+
+
+def full_cycle_model(n: int):
+    """The possibilistic binary n-cycle whose every context allows all four outcomes: NC, with 2^n tuples in Gamma."""
+    names = [f"m{i:02d}" for i in range(n)]
+    universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
+    contexts = [(names[i], names[(i + 1) % n]) for i in range(n)]
+    every = [(a, b) for a in "01" for b in "01"]
+    return possibilistic_model(universe, contexts, {ctx: every for ctx in contexts})
 
 
 def grid_colouring_document(rows, cols):

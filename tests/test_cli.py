@@ -22,6 +22,7 @@ from conftest import (
     csp_document,
     cycle_model,
     empty_domain_potential_kb,
+    full_cycle_model,
     grid_colouring_document,
     noisy_cycle_correlators,
     split_components_document,
@@ -275,6 +276,48 @@ def test_analyze_json_matches_golden_join_tree_digests(tmp_path, monkeypatch):
         "grid-4x4.json": ("agree", None, False),
         "split-components.json": ("disagree", 1, True),
     }
+
+
+def test_the_4x4_grid_is_reported_without_joining_gamma(tmp_path, monkeypatch):
+    # Its 7812 colourings are past TUPLE_CAP: the report gives their count
+    # off the calibrated tree, byte for byte as when they were joined.
+    from valkit.inference import JoinTree
+
+    def refuse(tree):
+        raise AssertionError("Gamma was joined")
+
+    monkeypatch.setattr(JoinTree, "combination", refuse)
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    Path("grid-4x4.json").write_text(canonical_json(grid_colouring_document(4, 4)), encoding="utf-8")
+    code, out, err = run_cli("analyze", "grid-4x4.json", "--json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_JOIN_TREE_SHA256["grid-4x4.json"]
+    Path("grid-4x4.json.report").write_text(out, encoding="utf-8")
+    assert run_cli("verify", "grid-4x4.json.report", "grid-4x4.json")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "name, document, limit, size",
+    [
+        ("grid-5x5.json", lambda: grid_colouring_document(5, 5), "100000", 580986),
+        ("cycle-24.json", lambda: model_document(full_cycle_model(24)), "4096", 16777216),
+    ],
+)
+def test_a_small_limit_answers_a_gamma_it_counts(name, document, limit, size, tmp_path):
+    # The 5x5 grid's root-first join and the possibilistic 24-cycle's used to
+    # exceed these limits; counting Gamma joins nothing, so both are answered.
+    path = tmp_path / name
+    path.write_text(canonical_json(document()), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(path), "--json", "--limit", limit)
+    assert code == 0, err
+    analysis = json.loads(out)["analysis"]
+    gamma = analysis["gamma"] if "class" in analysis else analysis["global"]["truth"]
+    assert gamma["size"] == size and gamma["omitted"] is True
+    assert analysis.get("class", "NC") == "NC"
+    report = tmp_path / f"{name}.report"
+    report.write_text(out, encoding="utf-8")
+    assert run_cli("verify", str(report), str(path))[0] == 0
 
 
 def reversed_frame_possibilistic_model():

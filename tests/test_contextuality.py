@@ -17,11 +17,11 @@ from valkit.contextuality import (
 )
 from valkit.core import Assignment, Domain, Record, VariableUniverse
 from valkit.disagreement import combination_verdict, tree_verdict
-from valkit.errors import ArgumentError, PreconditionError, SignallingError
+from valkit.errors import ArgumentError, PreconditionError, ResourceLimitError, SignallingError
 from valkit.inference import InferenceProblem, JoinTree, calibrate, solve_naive
 from valkit.relations import Row, project_relation
 
-from conftest import cycle_model, noisy_cycle_correlators, values_in
+from conftest import cycle_model, full_cycle_model, noisy_cycle_correlators, values_in
 
 
 # Independent oracle: scan all global outcome assignments with plain dicts,
@@ -444,6 +444,26 @@ def test_lc_at_never_joins_gamma(monkeypatch):
     hardy = context_projections(hardy_model())[("a1", "b1")]
     assert ("0", "0") not in hardy.tuples and ("1", "1") in hardy.tuples
     assert all(projection.is_empty() for projection in context_projections(ghz_model()).values())
+
+
+def test_a_gamma_past_the_cap_is_counted_not_joined(monkeypatch):
+    # The possibilistic 24-cycle with full supports is NC, and its Gamma has
+    # 2^24 tuples. classify counts them on the calibrated tree and joins
+    # none, under a limit of 4096; gamma refuses them from the count. A
+    # 13-cycle's 8192 tuples are past TUPLE_CAP but inside a limit of 8192,
+    # so gamma joins them.
+    def refuse(tree):
+        raise AssertionError("Gamma was joined")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(JoinTree, "combination", refuse)
+        report = classify(full_cycle_model(24), 4096)
+        assert report.classification == "NC"
+        assert isinstance(report.gamma, JoinTree) and report.gamma.size == 2**24
+        with pytest.raises(ResourceLimitError, match="Gamma has 16777216 tuples \\(limit 4096\\)"):
+            gamma(full_cycle_model(24), 4096)
+        assert classify(full_cycle_model(13), 8192).gamma.size == 8192
+    assert len(gamma(full_cycle_model(13), 8192).tuples) == 8192
 
 
 def test_models_from_global_distributions_are_never_pc():

@@ -23,7 +23,9 @@ Gamma has one producer, `JoinTree.combination`: no module other than
 `inference.py`, which defines `calibrate`, and `disagreement.py`, whose
 support analysis is the one caller on the analysis path, calls `calibrate`.
 So no helper can build a second tree under its own guard and answer, or
-refuse, what the analysis does not.
+refuse, what the analysis does not. And no module other than `inference.py`,
+which counts Gamma on the tree, calls `.combination(`: elsewhere Gamma is
+joined only through `JoinTree.gamma`, whose limit is on that count.
 
 A model analysis is one `classify` call: no module other than
 `contextuality.py` calls `check_no_signalling`, and no module defines or calls
@@ -221,6 +223,34 @@ def test_the_calibrate_check_sees_calls():
     assert _calibrate_calls(ast.parse(source), "disagreement.py") == []
     assert _calibrate_calls(ast.parse(source), "inference.py") == []
     assert _calibrate_calls(ast.parse("from .inference import calibrate\n"), "contextuality.py") == []
+
+
+def _combination_calls(tree: ast.AST, module: str) -> list[str]:
+    if module == "inference.py":
+        return []
+    return [
+        f"{module}:{node.lineno}: calls .combination"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "combination"
+    ]
+
+
+def test_only_the_counting_module_joins_gamma():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(_combination_calls(tree, path.name))
+    assert not offences, "Gamma joined without its count:\n" + "\n".join(offences)
+
+
+def test_the_combination_check_sees_calls():
+    source = "def gamma(tree, report):\n    return tree.combination(), report.gamma.combination()\n"
+    assert _combination_calls(ast.parse(source), "contextuality.py") == [
+        "contextuality.py:2: calls .combination",
+        "contextuality.py:2: calls .combination",
+    ]
+    assert _combination_calls(ast.parse(source), "inference.py") == []
+    assert _combination_calls(ast.parse("def f(tree):\n    return tree.gamma(), tree.combination\n"), "reports.py") == []
 
 
 BOOLEAN_MODULES = ("core.py",)

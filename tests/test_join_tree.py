@@ -7,9 +7,11 @@ inference problem per member plus one over all variables, and every pair
 projected onto its overlap. The verdicts must be equal, witnesses included.
 """
 
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,8 +27,8 @@ from valkit.disagreement import (
     tree_verdict,
 )
 from valkit.documents import canonical_json, parse_document_text
-from valkit.errors import CapabilityError, ResourceLimitError
-from valkit.inference import InferenceProblem, calibrate, solve_fusion, solve_naive
+from valkit.errors import CapabilityError
+from valkit.inference import TUPLE_CAP, InferenceProblem, JoinTree, calibrate, solve_fusion, solve_naive
 from valkit.potentials import Potential, constant_potential, project_potential, total_mass
 from valkit.relations import Relation, project_relation
 
@@ -177,21 +179,35 @@ def test_a_single_large_member_is_answered_at_the_default_limit():
     assert calibrate(kb, cell_limit=8191).combination() == full
 
 
-def test_the_root_first_join_adds_one_variable_at_a_time():
+def test_the_root_first_join_adds_one_variable_at_a_time(monkeypatch):
     # A chain of 12 full binary pairs over 13 bits has no clique over every
     # variable, so its combination, the full relation, is joined root first.
-    # Each join adds one binary variable, so the last one is bounded by
-    # 4096 x 2 tuples, not by the product 4096 x 4 with its pair's clique.
+    # Its 8192 tuples are past TUPLE_CAP, so the verdict carries the tree,
+    # which counts them, and joins nothing. Asked for, the join adds one
+    # binary variable at a time, each step a projection of the combination,
+    # and no cell limit refuses it: the count is its guard.
+    from valkit.algebra import RelationAlgebra
+
     names = [f"v{i:02d}" for i in range(13)]
     universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
     pairs = [Relation.from_rows(universe, names[i : i + 2], list(itertools.product("01", repeat=2))) for i in range(12)]
     kb = Knowledgebase(universe, tuple(pairs))
     full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
-    assert all(clique.domain != kb.joint_domain for clique in calibrate(kb).cliques)
-    assert check_global_agreement_adjoint(kb).truth == full
-    assert calibrate(kb, cell_limit=8192).combination() == full
-    with pytest.raises(ResourceLimitError, match="could reach 8192 cells"):
-        calibrate(kb, cell_limit=8191).combination()
+    tree = calibrate(kb, cell_limit=8)
+    assert all(clique.domain != kb.joint_domain for clique in tree.cliques)
+    verdict = check_global_agreement_adjoint(kb)
+    assert verdict.agrees and verdict.truth == tree and verdict.truth.size == 8192
+    assert tree.gamma(8191) is tree
+    steps = []
+
+    class Recording(RelationAlgebra):
+        def combine(self, phi, psi):
+            steps.append(super().combine(phi, psi))
+            return steps[-1]
+
+    monkeypatch.setattr(Knowledgebase, "algebra", lambda self: Recording(self.universe))
+    assert tree.gamma(8192) == full
+    assert [len(step.domain) for step in steps] == list(range(1, 14))
 
 
 def refuse_joins(monkeypatch):
@@ -390,13 +406,49 @@ def test_an_empty_component_empties_every_clique():
 
 
 # Proper 3-colourings of the grid, from a row-to-row transfer matrix.
-GRID_COLOURINGS = {(3, 3): 246, (4, 4): 7812, (4, 5): 54450}
+GRID_COLOURINGS = {(3, 3): 246, (4, 4): 7812, (4, 5): 54450, (5, 5): 580986, (6, 6): 101596896}
+
+
+def test_the_grid_colourings_agree_with_the_bench_oracle():
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    assert {shape: oracle.grid_colourings(*shape) for shape in GRID_COLOURINGS} == GRID_COLOURINGS
 
 
 @pytest.mark.parametrize("shape", sorted(GRID_COLOURINGS))
-def test_grid_gamma_counts_the_colourings(shape):
+def test_grid_gamma_counts_the_colourings(shape, monkeypatch):
+    # Up to TUPLE_CAP the truth is Gamma's tuples; past it, the calibrated
+    # tree, which counts the colourings without joining one of them.
     kb = parse_document_text(canonical_json(grid_colouring_document(*shape))).knowledgebase()
-    verdict = check_global_agreement_adjoint(kb)
+    tree = calibrate(kb)
+    if GRID_COLOURINGS[shape] > TUPLE_CAP:
+        refuse_joins(monkeypatch)
+    verdict = tree_verdict(tree)
     assert verdict.agrees
-    assert len(verdict.truth.tuples) == GRID_COLOURINGS[shape]
+    if GRID_COLOURINGS[shape] <= TUPLE_CAP:
+        assert len(verdict.truth.tuples) == GRID_COLOURINGS[shape]
+    else:
+        assert isinstance(verdict.truth, JoinTree) and verdict.truth.size == GRID_COLOURINGS[shape]
 
+
+def test_the_count_is_the_size_of_the_combination():
+    # On the same random knowledgebases as the verdict oracle (empty members,
+    # {()} and {} members over ∅, disconnected covers), the count equals the
+    # naive combination's size, is 0 exactly when the root is empty, and
+    # Gamma, joined up to TUPLE_CAP, is the combination.
+    rng = random.Random(5150)
+    seen = dict.fromkeys(("empty", "nonempty", "empty-member", "unit-member", "split"), 0)
+    for _ in range(600):
+        kb = random_tree_kb(rng)
+        tree = calibrate(kb)
+        gamma = solve_naive(InferenceProblem(kb, kb.joint_domain))
+        assert tree.size == len(gamma.tuples), kb
+        assert (tree.size == 0) == tree.cliques[-1].is_empty()
+        assert tree.gamma() == gamma
+        seen["empty" if gamma.is_empty() else "nonempty"] += 1
+        seen["empty-member"] += any(phi.is_empty() for phi in kb)
+        seen["unit-member"] += any(not phi.domain and not phi.is_empty() for phi in kb)
+        seen["split"] += is_disconnected(kb)
+    assert min(seen.values()) >= 20, seen

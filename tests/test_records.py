@@ -103,11 +103,11 @@ RECORDS = {
         "Frame(values=('0', '1'))),)), valuations=(Relation[x]{(x=1)},)), query=frozenset({'x'}))",
     ),
     JoinTree: (
-        ("knowledgebase", "order", "cliques", "homes", "cell_limit"),
-        JoinTree(KB, ("x",), (R, UNIT), (0,), 100),
+        ("knowledgebase", "order", "cliques", "parents", "homes"),
+        JoinTree(KB, ("x",), (R, UNIT), (1,), (0,)),
         "JoinTree(knowledgebase=Knowledgebase(universe=VariableUniverse(entries=(('x', "
         "Frame(values=('0', '1'))),)), valuations=(Relation[x]{(x=1)},)), order=('x',), "
-        "cliques=(Relation[x]{(x=1)}, Relation[∅]{(*)}), homes=(0,), cell_limit=100)",
+        "cliques=(Relation[x]{(x=1)}, Relation[∅]{(*)}), parents=(1,), homes=(0,))",
     ),
     LinearSystem: (
         ("columns", "rows", "entries", "rhs"),

@@ -22,9 +22,10 @@ from valkit.documents import (
     parse_signed_rational,
 )
 from valkit.potentials import constant_potential
-from valkit.relations import Relation
+from valkit.inference import JoinTree
+from valkit.relations import Relation, project_relation
 
-from conftest import cycle_model, noisy_cycle_correlators
+from conftest import cycle_model, noisy_cycle_correlators, values_in
 
 
 def model_input(model):
@@ -135,6 +136,33 @@ def test_an_lc_section_must_not_extend():
     assert problems_after(model_input(hardy_model()), corrupt) == [
         "logical-contextuality witness extends to a global assignment"
     ]
+
+
+def wide_hardy_model(extra: int):
+    """`extra` free binary measurements, each a context of its own, then Hardy's supports: LC, Gamma times 2^extra."""
+    hardy = hardy_model()
+    free = [f"x{i:02d}" for i in range(extra)]
+    entries = [(name, frame.values) for name, frame in hardy.scenario.universe.entries]
+    universe = VariableUniverse.of(entries + [(name, ("0", "1")) for name in free])
+    contexts = [(name,) for name in free] + list(hardy.scenario.contexts)
+    supports = {ctx: [values_in(row, ctx) for row in hardy.support_for(ctx).tuples] for ctx in hardy.scenario.contexts}
+    supports.update({(name,): [("0",), ("1",)] for name in free})
+    return contextuality.possibilistic_model(universe, contexts, supports)
+
+
+def test_an_lc_section_must_not_extend_past_the_cap():
+    # With 12 free bits Gamma has more than TUPLE_CAP tuples and is carried as
+    # its tree; the check reads the witness context's projection off it.
+    model = wide_hardy_model(12)
+    assert isinstance(contextuality.classify(model).gamma, JoinTree)
+    hardy_gamma = contextuality.classify(hardy_model()).gamma
+    extending = values_in(project_relation(hardy_gamma, frozenset({"a1", "b1"})).sorted_tuples()[0], ("a1", "b1"))
+
+    def corrupt(analysis):
+        assert analysis["gamma"]["omitted"]
+        analysis["logical"]["witness"]["section"] = ",".join(extending)
+
+    assert problems_after(model_input(model), corrupt) == ["logical-contextuality witness extends to a global assignment"]
 
 
 def test_strong_contextuality_needs_an_empty_gamma():
