@@ -17,7 +17,7 @@ from fractions import Fraction
 from .algebra import Knowledgebase
 from .core import Assignment, Domain, NONNEG_RATIONAL, Record, VariableUniverse
 from .disagreement import GlobalVerdict, check_local_agreement, support_analysis, support_knowledgebase, tree_verdict
-from .errors import ArgumentError, ResourceLimitError, SignallingError
+from .errors import ArgumentError, SignallingError
 from .inference import DEFAULT_CELL_LIMIT, JoinTree
 from .potentials import Potential, total_mass
 from .relations import Relation
@@ -143,7 +143,6 @@ def classify(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT)
         raise SignallingError(no_signalling)
     tree, feasibility = support_analysis(model.knowledgebase(), cell_limit)
     verdict = tree_verdict(tree)
-    g = verdict.truth if verdict.agrees else tree.gamma()
 
     strongly = tree.cliques[-1].is_empty()
     sc_context = model.scenario.contexts[0] if strongly else None
@@ -157,7 +156,7 @@ def classify(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT)
 
     probabilistically = None if feasibility is None else not feasibility.agrees
     return ContextualityReport(
-        gamma=g,
+        gamma=tree.gamma,
         strongly_contextual=strongly,
         logically_contextual=logically,
         probabilistically_contextual=probabilistically,
@@ -173,15 +172,11 @@ def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
 
     It refuses wherever `classify` does, e.g. for a probabilistic model past
     the marginal system's 4096-column cap. Past TUPLE_CAP, where `classify`
-    carries Gamma as its tree, a size over `cell_limit` is refused before
-    any join.
+    carries Gamma as its tree, the tree joins it, refusing a size over
+    `cell_limit` before any join.
     """
     g = classify(model, cell_limit).gamma
-    if isinstance(g, JoinTree):
-        if cell_limit is not None and g.size > cell_limit:
-            raise ResourceLimitError(f"Gamma has {g.size} tuples (limit {cell_limit})")
-        g = g.gamma(None)
-    return g
+    return g.combination(cell_limit) if isinstance(g, JoinTree) else g
 
 
 def probabilistic_model(

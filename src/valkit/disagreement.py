@@ -13,8 +13,6 @@ calibrated tree of the members' supports (`support_analysis`).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import Knowledgebase, PotentialAlgebra
 from .core import Domain, NONNEG_RATIONAL, Record
 from .errors import CapabilityError, ResourceLimitError
@@ -107,7 +105,7 @@ def tree_verdict(tree: JoinTree) -> GlobalVerdict:
     for index, (phi, projected) in enumerate(zip(tree.knowledgebase, tree.marginals()), start=1):
         if projected != phi:
             return GlobalVerdict(False, witness_index=index, projected=projected)
-    return GlobalVerdict(True, truth=tree.gamma())
+    return GlobalVerdict(True, truth=tree.gamma)
 
 
 def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:
@@ -139,11 +137,11 @@ def marginal_system(kb: Knowledgebase, column_limit: int | None = DEFAULT_FEASIB
         for local in universe.rows(phi.domain):
             key = (index, local)
             rows.append(key)
-            rhs[key] = Fraction(phi.table[local])
+            rhs[key] = phi.table[local]
     local_rows = [restriction(sorted(joint), sorted(phi.domain)) for phi in kb]
     for g in columns:
         for index, local_row in enumerate(local_rows, start=1):
-            entries[((index, local_row(g)), g)] = Fraction(1)
+            entries[((index, local_row(g)), g)] = 1
     return LinearSystem(columns=columns, rows=tuple(rows), entries=entries, rhs=rhs)
 
 

@@ -169,9 +169,8 @@ def _parse_name_list(raw, universe: VariableUniverse, where: str) -> tuple[str, 
     return names
 
 
-def _outcomes(raw: dict, names, universe: VariableUniverse, where: str, cell_limit: int | None):
-    """Each key's row (its labels in sorted-name order), value and place, once a table over `names` obeys `cell_limit`."""
-    check_table_size(universe, frozenset(names), cell_limit)
+def _outcomes(raw: dict, names, universe: VariableUniverse, where: str):
+    """Each key's row (its labels in sorted-name order), value and place."""
     to_row = restriction(names, sorted(set(names)))  # a repeated name keeps its last label
     for key, value in raw.items():
         spot = f"{where}[{key!r}]"
@@ -195,7 +194,8 @@ def parse_potential(
 
     Every row of the table is filled, so a table with more than `cell_limit` rows is refused first.
     """
-    outcomes = _outcomes(raw, names, universe, where, cell_limit)
+    check_table_size(universe, frozenset(names), cell_limit)
+    outcomes = _outcomes(raw, names, universe, where)
     given = {row: parse_rational(value, spot) for row, value, spot in outcomes}
     try:
         return Potential._from_rows(universe, frozenset(names), NONNEG_RATIONAL, given, default=Fraction(0))
@@ -203,10 +203,10 @@ def parse_potential(
         raise ParseError(f"{where}: {err}") from None
 
 
-def _parse_support(raw: dict, names, universe: VariableUniverse, where: str, cell_limit: int | None) -> Relation:
-    """A possibilistic section: the relation of the outcomes a 0/1 map keyed like a potential's marks 1."""
+def _parse_support(raw: dict, names, universe: VariableUniverse, where: str) -> Relation:
+    """A possibilistic section: the relation of the outcomes its 0/1 map marks 1; no frame product is built or checked."""
     rows = set()
-    for row, value, spot in _outcomes(raw, names, universe, where, cell_limit):
+    for row, value, spot in _outcomes(raw, names, universe, where):
         if type(value) is not int or value not in (0, 1):
             raise ParseError(f"{spot}: possibilistic values must be the integers 0 or 1")
         if value:
@@ -254,8 +254,10 @@ def _parse_empirical_model(doc: dict, cell_limit: int | None) -> EmpiricalModel:
         raw = _expect_mapping(sections_raw[key], where)
         if not raw:
             raise ParseError(f"{where}: a section must list at least one outcome")
-        parse = parse_potential if model_kind == PROBABILISTIC else _parse_support
-        sections.append(parse(raw, ctx, universe, where, cell_limit))
+        if model_kind == PROBABILISTIC:
+            sections.append(parse_potential(raw, ctx, universe, where, cell_limit))
+        else:
+            sections.append(_parse_support(raw, ctx, universe, where))
     try:
         scenario = MeasurementScenario(universe, tuple(tuple(c) for c in contexts))
         return EmpiricalModel(scenario, model_kind, tuple(sections))
@@ -331,7 +333,7 @@ def _parse_csp(doc: dict, cell_limit: int | None) -> Knowledgebase:
 
 
 def parse_document_text(text: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> ParsedInput:
-    """Parse a document; a model section, potential or CSP cover with more than `cell_limit` rows is refused."""
+    """Parse a document; a probabilistic section, potential or CSP cover with more than `cell_limit` rows is refused."""
     doc = _expect_mapping(load_json(text), "document")
     kind = doc.get("kind")
     if kind not in KINDS:

@@ -1,7 +1,7 @@
 """Exact linear feasibility over the nonnegative rationals.
 
 Decides whether A x = b has a solution with x >= 0, where every entry is a
-Fraction. The engine is a phase-1 simplex: one artificial variable per row,
+rational. The engine is a phase-1 simplex: one artificial variable per row,
 minimize their sum, Bland's rule for both the entering and the leaving choice
 so cycling is impossible. The tableau is integer-preserving (Bareiss 1968;
 Edmonds 1967): columns and right-hand side are scaled to integers, and each
@@ -71,11 +71,11 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     # each column by the lcm of its denominators and s is the lcm of the rhs
     # denominators. Positive scaling keeps every sign and every ratio order
     # Bland's rule reads, so the pivots are those of the rational tableau.
-    cells = [(row_index[r], col_index[c], Fraction(v)) for (r, c), v in system.entries.items()]
+    cells = [(row_index[r], col_index[c], v) for (r, c), v in system.entries.items()]
     colscale = [1] * n
     for _, j, v in cells:
         colscale[j] = lcm(colscale[j], v.denominator)
-    rhs = [Fraction(system.rhs.get(r, ZERO)) for r in rows]
+    rhs = [system.rhs.get(r, ZERO) for r in rows]
     rhs_scale = lcm(1, *(v.denominator for v in rhs))
 
     total = n + m

@@ -200,32 +200,22 @@ class JoinTree(Record):
             counts[parent] = {row: n * message.get(to_separator(row), 0) for row, n in counts[parent].items()}
         return sum(counts[-1].values())
 
-    def gamma(self, limit: int | None = TUPLE_CAP):
-        """Gamma as a verdict carries it: the combination, or this tree if that has more than `limit` tuples.
+    @cached_property
+    def gamma(self):
+        """Gamma as a verdict carries it: the combination up to TUPLE_CAP tuples, past that this tree, which counts it."""
+        return self.combination() if self.size <= TUPLE_CAP else self
 
-        With `limit` None, or a clique over every variable that already holds
-        the combination, the combination is returned whatever its size. At
-        the default, TUPLE_CAP, no tuple is joined that a report would omit.
-        """
-        joint = self.knowledgebase.joint_domain
-        if limit is None or any(clique.domain == joint for clique in self.cliques) or self.size <= limit:
-            return self.combination()
-        return self
+    def combination(self, cell_limit: int | None = None):
+        """The whole combination, the cliques joined root first, refused from its count if over `cell_limit`.
 
-    def combination(self):
-        """The whole combination: a clique over every variable if there is one, else the cliques joined root first.
-
-        A calibrated clique over the joint domain is the combination itself.
         Joined root first, each intermediate is a projection of it: clique k's
         separator lies in its parent's clique, joined before it, so the join
         adds only order[k]. No intermediate has more rows than the
         combination, so its count is the only guard the join needs.
         """
+        if cell_limit is not None and self.size > cell_limit:
+            raise ResourceLimitError(f"Gamma has {self.size} tuples (limit {cell_limit})")
         algebra = self.knowledgebase.algebra()
-        joint = self.knowledgebase.joint_domain
-        for clique in self.cliques:
-            if algebra.label(clique) == joint:
-                return clique
         result = self.cliques[-1]
         for clique in reversed(self.cliques[:-1]):
             result = algebra.combine(result, clique)

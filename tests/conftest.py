@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -189,6 +190,46 @@ def full_cycle_model(n: int):
     contexts = [(names[i], names[(i + 1) % n]) for i in range(n)]
     every = [(a, b) for a in "01" for b in "01"]
     return possibilistic_model(universe, contexts, {ctx: every for ctx in contexts})
+
+
+def random_no_signalling_possibilistic(rng):
+    """A random possibilistic model on an n-cycle or a bipartite Bell cover.
+
+    Each measurement m keeps a nonempty set V_m of its outcomes, and each
+    context's support is a random subset of the product of those sets that
+    still hits every outcome in V_m for each of its measurements, so every
+    overlap (a single measurement) sees V_m from both sides. Half of the
+    binary cycles favour one parity per context, PR-box style, so that
+    strongly contextual models occur too.
+    """
+    if rng.random() < 0.5:
+        n = rng.randint(3, 5)
+        names = [f"m{i}" for i in range(n)]
+        contexts = [(names[i], names[(i + 1) % n]) for i in range(n)]
+        parity = rng.random() < 0.5
+    else:
+        k = rng.randint(2, 3)
+        names = [f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)]
+        contexts = [(f"a{i}", f"b{j}") for i in range(k) for j in range(k)]
+        parity = False
+    frames = {name: ("0", "1", "2")[: 2 if parity else rng.randint(2, 3)] for name in names}
+    kept = {name: frames[name] for name in names}
+    if not parity:
+        kept = {name: rng.sample(frame, rng.randint(1, len(frame))) for name, frame in kept.items()}
+    universe = VariableUniverse.of([(name, frames[name]) for name in names])
+    supports = {}
+    for x, y in contexts:
+        cells = list(product(kept[x], kept[y]))
+        odd = rng.random() < 0.5
+        while True:
+            if parity:
+                chosen = [c for c in cells if rng.random() < (0.9 if (c[0] != c[1]) == odd else 0.15)]
+            else:
+                chosen = [c for c in cells if rng.random() < 0.5]
+            if {a for a, _ in chosen} == set(kept[x]) and {b for _, b in chosen} == set(kept[y]):
+                break
+        supports[(x, y)] = chosen
+    return possibilistic_model(universe, contexts, supports)
 
 
 def grid_colouring_document(rows, cols):

@@ -21,7 +21,13 @@ from valkit.errors import ArgumentError, PreconditionError, ResourceLimitError, 
 from valkit.inference import InferenceProblem, JoinTree, calibrate, solve_naive
 from valkit.relations import Row, project_relation
 
-from conftest import cycle_model, full_cycle_model, noisy_cycle_correlators, values_in
+from conftest import (
+    cycle_model,
+    full_cycle_model,
+    noisy_cycle_correlators,
+    random_no_signalling_possibilistic,
+    values_in,
+)
 
 
 # Independent oracle: scan all global outcome assignments with plain dicts,
@@ -348,46 +354,6 @@ def lc_loop_oracle(model):
     return (False, None, strongly, sc_context), g
 
 
-def random_no_signalling_possibilistic(rng):
-    """A random possibilistic model on an n-cycle or a bipartite Bell cover.
-
-    Each measurement m keeps a nonempty set V_m of its outcomes, and each
-    context's support is a random subset of the product of those sets that
-    still hits every outcome in V_m for each of its measurements, so every
-    overlap (a single measurement) sees V_m from both sides. Half of the
-    binary cycles favour one parity per context, PR-box style, so that
-    strongly contextual models occur too.
-    """
-    if rng.random() < 0.5:
-        n = rng.randint(3, 5)
-        names = [f"m{i}" for i in range(n)]
-        contexts = [(names[i], names[(i + 1) % n]) for i in range(n)]
-        parity = rng.random() < 0.5
-    else:
-        k = rng.randint(2, 3)
-        names = [f"a{i}" for i in range(k)] + [f"b{i}" for i in range(k)]
-        contexts = [(f"a{i}", f"b{j}") for i in range(k) for j in range(k)]
-        parity = False
-    frames = {name: ("0", "1", "2")[: 2 if parity else rng.randint(2, 3)] for name in names}
-    kept = {name: frames[name] for name in names}
-    if not parity:
-        kept = {name: rng.sample(frame, rng.randint(1, len(frame))) for name, frame in kept.items()}
-    universe = VariableUniverse.of([(name, frames[name]) for name in names])
-    supports = {}
-    for x, y in contexts:
-        cells = list(product(kept[x], kept[y]))
-        odd = rng.random() < 0.5
-        while True:
-            if parity:
-                chosen = [c for c in cells if rng.random() < (0.9 if (c[0] != c[1]) == odd else 0.15)]
-            else:
-                chosen = [c for c in cells if rng.random() < 0.5]
-            if {a for a, _ in chosen} == set(kept[x]) and {b for _, b in chosen} == set(kept[y]):
-                break
-        supports[(x, y)] = chosen
-    return possibilistic_model(universe, contexts, supports)
-
-
 def test_lc_and_sc_read_off_the_global_verdict_match_the_per_context_loop():
     models = [bell_model(), hardy_model(), ghz_model(), pr_box_model()]
     models += [cycle_model(noisy_cycle_correlators(n, side)) for n in (3, 4, 5, 6) for side in (False, True)]
@@ -452,7 +418,7 @@ def test_a_gamma_past_the_cap_is_counted_not_joined(monkeypatch):
     # none, under a limit of 4096; gamma refuses them from the count. A
     # 13-cycle's 8192 tuples are past TUPLE_CAP but inside a limit of 8192,
     # so gamma joins them.
-    def refuse(tree):
+    def refuse(tree, cell_limit=None):
         raise AssertionError("Gamma was joined")
 
     with monkeypatch.context() as patch:
@@ -460,9 +426,9 @@ def test_a_gamma_past_the_cap_is_counted_not_joined(monkeypatch):
         report = classify(full_cycle_model(24), 4096)
         assert report.classification == "NC"
         assert isinstance(report.gamma, JoinTree) and report.gamma.size == 2**24
-        with pytest.raises(ResourceLimitError, match="Gamma has 16777216 tuples \\(limit 4096\\)"):
-            gamma(full_cycle_model(24), 4096)
         assert classify(full_cycle_model(13), 8192).gamma.size == 8192
+    with pytest.raises(ResourceLimitError, match="Gamma has 16777216 tuples \\(limit 4096\\)"):
+        gamma(full_cycle_model(24), 4096)
     assert len(gamma(full_cycle_model(13), 8192).tuples) == 8192
 
 

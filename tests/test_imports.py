@@ -23,9 +23,11 @@ Gamma has one producer, `JoinTree.combination`: no module other than
 `inference.py`, which defines `calibrate`, and `disagreement.py`, whose
 support analysis is the one caller on the analysis path, calls `calibrate`.
 So no helper can build a second tree under its own guard and answer, or
-refuse, what the analysis does not. And no module other than `inference.py`,
-which counts Gamma on the tree, calls `.combination(`: elsewhere Gamma is
-joined only through `JoinTree.gamma`, whose limit is on that count.
+refuse, what the analysis does not. And `.combination(` is called only in
+`inference.py`, whose `JoinTree.gamma` joins Gamma up to `TUPLE_CAP`
+tuples, and in `contextuality.py`, whose public `gamma` passes its cell
+limit: every other module takes Gamma as the tree carries it, and every
+join of Gamma is guarded by its count.
 
 A model analysis is one `classify` call: no module other than
 `contextuality.py` calls `check_no_signalling`, and no module defines or calls
@@ -232,15 +234,16 @@ def _combination_calls(tree: ast.AST, module: str) -> list[str]:
         f"{module}:{node.lineno}: calls .combination"
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "combination"
+        if module != "contextuality.py" or not (node.args or node.keywords)
     ]
 
 
-def test_only_the_counting_module_joins_gamma():
+def test_only_a_count_guarded_caller_joins_gamma():
     offences = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         offences.extend(_combination_calls(tree, path.name))
-    assert not offences, "Gamma joined without its count:\n" + "\n".join(offences)
+    assert not offences, "Gamma joined without a cell limit on its count:\n" + "\n".join(offences)
 
 
 def test_the_combination_check_sees_calls():
@@ -250,7 +253,10 @@ def test_the_combination_check_sees_calls():
         "contextuality.py:2: calls .combination",
     ]
     assert _combination_calls(ast.parse(source), "inference.py") == []
-    assert _combination_calls(ast.parse("def f(tree):\n    return tree.gamma(), tree.combination\n"), "reports.py") == []
+    limited = "def gamma(g, cell_limit):\n    return g.combination(cell_limit), g.combination(cell_limit=cell_limit)\n"
+    assert _combination_calls(ast.parse(limited), "contextuality.py") == []
+    assert len(_combination_calls(ast.parse(limited), "reports.py")) == 2
+    assert _combination_calls(ast.parse("def f(tree):\n    return tree.gamma, tree.combination\n"), "reports.py") == []
 
 
 BOOLEAN_MODULES = ("core.py",)

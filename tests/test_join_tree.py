@@ -17,6 +17,7 @@ import pytest
 
 from valkit import inference
 from valkit.algebra import Knowledgebase
+from valkit.contextuality import classify
 from valkit.core import NONNEG_RATIONAL, Assignment, VariableUniverse
 from valkit.disagreement import (
     GlobalVerdict,
@@ -27,13 +28,15 @@ from valkit.disagreement import (
     tree_verdict,
 )
 from valkit.documents import canonical_json, parse_document_text
-from valkit.errors import CapabilityError
+from valkit.errors import CapabilityError, ResourceLimitError
 from valkit.inference import TUPLE_CAP, InferenceProblem, JoinTree, calibrate, solve_fusion, solve_naive
 from valkit.potentials import Potential, constant_potential, project_potential, total_mass
 from valkit.relations import Relation, project_relation
 
 from conftest import (
+    full_cycle_model,
     grid_colouring_document,
+    random_no_signalling_possibilistic,
     random_potential,
     random_relation,
     random_universe,
@@ -167,25 +170,27 @@ def test_the_combination_joins_the_cliques_root_first(monkeypatch):
 
 
 def test_a_single_large_member_is_answered_at_the_default_limit():
-    # The full relation over 13 bits is its own combination, and its home
-    # clique spans every variable, so the combination is that clique: no join
-    # runs, and a limit below the member's own 8192 rows refuses nothing.
+    # The full relation over 13 bits is its own combination. Its 8192 tuples
+    # are past TUPLE_CAP, so the verdict carries the tree, which counts them;
+    # a limit below the member's own 8192 rows refuses nothing, and joined,
+    # the combination is the member.
     names = [f"v{i:02d}" for i in range(13)]
     universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
     full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
     kb = Knowledgebase(universe, (full,))
     verdict = check_global_agreement_adjoint(kb)
-    assert verdict.agrees and verdict.truth == full
+    assert verdict.agrees and isinstance(verdict.truth, JoinTree) and verdict.truth.size == 8192
     assert calibrate(kb, cell_limit=8191).combination() == full
 
 
 def test_the_root_first_join_adds_one_variable_at_a_time(monkeypatch):
-    # A chain of 12 full binary pairs over 13 bits has no clique over every
-    # variable, so its combination, the full relation, is joined root first.
-    # Its 8192 tuples are past TUPLE_CAP, so the verdict carries the tree,
-    # which counts them, and joins nothing. Asked for, the join adds one
-    # binary variable at a time, each step a projection of the combination,
-    # and no cell limit refuses it: the count is its guard.
+    # A chain of 12 full binary pairs over 13 bits has the full relation as
+    # its combination. Its 8192 tuples are past TUPLE_CAP, so the verdict
+    # carries the tree, which counts them, and joins nothing. Asked for, the
+    # join adds one binary variable at a time, each step a projection of the
+    # combination, and a cell limit below the count refuses it before any
+    # natural join: the count is its guard.
+    from valkit import algebra, relations
     from valkit.algebra import RelationAlgebra
 
     names = [f"v{i:02d}" for i in range(13)]
@@ -194,19 +199,26 @@ def test_the_root_first_join_adds_one_variable_at_a_time(monkeypatch):
     kb = Knowledgebase(universe, tuple(pairs))
     full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
     tree = calibrate(kb, cell_limit=8)
-    assert all(clique.domain != kb.joint_domain for clique in tree.cliques)
     verdict = check_global_agreement_adjoint(kb)
     assert verdict.agrees and verdict.truth == tree and verdict.truth.size == 8192
-    assert tree.gamma(8191) is tree
-    steps = []
+    assert tree.gamma is tree
+    steps, joins = [], []
 
     class Recording(RelationAlgebra):
         def combine(self, phi, psi):
             steps.append(super().combine(phi, psi))
             return steps[-1]
 
+    def counted(left, right):
+        joins.append(1)
+        return relations.natural_join(left, right)
+
     monkeypatch.setattr(Knowledgebase, "algebra", lambda self: Recording(self.universe))
-    assert tree.gamma(8192) == full
+    monkeypatch.setattr(algebra, "natural_join", counted)
+    with pytest.raises(ResourceLimitError, match="Gamma has 8192 tuples \\(limit 8191\\)"):
+        tree.combination(8191)
+    assert steps == [] and joins == []
+    assert tree.combination(8192) == full
     assert [len(step.domain) for step in steps] == list(range(1, 14))
 
 
@@ -221,11 +233,10 @@ def refuse_joins(monkeypatch):
     monkeypatch.setattr(algebra, "natural_join", refuse)
 
 
-def test_agreement_takes_a_member_over_the_joint_domain_as_the_combination(monkeypatch):
-    # On agreement such a member is its own projection of the combination,
-    # so once the tree is calibrated the verdict joins nothing. Appending the
-    # combination to a random knowledgebase leaves its combination, and its
-    # verdict, as they were.
+def test_agreement_takes_a_member_over_the_joint_domain_as_the_combination():
+    # On agreement such a member is its own projection of the combination.
+    # Appending the combination to a random knowledgebase leaves its
+    # combination, and its verdict, as they were.
     names = [f"v{i:02d}" for i in range(13)]
     universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
     full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
@@ -235,61 +246,16 @@ def test_agreement_takes_a_member_over_the_joint_domain_as_the_combination(monke
         kb = random_tree_kb(rng)
         gamma = solve_naive(InferenceProblem(kb, kb.joint_domain))
         cases.append(Knowledgebase(kb.universe, kb.valuations + (gamma,)))
-    trees = [calibrate(kb) for kb in cases]
-    expected = [oracle_global_adjoint(kb) for kb in cases]
-    refuse_joins(monkeypatch)
     agreed = 0
-    for kb, tree, oracle in zip(cases, trees, expected):
-        verdict = tree_verdict(tree)
-        assert verdict == oracle
+    for kb in cases:
+        verdict = check_global_agreement_adjoint(kb)
+        if isinstance(verdict.truth, JoinTree):
+            verdict = GlobalVerdict(True, truth=verdict.truth.combination())
+        assert verdict == oracle_global_adjoint(kb)
         if verdict.agrees:
             assert verdict.truth == kb.valuations[-1]
             agreed += 1
     assert agreed > 1
-
-
-def test_a_clique_over_every_variable_is_the_combination(monkeypatch):
-    # Two kinds of tree have a clique over the joint domain: one whose
-    # knowledgebase has a member over it (appended here, either the
-    # combination or a random relation that may contradict the rest), and one
-    # where eliminating a variable alone makes such a clique (a cycle of pairs
-    # over three variables, projected from one relation half the time so
-    # that it agrees). Either way the combination is that clique and no
-    # natural join runs.
-    rng = random.Random(4242)
-    cases = []
-    for _ in range(300):
-        kb = random_tree_kb(rng)
-        if kb.joint_domain and rng.random() < 0.5:
-            extra = solve_naive(InferenceProblem(kb, kb.joint_domain))
-            if rng.random() < 0.5:
-                extra = random_relation(rng, kb.universe, kb.joint_domain, keep=0.6)
-            kb = Knowledgebase(kb.universe, kb.valuations + (extra,))
-        cases.append(kb)
-    for _ in range(100):
-        universe = random_universe(rng, max_vars=3, max_frame=3)
-        names = sorted(universe.vars)
-        if len(names) == 3:
-            cycle = [frozenset(pair) for pair in itertools.combinations(names, 2)]
-            if rng.random() < 0.5:
-                base = random_relation(rng, universe, frozenset(names), keep=0.3)
-                members = [project_relation(base, domain) for domain in cycle]
-            else:
-                members = [random_relation(rng, universe, domain, keep=rng.choice((0.5, 0.9))) for domain in cycle]
-            cases.append(Knowledgebase(universe, tuple(members)))
-    seen = dict.fromkeys(itertools.product(("member", "elimination"), ("agree", "disagree")), 0)
-    for kb in cases:
-        tree = calibrate(kb)
-        if not any(clique.domain == kb.joint_domain for clique in tree.cliques):
-            continue
-        gamma = solve_naive(InferenceProblem(kb, kb.joint_domain))
-        agrees = oracle_global_adjoint(kb).agrees
-        with monkeypatch.context() as patch:
-            refuse_joins(patch)
-            assert tree.combination() == gamma, kb
-        kind = "member" if any(phi.domain == kb.joint_domain for phi in kb) else "elimination"
-        seen[kind, "agree" if agrees else "disagree"] += 1
-    assert min(seen.values()) >= 10, seen
 
 
 def random_local_potential_kb(rng: random.Random) -> Knowledgebase:
@@ -433,22 +399,81 @@ def test_grid_gamma_counts_the_colourings(shape, monkeypatch):
         assert isinstance(verdict.truth, JoinTree) and verdict.truth.size == GRID_COLOURINGS[shape]
 
 
+def joint_clique_kbs(rng: random.Random) -> list[Knowledgebase]:
+    """Knowledgebases whose calibrated tree often has a clique over every variable.
+
+    Either a member over the joint domain is appended to a random
+    knowledgebase (its combination, or a random relation that may
+    contradict the rest), or a cycle of pairs over three variables makes
+    such a clique by elimination alone, projected from one relation half the
+    time so that it agrees.
+    """
+    cases = []
+    for _ in range(300):
+        kb = random_tree_kb(rng)
+        if kb.joint_domain and rng.random() < 0.5:
+            extra = solve_naive(InferenceProblem(kb, kb.joint_domain))
+            if rng.random() < 0.5:
+                extra = random_relation(rng, kb.universe, kb.joint_domain, keep=0.6)
+            kb = Knowledgebase(kb.universe, kb.valuations + (extra,))
+        cases.append(kb)
+    for _ in range(100):
+        universe = random_universe(rng, max_vars=3, max_frame=3)
+        names = sorted(universe.vars)
+        if len(names) == 3:
+            cycle = [frozenset(pair) for pair in itertools.combinations(names, 2)]
+            if rng.random() < 0.5:
+                base = random_relation(rng, universe, frozenset(names), keep=0.3)
+                members = [project_relation(base, domain) for domain in cycle]
+            else:
+                members = [random_relation(rng, universe, domain, keep=rng.choice((0.5, 0.9))) for domain in cycle]
+            cases.append(Knowledgebase(universe, tuple(members)))
+    return cases
+
+
 def test_the_count_is_the_size_of_the_combination():
     # On the same random knowledgebases as the verdict oracle (empty members,
-    # {()} and {} members over ∅, disconnected covers), the count equals the
-    # naive combination's size, is 0 exactly when the root is empty, and
-    # Gamma, joined up to TUPLE_CAP, is the combination.
+    # {()} and {} members over ∅, disconnected covers), and on ones with a
+    # clique over every variable, the count equals the naive combination's
+    # size, is 0 exactly when the root is empty, and Gamma, joined up to
+    # TUPLE_CAP, is the combination.
     rng = random.Random(5150)
-    seen = dict.fromkeys(("empty", "nonempty", "empty-member", "unit-member", "split"), 0)
-    for _ in range(600):
-        kb = random_tree_kb(rng)
+    cases = [random_tree_kb(rng) for _ in range(600)] + joint_clique_kbs(random.Random(4242))
+    seen = dict.fromkeys(("empty", "nonempty", "empty-member", "unit-member", "split", "joint-clique"), 0)
+    for kb in cases:
         tree = calibrate(kb)
         gamma = solve_naive(InferenceProblem(kb, kb.joint_domain))
         assert tree.size == len(gamma.tuples), kb
         assert (tree.size == 0) == tree.cliques[-1].is_empty()
-        assert tree.gamma() == gamma
+        assert tree.gamma == gamma
         seen["empty" if gamma.is_empty() else "nonempty"] += 1
         seen["empty-member"] += any(phi.is_empty() for phi in kb)
         seen["unit-member"] += any(not phi.domain and not phi.is_empty() for phi in kb)
         seen["split"] += is_disconnected(kb)
+        seen["joint-clique"] += any(clique.domain == kb.joint_domain for clique in tree.cliques)
     assert min(seen.values()) >= 20, seen
+
+
+def test_gamma_is_a_relation_exactly_up_to_the_cap():
+    # One carrier rule for Gamma: a Relation when the count is at most
+    # TUPLE_CAP, else the calibrated tree, whether an agreeing verdict or a
+    # model analysis carries it. The single 13-bit member and the
+    # possibilistic 13-cycle are past the cap; the seeded inputs are under it.
+    rng = random.Random(5150)
+    names = [f"v{i:02d}" for i in range(13)]
+    universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
+    full = Relation.from_rows(universe, names, list(itertools.product("01", repeat=13)))
+    kbs = [random_tree_kb(rng) for _ in range(600)] + [Knowledgebase(universe, (full,))]
+    carried = {True: 0, False: 0}
+    for kb in kbs:
+        tree = calibrate(kb)
+        verdict = tree_verdict(tree)
+        if verdict.agrees:
+            assert isinstance(verdict.truth, Relation) == (tree.size <= TUPLE_CAP), kb
+            carried[tree.size <= TUPLE_CAP] += 1
+    rng = random.Random(2011)
+    for model in [random_no_signalling_possibilistic(rng) for _ in range(150)] + [full_cycle_model(13)]:
+        size = calibrate(model.support_knowledgebase()).size
+        assert isinstance(classify(model).gamma, Relation) == (size <= TUPLE_CAP), model
+        carried[size <= TUPLE_CAP] += 1
+    assert carried[False] == 2 and carried[True] > 300, carried
