@@ -431,6 +431,27 @@ def joint_clique_kbs(rng: random.Random) -> list[Knowledgebase]:
     return cases
 
 
+def test_a_clique_over_every_variable_is_the_combination():
+    # Two kinds of tree have a clique over the joint domain: one whose
+    # knowledgebase has a member over it, and one where eliminating a
+    # variable alone makes such a clique. Either way, once calibrated, that
+    # clique is the combination, and the root-first join of the cliques
+    # gives it back, whether the knowledgebase agrees or not.
+    seen = dict.fromkeys(itertools.product(("member", "elimination"), ("agree", "disagree")), 0)
+    for kb in joint_clique_kbs(random.Random(4242)):
+        tree = calibrate(kb)
+        joint = [clique for clique in tree.cliques if clique.domain == kb.joint_domain]
+        if not joint:
+            continue
+        gamma = solve_naive(InferenceProblem(kb, kb.joint_domain))
+        agrees = oracle_global_adjoint(kb).agrees
+        assert all(clique == gamma for clique in joint), kb
+        assert tree.combination() == gamma, kb
+        kind = "member" if any(phi.domain == kb.joint_domain for phi in kb) else "elimination"
+        seen[kind, "agree" if agrees else "disagree"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
 def test_the_count_is_the_size_of_the_combination():
     # On the same random knowledgebases as the verdict oracle (empty members,
     # {()} and {} members over ∅, disconnected covers), and on ones with a
