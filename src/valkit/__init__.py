@@ -79,9 +79,7 @@ from .potentials import (
     total_mass,
 )
 from .relations import (
-    AdjointnessReport,
     Relation,
-    adjointness_suite,
     empty_relation,
     full_relation,
     natural_join,

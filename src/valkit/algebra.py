@@ -5,11 +5,14 @@ combination) with optional capabilities: neutral elements, null elements,
 idempotent combination, a completeness order, and adjointness. The axiom
 suite exercises an instance against exactly the axioms it claims (or any
 explicitly requested set) and reports a concrete counterexample on failure.
+Adjointness is the law "ADJ", claimed after A13; in an adjoint algebra the
+combination is the only truth candidate.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 from typing import Iterable, Sequence
 
 from .core import Domain, Record, Semiring, VariableUniverse
@@ -76,6 +79,8 @@ class ValuationAlgebra:
             axioms.append("A9")
         if self.ordered:
             axioms.extend(ORDER_AXIOMS)
+        if self.adjoint:
+            axioms.append("ADJ")
         return tuple(axioms)
 
 
@@ -389,6 +394,32 @@ def _projection_monotone(a, samples, pairs, triples, rng):
             )
 
 
+def _adjointness(a, samples, pairs, triples, rng):
+    """M ⪯ M↓Q ⊗ M↓U at three cuts of each sample; (M1⊗…)↓d(M) ⪯ M for each run of 2 or 3 samples.
+
+    The runs are consecutive samples, not the sampled pairs and triples. A
+    result on the wrong domain fails its case before `leq` or `project` sees it.
+    """
+
+    def below(low, high):
+        return a.label(low) == a.label(high) and a.leq(low, high)
+
+    for m in samples:
+        names = sorted(a.label(m))
+        for cut in (1, len(names) // 2, len(names) - 1) if len(names) > 1 else ():
+            q, u = frozenset(names[:cut]), frozenset(names[cut:])
+            recombined = a.combine(a.project(m, q), a.project(m, u))
+            yield below(m, recombined), lambda: f"M ⋠ M↓Q ⊗ M↓U for M={m!r}, Q={sorted(q)}"
+    for width in (2, 3):
+        for i in range(len(samples) - width + 1):
+            run = samples[i : i + width]
+            joined = reduce(a.combine, run)
+            for m in run:
+                s = a.label(m)
+                holds = s <= a.label(joined) and below(a.project(joined, s), m)
+                yield holds, lambda: f"(M1⊗…)↓d(M) ⋠ M for M={m!r}"
+
+
 _LAWS = {
     "A1": _semigroup,
     "A2": _projection_labelling,
@@ -403,4 +434,5 @@ _LAWS = {
     "A11": _null_is_least,
     "A12": _combination_monotone,
     "A13": _projection_monotone,
+    "ADJ": _adjointness,
 }

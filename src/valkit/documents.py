@@ -194,13 +194,11 @@ def parse_potential(
 
     Every row of the table is filled, so a table with more than `cell_limit` rows is refused first.
     """
-    check_table_size(universe, frozenset(names), cell_limit)
-    outcomes = _outcomes(raw, names, universe, where)
-    given = {row: parse_rational(value, spot) for row, value, spot in outcomes}
-    try:
-        return Potential._from_rows(universe, frozenset(names), NONNEG_RATIONAL, given, default=Fraction(0))
-    except ValkitError as err:
-        raise ParseError(f"{where}: {err}") from None
+    domain = frozenset(names)
+    check_table_size(universe, domain, cell_limit)
+    given = {row: parse_rational(value, spot) for row, value, spot in _outcomes(raw, names, universe, where)}
+    table = {row: given.get(row, Fraction(0)) for row in universe.rows(domain)}
+    return Potential(universe, domain, NONNEG_RATIONAL, table)
 
 
 def _parse_support(raw: dict, names, universe: VariableUniverse, where: str) -> Relation:

@@ -20,6 +20,7 @@ Wilson 2008), so Gamma's tuples are joined only when a report lists them.
 
 from __future__ import annotations
 
+import heapq
 import os
 from functools import cached_property
 from typing import Sequence
@@ -248,7 +249,10 @@ def heuristic_order(kb: Knowledgebase, query: Domain, kind: str = "min-degree") 
 
     min-degree picks the variable with the fewest neighbours in the current
     interaction graph; min-fill picks the one whose elimination adds the
-    fewest fill edges. Ties break on variable name.
+    fewest fill edges. Ties break on variable name. The picks come from one
+    heap of (score, name): an elimination re-scores only the variables it can
+    change (the neighbours, and for min-fill their neighbours too), and a
+    popped entry whose score is stale is skipped.
     """
     if kind not in HEURISTICS:
         raise ArgumentError(f"unknown heuristic {kind!r}; choose one of {HEURISTICS}")
@@ -260,27 +264,34 @@ def heuristic_order(kb: Knowledgebase, query: Domain, kind: str = "min-degree") 
             neighbours.setdefault(v, set()).update(domain - {v})
     for v in query:
         neighbours.setdefault(v, set())
-    candidates = set(neighbours) - query
-    order: list[str] = []
-    while candidates:
+
+    def score(v: str) -> int:
         if kind == "min-degree":
-            scored = [(len(neighbours[v]), v) for v in candidates]
-        else:
-            scored = []
-            for v in candidates:
-                nbrs = sorted(neighbours[v])
-                fill = sum(
-                    1
-                    for i in range(len(nbrs))
-                    for j in range(i + 1, len(nbrs))
-                    if nbrs[j] not in neighbours[nbrs[i]]
-                )
-                scored.append((fill, v))
-        _, chosen = min(scored)
+            return len(neighbours[v])
+        nbrs = sorted(neighbours[v])
+        return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in neighbours[a])
+
+    scores = {v: score(v) for v in neighbours if v not in query}
+    heap = [(s, v) for v, s in scores.items()]
+    heapq.heapify(heap)
+    order: list[str] = []
+    while heap:
+        s, chosen = heapq.heappop(heap)
+        if scores.get(chosen) != s:
+            continue
+        del scores[chosen]
         order.append(chosen)
         nbrs = neighbours.pop(chosen)
         for a in nbrs:
             neighbours[a].discard(chosen)
             neighbours[a].update(nbrs - {a})
-        candidates.remove(chosen)
+        changed = set(nbrs)
+        if kind == "min-fill":
+            for a in nbrs:
+                changed |= neighbours[a]
+        for v in changed & scores.keys():
+            new = score(v)
+            if new != scores[v]:
+                scores[v] = new
+                heapq.heappush(heap, (new, v))
     return tuple(order)

@@ -20,7 +20,7 @@ when an entry is read; the numerators never leave this module.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -101,20 +101,6 @@ class Potential(Record):
     ) -> "Potential":
         """Validated constructor; missing assignments get `default` when given."""
         given = {key.row: v for key, v in values.items() if key.domain == domain}
-        stray = [key for key in values if key.domain != domain]
-        return cls._from_rows(universe, domain, semiring, given, default, stray)
-
-    @classmethod
-    def _from_rows(
-        cls,
-        universe: VariableUniverse,
-        domain: Domain,
-        semiring: Semiring,
-        given: dict[Row, object],
-        default: object | None = None,
-        stray: Sequence[Assignment] = (),
-    ) -> "Potential":
-        """`from_table`'s checks on values keyed by rows; it empties `given`, and a row left over is stray."""
         table: dict[Row, object] = {}
         for row in universe.rows(domain):
             if row in given:
@@ -128,7 +114,8 @@ class Potential(Record):
             if not semiring.contains(v):
                 raise ArgumentError(f"value {v!r} is outside the {semiring.name} carrier")
             table[row] = v
-        stray = [*stray, *(Assignment.from_row(domain, row) for row in given)]
+        stray = [key for key in values if key.domain != domain]
+        stray += [Assignment.from_row(domain, row) for row in given]
         if stray:
             example = min(stray, key=lambda a: a.items)
             raise ArgumentError(f"assignment {example!r} is not a point of the domain's frame product")

@@ -14,7 +14,6 @@ use it, while `Relation.of` and `Relation.from_rows` validate outside input.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -26,13 +25,6 @@ Row = tuple[str, ...]
 
 def restriction(names: Sequence[str], order: Sequence[str]) -> Callable[[Row], Row]:
     """The map from a row whose values follow `names` to its values at `order`, in that order."""
-    return _restriction(tuple(names), tuple(order))
-
-
-# A repeated analysis (verify re-derives one) asks for the same maps again; the
-# bound holds every map of one consistent liar(640) analysis (8304).
-@lru_cache(maxsize=1 << 14)
-def _restriction(names: tuple[str, ...], order: tuple[str, ...]) -> Callable[[Row], Row]:
     index = {name: i for i, name in enumerate(names)}
     positions = [index[name] for name in order]
     if len(positions) > 1:
@@ -157,53 +149,3 @@ def relation_leq(r1: Relation, r2: Relation) -> bool:
     if r1.domain != r2.domain:
         raise DomainError("relations over different domains are incomparable")
     return r1.tuples <= r2.tuples
-
-
-class AdjointnessReport(Record):
-    passed: bool
-    checks: int
-    counterexample: str | None = None
-
-
-def adjointness_suite(samples: Sequence[Relation]) -> AdjointnessReport:
-    """Check the two adjointness inequalities on relations.
-
-    For every sample M over a domain split Q ∪ U: M ⊆ (M↓Q) ⊗ (M↓U).
-    For pairs and triples of samples: the join projected back to each
-    operand's domain is contained in that operand.
-    """
-    checks = 0
-
-    def contained(inner: Relation, outer: Relation) -> bool:
-        return inner.tuples <= outer.tuples
-
-    for m in samples:
-        names = sorted(m.domain)
-        if len(names) < 2:
-            continue
-        for cut in (1, len(names) // 2, len(names) - 1):
-            q = frozenset(names[:cut])
-            u = frozenset(names[cut:])
-            recombined = natural_join(project_relation(m, q), project_relation(m, u))
-            checks += 1
-            if not contained(m, recombined):
-                return AdjointnessReport(False, checks, f"M ⊄ M↓Q ⊗ M↓U for M={m!r}, Q={sorted(q)}")
-    for i in range(len(samples) - 1):
-        m1, m2 = samples[i], samples[i + 1]
-        if m1.universe != m2.universe:
-            continue
-        joined = natural_join(m1, m2)
-        for side in (m1, m2):
-            checks += 1
-            if not contained(project_relation(joined, side.domain), side):
-                return AdjointnessReport(False, checks, f"(M1⊗M2)↓d(M) ⊄ M for M={side!r}")
-    for i in range(len(samples) - 2):
-        group = samples[i : i + 3]
-        if len({g.universe for g in group}) != 1:
-            continue
-        joined = natural_join(natural_join(group[0], group[1]), group[2])
-        for side in group:
-            checks += 1
-            if not contained(project_relation(joined, side.domain), side):
-                return AdjointnessReport(False, checks, f"(M1⊗M2⊗M3)↓d(M) ⊄ M for M={side!r}")
-    return AdjointnessReport(True, checks)

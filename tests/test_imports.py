@@ -37,6 +37,10 @@ No valkit module imports `dataclasses`: every value type is a `core.Record`,
 and importing `dataclasses` would put it and `inspect` back on every
 command's start-up.
 
+No valkit module imports `lru_cache` or `cache` from `functools`: a
+process-wide memo outlives the analysis that filled it and keeps every key of a
+wide input alive, while one command derives each analysis once.
+
 The traced benchmark wraps valkit functions by name: every `(module,
 function)` pair in `LAYERS` of `bench/tracing.py` must still name a callable
 in `valkit.<module>`, so a rename under `src/` cannot silently drop a layer.
@@ -355,6 +359,43 @@ def test_the_dataclass_check_sees_an_import():
         "core.py:3: imports dataclasses",
     ]
     assert _dataclass_imports(ast.parse("from .core import Record\nimport operator\n"), "core.py") == []
+
+
+MEMOS = ("lru_cache", "cache")
+
+
+def _memo_imports(tree: ast.AST, module: str) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [f"{module}:{node.lineno}: imports {a.name}" for a in node.names if a.name in MEMOS]
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+            if node.attr in MEMOS:
+                found.append(f"{module}:{node.lineno}: names functools.{node.attr}")
+    return found
+
+
+def test_no_module_imports_a_memo():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(_memo_imports(tree, path.name))
+    assert not offences, "a process-wide memo:\n" + "\n".join(offences)
+
+
+def test_the_memo_check_sees_an_import():
+    source = (
+        "from functools import lru_cache\n"
+        "from functools import reduce, cache as memo\n"
+        "import functools\n"
+        "f = functools.cache\n"
+    )
+    assert _memo_imports(ast.parse(source), "relations.py") == [
+        "relations.py:1: imports lru_cache",
+        "relations.py:2: imports cache",
+        "relations.py:4: names functools.cache",
+    ]
+    assert _memo_imports(ast.parse("from functools import cached_property, reduce\n"), "inference.py") == []
 
 
 def _traced_layers() -> tuple[tuple[str, str], ...]:

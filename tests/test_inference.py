@@ -4,17 +4,18 @@ from itertools import permutations
 import pytest
 
 from valkit.algebra import Knowledgebase, RelationAlgebra
-from valkit.builtins import malawi_knowledgebase, screening_knowledgebase
+from valkit.builtins import liar_knowledgebase, malawi_knowledgebase, screening_knowledgebase
 from valkit.core import VariableUniverse
 from valkit.errors import ArgumentError, DomainError, ResourceLimitError
 from valkit.inference import (
+    HEURISTICS,
     InferenceProblem,
     heuristic_order,
     solve_fusion,
     solve_naive,
 )
 from valkit.potentials import Potential
-from valkit.relations import Relation
+from valkit.relations import Relation, empty_relation
 
 from conftest import assert_canonical, drawn_potential, random_potential_kb, random_relation_kb
 
@@ -112,6 +113,70 @@ def test_single_valuation_heuristic_covers_non_query_vars():
     single = Knowledgebase(kb.universe, (kb.valuations[0],))
     order = heuristic_order(single, frozenset({"e"}))
     assert set(order) == {"f"}
+
+
+def scan_order(kb, query, kind):
+    """The oracle for heuristic_order's heap: rescan every candidate's score at each step."""
+    neighbours: dict[str, set[str]] = {}
+    for phi in kb:
+        for v in phi.domain:
+            neighbours.setdefault(v, set()).update(phi.domain - {v})
+    for v in query:
+        neighbours.setdefault(v, set())
+    candidates = set(neighbours) - query
+    order = []
+    while candidates:
+        if kind == "min-degree":
+            scored = [(len(neighbours[v]), v) for v in candidates]
+        else:
+            scored = []
+            for v in candidates:
+                nbrs = sorted(neighbours[v])
+                fill = sum(
+                    1
+                    for i in range(len(nbrs))
+                    for j in range(i + 1, len(nbrs))
+                    if nbrs[j] not in neighbours[nbrs[i]]
+                )
+                scored.append((fill, v))
+        _, chosen = min(scored)
+        order.append(chosen)
+        nbrs = neighbours.pop(chosen)
+        for a in nbrs:
+            neighbours[a].discard(chosen)
+            neighbours[a].update(nbrs - {a})
+        candidates.remove(chosen)
+    return tuple(order)
+
+
+def label_kb(names, domains):
+    """A knowledgebase of empty relations: the elimination order reads only the members' domains."""
+    universe = VariableUniverse.of([(n, ("0", "1")) for n in names])
+    return Knowledgebase(universe, tuple(empty_relation(universe, frozenset(d)) for d in domains))
+
+
+def grid_kb(rows, cols):
+    names = [f"c{r}_{c}" for r in range(rows) for c in range(cols)]
+    edges = [(f"c{r}_{c}", f"c{r}_{c + 1}") for r in range(rows) for c in range(cols - 1)]
+    edges += [(f"c{r}_{c}", f"c{r + 1}_{c}") for r in range(rows - 1) for c in range(cols)]
+    return label_kb(names, edges)
+
+
+def test_heuristic_order_matches_the_rescanning_oracle():
+    rng = random.Random(4321)
+    kbs = []
+    for _ in range(300):
+        names = [f"v{i}" for i in range(rng.randint(1, 12))]
+        domains = [rng.sample(names, rng.randint(0, min(4, len(names)))) for _ in range(rng.randint(1, 10))]
+        kbs.append(label_kb(names, domains))
+    kbs += [grid_kb(rows, cols) for rows, cols in ((1, 4), (3, 3), (4, 6), (6, 6))]
+    kbs += [liar_knowledgebase(n, consistent) for n in (2, 3, 9, 40) for consistent in (False, True)]
+    for kb in kbs:
+        names = sorted(kb.joint_domain)
+        queries = (frozenset(), frozenset(rng.sample(names, rng.randint(0, len(names)))))
+        for kind in HEURISTICS:
+            for query in queries:
+                assert heuristic_order(kb, query, kind) == scan_order(kb, query, kind), (kind, sorted(query), kb)
 
 
 def elimination_width(edges: dict[str, set[str]], order) -> int:

@@ -32,7 +32,7 @@ from valkit.feasibility import FarkasCertificate, FeasibilityResult, LinearSyste
 from valkit.inference import InferenceProblem, JoinTree
 from valkit.logic import Constraint, CSPInstance
 from valkit.potentials import Potential
-from valkit.relations import AdjointnessReport, Relation
+from valkit.relations import Relation
 
 # One variable, so that every domain is a frozenset of at most one name and
 # every repr below is the same under any hash seed.
@@ -68,11 +68,6 @@ RECORDS = {
         "Semiring(name='boolean', zero=0, one=1, additively_idempotent=True)",
     ),
     Relation: (("universe", "domain", "tuples"), R, "Relation[x]{(x=1)}"),
-    AdjointnessReport: (
-        ("passed", "checks", "counterexample"),
-        AdjointnessReport(False, 3, "M = ∅"),
-        "AdjointnessReport(passed=False, checks=3, counterexample='M = ∅')",
-    ),
     Potential: (
         ("universe", "domain", "semiring", "table"),
         P,
@@ -291,7 +286,6 @@ def test_records_of_different_classes_are_never_equal():
         assert x != y and not x == y, (a.__name__, b.__name__)
     # The same field values under another class, or as a plain tuple, are not equal.
     assert LocalVerdict(True) != NoSignallingVerdict(True)
-    assert AdjointnessReport(True, 1) != AxiomCheck(True, 1, None)
     assert Frame(("0", "1")) != (("0", "1"),)
     assert FarkasCertificate(()) != Assignment(())
 

@@ -4,11 +4,11 @@ from enum import Enum
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from valkit.algebra import RelationAlgebra, axiom_suite
 from valkit.core import Assignment, VariableUniverse
 from valkit.errors import ArgumentError, DomainError, UniverseMismatchError
 from valkit.relations import (
     Relation,
-    adjointness_suite,
     empty_relation,
     full_relation,
     natural_join,
@@ -161,15 +161,15 @@ def test_adjointness_suite_on_seeded_random_relations():
     rng = random.Random(11)
     universe = VariableUniverse.of([(n, ("0", "1")) for n in ("p", "q", "r", "s")])
     samples = [random_relation(rng, universe) for _ in range(60)]
-    report = adjointness_suite(samples)
+    (report,) = axiom_suite(RelationAlgebra(universe), samples, axioms=("ADJ",))
     assert report.passed, report.counterexample
-    assert report.checks > 100
+    assert report.cases > 100
 
 
 def test_adjointness_on_screening_join(screening_universe):
     r1, r2, r3 = screening_relations(screening_universe)
     g = natural_join(natural_join(r1, r2), r3)
-    report = adjointness_suite([g, r1, r2, r3])
+    (report,) = axiom_suite(RelationAlgebra(screening_universe), [g, r1, r2, r3], axioms=("ADJ",))
     assert report.passed, report.counterexample
     # G is contained in the join of its own projections
     parts = [project_relation(g, d) for d in (r1.domain, r2.domain, r3.domain)]
