@@ -450,6 +450,28 @@ def test_rational_infer_outputs_match_golden_digests(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, name
 
 
+# stderr of `vk infer --limit` on the seed-7 coprime 3x3 grid under one fixed
+# order: the first refusal is a two-member bucket's step (the fused message's
+# guard), the second a later bucket's. The guard's bound and text are pinned.
+GOLDEN_INFER_REFUSALS = {
+    "16": "error: intermediate combination over ['r1c1', 'r1c2', 'r2c0', 'r2c1', 'r2c2'] "
+    "could reach 32 cells (limit 16)\n",
+    "32": "error: intermediate combination over ['r0c0', 'r0c1', 'r0c2', 'r1c0', 'r1c1', 'r2c2'] "
+    "could reach 64 cells (limit 32)\n",
+}
+
+
+def test_an_infer_refusal_under_a_fixed_order_is_pinned(tmp_path):
+    doc = tmp_path / "coprime-bn.json"
+    doc.write_text(canonical_json(coprime_bayes_net_document(7)), encoding="utf-8")
+    order = "r2c1,r2c0,r1c2,r1c0,r0c2,r0c1,r0c0"
+    for limit, expected in GOLDEN_INFER_REFUSALS.items():
+        code, out, err = run_cli("infer", str(doc), "--query", "r2c2,r1c1", "--order", order, "--limit", limit)
+        assert (code, out, err) == (3, "", expected), limit
+    code, _, err = run_cli("infer", str(doc), "--query", "r2c2,r1c1", "--order", order, "--limit", "64")
+    assert code == 0, err
+
+
 def test_verify_compiles_a_csp_once(tmp_path, monkeypatch):
     # A CSP document is compiled when it is parsed, and verify re-derives the
     # analysis and checks the witnesses against that one knowledgebase.
