@@ -19,6 +19,7 @@ from .core import Domain, Record, Semiring, VariableUniverse
 from .errors import ArgumentError, CapabilityError
 from .potentials import (
     Potential,
+    _join,
     combine_potentials,
     neutral_potential,
     null_potential,
@@ -55,6 +56,10 @@ class ValuationAlgebra:
 
     def combine(self, phi, psi):
         raise NotImplementedError
+
+    def combine_project(self, phi, psi, target: Domain):
+        """(phi ⊗ psi)↓target, for `target` within the union of the labels: a bucket's message in fusion."""
+        return self.project(self.combine(phi, psi), target)
 
     def neutral(self, domain: Domain):
         raise CapabilityError(f"{self.name} has no neutral elements")
@@ -142,6 +147,9 @@ class PotentialAlgebra(ValuationAlgebra):
 
     def combine(self, phi: Potential, psi: Potential) -> Potential:
         return combine_potentials(phi, psi)
+
+    def combine_project(self, phi: Potential, psi: Potential, target: Domain) -> Potential:
+        return _join(phi, psi, target)
 
     def neutral(self, domain: Domain) -> Potential:
         return neutral_potential(self.universe, domain, self.semiring)

@@ -121,14 +121,17 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _names(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated flag value, stripped, with empty entries dropped."""
+    return tuple(name for name in map(str.strip, text.split(",")) if name)
+
+
 def cmd_infer(args) -> int:
     cell_limit = resolve_cell_limit(args.limit)
     parsed, _ = _load_input(args.source, cell_limit)
     kb = parsed.knowledgebase()
-    query = frozenset(name.strip() for name in args.query.split(",") if name.strip())
-    order = None
-    if args.order:
-        order = tuple(name.strip() for name in args.order.split(","))
+    query = frozenset(_names(args.query))
+    order = _names(args.order) if args.order else None
     result = solve_fusion(InferenceProblem(kb, query), order=order, cell_limit=cell_limit)
     names = sorted(query)
     if isinstance(result, Relation):

@@ -172,8 +172,8 @@ def gamma(model: EmpiricalModel, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
 
     It refuses wherever `classify` does, e.g. for a probabilistic model past
     the marginal system's 4096-column cap. Past TUPLE_CAP, where `classify`
-    carries Gamma as its tree, the tree joins it, refusing a size over
-    `cell_limit` before any join.
+    carries Gamma as its tree, the tree lists it, refusing a size over
+    `cell_limit` before its walk starts.
     """
     g = classify(model, cell_limit).gamma
     return g.combination(cell_limit) if isinstance(g, JoinTree) else g

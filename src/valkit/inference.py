@@ -1,13 +1,15 @@
 """Inference problems: projecting the combination of a knowledgebase to a query.
 
 Two solvers are provided. Fusion eliminates one non-query variable at a
-time, combining only the valuations whose domains mention it; `vk infer`
-uses it, and so does the tests' complete-disagreement reference. The naive
-one combines everything and projects at the end; it is the reference that
-fusion must equal exactly, which the test suite checks by oracle
-equivalence. Elimination orders come from the caller or from the
-min-degree / min-fill heuristics with variable-name tie-breaking, so runs
-are reproducible.
+time, combining only the valuations whose domains mention it, and sends
+each message as one fused combine-and-sum-out (`combine_project`; for
+potentials, a hash join of stored rows); `vk infer` uses it, and so does
+the tests' complete-disagreement reference. The naive one combines
+everything and projects at the end; it is the reference that fusion must
+equal exactly, which the test suite checks by oracle equivalence.
+Elimination orders come from the caller or from the min-degree / min-fill
+heuristics with variable-name tie-breaking, so runs are reproducible;
+fusion defaults to min-fill, and `calibrate` orders by min-degree.
 
 For an idempotent algebra, `calibrate` answers at once every query that fits
 inside one of the bucket tree's cliques: one collect pass and one distribute
@@ -15,7 +17,8 @@ pass over the tree of the elimination order (Shenoy & Shafer 1990), with no
 division. Every knowledgebase and model analysis reads its relational
 verdicts off the tree of its members' supports. The same tree counts the
 combination, Gamma, by one upward pass in the counting semiring (Kohlas &
-Wilson 2008), so Gamma's tuples are joined only when a report lists them.
+Wilson 2008), so Gamma's tuples are listed, by one walk down the tree, only
+when a report lists them.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from typing import Sequence
 from .algebra import Knowledgebase, ValuationAlgebra
 from .core import Domain, Record, VariableUniverse
 from .errors import ArgumentError, CapabilityError, DomainError, ResourceLimitError
-from .relations import restriction
+from .relations import Relation, restriction
 
 DEFAULT_CELL_LIMIT = 10_000_000
-TUPLE_CAP = 4096  # the most tuples of Gamma that a verdict joins and a report lists
+TUPLE_CAP = 4096  # the most tuples of Gamma that a verdict lists and a report writes
 HEURISTICS = ("min-degree", "min-fill")
 
 
@@ -72,8 +75,12 @@ class InferenceProblem(Record):
         return self.knowledgebase.joint_domain
 
 
-def _guarded_combine(algebra: ValuationAlgebra, phi, psi, cell_limit: int | None):
-    """combine(phi, psi), refused when the algebra's size bound exceeds `cell_limit`."""
+def _guarded_combine(algebra: ValuationAlgebra, phi, psi, cell_limit: int | None, target: Domain | None = None):
+    """combine(phi, psi), projected onto `target` in the same step when given.
+
+    Refused when the algebra's size bound on the combination exceeds
+    `cell_limit`, whether or not the step projects.
+    """
     if cell_limit is not None:
         bound = algebra.combine_size_bound(phi, psi)
         if bound > cell_limit:
@@ -81,7 +88,9 @@ def _guarded_combine(algebra: ValuationAlgebra, phi, psi, cell_limit: int | None
                 f"intermediate combination over {sorted(algebra.label(phi) | algebra.label(psi))} "
                 f"could reach {bound} cells (limit {cell_limit})"
             )
-    return algebra.combine(phi, psi)
+    if target is None:
+        return algebra.combine(phi, psi)
+    return algebra.combine_project(phi, psi, target)
 
 
 def solve_naive(problem: InferenceProblem, cell_limit: int | None = DEFAULT_CELL_LIMIT):
@@ -103,6 +112,9 @@ def _collect(kb: Knowledgebase, order: Sequence[str], cell_limit: int | None, ke
     messages it received, in sender order, under the guard, and sends the
     projection onto its separator (the combination's domain without order[k])
     to the bucket of the separator's first-eliminated variable, or to the root.
+    A bucket that is neither kept nor the root never builds its whole
+    combination: it combines all but its last valuation and sends
+    `combine_project` of that and the last, guarded as the combine it replaces.
 
     Returns each bucket's combination (only the root's unless `keep`), each
     non-root bucket's parent and each member's bucket.
@@ -121,14 +133,20 @@ def _collect(kb: Knowledgebase, order: Sequence[str], cell_limit: int | None, ke
         buckets[homes[-1]].append(phi)
     combined, parents = [], []
     for k, bucket in enumerate(buckets):
-        result = bucket[0]
-        for phi in bucket[1:]:
-            result = _guarded_combine(algebra, result, phi, cell_limit)
         buckets[k] = None
+        fused = k < root and not keep and len(bucket) > 1
+        result = bucket[0]
+        for phi in bucket[1 : len(bucket) - fused]:
+            result = _guarded_combine(algebra, result, phi, cell_limit)
         if k < root:
-            separator = algebra.label(result) - {order[k]}
+            last = bucket[-1]  # already in `result` unless the message is fused
+            separator = (algebra.label(result) | algebra.label(last)) - {order[k]}
             parents.append(bucket_of(separator))
-            buckets[parents[-1]].append(algebra.project(result, separator))
+            if fused:
+                message = _guarded_combine(algebra, result, last, cell_limit, separator)
+            else:
+                message = algebra.project(result, separator)
+            buckets[parents[-1]].append(message)
         combined.append(result if keep or k == root else None)
     return combined, parents, homes
 
@@ -136,10 +154,15 @@ def _collect(kb: Knowledgebase, order: Sequence[str], cell_limit: int | None, ke
 def solve_fusion(
     problem: InferenceProblem,
     order: Sequence[str] | None = None,
-    heuristic: str = "min-degree",
+    heuristic: str = "min-fill",
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ):
-    """Bucket-style variable elimination; equals solve_naive exactly."""
+    """Bucket-style variable elimination in min-fill order by default; equals solve_naive exactly.
+
+    Each bucket but the root sends its message by one guarded
+    `combine_project`, so for potentials the combination is a hash join of
+    stored rows that sums the bucket's variable out as it goes.
+    """
     algebra = problem.knowledgebase.algebra()
     to_eliminate = problem.joint_domain - problem.query
     if order is None:
@@ -162,7 +185,7 @@ class JoinTree(Record):
     the root. Every bucket's parent comes after it, so the cliques read
     forwards run leaves first and read backwards run root first. The cliques
     of a relation tree hold Gamma, the combination, factored: `size` counts
-    it and `gamma` joins it when it is small enough to list.
+    it and `gamma` lists it when it is small enough.
     """
 
     knowledgebase: Knowledgebase
@@ -207,20 +230,47 @@ class JoinTree(Record):
         return self.combination() if self.size <= TUPLE_CAP else self
 
     def combination(self, cell_limit: int | None = None):
-        """The whole combination, the cliques joined root first, refused from its count if over `cell_limit`.
+        """The whole combination, walked down the tree, refused from its count if over `cell_limit`.
 
-        Joined root first, each intermediate is a projection of it: clique k's
-        separator lies in its parent's clique, joined before it, so the join
-        adds only order[k]. No intermediate has more rows than the
-        combination, so its count is the only guard the join needs.
+        Read root first, each clique adds only order[k]: its separator lies in
+        its parent's clique, read before it. So the walk extends an assignment
+        of the cliques above by each value of order[k] in clique k's rows that
+        agree with it on the separator. A calibrated tree has no dead end, so
+        the walk is linear in the combination: one value array holds the
+        assignment, an explicit stack of value iterators replaces recursion,
+        and each full assignment is a row in sorted-domain order.
         """
         if cell_limit is not None and self.size > cell_limit:
             raise ResourceLimitError(f"Gamma has {self.size} tuples (limit {cell_limit})")
-        algebra = self.knowledgebase.algebra()
-        result = self.cliques[-1]
-        for clique in reversed(self.cliques[:-1]):
-            result = algebra.combine(result, clique)
-        return result
+        if not self.order:
+            return self.cliques[-1]
+        names = sorted(self.order)
+        slots = {name: i for i, name in enumerate(names)}
+        steps = []  # root first: order[k]'s slot, the separator's slots, order[k]'s values by separator
+        for k in reversed(range(len(self.order))):
+            clique_names = sorted(self.cliques[k].domain)
+            separator = [name for name in clique_names if name != self.order[k]]
+            to_separator, own = restriction(clique_names, separator), clique_names.index(self.order[k])
+            extensions: dict = {}
+            for row in self.cliques[k].tuples:
+                extensions.setdefault(to_separator(row), []).append(row[own])
+            steps.append((slots[self.order[k]], [slots[name] for name in separator], extensions))
+        values: list = [None] * len(names)
+        at = values.__getitem__
+        rows = []
+        stack = [iter(steps[0][2].get((), ()))]  # the last clique's separator is empty: its parent is the root
+        while stack:
+            value = next(stack[-1], None)
+            if value is None:
+                stack.pop()
+                continue
+            values[steps[len(stack) - 1][0]] = value
+            if len(stack) == len(steps):
+                rows.append(tuple(values))
+            else:
+                _, separator, extensions = steps[len(stack)]
+                stack.append(iter(extensions.get(tuple(map(at, separator)), ())))
+        return Relation(self.knowledgebase.universe, frozenset(names), frozenset(rows))
 
 
 def calibrate(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> JoinTree:

@@ -1,10 +1,14 @@
 """Semiring potentials: total maps from rows to semiring values.
 
-Combination multiplies pointwise over the union domain; projection sums each
-fiber. Over the nonnegative rationals it is the algebra of probability-like
-weights. Over the Boolean semiring it mirrors relations exactly (the support
-of a combination is the join of the supports), so possibilistic data is a
-relation throughout, read, analysed and written as one.
+Combination multiplies pointwise over the union domain, as a hash join of
+the stored rows: one operand is indexed by its values on the shared
+variables, so no frame product is enumerated. Projection sums each fiber,
+and fusion's message does both in the same join (`_join` onto a target
+domain). Over the nonnegative rationals potentials are the algebra of
+probability-like weights. Over the Boolean semiring they mirror relations
+exactly (the support of a combination is the join of the supports), so
+possibilistic data is a relation throughout, read, analysed and written as
+one.
 
 A rational potential keeps its values as integer numerators by row over one
 positive denominator, reduced as a whole: gcd(denominator, *numerators) is 1,
@@ -155,18 +159,44 @@ def null_potential(universe: VariableUniverse, domain: Domain, semiring: Semirin
     return constant_potential(universe, domain, semiring, semiring.zero)
 
 
-def combine_potentials(phi: Potential, psi: Potential) -> Potential:
-    """Pointwise product over the union domain: numerators multiply, and so do the denominators."""
+def _join(phi: Potential, psi: Potential, target: Domain) -> Potential:
+    """(phi ⊗ psi)↓target, for `target` within the union domain, by one hash join of the stored rows.
+
+    psi's numerators are indexed by their values on the shared variables;
+    each row of phi multiplies the rows of psi that match it, and the
+    products landing on one target row are added. The denominators multiply,
+    and the result is reduced once.
+    """
     if phi.semiring != psi.semiring:
         raise SemiringMismatchError(f"cannot combine {phi.semiring.name} with {psi.semiring.name} potentials")
     if phi.universe != psi.universe:
         raise UniverseMismatchError("potentials live in different variable universes")
-    union = phi.domain | psi.domain
-    names = sorted(union)
-    phi_row, psi_row = restriction(names, sorted(phi.domain)), restriction(names, sorted(psi.domain))
-    phi_nums, psi_nums, mul = phi.table.nums, psi.table.nums, phi.semiring.mul
-    nums = {row: mul(phi_nums[phi_row(row)], psi_nums[psi_row(row)]) for row in phi.universe.rows(union)}
-    return _reduced(phi, union, nums, phi.table.den * psi.table.den)
+    extra = target - phi.domain - psi.domain
+    if extra:
+        raise DomainError(f"target not within the combined domain; offending variables: {sorted(extra)}")
+    phi_names, psi_names = sorted(phi.domain), sorted(psi.domain)
+    common = sorted(phi.domain & psi.domain)
+    phi_key, psi_key = restriction(phi_names, common), restriction(psi_names, common)
+    to_target = restriction(phi_names + psi_names, sorted(target))
+    index: dict[Row, list] = {}
+    for row, m in psi.table.nums.items():
+        index.setdefault(psi_key(row), []).append((row, m))
+    add, mul = phi.semiring.add, phi.semiring.mul
+    if target == phi.domain | psi.domain:  # each pair is its own row
+        nums = {to_target(x + y): mul(n, m) for x, n in phi.table.nums.items() for y, m in index[phi_key(x)]}
+    else:
+        nums = {}
+        get, zero = nums.get, 0 if phi.table.exact else phi.semiring.zero  # the zero numerator
+        for x, n in phi.table.nums.items():
+            for y, m in index[phi_key(x)]:
+                row = to_target(x + y)
+                nums[row] = add(get(row, zero), mul(n, m))
+    return _reduced(phi, target, nums, phi.table.den * psi.table.den)
+
+
+def combine_potentials(phi: Potential, psi: Potential) -> Potential:
+    """Pointwise product over the union domain: the hash join of the stored rows, summing nothing out."""
+    return _join(phi, psi, phi.domain | psi.domain)
 
 
 def project_potential(phi: Potential, target: Domain) -> Potential:

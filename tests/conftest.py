@@ -266,3 +266,31 @@ def split_components_document():
             {"domain": ["p", "r"], "tuples": differ},
         ],
     }
+
+
+def coprime_bayes_net_document(seed: int, k: int = 3):
+    """A k x k binary Bayesian-network grid whose CPT rows have pairwise coprime denominators.
+
+    Cell (i, j) has parents (i-1, j) and (i, j-1). Each CPT row is (a/p, (p-a)/p)
+    for its own odd prime p and a drawn from the seed, so a marginal's
+    denominator is a product of many distinct primes.
+    """
+    rng = random.Random(seed)
+    primes = (p for p in range(3, 10_000, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2)))
+    cell = [[f"r{i}c{j}" for j in range(k)] for i in range(k)]
+    valuations = []
+    for i in range(k):
+        for j in range(k):
+            parents = ([cell[i - 1][j]] if i else []) + ([cell[i][j - 1]] if j else [])
+            values = {}
+            for combo in product("01", repeat=len(parents)):
+                p = next(primes)
+                a = rng.randint(1, p - 1)
+                values[",".join(("0",) + combo)] = f"{a}/{p}"
+                values[",".join(("1",) + combo)] = f"{p - a}/{p}"
+            valuations.append({"domain": [cell[i][j]] + parents, "values": values})
+    return {
+        "kind": "knowledgebase",
+        "universe": [{"name": name, "frame": ["0", "1"]} for row in cell for name in row],
+        "valuations": valuations,
+    }

@@ -1,9 +1,7 @@
 import hashlib
 import io
-import itertools
 import json
 import os
-import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -19,6 +17,7 @@ from valkit.contextuality import possibilistic_model
 from valkit.core import VariableUniverse
 
 from conftest import (
+    coprime_bayes_net_document,
     csp_document,
     cycle_model,
     empty_domain_potential_kb,
@@ -394,34 +393,6 @@ def test_possibilistic_outputs_match_golden_digests(tmp_path, monkeypatch):
     outputs = {"document": document, "analyze": analyzed, "infer-hardy": inferred}
     for name, expected in GOLDEN_POSSIBILISTIC_SHA256.items():
         assert hashlib.sha256(outputs[name].encode("utf-8")).hexdigest() == expected, name
-
-
-def coprime_bayes_net_document(seed: int, k: int = 3):
-    """A k x k binary Bayesian-network grid whose CPT rows have pairwise coprime denominators.
-
-    Cell (i, j) has parents (i-1, j) and (i, j-1). Each CPT row is (a/p, (p-a)/p)
-    for its own odd prime p and a drawn from the seed, so a marginal's
-    denominator is a product of many distinct primes.
-    """
-    rng = random.Random(seed)
-    primes = (p for p in range(3, 10_000, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2)))
-    cell = [[f"r{i}c{j}" for j in range(k)] for i in range(k)]
-    valuations = []
-    for i in range(k):
-        for j in range(k):
-            parents = ([cell[i - 1][j]] if i else []) + ([cell[i][j - 1]] if j else [])
-            values = {}
-            for combo in itertools.product("01", repeat=len(parents)):
-                p = next(primes)
-                a = rng.randint(1, p - 1)
-                values[",".join(("0",) + combo)] = f"{a}/{p}"
-                values[",".join(("1",) + combo)] = f"{p - a}/{p}"
-            valuations.append({"domain": [cell[i][j]] + parents, "values": values})
-    return {
-        "kind": "knowledgebase",
-        "universe": [{"name": name, "frame": ["0", "1"]} for row in cell for name in row],
-        "valuations": valuations,
-    }
 
 
 # sha256 of `vk infer ... --json` on rational potentials: Bell's model at one
@@ -971,6 +942,17 @@ def test_infer_respects_explicit_order():
     assert "tuples: 0" in out
     code, _, err = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--order", "TZA")
     assert code == 2
+
+
+def test_order_and_query_are_read_as_one_kind_of_comma_list():
+    # Both flags strip their names and drop empty entries, so a trailing or
+    # doubled comma means the same in either.
+    expected = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--order", "TZA,ZMB,ZWE")
+    assert expected[0] == 0
+    for query, order in (("MOZ,MWI,", "TZA,ZMB,ZWE,"), (" MOZ ,, MWI", " TZA,,ZMB , ZWE ")):
+        assert run_cli("infer", "builtin:malawi", "--query", query, "--order", order) == expected, (query, order)
+    code, _, err = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--order", "TZA,ZMB,")
+    assert code == 2 and err.endswith("got ['TZA', 'ZMB']\n"), err
 
 
 def test_infer_on_empirical_model_gives_potential():

@@ -10,6 +10,11 @@ Tables work on rows: generic inference (`inference.py`, `algebra.py`) and the
 four table operations never name `Assignment` or call an assignment's
 `.restrict` or `.merge`, which would rebuild per-row assignments.
 
+Combination is a hash join of stored rows: inside `potentials.py`, only
+`constant_potential` and `Potential.from_table`, which fill a table over its
+whole frame product, call `.rows(`, so no frame walk can return to
+combination or projection.
+
 The reference implementations are for the tests alone: no module other than
 its defining one calls `solve_naive`, `combination_verdict` or
 `check_complete_disagreement`, so the analysis path cannot drift back onto
@@ -156,6 +161,48 @@ def test_the_row_check_sees_assignment_use():
     )
     assert len(_assignment_uses(tree)) == 4
     assert _assignment_uses(ast.parse("def join(r1, r2):\n    return r1 | r2\n")) == []
+
+
+FRAME_WALKERS = ("constant_potential", "Potential.from_table")
+
+
+def _frame_walks(tree: ast.AST) -> list[str]:
+    """Each `.rows(` call outside the functions of FRAME_WALKERS, as "qualified name:line"."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "rows":
+                if scope not in FRAME_WALKERS:
+                    found.append(f"{scope or '<module>'}:{child.lineno}: calls .rows")
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_the_constructors_walk_a_frame_product_in_potentials():
+    tree = ast.parse((PACKAGE / "potentials.py").read_text(encoding="utf-8"))
+    offences = _frame_walks(tree)
+    assert not offences, "potentials.py enumerates a frame product outside its constructors:\n" + "\n".join(offences)
+
+
+def test_the_frame_walk_check_sees_a_planted_call():
+    source = (
+        "def combine_potentials(phi, psi):\n"
+        "    return {row: 1 for row in phi.universe.rows(union)}\n"
+        "class Potential:\n"
+        "    @classmethod\n"
+        "    def from_table(cls, universe, domain):\n"
+        "        return [universe.rows(domain) for _ in (lambda: universe.rows(domain),)]\n"
+        "def constant_potential(universe, domain):\n"
+        "    return dict.fromkeys(universe.rows(domain))\n"
+        "ROWS = VariableUniverse.rows(u, d)\n"
+    )
+    assert _frame_walks(ast.parse(source)) == ["combine_potentials:2: calls .rows", "<module>:9: calls .rows"]
 
 
 REFERENCE_ONLY = {

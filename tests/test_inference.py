@@ -6,6 +6,7 @@ import pytest
 from valkit.algebra import Knowledgebase, RelationAlgebra
 from valkit.builtins import liar_knowledgebase, malawi_knowledgebase, screening_knowledgebase
 from valkit.core import VariableUniverse
+from valkit.documents import canonical_json, parse_document_text
 from valkit.errors import ArgumentError, DomainError, ResourceLimitError
 from valkit.inference import (
     HEURISTICS,
@@ -17,7 +18,13 @@ from valkit.inference import (
 from valkit.potentials import Potential
 from valkit.relations import Relation, empty_relation
 
-from conftest import assert_canonical, drawn_potential, random_potential_kb, random_relation_kb
+from conftest import (
+    assert_canonical,
+    coprime_bayes_net_document,
+    drawn_potential,
+    random_potential_kb,
+    random_relation_kb,
+)
 
 
 def test_screening_inference_matches_example(screening_universe):
@@ -222,8 +229,11 @@ def test_fusion_matches_naive_on_random_kbs_small():
         naive = solve_naive(problem)
         if isinstance(naive, Potential):
             assert_canonical(naive)
-        for heuristic in ("min-degree", "min-fill"):
-            assert solve_fusion(problem, heuristic=heuristic) == naive
+        for heuristic in HEURISTICS:
+            fused = solve_fusion(problem, heuristic=heuristic)
+            assert fused == naive
+            if isinstance(naive, Potential):
+                assert (fused.table.den, fused.table.nums) == (naive.table.den, naive.table.nums)
         elim = sorted(joint - query)
         rng.shuffle(elim)
         assert solve_fusion(problem, order=tuple(elim)) == naive
@@ -272,3 +282,48 @@ def test_fusion_never_exceeds_step_union(monkeypatch):
         assert result == expected
         for d1, d2, out in recorder.steps:
             assert out == d1 | d2
+
+
+def test_fusion_on_a_rational_grid_sends_fused_messages_and_walks_no_frame(monkeypatch):
+    # Every message a bucket sends is one `combine_project` (or, from a
+    # one-member bucket, a projection), so `combine_potentials` only folds a
+    # bucket's members before its last and builds the root's combination: no
+    # combination it returns is ever projected, except the root's onto the
+    # query. Combination is a hash join of stored rows, so no frame product
+    # is enumerated.
+    from valkit import algebra, potentials
+
+    kbs = [
+        (parse_document_text(canonical_json(coprime_bayes_net_document(7, k))).knowledgebase(), query)
+        for k, query in ((3, {"r2c2", "r1c1"}), (4, {"r3c3"}), (5, {"r0c4", "r2c2"}))
+    ]
+
+    def refuse_rows(universe, domain):
+        raise AssertionError(f"enumerated the rows over {sorted(domain)}")
+
+    for kb, query in kbs:
+        problem = InferenceProblem(kb, frozenset(query))
+        expected = solve_fusion(problem, order=heuristic_order(kb, problem.query, "min-fill"))
+        combined, fused, projected = [], [], []
+
+        def combine(phi, psi):
+            combined.append(potentials.combine_potentials(phi, psi))
+            return combined[-1]
+
+        def combine_project(self, phi, psi, target):
+            fused.append(target)
+            return potentials._join(phi, psi, target)
+
+        def project(phi, target):
+            projected.append(any(phi is c for c in combined) and not phi.domain <= problem.query)
+            return potentials.project_potential(phi, target)
+
+        monkeypatch.setattr(VariableUniverse, "rows", refuse_rows)
+        monkeypatch.setattr(algebra, "combine_potentials", combine)
+        monkeypatch.setattr(algebra.PotentialAlgebra, "combine_project", combine_project)
+        monkeypatch.setattr(algebra, "project_potential", project)
+        for heuristic in HEURISTICS:
+            fused.clear()
+            assert solve_fusion(problem, heuristic=heuristic) == expected
+            assert fused and not any(projected), heuristic
+        monkeypatch.undo()

@@ -17,6 +17,7 @@ import pytest
 
 from valkit import inference
 from valkit.algebra import Knowledgebase
+from valkit.builtins import liar_knowledgebase
 from valkit.contextuality import classify
 from valkit.core import NONNEG_RATIONAL, Assignment, VariableUniverse
 from valkit.disagreement import (
@@ -31,7 +32,7 @@ from valkit.documents import canonical_json, parse_document_text
 from valkit.errors import CapabilityError, ResourceLimitError
 from valkit.inference import TUPLE_CAP, InferenceProblem, JoinTree, calibrate, solve_fusion, solve_naive
 from valkit.potentials import Potential, constant_potential, project_potential, total_mass
-from valkit.relations import Relation, project_relation
+from valkit.relations import Relation, natural_join, project_relation
 
 from conftest import (
     full_cycle_model,
@@ -146,27 +147,37 @@ def test_calibrated_cliques_give_every_marginal_and_the_combination():
             assert clique == project_relation(gamma, clique.domain)
 
 
-def test_the_combination_joins_the_cliques_root_first(monkeypatch):
-    # Joined root first, every intermediate is a projection of the
-    # combination, so none is larger than the combination itself.
-    from valkit.algebra import RelationAlgebra
+def root_first_join(tree: JoinTree, steps: list | None = None) -> Relation:
+    """The combination as the cliques natural-joined root first: the oracle for `JoinTree.combination`'s walk.
 
+    Each intermediate, appended to `steps` when given, is a projection of the
+    combination that adds one clique's variable to the one before it.
+    """
+    result = tree.cliques[-1]
+    for clique in reversed(tree.cliques[:-1]):
+        result = natural_join(result, clique)
+        if steps is not None:
+            steps.append(result)
+    return result
+
+
+def test_the_walk_matches_the_root_first_join(monkeypatch):
+    # On the seeded knowledgebases of this file and on consistent liar
+    # cycles, a chain whose combination is 2 tuples as wide as the cycle,
+    # the walk down the tree is the root-first join, and it joins nothing.
+    # Every intermediate of the join is a projection of the combination.
     rng = random.Random(91)
-    for _ in range(200):
-        kb = random_tree_kb(rng)
+    kbs = [random_tree_kb(rng) for _ in range(200)] + joint_clique_kbs(random.Random(4242))
+    kbs += [liar_knowledgebase(n, consistent=True) for n in (2, 3, 9, 40, 400)]
+    for kb in kbs:
         tree = calibrate(kb)
         steps = []
-
-        class Recording(RelationAlgebra):
-            def combine(self, phi, psi):
-                steps.append(super().combine(phi, psi))
-                return steps[-1]
-
-        monkeypatch.setattr(Knowledgebase, "algebra", lambda self: Recording(self.universe))
-        gamma = tree.combination()
-        monkeypatch.undo()
+        gamma = root_first_join(tree, steps)
         for step in steps:
             assert step == project_relation(gamma, step.domain)
+        refuse_joins(monkeypatch)
+        assert tree.combination() == gamma, kb
+        monkeypatch.undo()
 
 
 def test_a_single_large_member_is_answered_at_the_default_limit():
@@ -186,13 +197,11 @@ def test_a_single_large_member_is_answered_at_the_default_limit():
 def test_the_root_first_join_adds_one_variable_at_a_time(monkeypatch):
     # A chain of 12 full binary pairs over 13 bits has the full relation as
     # its combination. Its 8192 tuples are past TUPLE_CAP, so the verdict
-    # carries the tree, which counts them, and joins nothing. Asked for, the
-    # join adds one binary variable at a time, each step a projection of the
-    # combination, and a cell limit below the count refuses it before any
-    # natural join: the count is its guard.
-    from valkit import algebra, relations
-    from valkit.algebra import RelationAlgebra
-
+    # carries the tree, which counts them, and joins nothing. A cell limit
+    # below the count refuses the combination before its walk starts, and the
+    # walk, asked for, joins nothing either. The root-first join it replaces
+    # adds one binary variable at a time, each step a projection of the
+    # combination.
     names = [f"v{i:02d}" for i in range(13)]
     universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
     pairs = [Relation.from_rows(universe, names[i : i + 2], list(itertools.product("01", repeat=2))) for i in range(12)]
@@ -202,24 +211,13 @@ def test_the_root_first_join_adds_one_variable_at_a_time(monkeypatch):
     verdict = check_global_agreement_adjoint(kb)
     assert verdict.agrees and verdict.truth == tree and verdict.truth.size == 8192
     assert tree.gamma is tree
-    steps, joins = [], []
-
-    class Recording(RelationAlgebra):
-        def combine(self, phi, psi):
-            steps.append(super().combine(phi, psi))
-            return steps[-1]
-
-    def counted(left, right):
-        joins.append(1)
-        return relations.natural_join(left, right)
-
-    monkeypatch.setattr(Knowledgebase, "algebra", lambda self: Recording(self.universe))
-    monkeypatch.setattr(algebra, "natural_join", counted)
+    steps = []
+    assert root_first_join(tree, steps) == full
+    assert [len(step.domain) for step in steps] == list(range(1, 14))
+    refuse_joins(monkeypatch)
     with pytest.raises(ResourceLimitError, match="Gamma has 8192 tuples \\(limit 8191\\)"):
         tree.combination(8191)
-    assert steps == [] and joins == []
     assert tree.combination(8192) == full
-    assert [len(step.domain) for step in steps] == list(range(1, 14))
 
 
 def refuse_joins(monkeypatch):

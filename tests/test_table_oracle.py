@@ -7,13 +7,15 @@ row as an Assignment (each variable name repeated in each row), joined rows
 with a merge of assignments and rebuilt an Assignment for every output cell.
 They work on plain (domain, frozenset[Assignment]) and
 (domain, dict[Assignment, value]) pairs, so they share no table code with
-valkit. Each random input also round-trips through a knowledgebase document.
+valkit. Fusion's fused step, `combine_project`, is checked against the
+combination oracle projected by the projection oracle. Each random input
+also round-trips through a knowledgebase document.
 """
 
 import random
 from itertools import product
 
-from valkit.algebra import Knowledgebase
+from valkit.algebra import Knowledgebase, PotentialAlgebra
 from valkit.core import BOOLEAN, NONNEG_RATIONAL, Assignment, VariableUniverse
 from valkit.documents import canonical_json, knowledgebase_document, parse_document_text
 from valkit.potentials import Potential, combine_potentials, project_potential
@@ -132,11 +134,12 @@ def test_relation_operations_match_the_assignment_oracle():
 
 
 def test_potential_operations_match_the_assignment_oracle():
-    rng = random.Random(707)
+    rng, targets = random.Random(707), random.Random(808)  # the targets leave the operand draws as they were
     zero_entries = 0
     for case in range(CASES):
         universe = random_universe(rng)
         semiring = NONNEG_RATIONAL if case % 3 else BOOLEAN
+        algebra = PotentialAlgebra(universe, semiring)
         d1, d2 = domain_pair(rng, universe, case)
         phi = drawn_potential(rng, universe, d1, semiring)
         psi = drawn_potential(rng, universe, d2, semiring)
@@ -144,6 +147,10 @@ def test_potential_operations_match_the_assignment_oracle():
         expected = oracle_combine(as_point_table(phi), as_point_table(psi), universe, semiring.mul)
         assert as_point_table(combined) == expected
         assert_canonical(combined)
+        target = subset(targets, combined.domain)
+        fused = algebra.combine_project(phi, psi, target)
+        assert as_point_table(fused) == oracle_project_potential(expected, target, semiring.add)
+        assert_canonical(fused)
         for p in (phi, psi, combined):
             target = subset(rng, p.domain)
             projected = project_potential(p, target)
