@@ -182,15 +182,13 @@ def _join(phi: Potential, psi: Potential, target: Domain) -> Potential:
     for row, m in psi.table.nums.items():
         index.setdefault(psi_key(row), []).append((row, m))
     add, mul = phi.semiring.add, phi.semiring.mul
-    if target == phi.domain | psi.domain:  # each pair is its own row
-        nums = {to_target(x + y): mul(n, m) for x, n in phi.table.nums.items() for y, m in index[phi_key(x)]}
-    else:
-        nums = {}
-        get, zero = nums.get, 0 if phi.table.exact else phi.semiring.zero  # the zero numerator
-        for x, n in phi.table.nums.items():
-            for y, m in index[phi_key(x)]:
-                row = to_target(x + y)
-                nums[row] = add(get(row, zero), mul(n, m))
+    zero = 0 if phi.table.exact else phi.semiring.zero  # the numerator of the semiring's zero
+    nums: dict[Row, object] = {}
+    get = nums.get
+    for x, n in phi.table.nums.items():
+        for y, m in index[phi_key(x)]:
+            row = to_target(x + y)
+            nums[row] = add(get(row, zero), mul(n, m))
     return _reduced(phi, target, nums, phi.table.den * psi.table.den)
 
 
