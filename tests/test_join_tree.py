@@ -433,8 +433,8 @@ def test_a_clique_over_every_variable_is_the_combination():
     # Two kinds of tree have a clique over the joint domain: one whose
     # knowledgebase has a member over it, and one where eliminating a
     # variable alone makes such a clique. Either way, once calibrated, that
-    # clique is the combination, and the root-first join of the cliques
-    # gives it back, whether the knowledgebase agrees or not.
+    # clique is the combination, and the walk down the tree gives it back,
+    # whether the knowledgebase agrees or not.
     seen = dict.fromkeys(itertools.product(("member", "elimination"), ("agree", "disagree")), 0)
     for kb in joint_clique_kbs(random.Random(4242)):
         tree = calibrate(kb)
