@@ -1,7 +1,9 @@
+import argparse
 import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import valkit
-from valkit.cli import main
+from valkit.cli import COMMANDS, cmd_analyze, cmd_infer, cmd_list_builtins, cmd_verify, main, parse_argv
 from valkit.documents import canonical_json, model_document
 from valkit.builtins import bell_model
 from valkit.contextuality import possibilistic_model
@@ -953,6 +955,11 @@ def test_order_and_query_are_read_as_one_kind_of_comma_list():
         assert run_cli("infer", "builtin:malawi", "--query", query, "--order", order) == expected, (query, order)
     code, _, err = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--order", "TZA,ZMB,")
     assert code == 2 and err.endswith("got ['TZA', 'ZMB']\n"), err
+    # A given --order is read as given, even when it names no variable: it is
+    # refused like any other order that leaves variables out.
+    for order in ("", ","):
+        code, _, err = run_cli("infer", "builtin:malawi", "--query", "MOZ,MWI", "--order", order)
+        assert code == 2 and err.endswith("got []\n"), (order, err)
 
 
 def test_infer_on_empirical_model_gives_potential():
@@ -1119,10 +1126,12 @@ def test_console_script_entry_point():
     assert "bell" in proc.stdout
 
 
+# Neither the argv parse nor the report digest loads these: argparse brings
+# gettext, and hashlib brings OpenSSL's _hashlib.
+ARGV_AND_DIGEST_FORBIDDEN = ("argparse", "gettext", "hashlib", "_hashlib")
 # Modules that only `dataclasses` brought onto valkit's import path: `dataclasses`
-# itself and the `inspect` chain it imports. `hashlib` and OpenSSL's `_hashlib`
-# load only when a report's input digest is taken.
-STARTUP_FORBIDDEN = ("dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "_hashlib")
+# itself and the `inspect` chain it imports.
+STARTUP_FORBIDDEN = ("dataclasses", "inspect", "ast", "dis", "tokenize", *ARGV_AND_DIGEST_FORBIDDEN)
 
 
 def loaded_modules(code: str) -> set[str]:
@@ -1143,3 +1152,233 @@ def test_importing_the_cli_adds_no_dataclasses_or_inspect():
     added = loaded_modules("import valkit.cli") - loaded_modules("pass")
     assert "valkit.cli" in added and "valkit.core" in added
     assert sorted(added.intersection(STARTUP_FORBIDDEN)) == []
+
+
+def modules_at_exit(*args: str, plant: str = "") -> set[str]:
+    """The names in `sys.modules` when a `python -m valkit ARGS` child exits.
+
+    The child runs valkit as `-m` does, through `runpy`, after `plant` (code
+    that may import more), and prints its modules from an `atexit` hook as
+    the last line of stdout.
+    """
+    code = (
+        "import atexit, runpy, sys\n"
+        f"{plant}\n"
+        "atexit.register(lambda: print('\\nmodules:', *sys.modules))\n"
+        "runpy.run_module('valkit', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "modules:", proc.stdout
+    return set(last[1:])
+
+
+def test_no_command_loads_argparse_or_hashlib(tmp_path):
+    report = tmp_path / "bell-report.json"
+    code, out, err = run_cli("analyze", "builtin:bell", "--json")
+    assert code == 0, err
+    report.write_text(out, encoding="utf-8")
+    for command in (
+        ("analyze", "builtin:bell", "--json"),
+        ("verify", str(report), "builtin:bell"),
+        ("infer", "builtin:screening", "--query", "e,f"),
+    ):
+        loaded = modules_at_exit(*command)
+        assert "valkit.cli" in loaded, command
+        assert sorted(loaded.intersection(ARGV_AND_DIGEST_FORBIDDEN)) == [], command
+
+
+def test_the_module_check_sees_a_planted_import():
+    loaded = modules_at_exit("list-builtins", plant="import argparse, hashlib")
+    assert sorted(loaded.intersection(ARGV_AND_DIGEST_FORBIDDEN)) == sorted(ARGV_AND_DIGEST_FORBIDDEN)
+
+
+def test_digest_is_hashlib_sha256(tmp_path):
+    # The built-in SHA-256 module gives hashlib's digest, of a file's raw bytes
+    # and of every builtin's canonical document alike.
+    from valkit.builtins import BUILTINS
+    from valkit.cli import _digest, _load_input
+    from valkit.documents import document_for
+
+    path = tmp_path / "bell.json"
+    # Not the canonical document: the digest is of the bytes as they are.
+    path.write_bytes(b"\t" + canonical_json(model_document(bell_model())).encode("utf-8").replace(b"\n", b"\r\n"))
+    parsed, raw = _load_input(str(path))
+    assert raw == path.read_bytes()
+    assert _digest(parsed, raw) == hashlib.sha256(raw).hexdigest()
+    names = [spec.name.replace("(n)", "(5)") for spec in BUILTINS]
+    assert "liar(5)" in names
+    for name in names:
+        parsed, raw = _load_input(f"builtin:{name}")
+        assert raw is None, name
+        document = canonical_json(document_for(parsed.payload)).encode("utf-8")
+        assert _digest(parsed, raw) == hashlib.sha256(document).hexdigest(), name
+
+
+# The argv grammar. `make_parser` is the argparse parser that `vk` used
+# before its table-driven parse; it is kept here, unchanged, as the oracle
+# that `cli.parse_argv` must agree with.
+
+
+def make_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="vk",
+        description="Agreement and contextuality analysis for valuation-algebra knowledgebases.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    analyze = sub.add_parser("analyze", help="classify a model or knowledgebase and emit a report")
+    analyze.add_argument("source", help="input file or builtin:NAME (see list-builtins)")
+    analyze.add_argument("--json", action="store_true", help="emit the machine-readable report")
+    analyze.add_argument("--limit", default=None, help="intermediate-table cell limit")
+    analyze.set_defaults(func=cmd_analyze)
+
+    infer = sub.add_parser("infer", help="project the combined knowledgebase onto a query")
+    infer.add_argument("source", help="input file or builtin:NAME")
+    infer.add_argument("--query", required=True, help="comma-separated query variables")
+    infer.add_argument("--order", default=None, help="comma-separated elimination order")
+    infer.add_argument("--limit", default=None, help="intermediate-table cell limit")
+    infer.add_argument("--json", action="store_true")
+    infer.set_defaults(func=cmd_infer)
+
+    listing = sub.add_parser("list-builtins", help="list the built-in models and knowledgebases")
+    listing.add_argument("--describe", action="store_true")
+    listing.set_defaults(func=cmd_list_builtins)
+
+    verify = sub.add_parser("verify", help="re-check a report against its input")
+    verify.add_argument("report", help="report JSON produced by analyze --json")
+    verify.add_argument("source", help="the input file or builtin:NAME the report was produced from")
+    verify.set_defaults(func=cmd_verify)
+
+    return parser
+
+
+ORACLE = make_parser()
+
+
+def oracle_parse(argv: list[str]):
+    """argparse's reading of `argv`: (exit status, command, fields), with the command's handler checked.
+
+    A refused argv, or `-h`, gives (exit status, stderr) instead.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            namespace = ORACLE.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, err.getvalue()
+    fields = vars(namespace)
+    command = fields.pop("command")
+    assert fields.pop("func") is COMMANDS[command].handler, command
+    return 0, command, fields
+
+
+def table_parse(argv: list[str]):
+    """`parse_argv`'s reading of `argv`, in `oracle_parse`'s terms."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return (0, *parse_argv(argv))
+    except SystemExit as exc:
+        return exc.code, err.getvalue()
+
+
+WORDS = ("builtin:bell", "e,f", "MOZ,MWI", "report.json", "5", "x", "a b", "-a b", "-.5", "-5.0", "--x")
+
+
+def argv_corpus(seed: int, count: int) -> list[list[str]]:
+    """Seeded argvs over every command, its options and the tokens argparse treats specially.
+
+    Half are random strings of tokens: commands, every option whole,
+    abbreviated and as `--opt=value`, `-h`, `--help`, `--`, `-5`, `-x`, `""`
+    and plain words. The other half start as a well-formed command line, in
+    shuffled order and with options written in any of those forms, and then
+    may lose a token or gain one from the first pool.
+    """
+    rng = random.Random(seed)
+    values = WORDS + ("", "-5", "-x", "--")
+    tokens = list(COMMANDS) + ["-h", "--help", "--", "-5", "-x", "", "--bogus", "--he", *WORDS]
+    options = sorted({option for spec in COMMANDS.values() for option, _, _ in spec.options} | {"--help"})
+    for option in options:
+        tokens.extend(option[:cut] for cut in range(3, len(option) + 1))
+        tokens.extend(f"{option[:cut]}={rng.choice(values)}" for cut in (3, len(option)))
+
+    def written(option: str, takes_value: bool) -> list[str]:
+        name = option[: rng.randrange(3, len(option) + 1)]
+        if not takes_value:
+            return [name]
+        value = rng.choice(values)
+        return [f"{name}={value}"] if rng.random() < 0.5 else [name, value]
+
+    argvs = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            argvs.append([rng.choice(tokens) for _ in range(rng.randrange(6))])
+            continue
+        command = rng.choice(list(COMMANDS))
+        spec = COMMANDS[command]
+        parts = [[rng.choice(WORDS)] for _ in spec.positionals]
+        parts += [written(option, takes) for option, takes, _ in spec.options if option in spec.required or rng.random() < 0.5]
+        rng.shuffle(parts)
+        argv = [command, *(token for part in parts for token in part)]
+        if rng.random() < 0.4:
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(tokens))
+        elif rng.random() < 0.3:
+            del argv[rng.randrange(len(argv))]
+        argvs.append(argv)
+    return argvs
+
+
+def test_table_parse_agrees_with_argparse():
+    # Same exit status on every argv; on an accepted one, the same command and
+    # fields. The error messages may differ.
+    outcomes = {"accepted": 0, "help": 0, "refused": 0}
+    for argv in argv_corpus(seed=2024, count=6000):
+        expected, got = oracle_parse(argv), table_parse(argv)
+        assert got[0] == expected[0], (argv, expected, got)
+        if len(expected) == 3:
+            # argparse reads `--opt=--` as an empty list, on which every handler
+            # failed with a traceback; the table reads it as the value "--".
+            fields = {name: "--" if value == [] else value for name, value in expected[2].items()}
+            assert got == (0, expected[1], fields), argv
+        outcomes["refused" if expected[0] else "accepted" if len(expected) == 3 else "help"] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_deliberate_differences_from_argparse():
+    # argparse reads `-hh` and `-h=h` as `-h -h`; the table gives -h no value at all.
+    for argv in (["-hh"], ["analyze", "-hh"], ["analyze", "builtin:bell", "-h=h"]):
+        assert oracle_parse(argv)[0] == 0 and table_parse(argv)[0] == 2, argv
+    # argparse reads `--limit=--` as an empty list, so the handler failed with a
+    # traceback; the table passes "--", which the handler refuses as any bad limit.
+    assert oracle_parse(["analyze", "builtin:bell", "--limit=--"])[2]["limit"] == []
+    code, _, err = run_cli("analyze", "builtin:bell", "--limit=--")
+    assert (code, err) == (2, "error: --limit must be an integer, got '--'\n")
+
+
+@pytest.mark.parametrize(
+    "argv, status, message",
+    [
+        ([], 2, "vk: error: the following arguments are required: command\n"),
+        (["--help"], 0, ""),
+        (["analyze", "--help"], 0, ""),
+        (["infer", "builtin:bell"], 2, "vk infer: error: the following arguments are required: --query\n"),
+        (["analyze", "builtin:bell", "--json=x"], 2, "vk analyze: error: argument --json: ignored explicit argument 'x'\n"),
+        (["infer", "builtin:bell", "--query"], 2, "vk infer: error: argument --query: expected one argument\n"),
+        (["dance"], 2, "vk: error: argument command: invalid choice: 'dance' "),
+    ],
+)
+def test_usage_errors_exit_2_and_help_exits_0(argv, status, message):
+    for parse in (oracle_parse, table_parse):
+        assert parse(argv)[0] == status, (parse.__name__, argv)
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stdout(out), redirect_stderr(err):
+        main(argv)
+    assert exc.value.code == status
+    if status:
+        usage, error = err.getvalue().split("\n", 1)
+        assert usage.startswith("usage: vk") and error.startswith(message), err.getvalue()
+        assert out.getvalue() == ""
+    else:
+        assert out.getvalue().startswith("usage: vk") and err.getvalue() == ""

@@ -42,6 +42,11 @@ No valkit module imports `dataclasses`: every value type is a `core.Record`,
 and importing `dataclasses` would put it and `inspect` back on every
 command's start-up.
 
+No valkit module imports `argparse`, `gettext` or `hashlib`: `vk` reads its
+arguments from one table, and takes a digest with CPython's built-in SHA-256,
+falling back to `hashlib` only in `cli._sha256`. Each would otherwise load on
+every command's start-up.
+
 No valkit module imports `lru_cache` or `cache` from `functools`: a
 process-wide memo outlives the analysis that filled it and keeps every key of a
 wide input alive, while one command derives each analysis once.
@@ -376,7 +381,7 @@ def test_the_model_analysis_check_sees_a_second_entry_point():
     assert _model_analysis_offences(ast.parse("from .contextuality import check_no_signalling\n"), "reports.py") == []
 
 
-def _dataclass_imports(tree: ast.AST, module: str) -> list[str]:
+def _imports(tree: ast.AST, module: str, banned: tuple[str, ...]) -> list[str]:
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -385,9 +390,12 @@ def _dataclass_imports(tree: ast.AST, module: str) -> list[str]:
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] == "dataclasses" for name in names):
-            found.append(f"{module}:{node.lineno}: imports dataclasses")
+        found += [f"{module}:{node.lineno}: imports {top}" for top in banned if top in (n.split(".")[0] for n in names)]
     return found
+
+
+def _dataclass_imports(tree: ast.AST, module: str) -> list[str]:
+    return _imports(tree, module, ("dataclasses",))
 
 
 def test_no_module_imports_dataclasses():
@@ -406,6 +414,40 @@ def test_the_dataclass_check_sees_an_import():
         "core.py:3: imports dataclasses",
     ]
     assert _dataclass_imports(ast.parse("from .core import Record\nimport operator\n"), "core.py") == []
+
+
+# `argparse` (with `gettext`) and OpenSSL's `hashlib` cost a `vk` child more
+# than its own parse; only `cli._sha256` may fall back to `hashlib`.
+ARGV_AND_DIGEST_MODULES = ("argparse", "gettext", "hashlib", "_hashlib")
+
+
+def _argv_and_digest_imports(tree: ast.Module, module: str) -> list[str]:
+    if module == "cli.py":
+        tree = ast.Module(
+            [node for node in tree.body if not (isinstance(node, ast.FunctionDef) and node.name == "_sha256")], []
+        )
+    return _imports(tree, module, ARGV_AND_DIGEST_MODULES)
+
+
+def test_no_module_imports_argparse_or_hashlib():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(_argv_and_digest_imports(tree, path.name))
+    assert not offences, "argparse or hashlib on the import path:\n" + "\n".join(offences)
+
+
+def test_the_argparse_and_hashlib_check_sees_an_import():
+    source = "import argparse\nfrom hashlib import sha256\ndef _sha256():\n    import hashlib\n"
+    assert _argv_and_digest_imports(ast.parse(source), "reports.py") == [
+        "reports.py:1: imports argparse",
+        "reports.py:2: imports hashlib",
+        "reports.py:4: imports hashlib",
+    ]
+    assert _argv_and_digest_imports(ast.parse(source), "cli.py") == [
+        "cli.py:1: imports argparse",
+        "cli.py:2: imports hashlib",
+    ]
 
 
 MEMOS = ("lru_cache", "cache")
