@@ -21,6 +21,7 @@ from .potentials import (
     Potential,
     _join,
     combine_potentials,
+    is_neutral_potential,
     neutral_potential,
     null_potential,
     project_potential,
@@ -66,6 +67,10 @@ class ValuationAlgebra:
 
     def null(self, domain: Domain):
         raise CapabilityError(f"{self.name} has no null elements")
+
+    def is_neutral(self, phi) -> bool:
+        """Whether phi is the neutral element of its domain."""
+        return phi == self.neutral(self.label(phi))
 
     def leq(self, phi, psi) -> bool:
         raise CapabilityError(f"{self.name} is not ordered")
@@ -117,6 +122,9 @@ class RelationAlgebra(ValuationAlgebra):
     def null(self, domain: Domain) -> Relation:
         return empty_relation(self.universe, domain)
 
+    def is_neutral(self, phi: Relation) -> bool:
+        return len(phi.tuples) == self.universe.size(phi.domain)
+
     def leq(self, phi: Relation, psi: Relation) -> bool:
         return relation_leq(phi, psi)
 
@@ -156,6 +164,9 @@ class PotentialAlgebra(ValuationAlgebra):
 
     def null(self, domain: Domain) -> Potential:
         return null_potential(self.universe, domain, self.semiring)
+
+    def is_neutral(self, phi: Potential) -> bool:
+        return is_neutral_potential(phi)
 
     def combine_size_bound(self, phi: Potential, psi: Potential) -> int:
         return self.universe.size(phi.domain | psi.domain)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from .algebra import Knowledgebase
 from .contextuality import (
@@ -23,11 +24,11 @@ from .contextuality import (
     EmpiricalModel,
     MeasurementScenario,
 )
-from .core import NONNEG_RATIONAL, Record, VariableUniverse
+from .core import Record, VariableUniverse
 from .errors import ParseError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import CSPInstance, Constraint, csp_to_knowledgebase
-from .potentials import Potential
+from .potentials import Potential, rational_potential
 from .relations import Relation, restriction
 
 KINDS = ("empirical-model", "knowledgebase", "csp")
@@ -170,17 +171,44 @@ def _parse_name_list(raw, universe: VariableUniverse, where: str) -> tuple[str, 
 
 
 def _outcomes(raw: dict, names, universe: VariableUniverse, where: str):
-    """Each key's row (its labels in sorted-name order), value and place."""
+    """Each key's row (its labels in sorted-name order), value and key."""
     to_row = restriction(names, sorted(set(names)))  # a repeated name keeps its last label
+    frames = [(name, set(universe.frame(name).values)) for name in names]
     for key, value in raw.items():
-        spot = f"{where}[{key!r}]"
         labels = key.split(",") if key else []  # "" is the one assignment of the empty domain
         if len(labels) != len(names):
-            raise ParseError(f"{spot}: key {key!r} must have {len(names)} comma-separated labels")
-        for name, label in zip(names, labels):
-            if label not in universe.frame(name):
-                raise ParseError(f"{spot}: label {label!r} is not in the frame of {name!r}")
-        yield to_row(labels), value, spot
+            raise ParseError(f"{_spot(where, key)}: key {key!r} must have {len(names)} comma-separated labels")
+        for (name, frame), label in zip(frames, labels):
+            if label not in frame:
+                raise ParseError(f"{_spot(where, key)}: label {label!r} is not in the frame of {name!r}")
+        yield to_row(labels), value, key
+
+
+def _spot(where: str, key: str) -> str:
+    """The place of a value map's entry in error messages."""
+    return f"{where}[{key!r}]"
+
+
+def _rational_parts(raw, where: str, key: str) -> tuple[int, int]:
+    """parse_rational's value of entry `key` of `where` as (numerator, denominator) in lowest terms.
+
+    An int or a plain ASCII "p" or "p/q" is read without a Fraction; anything
+    else goes through parse_rational, with its acceptance and error texts.
+    """
+    if type(raw) is int and raw >= 0:
+        return raw, 1
+    if type(raw) is str and raw.isascii():
+        num, slash, den = raw.partition("/")
+        if num.isdigit() and (den.isdigit() and den.strip("0") or not slash):
+            try:
+                n, d = int(num), int(den) if slash else 1
+            except ValueError:  # past the interpreter's limit on digits, which parse_rational reports
+                pass
+            else:
+                g = gcd(n, d)
+                return n // g, d // g
+    value = parse_rational(raw, _spot(where, key))
+    return value.numerator, value.denominator
 
 
 def parse_potential(
@@ -196,17 +224,16 @@ def parse_potential(
     """
     domain = frozenset(names)
     check_table_size(universe, domain, cell_limit)
-    given = {row: parse_rational(value, spot) for row, value, spot in _outcomes(raw, names, universe, where)}
-    table = {row: given.get(row, Fraction(0)) for row in universe.rows(domain)}
-    return Potential(universe, domain, NONNEG_RATIONAL, table)
+    parts = {row: _rational_parts(value, where, key) for row, value, key in _outcomes(raw, names, universe, where)}
+    return rational_potential(universe, domain, universe.rows(domain), parts)
 
 
 def _parse_support(raw: dict, names, universe: VariableUniverse, where: str) -> Relation:
     """A possibilistic section: the relation of the outcomes its 0/1 map marks 1; no frame product is built or checked."""
     rows = set()
-    for row, value, spot in _outcomes(raw, names, universe, where):
+    for row, value, key in _outcomes(raw, names, universe, where):
         if type(value) is not int or value not in (0, 1):
-            raise ParseError(f"{spot}: possibilistic values must be the integers 0 or 1")
+            raise ParseError(f"{_spot(where, key)}: possibilistic values must be the integers 0 or 1")
         if value:
             rows.add(row)
     return Relation(universe, frozenset(names), frozenset(rows))

@@ -144,28 +144,45 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
     return FeasibilityResult(False, certificate=certificate)
 
 
+def _scaled(values: Mapping[Hashable, Fraction]) -> tuple[int, dict[Hashable, int]]:
+    """The lcm s of the values' denominators, and each value times s: integers with the same signs and ratios."""
+    scale = lcm(1, *(v.denominator for v in values.values()))
+    return scale, {key: v.numerator * (scale // v.denominator) for key, v in values.items()}
+
+
 def validate_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
-    """Independent check of a Farkas witness against the raw system data."""
-    y = certificate.as_dict()
-    by_column: dict[Hashable, Fraction] = {c: ZERO for c in system.columns}
-    for (r, c), v in system.entries.items():
+    """Independent check of a Farkas witness against the raw system data.
+
+    y, A and b are each scaled by a positive integer, which keeps the sign
+    of every y.A column and of y.b, so the sums are taken in integers.
+    """
+    _, y = _scaled(certificate.as_dict())
+    _, entries = _scaled(system.entries)
+    by_column = dict.fromkeys(system.columns, 0)
+    for (r, c), v in entries.items():
         w = y.get(r)
         if w:
             by_column[c] += w * v
     if any(total > 0 for total in by_column.values()):
         return False
-    value = sum((y.get(r, ZERO) * system.rhs.get(r, ZERO) for r in system.rows), ZERO)
-    return value > 0
+    _, rhs = _scaled(system.rhs)
+    return sum(y.get(r, 0) * rhs.get(r, 0) for r in system.rows) > 0
 
 
 def validate_solution(system: LinearSystem, solution: Mapping[Hashable, Fraction]) -> bool:
-    """Independent check that a candidate point satisfies A x = b with x >= 0."""
-    for c in system.columns:
-        if solution.get(c, ZERO) < 0:
-            return False
-    by_row: dict[Hashable, Fraction] = {r: ZERO for r in system.rows}
-    for (r, c), v in system.entries.items():
-        x = solution.get(c, ZERO)
-        if x != 0:
-            by_row[r] += v * x
-    return all(by_row[r] == system.rhs.get(r, ZERO) for r in system.rows)
+    """Independent check that a candidate point satisfies A x = b with x >= 0, in integers.
+
+    With x, A and b scaled by sx, sa and sb, A x = b holds row by row exactly
+    when (sa A)(sx x)·sb equals (sb b)·sa·sx.
+    """
+    sx, x = _scaled(solution)
+    if any(x.get(c, 0) < 0 for c in system.columns):
+        return False
+    sa, entries = _scaled(system.entries)
+    by_row = dict.fromkeys(system.rows, 0)
+    for (r, c), v in entries.items():
+        w = x.get(c)
+        if w:
+            by_row[r] += v * w
+    sb, rhs = _scaled(system.rhs)
+    return all(by_row[r] * sb == rhs.get(r, 0) * sa * sx for r in system.rows)

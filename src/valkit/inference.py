@@ -1,12 +1,18 @@
 """Inference problems: projecting the combination of a knowledgebase to a query.
 
-Two solvers are provided. Fusion eliminates one non-query variable at a
-time, combining only the valuations whose domains mention it, and sends
-each message as one fused combine-and-sum-out (`combine_project`; for
-potentials, a hash join of stored rows); `vk infer` uses it, and so does
-the tests' complete-disagreement reference. The naive one combines
-everything and projects at the end; it is the reference that fusion must
-equal exactly, which the test suite checks by oracle equivalence.
+Two solvers are provided. Fusion first drops barren members: a member
+whose one private, non-query variable sums out to the neutral element, and
+whose other variables other members still hold. That cover rule is needed
+because rational neutral elements are not stable under projection
+(e_s↓t = |Ω_(s−t)|·e_t), so a neutral element forgotten on a variable no
+one else holds would lose a frame size. Fusion then eliminates one
+non-query variable at a time, combining only the valuations whose domains
+mention it, and sends each message as one fused combine-and-sum-out
+(`combine_project`; for potentials, a hash join of stored rows); `vk infer`
+uses it, and so does the tests' complete-disagreement reference. The naive
+one combines everything and projects at the end; it is the reference that
+fusion must equal exactly, which the test suite checks by oracle
+equivalence.
 Elimination orders come from the caller or from the min-degree / min-fill
 heuristics with variable-name tie-breaking, so runs are reproducible;
 fusion defaults to min-fill, and `calibrate` orders by min-degree.
@@ -151,6 +157,44 @@ def _collect(kb: Knowledgebase, order: Sequence[str], cell_limit: int | None, ke
     return combined, parents, homes
 
 
+def drop_barren(kb: Knowledgebase, query: Domain) -> Knowledgebase:
+    """The knowledgebase without its barren members, which has the same projection onto `query`.
+
+    A member phi is barren when exactly one of its variables, x, is held by
+    no other member and lies outside the query, and phi↓(d(phi)−x) is
+    neutral, as a conditional on its parents sums to 1 over its child.
+    Eliminating x then leaves the rest combined with a neutral element over
+    variables they already hold, which changes nothing (Shachter 1986); the
+    module docstring says why they must already hold them. A drop can leave
+    another member barren, so a worklist runs until nothing more goes, and
+    one member always stays.
+    """
+    algebra = kb.algebra()
+    members = list(kb)
+    holders: dict[str, set[int]] = {}
+    for i, phi in enumerate(members):
+        for v in algebra.label(phi):
+            holders.setdefault(v, set()).add(i)
+    live = set(range(len(members)))
+    work = list(reversed(range(len(members))))
+    while work and len(live) > 1:
+        i = work.pop()
+        if i not in live:
+            continue
+        domain = algebra.label(members[i])
+        private = [v for v in domain if len(holders[v]) == 1]
+        if len(private) != 1 or private[0] in query:
+            continue
+        if not algebra.is_neutral(algebra.project(members[i], domain - {private[0]})):
+            continue
+        live.remove(i)
+        for v in sorted(domain):
+            holders[v].remove(i)
+            if len(holders[v]) == 1:
+                work.extend(holders[v])
+    return Knowledgebase(kb.universe, tuple(members[i] for i in sorted(live)))
+
+
 def solve_fusion(
     problem: InferenceProblem,
     order: Sequence[str] | None = None,
@@ -159,21 +203,27 @@ def solve_fusion(
 ):
     """Bucket-style variable elimination in min-fill order by default; equals solve_naive exactly.
 
-    Each bucket but the root sends its message by one guarded
-    `combine_project`, so for potentials the combination is a hash join of
-    stored rows that sums the bucket's variable out as it goes.
+    Barren members are dropped first (`drop_barren`), so the order, given or
+    chosen, runs over the variables that are left. Each bucket but the root
+    sends its message by one guarded `combine_project`, so for potentials the
+    combination is a hash join of stored rows that sums the bucket's
+    variable out as it goes.
     """
     algebra = problem.knowledgebase.algebra()
     to_eliminate = problem.joint_domain - problem.query
-    if order is None:
-        order = heuristic_order(problem.knowledgebase, problem.query, heuristic)
-    else:
+    if order is not None:
         order = tuple(order)
         if len(order) != len(set(order)) or set(order) != to_eliminate:
             raise ArgumentError(
                 f"elimination order must be a permutation of {sorted(to_eliminate)}, got {list(order)}"
             )
-    combined, _, _ = _collect(problem.knowledgebase, order, cell_limit, keep=False)
+    kb = drop_barren(problem.knowledgebase, problem.query)
+    if order is None:
+        order = heuristic_order(kb, problem.query, heuristic)
+    else:
+        kept = kb.joint_domain
+        order = tuple(v for v in order if v in kept)
+    combined, _, _ = _collect(kb, order, cell_limit, keep=False)
     return algebra.project(combined[-1], problem.query)
 
 

@@ -24,7 +24,7 @@ when an entry is read; the numerators never leave this module.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -157,6 +157,30 @@ def neutral_potential(universe: VariableUniverse, domain: Domain, semiring: Semi
 
 def null_potential(universe: VariableUniverse, domain: Domain, semiring: Semiring) -> Potential:
     return constant_potential(universe, domain, semiring, semiring.zero)
+
+
+def rational_potential(
+    universe: VariableUniverse, domain: Domain, rows: Iterable[Row], parts: Mapping[Row, tuple[int, int]]
+) -> Potential:
+    """The rational potential that is n/d at each row of `parts`, given in lowest terms, and 0 at its other `rows`.
+
+    `rows` are all the rows over `domain`. The numerators are written over
+    the lcm of the denominators, and that form is already reduced: a prime
+    dividing the lcm to its full power divides some d exactly as often,
+    and that row's numerator is prime to it.
+    """
+    den = lcm(*(d for _, d in parts.values()))
+    nums = dict.fromkeys(rows, 0)
+    for row, (n, d) in parts.items():
+        nums[row] = n * (den // d)
+    return Potential(universe, domain, NONNEG_RATIONAL, _Values(nums, den, True))
+
+
+def is_neutral_potential(phi: Potential) -> bool:
+    """Whether every value is the semiring's one: each numerator equals the denominator."""
+    one = phi.table.den if phi.table.exact else phi.semiring.one
+    values = list(phi.table.nums.values())
+    return values.count(one) == len(values)
 
 
 def _join(phi: Potential, psi: Potential, target: Domain) -> Potential:

@@ -268,29 +268,32 @@ def split_components_document():
     }
 
 
-def coprime_bayes_net_document(seed: int, k: int = 3):
-    """A k x k binary Bayesian-network grid whose CPT rows have pairwise coprime denominators.
+def coprime_bayes_net_document(seed: int, k: int = 3, values: int = 2):
+    """A k x k Bayesian-network grid whose CPT rows have pairwise coprime denominators.
 
-    Cell (i, j) has parents (i-1, j) and (i, j-1). Each CPT row is (a/p, (p-a)/p)
-    for its own odd prime p and a drawn from the seed, so a marginal's
-    denominator is a product of many distinct primes.
+    Cell (i, j), over the labels "0", "1", ... of `values`, has parents
+    (i-1, j) and (i, j-1). Each CPT row is (a1/p, a2/p, ...) for its own odd
+    prime p and positive a's drawn from the seed that sum to p, so a
+    marginal's denominator is a product of many distinct primes.
     """
     rng = random.Random(seed)
     primes = (p for p in range(3, 10_000, 2) if all(p % d for d in range(3, int(p**0.5) + 1, 2)))
+    labels = [str(v) for v in range(values)]
     cell = [[f"r{i}c{j}" for j in range(k)] for i in range(k)]
     valuations = []
     for i in range(k):
         for j in range(k):
             parents = ([cell[i - 1][j]] if i else []) + ([cell[i][j - 1]] if j else [])
-            values = {}
-            for combo in product("01", repeat=len(parents)):
-                p = next(primes)
-                a = rng.randint(1, p - 1)
-                values[",".join(("0",) + combo)] = f"{a}/{p}"
-                values[",".join(("1",) + combo)] = f"{p - a}/{p}"
-            valuations.append({"domain": [cell[i][j]] + parents, "values": values})
+            table = {}
+            for combo in product(labels, repeat=len(parents)):
+                p = left = next(primes)
+                for v, label in enumerate(labels):
+                    a = rng.randint(1, left - (values - 1 - v)) if v < values - 1 else left
+                    table[",".join((label,) + combo)] = f"{a}/{p}"
+                    left -= a
+            valuations.append({"domain": [cell[i][j]] + parents, "values": table})
     return {
         "kind": "knowledgebase",
-        "universe": [{"name": name, "frame": ["0", "1"]} for row in cell for name in row],
+        "universe": [{"name": name, "frame": labels} for row in cell for name in row],
         "valuations": valuations,
     }

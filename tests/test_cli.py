@@ -445,6 +445,30 @@ def test_an_infer_refusal_under_a_fixed_order_is_pinned(tmp_path):
     assert code == 0, err
 
 
+def test_infer_reads_a_given_order_before_barren_members_are_dropped(tmp_path, monkeypatch):
+    # Each query below leaves some CPTs of the 4 x 4 grid barren. A given
+    # --order is still checked against every non-query variable, with the
+    # same text; once valid, it is answered with the bytes of fusion over the
+    # whole knowledgebase.
+    from valkit import inference
+
+    doc = tmp_path / "coprime-bn.json"
+    doc.write_text(canonical_json(coprime_bayes_net_document(7, 4, 3)), encoding="utf-8")
+    names = [f"r{i}c{j}" for i in range(4) for j in range(4)]
+    for query in ("r0c3", "r3c0,r2c2", "r0c1,r1c0"):
+        others = sorted(set(names) - set(query.split(",")))
+        for order in (others[1:], others + ["r3c3"], ["r3c3"]):
+            code, out, err = run_cli("infer", str(doc), "--query", query, "--order", ",".join(order))
+            expected = f"error: elimination order must be a permutation of {others}, got {order}\n"
+            assert (code, out, err) == (2, "", expected), (query, order)
+        for order in (others, others[::-1]):
+            argv = ("infer", str(doc), "--query", query, "--order", ",".join(order), "--json")
+            pruned = run_cli(*argv)
+            with monkeypatch.context() as patch:
+                patch.setattr(inference, "drop_barren", lambda kb, query: kb)
+                assert run_cli(*argv) == pruned and pruned[0] == 0, (query, order)
+
+
 def test_verify_compiles_a_csp_once(tmp_path, monkeypatch):
     # A CSP document is compiled when it is parsed, and verify re-derives the
     # analysis and checks the witnesses against that one knowledgebase.

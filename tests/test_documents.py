@@ -18,6 +18,7 @@ from valkit.documents import (
     model_document,
     parse_document_text,
     parse_rational,
+    _rational_parts,
 )
 from valkit.errors import ParseError, ResourceLimitError
 from valkit.logic import csp_to_knowledgebase
@@ -328,3 +329,37 @@ def test_malformed_documents_exit_2_from_the_cli(tmp_path):
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(["analyze", str(path)])
         assert (code, err.getvalue()) == (2, f"error: {message}\n"), name
+
+
+RATIONAL_CORPUS = (
+    "3/4", "03/4", "6/8", "0/5", " 3/4", "3 / 4", "+3/4", "-1/2", "1_000/3", "0.25", "1e3", "3/0", "٣/4", "²/4",
+    "7", "", "/4", "3/", "3/00", "1/2/3",
+    True, 1.5, None, -1, 0, 10**39 + 7, [1],
+)
+
+
+def assert_read_as_parse_rational(raw):
+    try:
+        expected = parse_rational(raw, "values['0,1']")
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            _rational_parts(raw, "values", "0,1")
+        assert got.value.message == err.message
+    else:
+        assert _rational_parts(raw, "values", "0,1") == (expected.numerator, expected.denominator)
+
+
+@pytest.mark.parametrize("raw", RATIONAL_CORPUS, ids=repr)
+def test_rational_parts_read_what_parse_rational_reads(raw):
+    # The fast path reads an int or a plain ASCII "p" or "p/q" without a
+    # Fraction; every value must come out, or be refused, as parse_rational
+    # has it, with the same place in the message.
+    assert_read_as_parse_rational(raw)
+
+
+def test_rational_parts_read_numbers_past_the_digit_limit_as_parse_rational_does():
+    # From Python 3.11 (and 3.10.7) int() refuses a string of more than 4300
+    # digits by default, and parse_rational reports that as a parse error.
+    digits = "1" * 5000
+    for raw in (digits, f"{digits}/3", f"3/{digits}"):
+        assert_read_as_parse_rational(raw)

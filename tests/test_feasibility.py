@@ -229,3 +229,44 @@ def test_integer_tableau_matches_fraction_oracle_on_noisy_cycles(n, contextual):
     result = solve_feasibility(s)
     assert result == oracle_feasibility(s)
     assert result.feasible is not contextual
+
+
+# Slow oracles for the witness checks: the sums of y.A, y.b and A x in
+# Fractions, as the checks took them before they scaled to integers.
+def oracle_certificate(system, y):
+    by_column = {c: F(0) for c in system.columns}
+    for (r, c), v in system.entries.items():
+        by_column[c] += y.get(r, 0) * v
+    value = sum((y.get(r, 0) * system.rhs.get(r, 0) for r in system.rows), F(0))
+    return all(total <= 0 for total in by_column.values()) and value > 0
+
+
+def oracle_solution(system, x):
+    by_row = {r: F(0) for r in system.rows}
+    for (r, c), v in system.entries.items():
+        by_row[r] += v * x.get(c, 0)
+    nonnegative = all(x.get(c, 0) >= 0 for c in system.columns)
+    return nonnegative and all(by_row[r] == system.rhs.get(r, 0) for r in system.rows)
+
+
+def test_integer_witness_checks_match_the_fraction_sums():
+    # Each solver witness, then the same witness with one entry nudged,
+    # halved or negated, so that both answers occur for both checks.
+    rng = random.Random(31)
+    answers = {"certificate": set(), "solution": set()}
+    for _ in range(600):
+        s = random_system(rng)
+        result = solve_feasibility(s)
+        witness = dict(result.certificate.as_dict()) if not result.feasible else dict(result.solution)
+        for _ in range(3):
+            if s.columns and rng.random() < 0.5:
+                key = rng.choice(sorted(witness))
+                witness[key] = rng.choice((witness[key] + F(1, rng.randint(1, 9)), witness[key] / 2, -witness[key]))
+            if result.feasible:
+                assert validate_solution(s, witness) == oracle_solution(s, witness), (s, witness)
+                answers["solution"].add(oracle_solution(s, witness))
+            else:
+                certificate = FarkasCertificate(tuple(witness.items()))
+                assert validate_certificate(s, certificate) == oracle_certificate(s, witness), (s, witness)
+                answers["certificate"].add(oracle_certificate(s, witness))
+    assert answers == {"certificate": {True, False}, "solution": {True, False}}

@@ -1,16 +1,19 @@
 import random
-from itertools import permutations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
+from valkit import inference
 from valkit.algebra import Knowledgebase, RelationAlgebra
 from valkit.builtins import liar_knowledgebase, malawi_knowledgebase, screening_knowledgebase
-from valkit.core import VariableUniverse
+from valkit.core import NONNEG_RATIONAL, Assignment, VariableUniverse
 from valkit.documents import canonical_json, parse_document_text
 from valkit.errors import ArgumentError, DomainError, ResourceLimitError
 from valkit.inference import (
     HEURISTICS,
     InferenceProblem,
+    drop_barren,
     heuristic_order,
     solve_fusion,
     solve_naive,
@@ -22,8 +25,11 @@ from conftest import (
     assert_canonical,
     coprime_bayes_net_document,
     drawn_potential,
+    random_domain,
     random_potential_kb,
+    random_relation,
     random_relation_kb,
+    random_universe,
 )
 
 
@@ -327,3 +333,133 @@ def test_fusion_on_a_rational_grid_sends_fused_messages_and_walks_no_frame(monke
             assert solve_fusion(problem, heuristic=heuristic) == expected
             assert fused and not any(projected), heuristic
         monkeypatch.undo()
+
+
+# Barren members. A normalised conditional sums to 1 over its child, so a
+# member whose child no other member holds is dropped before fusion as long
+# as its other variables stay held (the cover rule).
+
+
+def bayes_net_grid(k: int, values: int):
+    return parse_document_text(canonical_json(coprime_bayes_net_document(3 + k, k, values))).knowledgebase()
+
+
+def unpruned_fusion(problem, monkeypatch):
+    """solve_fusion over the whole knowledgebase, barren members included."""
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "drop_barren", lambda kb, query: kb)
+        return solve_fusion(problem)
+
+
+@pytest.mark.parametrize("k, values", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)])
+def test_fusion_drops_barren_members_and_equals_the_reference_on_bayes_net_grids(k, values, monkeypatch):
+    # Every 1- and 2-cell query of the grid. On the 3 x 3 grids the reference
+    # is solve_naive: its combination, built once, projected onto each query.
+    # On the larger grids, whose joint tables have 2^16 to 3^25 cells, it is
+    # fusion over the whole knowledgebase, which the random knowledgebases of
+    # this file hold to solve_naive.
+    kb = bayes_net_grid(k, values)
+    algebra = kb.algebra()
+    names = sorted(kb.joint_domain)
+    joint = solve_naive(InferenceProblem(kb, kb.joint_domain)) if k == 3 else None
+    queries = [frozenset({a}) for a in names] + [frozenset(pair) for pair in combinations(names, 2)]
+    dropped = 0
+    for query in queries:
+        problem = InferenceProblem(kb, query)
+        expected = unpruned_fusion(problem, monkeypatch) if joint is None else algebra.project(joint, query)
+        assert solve_fusion(problem) == expected, sorted(query)
+        dropped += len(kb) - len(drop_barren(kb, query))
+    assert dropped > len(queries)
+
+
+def test_a_row_0_query_keeps_only_its_ancestors():
+    # A cell of row 0 descends from the cells to its left alone, so every
+    # other CPT goes, each leaf first and then the CPTs its drop left barren.
+    for k, values in ((4, 2), (5, 3)):
+        kb = bayes_net_grid(k, values)
+        for j in range(k):
+            kept = drop_barren(kb, frozenset({f"r0c{j}"}))
+            assert kept.valuations == kb.valuations[: j + 1], (k, j)
+
+
+def normalised_conditional(rng, universe, domain):
+    """A random potential over `domain` that sums to 1 over its first variable, in sorted order, for each parent row."""
+    child, *parents = sorted(domain)
+    frame = universe.frame(child).values
+    table = {}
+    for parent_row in universe.rows(frozenset(parents)):
+        weights = [rng.randint(1, 5) for _ in frame]
+        for value, w in zip(frame, weights):
+            point = Assignment.of({child: value, **dict(zip(parents, parent_row))})
+            table[point] = Fraction(w, sum(weights))
+    return Potential.from_table(universe, frozenset(domain), NONNEG_RATIONAL, table)
+
+
+def total_relation(rng, universe, domain):
+    """A random relation over `domain` whose projection off its first variable, in sorted order, is full."""
+    child, *parents = sorted(domain)
+    frame = universe.frame(child).values
+    rows = []
+    for parent_row in universe.rows(frozenset(parents)):
+        for value in rng.sample(frame, rng.randint(1, len(frame))):
+            rows.append((value, *parent_row))
+    return Relation.from_rows(universe, [child, *parents], rows)
+
+
+def test_fusion_equals_naive_on_random_knowledgebases_with_barren_members():
+    # Potential knowledgebases mix normalised conditionals with other draws;
+    # relation knowledgebases mix relations whose projection off one variable
+    # is full with other draws. Children are often held by one member alone,
+    # so some members are barren and some are barren only after others go.
+    rng = random.Random(2024)
+    dropped = {"relations": 0, "potentials": 0}
+    for i in range(200):
+        universe = random_universe(rng, max_vars=5)
+        relations = i % 2 == 1
+        members = []
+        for _ in range(rng.randint(1, 6)):
+            domain = random_domain(rng, universe)
+            if rng.random() < 0.7:
+                members.append((total_relation if relations else normalised_conditional)(rng, universe, domain))
+            else:
+                members.append((random_relation if relations else drawn_potential)(rng, universe, domain))
+        kb = Knowledgebase(universe, tuple(members))
+        names = sorted(kb.joint_domain)
+        query = frozenset(rng.sample(names, rng.randint(0, min(2, len(names)))))
+        problem = InferenceProblem(kb, query)
+        naive = solve_naive(problem)
+        for heuristic in HEURISTICS:
+            assert solve_fusion(problem, heuristic=heuristic) == naive, (kb, sorted(query))
+        order = sorted(kb.joint_domain - query)
+        rng.shuffle(order)
+        assert solve_fusion(problem, order=order) == naive
+        dropped["relations" if relations else "potentials"] += len(kb) - len(drop_barren(kb, query))
+    assert min(dropped.values()) >= 10, dropped
+
+
+def test_the_cover_rule_keeps_one_of_two_conditionals_on_a_private_parent():
+    # x1 | y and x2 | y are each barren while the other holds y. Dropping
+    # both would lose the sum over y, a factor |Ω_y| = 2: neither
+    # conditional's neutral projection onto {y} survives summing y out.
+    universe = VariableUniverse.of([(n, ("0", "1")) for n in ("x1", "x2", "y", "z")])
+    rng = random.Random(5)
+    first = normalised_conditional(rng, universe, {"x1", "y"})
+    second = normalised_conditional(rng, universe, {"x2", "y"})
+    other = drawn_potential(rng, universe, frozenset({"z"}))
+    kb = Knowledgebase(universe, (first, second, other))
+    problem = InferenceProblem(kb, frozenset({"z"}))
+    kept = drop_barren(kb, problem.query)
+    assert len(kept) == 2 and other in kept.valuations
+    assert (first in kept.valuations) != (second in kept.valuations)
+    assert solve_fusion(problem) == solve_naive(problem) != other
+
+
+def test_a_non_permutation_order_is_refused_even_where_pruning_drops_its_variables():
+    kb = bayes_net_grid(3, 2)
+    problem = InferenceProblem(kb, frozenset({"r0c2"}))
+    assert len(drop_barren(kb, problem.query)) == 3
+    others = sorted(kb.joint_domain - problem.query)
+    for order in (others[:-1], others + ["r2c2"], ["r2c2"], others + ["r0c2"]):
+        with pytest.raises(ArgumentError) as err:
+            solve_fusion(problem, order=order)
+        assert str(err.value) == f"elimination order must be a permutation of {others}, got {order}"

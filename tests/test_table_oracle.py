@@ -15,7 +15,7 @@ also round-trips through a knowledgebase document.
 import random
 from itertools import product
 
-from valkit.algebra import Knowledgebase, PotentialAlgebra
+from valkit.algebra import Knowledgebase, PotentialAlgebra, RelationAlgebra
 from valkit.core import BOOLEAN, NONNEG_RATIONAL, Assignment, VariableUniverse
 from valkit.documents import canonical_json, knowledgebase_document, parse_document_text
 from valkit.potentials import Potential, combine_potentials, project_potential
@@ -160,3 +160,25 @@ def test_potential_operations_match_the_assignment_oracle():
                 assert roundtrip(universe, p) == p
         zero_entries += any(v == semiring.zero for v in phi.table.values())
     assert zero_entries >= 100
+
+
+def test_is_neutral_agrees_with_comparing_to_the_neutral_element():
+    # The oracle draws, their neutral elements and the projections of those
+    # (a rational neutral element summed over a frame is no longer neutral).
+    rng = random.Random(909)
+    seen = {True: 0, False: 0}
+    for case in range(CASES // 2):
+        universe = random_universe(rng)
+        domain, _ = domain_pair(rng, universe, case)
+        if case % 2:
+            algebra = RelationAlgebra(universe)
+            drawn = random_relation(rng, universe, domain, keep=rng.choice((0.0, 0.7, 1.0)))
+        else:
+            algebra = PotentialAlgebra(universe, NONNEG_RATIONAL if case % 4 else BOOLEAN)
+            drawn = drawn_potential(rng, universe, domain, algebra.semiring)
+        neutral = algebra.neutral(domain)
+        for phi in (drawn, neutral, algebra.project(neutral, subset(rng, domain))):
+            label = algebra.label(phi)
+            assert algebra.is_neutral(phi) == (phi == algebra.neutral(label)), phi
+            seen[algebra.is_neutral(phi)] += 1
+    assert min(seen.values()) >= 100, seen
