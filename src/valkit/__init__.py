@@ -67,7 +67,7 @@ from .inference import (
     solve_fusion,
     solve_naive,
 )
-from .logic import Constraint, CSPInstance, csp_to_knowledgebase
+from .logic import csp_to_knowledgebase
 from .potentials import (
     Potential,
     combine_potentials,

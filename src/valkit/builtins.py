@@ -3,10 +3,11 @@
 Empirical models: bell (probabilistic, the 1/8-grid two-party table), hardy
 (possibilistic support), ghz (three parties, parity supports), pr-box
 (perfect correlations with one anti-correlated context). Knowledgebases:
-screening (three guideline relations), malawi (map-colouring constraints
-compiled to relations), liar(n) (a cycle of biconditionals with one negated
-edge, each formula written as the relation of its satisfying truth
-assignments by `liar_knowledgebase`).
+screening (three guideline relations), malawi (map-colouring constraints,
+each the relation of the colour pairs that differ across one border,
+compiled over the borders by `csp_to_knowledgebase`), liar(n) (a cycle of
+biconditionals with one negated edge, each formula written as the relation
+of its satisfying truth assignments by `liar_knowledgebase`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .algebra import Knowledgebase
 from .contextuality import EmpiricalModel, possibilistic_model, probabilistic_model
 from .core import Record, VariableUniverse
 from .errors import ArgumentError
-from .logic import CSPInstance, Constraint, csp_to_knowledgebase
+from .logic import csp_to_knowledgebase
 from .relations import Relation
 
 
@@ -115,20 +116,17 @@ MALAWI_EDGES = (
 )
 
 
-def malawi_csp() -> CSPInstance:
-    """Three-colouring of the region around Malawi as a CSP."""
+def malawi_constraints() -> tuple[Relation, ...]:
+    """Three-colouring of the region around Malawi: one relation per border, whose two countries differ."""
     universe = VariableUniverse.of([(c, MALAWI_COLORS) for c in MALAWI_COUNTRIES])
     differ = [(x, y) for x in MALAWI_COLORS for y in MALAWI_COLORS if x != y]
-    constraints = tuple(
-        Constraint(edge, Relation.from_rows(universe, edge, differ)) for edge in MALAWI_EDGES
-    )
-    return CSPInstance(universe, constraints)
+    return tuple(Relation.from_rows(universe, edge, differ) for edge in MALAWI_EDGES)
 
 
 def malawi_knowledgebase() -> Knowledgebase:
-    csp = malawi_csp()
-    covers = [frozenset(edge) for edge in MALAWI_EDGES]
-    return csp_to_knowledgebase(csp, covers)
+    """The Malawi constraints compiled over the borders as covers."""
+    edges = malawi_constraints()
+    return csp_to_knowledgebase(edges[0].universe, edges, [edge.domain for edge in edges])
 
 
 def liar_knowledgebase(n: int, consistent: bool = False) -> Knowledgebase:

@@ -27,7 +27,7 @@ from .contextuality import (
 from .core import Record, VariableUniverse
 from .errors import ParseError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
-from .logic import CSPInstance, Constraint, csp_to_knowledgebase
+from .logic import csp_to_knowledgebase
 from .potentials import Potential, rational_potential
 from .relations import Relation, restriction
 
@@ -337,24 +337,17 @@ def _parse_csp(doc: dict, cell_limit: int | None) -> Knowledgebase:
         scheme = _parse_name_list(item["scheme"], universe, f"{where}.scheme")
         if len(set(scheme)) != len(scheme):
             raise ParseError(f"{where}.scheme: repeated variable")
-        constraints.append(Constraint(scheme, _parse_relation(item, "allowed", scheme, universe, where)))
+        constraints.append(_parse_relation(item, "allowed", scheme, universe, where))
     if "covers" in doc:
         covers = [
             frozenset(_parse_name_list(cover, universe, f"covers[{k}]"))
             for k, cover in enumerate(_expect_list(doc["covers"], "covers"))
         ]
     else:
-        covers = []
-        for c in constraints:
-            if c.scheme_set not in covers:
-                covers.append(c.scheme_set)
+        covers = list(dict.fromkeys(c.domain for c in constraints))
     if not covers:
         raise ParseError("covers: a CSP needs at least one cover")
-    try:
-        csp = CSPInstance(universe, tuple(constraints))
-    except ValkitError as err:
-        raise ParseError(str(err)) from None
-    return csp_to_knowledgebase(csp, covers, cell_limit)  # a cover past `cell_limit` is a resource error
+    return csp_to_knowledgebase(universe, constraints, covers, cell_limit)  # a cover past `cell_limit` is a resource error
 
 
 def parse_document_text(text: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> ParsedInput:

@@ -1,9 +1,11 @@
-"""Constraint satisfaction problems as information sets.
+"""CSPs (constraint satisfaction problems) as information sets.
 
-A CSP compiles down to relations: each cover set becomes the relation of all
-evaluations on it that violate no constraint. (A propositional formula is
-simply the relation of its satisfying truth assignments; the liar cycle in
-`builtins` is written that way.)
+A CSP is its constraints, and a constraint is simply the relation of the
+evaluations it allows on its scheme. It compiles down to relations: each
+cover set becomes the relation of all evaluations on it that violate no
+constraint. (A propositional formula is likewise the relation of its
+satisfying truth assignments; the liar cycle in `builtins` is written that
+way.)
 """
 
 from __future__ import annotations
@@ -11,62 +13,42 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import Knowledgebase
-from .core import Domain, Record, VariableUniverse
-from .errors import DomainError
+from .core import Domain, VariableUniverse
+from .errors import UniverseMismatchError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .relations import Relation, project_relation, restriction
 
 
-class Constraint(Record):
-    """A scheme (tuple of variables) plus the relation of allowed evaluations on it."""
-
-    scheme: tuple[str, ...]
-    allowed: Relation
-
-    def __post_init__(self):
-        if frozenset(self.scheme) != self.allowed.domain:
-            raise DomainError(
-                f"allowed relation domain {sorted(self.allowed.domain)} does not match scheme {self.scheme}"
-            )
-
-    @property
-    def scheme_set(self) -> Domain:
-        return frozenset(self.scheme)
-
-
-class CSPInstance(Record):
-    universe: VariableUniverse
-    constraints: tuple[Constraint, ...]
-
-    def __post_init__(self):
-        for c in self.constraints:
-            self.universe.check_domain(c.scheme_set)
-
-
 def csp_to_knowledgebase(
-    csp: CSPInstance,
+    universe: VariableUniverse,
+    constraints: Sequence[Relation],
     covers: Sequence[Domain],
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ) -> Knowledgebase:
     """One relation per cover set: every evaluation on it satisfying all constraints.
 
+    An evaluation on a cover satisfies a constraint when its values on the
+    variables they share lie in the constraint projected onto them. Sharing
+    no variable, that projection is {()} unless the constraint allows
+    nothing, in which case it is empty and so is the cover's relation.
     Each cover's evaluations are enumerated, so a cover with more than
     `cell_limit` of them is refused first.
     """
+    if any(c.universe != universe for c in constraints):
+        raise UniverseMismatchError("a constraint lives in a different variable universe")
     valuations = []
     for cover in covers:
-        csp.universe.check_domain(cover)
-        check_table_size(csp.universe, cover, cell_limit)
+        check_table_size(universe, cover, cell_limit)
         relevant = []
-        for c in csp.constraints:
-            overlap = cover & c.scheme_set
-            if overlap:
+        for c in constraints:
+            overlap = cover & c.domain
+            if overlap or not c.tuples:
                 on_overlap = restriction(sorted(cover), sorted(overlap))
-                relevant.append((on_overlap, project_relation(c.allowed, overlap).tuples))
+                relevant.append((on_overlap, project_relation(c, overlap).tuples))
         good = [
             v
-            for v in csp.universe.rows(cover)
+            for v in universe.rows(cover)
             if all(on_overlap(v) in allowed for on_overlap, allowed in relevant)
         ]
-        valuations.append(Relation(csp.universe, cover, frozenset(good)))
-    return Knowledgebase(csp.universe, tuple(valuations))
+        valuations.append(Relation(universe, cover, frozenset(good)))
+    return Knowledgebase(universe, tuple(valuations))

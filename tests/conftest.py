@@ -8,7 +8,6 @@ from valkit.algebra import Knowledgebase
 from valkit.contextuality import possibilistic_model, probabilistic_model
 from valkit.core import Assignment, BOOLEAN, NONNEG_RATIONAL, Domain, VariableUniverse
 from valkit.documents import relation_rows
-from valkit.logic import CSPInstance
 from valkit.potentials import Potential
 from valkit.relations import Relation
 
@@ -18,12 +17,12 @@ def enumerate_assignments(domain: Domain, universe: VariableUniverse) -> list[As
     return [Assignment.from_row(domain, row) for row in universe.rows(domain)]
 
 
-def csp_document(csp: CSPInstance, covers) -> dict:
-    """The JSON document of `csp` with the given cover sets, in the form the parser reads."""
+def csp_document(universe: VariableUniverse, constraints, covers) -> dict:
+    """The JSON document of the CSP of `constraints` (relations) with the given cover sets, in the form the parser reads."""
     return {
         "kind": "csp",
-        "universe": [{"name": name, "frame": list(frame.values)} for name, frame in csp.universe.entries],
-        "constraints": [{"scheme": list(c.scheme), "allowed": relation_rows(c.allowed, c.scheme)} for c in csp.constraints],
+        "universe": [{"name": name, "frame": list(frame.values)} for name, frame in universe.entries],
+        "constraints": [{"scheme": sorted(c.domain), "allowed": relation_rows(c, sorted(c.domain))} for c in constraints],
         "covers": [sorted(cover) for cover in covers],
     }
 

@@ -874,6 +874,137 @@ def test_analyze_signalling_model_reports_fail(tmp_path):
     assert report["analysis"]["class"] is None
 
 
+BIT_UNIVERSE = [{"name": "x", "frame": ["0", "1"]}, {"name": "y", "frame": ["0", "1"]}]
+
+
+def human_analysis_documents():
+    """One document for each branch of the human analysis output, with the lines `vk analyze` prints for it."""
+    from valkit.documents import knowledgebase_document
+
+    signalling = model_document(bell_model())
+    signalling["sections"]["a1,b1"] = {"0,0": 1}
+    local_failure = {
+        "kind": "knowledgebase",
+        "universe": BIT_UNIVERSE,
+        "valuations": [{"domain": ["x"], "tuples": [["0"]]}, {"domain": ["x", "y"], "tuples": [["1", "0"]]}],
+    }
+    agreeing = {
+        "kind": "knowledgebase",
+        "universe": BIT_UNIVERSE,
+        "valuations": [
+            {"domain": ["x"], "tuples": [["0"], ["1"]]},
+            {"domain": ["x", "y"], "tuples": [["0", "0"], ["1", "1"]]},
+        ],
+    }
+    contextual_cycle = knowledgebase_document(cycle_model(noisy_cycle_correlators(4, True)).knowledgebase())
+    return {
+        "signalling": (
+            signalling,
+            ["kind: empirical-model", "no-signalling: fail", "class: not classified (signalling model)"],
+        ),
+        "local-failure": (
+            local_failure,
+            [
+                "kind: knowledgebase",
+                "local agreement: fail",
+                "  disagreeing pair: [1, 2]",
+                "global agreement: disagree (witness member 1)",
+                "complete disagreement: yes",
+            ],
+        ),
+        "agreeing": (
+            agreeing,
+            ["kind: knowledgebase", "local agreement: pass", "global agreement: agree", "complete disagreement: no"],
+        ),
+        "certificate": (
+            contextual_cycle,
+            [
+                "kind: knowledgebase",
+                "local agreement: pass",
+                "global agreement: disagree (infeasibility certificate)",
+                "complete disagreement: no",
+            ],
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", ["signalling", "local-failure", "agreeing", "certificate"])
+def test_analyze_human_output_lines(tmp_path, name):
+    doc, lines = human_analysis_documents()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    code, out, _ = run_cli("analyze", str(path))
+    assert code == 0
+    printed = out.splitlines()
+    assert printed[-1].startswith("time: ") and printed[-1].endswith(" ms")
+    assert printed[:-1] == [f"source: {path}"] + lines
+
+
+# A constraint that allows nothing leaves no evaluation on any cover, even
+# one it shares no variable with: a nullary one under its own default cover
+# (the empty scheme), and one over y under the explicit cover {x}.
+UNSATISFIABLE_CSPS = {
+    "nullary": {
+        "kind": "csp",
+        "universe": BIT_UNIVERSE[:1],
+        "constraints": [{"scheme": ["x"], "allowed": [["0"], ["1"]]}, {"scheme": [], "allowed": []}],
+    },
+    "disjoint": {
+        "kind": "csp",
+        "universe": BIT_UNIVERSE,
+        "constraints": [{"scheme": ["x"], "allowed": [["0"], ["1"]]}, {"scheme": ["y"], "allowed": []}],
+        "covers": [["x"]],
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSATISFIABLE_CSPS))
+def test_an_unsatisfiable_constraint_disagrees_completely(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(canonical_json(UNSATISFIABLE_CSPS[name]), encoding="utf-8")
+    code, out, _ = run_cli("analyze", str(path))
+    assert code == 0
+    assert "complete disagreement: yes" in out.splitlines()
+    code, out, _ = run_cli("analyze", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["analysis"]["complete-disagreement"] is True
+    report = tmp_path / f"{name}.report"
+    report.write_text(out, encoding="utf-8")
+    code, _, err = run_cli("verify", str(report), str(path))
+    assert code == 0, err
+
+
+def test_a_relation_past_the_tuple_cap_is_written_by_its_size(tmp_path):
+    # The full relation over 13 bits (8192 rows) beside {v00 = 0}: the global
+    # witness is the full member, past the cap, and its projection of the
+    # combination, 4096 rows, within it.
+    from itertools import product
+
+    names = [f"v{i:02d}" for i in range(13)]
+    doc = {
+        "kind": "knowledgebase",
+        "universe": [{"name": name, "frame": ["0", "1"]} for name in names],
+        "valuations": [
+            {"domain": names, "tuples": [list(row) for row in product("01", repeat=13)]},
+            {"domain": ["v00"], "tuples": [["0"]]},
+        ],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    code, out, _ = run_cli("analyze", str(path), "--json")
+    assert code == 0
+    verdict = json.loads(out)["analysis"]["global"]
+    assert verdict["witness-index"] == 1
+    assert verdict["member"] == {"type": "relation", "domain": names, "size": 8192, "omitted": True}
+    projected = verdict["projected"]
+    assert projected["size"] == 4096
+    assert projected["tuples"] == [["0"] + list(row) for row in product("01", repeat=12)]
+    report = tmp_path / "wide.report"
+    report.write_text(out, encoding="utf-8")
+    code, _, err = run_cli("verify", str(report), str(path))
+    assert code == 0, err
+
+
 def test_parse_error_exit_code_and_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"kind": "csp",\n  nope}', encoding="utf-8")
@@ -1014,11 +1145,11 @@ def test_cell_limit_flag_and_env(tmp_path, monkeypatch):
 
 
 def test_analyze_csp_file(tmp_path):
-    from valkit.builtins import malawi_csp
+    from valkit.builtins import malawi_constraints
 
-    csp = malawi_csp()
+    edges = malawi_constraints()
     path = tmp_path / "malawi.json"
-    path.write_text(canonical_json(csp_document(csp, [c.scheme_set for c in csp.constraints])), encoding="utf-8")
+    path.write_text(canonical_json(csp_document(edges[0].universe, edges, [e.domain for e in edges])), encoding="utf-8")
     code, out, _ = run_cli("analyze", str(path), "--json")
     assert code == 0
     report = json.loads(out)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valkit.algebra import Knowledgebase
-from valkit.builtins import bell_model, hardy_model, malawi_csp, screening_knowledgebase
+from valkit.builtins import bell_model, hardy_model, malawi_constraints, screening_knowledgebase
 from valkit.cli import main
 from valkit.contextuality import EmpiricalModel
 from valkit.documents import (
@@ -58,20 +58,22 @@ def test_knowledgebase_document_roundtrip():
 
 def test_csp_document_roundtrip():
     # A CSP document parses straight into the knowledgebase of its covers.
-    csp = malawi_csp()
+    edges = malawi_constraints()
+    universe = edges[0].universe
     covers = (frozenset({"MOZ", "MWI", "TZA"}), frozenset({"ZWE"}))
-    parsed = roundtrip(csp_document(csp, covers))
+    parsed = roundtrip(csp_document(universe, edges, covers))
     assert parsed.kind == "csp"
-    assert parsed.payload == csp_to_knowledgebase(csp, covers)
+    assert parsed.payload == csp_to_knowledgebase(universe, edges, covers)
     assert parsed.knowledgebase() is parsed.payload
 
 
 def test_csp_covers_default_to_schemes():
-    csp = malawi_csp()
-    doc = csp_document(csp, ())
+    edges = malawi_constraints()
+    universe = edges[0].universe
+    doc = csp_document(universe, edges, ())
     del doc["covers"]
     parsed = roundtrip(doc)
-    assert parsed.payload == csp_to_knowledgebase(csp, [c.scheme_set for c in csp.constraints])
+    assert parsed.payload == csp_to_knowledgebase(universe, edges, [e.domain for e in edges])
 
 
 def test_potential_knowledgebase_roundtrip():
@@ -192,7 +194,8 @@ def test_document_for_dispatch():
     assert document_for(bell_model())["kind"] == "empirical-model"
     assert document_for(screening_knowledgebase())["kind"] == "knowledgebase"
     # A CSP is compiled at parse, so its payload is written back as a knowledgebase.
-    payload = roundtrip(csp_document(malawi_csp(), (frozenset({"MOZ", "MWI"}),))).payload
+    edges = malawi_constraints()
+    payload = roundtrip(csp_document(edges[0].universe, edges, (frozenset({"MOZ", "MWI"}),))).payload
     assert document_for(payload)["kind"] == "knowledgebase"
 
 

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from valkit.algebra import Knowledgebase
-from valkit.builtins import bell_model, malawi_csp
+from valkit.builtins import bell_model, malawi_constraints
 from valkit.contextuality import classify, probabilistic_model
 from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse
 from valkit.disagreement import (
@@ -74,15 +74,8 @@ def test_csp_knowledgebase_agrees_locally_on_random_binary_csps():
         if not edges:
             continue
         differ = [(a, b) for a in ("0", "1", "2") for b in ("0", "1", "2") if a != b]
-        from valkit.logic import Constraint
-
-        csp_universe = universe
-        constraints = tuple(
-            Constraint(edge, Relation.from_rows(csp_universe, edge, differ)) for edge in edges
-        )
-        from valkit.logic import CSPInstance
-
-        kb = csp_to_knowledgebase(CSPInstance(csp_universe, constraints), [frozenset(e) for e in edges])
+        constraints = [Relation.from_rows(universe, edge, differ) for edge in edges]
+        kb = csp_to_knowledgebase(universe, constraints, [frozenset(e) for e in edges])
         assert check_local_agreement(kb).agrees
 
 
@@ -118,11 +111,13 @@ def test_projection_to_empty_domain_counts_mass():
 
 
 def test_malawi_csp_equals_precompiled_knowledgebase():
+    # Over the borders as covers, every other border meets a cover in one
+    # country, whose colours its "differ" relation leaves free: the compiled
+    # knowledgebase is the border relations themselves.
     from valkit.builtins import malawi_knowledgebase
 
-    csp = malawi_csp()
-    covers = [c.scheme_set for c in csp.constraints]
-    assert csp_to_knowledgebase(csp, covers) == malawi_knowledgebase()
+    edges = malawi_constraints()
+    assert malawi_knowledgebase() == Knowledgebase(edges[0].universe, edges)
 
 
 def test_random_relation_kbs_fusion_handles_null_members():

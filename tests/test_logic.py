@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -7,15 +8,16 @@ from valkit.builtins import (
     MALAWI_COUNTRIES,
     MALAWI_EDGES,
     liar_knowledgebase,
-    malawi_csp,
+    malawi_constraints,
     malawi_knowledgebase,
 )
 from valkit.core import VariableUniverse
-from valkit.errors import ArgumentError
-from valkit.logic import Constraint, CSPInstance, csp_to_knowledgebase
-from valkit.relations import Relation, full_relation, project_relation
+from valkit.documents import canonical_json, parse_document_text
+from valkit.errors import ArgumentError, DomainError, UniverseMismatchError
+from valkit.logic import csp_to_knowledgebase
+from valkit.relations import Relation, empty_relation, full_relation, project_relation
 
-from conftest import enumerate_assignments
+from conftest import csp_document, enumerate_assignments
 
 
 def test_malawi_cover_relation_is_six_differing_pairs():
@@ -57,17 +59,17 @@ def test_malawi_constraint_graph_contains_a_k4():
 
 
 def test_cover_missing_constraints_gives_full_relation():
-    csp = malawi_csp()
+    edges = malawi_constraints()
+    universe = edges[0].universe
     # A single-variable cover meets every scheme in at most one variable.
-    kb = csp_to_knowledgebase(csp, [frozenset({"MOZ"})])
-    assert kb.valuations[0] == full_relation(csp.universe, frozenset({"MOZ"}))
+    kb = csp_to_knowledgebase(universe, edges, [frozenset({"MOZ"})])
+    assert kb.valuations[0] == full_relation(universe, frozenset({"MOZ"}))
 
 
 def test_unconstrained_cover_is_vacuously_full():
     universe = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1")), ("z", ("0", "1"))])
     allowed = Relation.from_rows(universe, ("x", "y"), [("0", "0")])
-    csp = CSPInstance(universe, (Constraint(("x", "y"), allowed),))
-    kb = csp_to_knowledgebase(csp, [frozenset({"z"})])
+    kb = csp_to_knowledgebase(universe, [allowed], [frozenset({"z"})])
     assert kb.valuations[0] == full_relation(universe, frozenset({"z"}))
 
 
@@ -77,9 +79,8 @@ def test_partial_overlap_satisfaction_rule():
     # against its allowed relation projected to the shared variables.
     universe = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1")), ("w", ("0", "1"))])
     allowed = Relation.from_rows(universe, ("x", "y"), [("0", "1")])
-    csp = CSPInstance(universe, (Constraint(("x", "y"), allowed),))
     full_overlap, partial, disjoint = csp_to_knowledgebase(
-        csp, [frozenset({"x", "y"}), frozenset({"x"}), frozenset({"w"})]
+        universe, [allowed], [frozenset({"x", "y"}), frozenset({"x"}), frozenset({"w"})]
     ).valuations
     # Full overlap: only (0, 1) passes.
     assert full_overlap == allowed
@@ -87,6 +88,90 @@ def test_partial_overlap_satisfaction_rule():
     assert partial.tuples == frozenset({("0",)})
     # No overlap: vacuous.
     assert disjoint == full_relation(universe, frozenset({"w"}))
+
+
+def test_a_constraint_that_allows_nothing_empties_every_cover():
+    # Projected onto the variables it shares with a cover, a constraint that
+    # allows nothing is empty even when it shares none: no evaluation passes.
+    universe = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1"))])
+    x_free = full_relation(universe, frozenset({"x"}))
+    for unsatisfiable in (empty_relation(universe, frozenset()), empty_relation(universe, frozenset({"y"}))):
+        kb = csp_to_knowledgebase(universe, [x_free, unsatisfiable], [frozenset({"x"}), frozenset()])
+        assert [phi.tuples for phi in kb] == [frozenset(), frozenset()]
+    # A nullary constraint that allows the empty evaluation filters nothing.
+    kb = csp_to_knowledgebase(universe, [x_free, full_relation(universe, frozenset())], [frozenset({"x"}), frozenset()])
+    assert list(kb) == [x_free, full_relation(universe, frozenset())]
+
+
+def test_a_constraint_from_another_universe_is_refused():
+    universe = VariableUniverse.of([("x", ("0", "1"))])
+    other = VariableUniverse.of([("y", ("0", "1"))])
+    with pytest.raises(UniverseMismatchError):
+        csp_to_knowledgebase(universe, [full_relation(other, frozenset({"y"}))], [frozenset({"x"})])
+
+
+@pytest.mark.parametrize("cell_limit", [None, 16])
+def test_a_cover_outside_the_universe_is_refused(cell_limit):
+    universe = VariableUniverse.of([("x", ("0", "1"))])
+    with pytest.raises(DomainError, match="not in universe"):
+        csp_to_knowledgebase(universe, [full_relation(universe, frozenset({"x"}))], [frozenset({"z"})], cell_limit)
+
+
+def _satisfies(s: dict, constraint: Relation) -> bool:
+    """Whether `s` restricted to the variables it shares with the constraint lies in the constraint's projection there."""
+    shared = sorted(s.keys() & constraint.domain)
+    scheme = sorted(constraint.domain)
+    projected = {tuple(dict(zip(scheme, row))[name] for name in shared) for row in constraint.tuples}
+    return tuple(s[name] for name in shared) in projected
+
+
+def _brute_force_cover(universe, constraints, cover) -> frozenset:
+    """phi_U = {s in Omega_U : for every constraint R over S, s on U & S lies in R projected onto U & S}."""
+    names = sorted(cover)
+    return frozenset(
+        values
+        for values in product(*(universe.frame(name).values for name in names))
+        if all(_satisfies(dict(zip(names, values)), c) for c in constraints)
+    )
+
+
+def _random_csp(rng: random.Random):
+    names = [f"v{i}" for i in range(rng.randint(1, 4))]
+    universe = VariableUniverse.of([(name, ("a", "b", "c")[: rng.randint(2, 3)]) for name in names])
+    constraints = []
+    for _ in range(rng.randint(1, 4)):
+        scheme = sorted(rng.sample(names, rng.randint(0, min(3, len(names)))))
+        keep = rng.choice((0.0, 0.5, 0.8, 1.0))
+        rows = [row for row in universe.rows(frozenset(scheme)) if rng.random() < keep]
+        constraints.append(Relation.from_rows(universe, scheme, rows))
+    return universe, constraints
+
+
+def test_compile_matches_brute_force_on_random_csps():
+    # Schemes of 0-3 variables, some allowing nothing; covers either the
+    # parser's default (the distinct schemes, in order) or drawn at random.
+    rng = random.Random(2511)
+    unmet_empty = 0
+    for draw in range(300):
+        universe, constraints = _random_csp(rng)
+        names = sorted(universe.vars)
+        if draw % 2:
+            covers = list(dict.fromkeys(c.domain for c in constraints))
+            doc = csp_document(universe, constraints, ())
+            del doc["covers"]
+        else:
+            covers = [
+                frozenset(rng.sample(names, rng.randint(0, min(3, len(names))))) for _ in range(rng.randint(1, 3))
+            ]
+            doc = csp_document(universe, constraints, covers)
+        expected = [_brute_force_cover(universe, constraints, cover) for cover in covers]
+        compiled = csp_to_knowledgebase(universe, constraints, covers)
+        parsed = parse_document_text(canonical_json(doc)).payload
+        for kb in (compiled, parsed):
+            assert [phi.domain for phi in kb] == covers, draw
+            assert [phi.tuples for phi in kb] == expected, draw
+        unmet_empty += any(not c.tuples and not (c.domain & cover) for c in constraints for cover in covers)
+    assert unmet_empty > 20  # the draws reach the rule for a constraint that allows nothing
 
 
 def test_liar_cycle_three_compiles_to_expected_relations():

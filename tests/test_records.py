@@ -30,7 +30,6 @@ from valkit.documents import ParsedInput
 from valkit.errors import ArgumentError, DomainError
 from valkit.feasibility import FarkasCertificate, FeasibilityResult, LinearSystem
 from valkit.inference import InferenceProblem, JoinTree
-from valkit.logic import Constraint, CSPInstance
 from valkit.potentials import Potential
 from valkit.relations import Relation
 
@@ -46,8 +45,6 @@ P = Potential.from_table(
     {Assignment.of({"x": "0"}): Fraction(1, 4), Assignment.of({"x": "1"}): Fraction(3, 4)},
 )
 KB = Knowledgebase(U, (R,))
-CONSTRAINT = Constraint(("x",), R)
-CSP = CSPInstance(U, (CONSTRAINT,))
 SYSTEM = LinearSystem(("c",), ("r",), {("r", "c"): Fraction(1)}, {"r": Fraction(1)})
 CERTIFICATE = FarkasCertificate((("r", Fraction(-1)),))
 SCENARIO = MeasurementScenario(U, (("x",),))
@@ -83,13 +80,6 @@ RECORDS = {
         ("axiom", "passed", "cases", "counterexample"),
         AxiomCheck("idempotency", True, 5),
         "AxiomCheck(axiom='idempotency', passed=True, cases=5, counterexample=None)",
-    ),
-    Constraint: (("scheme", "allowed"), CONSTRAINT, "Constraint(scheme=('x',), allowed=Relation[x]{(x=1)})"),
-    CSPInstance: (
-        ("universe", "constraints"),
-        CSP,
-        "CSPInstance(universe=VariableUniverse(entries=(('x', Frame(values=('0', '1'))),)), "
-        "constraints=(Constraint(scheme=('x',), allowed=Relation[x]{(x=1)}),))",
     ),
     InferenceProblem: (
         ("knowledgebase", "query"),
@@ -313,10 +303,6 @@ def test_post_init_checks_still_fire():
         Potential(U, dom("x"), NONNEG_RATIONAL, {("0",): Fraction(1)})
     with pytest.raises(ArgumentError, match="at least one valuation"):
         Knowledgebase(U, ())
-    with pytest.raises(DomainError, match="does not match scheme"):
-        Constraint(("x",), UNIT)
-    with pytest.raises(DomainError):
-        CSPInstance(VariableUniverse.of([("y", ("0", "1"))]), (CONSTRAINT,))
     with pytest.raises(DomainError, match="outside the joint domain"):
         InferenceProblem(Knowledgebase(U, (UNIT,)), dom("x"))
     with pytest.raises(ArgumentError, match="undeclared row"):
