@@ -4,7 +4,7 @@ Subcommands: analyze (agreement / contextuality reports), infer (project a
 knowledgebase combination onto a query), list-builtins, and verify (re-check
 an emitted report against its input). Exit codes: 0 for a completed analysis
 regardless of verdict, 2 for unusable input or a usage error, 3 for
-capability or resource errors.
+capability or resource errors, and for running out of memory.
 
 `parse_argv` reads the argument vector against the `COMMANDS` table, with
 argparse's grammar: options go before or after the positionals, a value
@@ -14,6 +14,7 @@ ends the options, and a value may look like a negative number (`-5`).
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
 import time
@@ -67,16 +68,15 @@ def _load_input(source: str, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> tup
 def _sha256():
     """CPython's built-in SHA-256 constructor, which loads without OpenSSL; `hashlib`'s where there is none.
 
-    The module is `_sha256` up to Python 3.11 and `_sha2` from 3.12.
+    The module is `_sha256` up to Python 3.11 and `_sha2` from 3.12. Only that
+    one is tried: a failed import searches every `sys.path` entry.
     """
-    for module in ("_sha2", "_sha256"):
-        try:
-            return __import__(module).sha256
-        except ImportError:
-            pass
-    import hashlib
+    try:
+        return __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        import hashlib
 
-    return hashlib.sha256
+        return hashlib.sha256
 
 
 def _digest(parsed: ParsedInput, raw: bytes | None) -> str:
@@ -424,10 +424,28 @@ def main(argv: list[str] | None = None) -> int:
     except (CapabilityError, ResourceLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_RESOURCE
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     except ValkitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 
 
+def run() -> NoReturn:
+    """The `vk` process: `main` on `sys.argv`, then exit with its status.
+
+    The heap is frozen on the way out, also when a usage error or `-h` exits,
+    so the interpreter's collections at shutdown neither traverse nor free the
+    objects the command left behind. Atexit hooks and the final flush of
+    stdout and stderr still run. `main` freezes nothing, so a caller that runs
+    it in process keeps a collectable heap.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

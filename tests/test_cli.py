@@ -1,4 +1,6 @@
 import argparse
+import builtins
+import gc
 import hashlib
 import io
 import json
@@ -28,6 +30,8 @@ from conftest import (
     noisy_cycle_correlators,
     split_components_document,
 )
+
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def run_cli(*args):
@@ -1309,24 +1313,30 @@ def test_importing_the_cli_adds_no_dataclasses_or_inspect():
     assert sorted(added.intersection(STARTUP_FORBIDDEN)) == []
 
 
-def modules_at_exit(*args: str, plant: str = "") -> set[str]:
-    """The names in `sys.modules` when a `python -m valkit ARGS` child exits.
+def at_exit(*args: str, report: str, plant: str = "") -> tuple[int, list[str]]:
+    """A `python -m valkit ARGS` child's exit status and the words `report` gives when it exits.
 
     The child runs valkit as `-m` does, through `runpy`, after `plant` (code
-    that may import more), and prints its modules from an `atexit` hook as
-    the last line of stdout.
+    that may import more). An `atexit` hook prints `report`, an expression
+    that may name `gc` and `sys`, as the last line of stdout.
     """
     code = (
-        "import atexit, runpy, sys\n"
+        "import atexit, gc, runpy, sys\n"
         f"{plant}\n"
-        "atexit.register(lambda: print('\\nmodules:', *sys.modules))\n"
+        f"atexit.register(lambda: print('\\nat exit:', {report}))\n"
         "runpy.run_module('valkit', run_name='__main__', alter_sys=True)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=child_env())
-    assert proc.returncode == 0, proc.stderr
     last = proc.stdout.splitlines()[-1].split()
-    assert last[0] == "modules:", proc.stdout
-    return set(last[1:])
+    assert last[:2] == ["at", "exit:"], proc.stdout + proc.stderr
+    return proc.returncode, last[2:]
+
+
+def modules_at_exit(*args: str, plant: str = "") -> set[str]:
+    """The names in `sys.modules` when a `python -m valkit ARGS` child exits with status 0."""
+    code, modules = at_exit(*args, report="*sys.modules", plant=plant)
+    assert code == 0, modules
+    return set(modules)
 
 
 def test_no_command_loads_argparse_or_hashlib(tmp_path):
@@ -1347,6 +1357,55 @@ def test_no_command_loads_argparse_or_hashlib(tmp_path):
 def test_the_module_check_sees_a_planted_import():
     loaded = modules_at_exit("list-builtins", plant="import argparse, hashlib")
     assert sorted(loaded.intersection(ARGV_AND_DIGEST_FORBIDDEN)) == sorted(ARGV_AND_DIGEST_FORBIDDEN)
+
+
+@pytest.mark.parametrize(
+    "args, status", [(("analyze", "builtin:bell", "--json"), 0), (("analyze",), 2), (("--help",), 0)]
+)
+def test_a_vk_process_exits_with_its_heap_frozen(args, status):
+    code, words = at_exit(*args, report="gc.get_freeze_count()")
+    assert code == status
+    assert int(words[0]) > 0
+
+
+def test_main_in_process_freezes_nothing():
+    before = gc.get_freeze_count()
+    code, out, err = run_cli("analyze", "builtin:bell", "--json")
+    assert code == 0, err
+    with pytest.raises(SystemExit), redirect_stderr(io.StringIO()):
+        main(["analyze"])
+    assert gc.get_freeze_count() == before
+
+
+def test_the_vk_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(PYPROJECT, "rb") as handle:
+        assert tomllib.load(handle)["project"]["scripts"]["vk"] == "valkit.cli:run"
+
+
+def test_running_out_of_memory_exits_3(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("valkit.cli.build_report", exhausted)
+    assert run_cli("analyze", "builtin:bell", "--json") == (3, "", "error: out of memory\n")
+
+
+def test_the_digest_tries_one_hash_module(monkeypatch):
+    from valkit.cli import _sha256
+
+    tried = []
+    real_import = builtins.__import__
+
+    def recording(name, *args, **kwargs):
+        tried.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", recording)
+    _sha256()
+    monkeypatch.undo()
+    expected = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    assert [name for name in tried if name in ("_sha2", "_sha256")] == [expected]
 
 
 def test_digest_is_hashlib_sha256(tmp_path):

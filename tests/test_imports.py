@@ -47,6 +47,9 @@ arguments from one table, and takes a digest with CPython's built-in SHA-256,
 falling back to `hashlib` only in `cli._sha256`. Each would otherwise load on
 every command's start-up.
 
+Only `cli.py` imports `gc`, and only `cli.run`, the `vk` process entry, calls
+`gc.freeze`: the library never freezes a caller's heap.
+
 No valkit module imports `lru_cache` or `cache` from `functools`: a
 process-wide memo outlives the analysis that filled it and keeps every key of a
 wide input alive, while one command derives each analysis once.
@@ -448,6 +451,54 @@ def test_the_argparse_and_hashlib_check_sees_an_import():
         "cli.py:1: imports argparse",
         "cli.py:2: imports hashlib",
     ]
+
+
+# `gc.freeze` moves every live object out of the collector's reach for the
+# rest of the process: only the `vk` process entry, `cli.run`, may call it,
+# after `main` returns, so the library never freezes a caller's heap.
+def _heap_freezes(tree: ast.Module, module: str) -> list[str]:
+    if module == "cli.py":
+        tree = ast.Module(
+            [node for node in tree.body if not (isinstance(node, ast.FunctionDef) and node.name == "run")], []
+        )
+        found = []
+    else:
+        found = _imports(tree, module, ("gc",))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "freeze" and getattr(node.value, "id", None) == "gc":
+            found.append(f"{module}:{node.lineno}: names gc.freeze")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            found += [f"{module}:{node.lineno}: imports freeze" for a in node.names if a.name == "freeze"]
+    return found
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(_heap_freezes(tree, path.name))
+    assert not offences, "gc imported or frozen outside cli.run:\n" + "\n".join(offences)
+
+
+def test_the_heap_freeze_check_sees_a_freeze():
+    source = (
+        "import gc\n"
+        "from gc import freeze\n"
+        "def main(argv):\n"
+        "    gc.freeze()\n"
+        "def run():\n"
+        "    gc.freeze()\n"
+    )
+    assert _heap_freezes(ast.parse(source), "reports.py") == [
+        "reports.py:1: imports gc",
+        "reports.py:2: imports gc",
+        "reports.py:2: imports freeze",
+        "reports.py:4: names gc.freeze",
+        "reports.py:6: names gc.freeze",
+    ]
+    assert _heap_freezes(ast.parse(source), "cli.py") == ["cli.py:2: imports freeze", "cli.py:4: names gc.freeze"]
+    assert _heap_freezes(ast.parse("import gc\ndef run():\n    gc.freeze()\n"), "cli.py") == []
+    assert _heap_freezes(ast.parse("x = cache.freeze()\n"), "reports.py") == []
 
 
 MEMOS = ("lru_cache", "cache")
