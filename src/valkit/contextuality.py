@@ -35,23 +35,25 @@ class MeasurementScenario(Record):
     def __post_init__(self):
         if not self.contexts:
             raise ArgumentError("a scenario needs at least one context")
-        seen = set()
-        for ctx in self.contexts:
+        holders: dict[str, list[int]] = {}  # the contexts of each measurement, in cover order
+        for j, ctx in enumerate(self.contexts):
             if not ctx:
                 raise ArgumentError("contexts must be nonempty")
             if len(set(ctx)) != len(ctx):
                 raise ArgumentError(f"context {ctx!r} repeats a measurement")
             self.universe.check_domain(frozenset(ctx))
-            seen.update(ctx)
-        if seen != set(self.universe.names):
-            missing = sorted(set(self.universe.names) - seen)
+            for name in ctx:
+                holders.setdefault(name, []).append(j)
+        if holders.keys() != set(self.universe.names):
+            missing = sorted(set(self.universe.names) - holders.keys())
             raise ArgumentError(f"measurements outside every context: {missing}")
         sets = [frozenset(c) for c in self.contexts]
-        for i in range(len(sets)):
-            for j in range(len(sets)):
+        for i, ctx in enumerate(self.contexts):
+            rarest = min(ctx, key=lambda name: len(holders[name]))
+            for j in holders[rarest]:  # every superset of context i holds each of its measurements
                 if i != j and sets[i] <= sets[j]:
                     raise ArgumentError(
-                        f"cover must be an antichain; context {self.contexts[i]!r} "
+                        f"cover must be an antichain; context {ctx!r} "
                         f"is contained in {self.contexts[j]!r}"
                     )
 

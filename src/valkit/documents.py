@@ -87,11 +87,13 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def load_json(text: str, what: str = "JSON") -> object:
-    """Parse JSON text, refusing an object that repeats a key (json.loads would keep the last) or nests too deep."""
+    """Parse JSON text, refusing a repeated key (json.loads would keep the last), deep nesting or an over-long integer."""
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid {what}: {err.msg}", line=err.lineno, column=err.colno) from None
+    except ValueError:  # the only other ValueError json.loads raises is int()'s digit limit
+        raise ParseError(f"invalid {what}: an integer literal has too many digits") from None
     except RecursionError:
         raise ParseError(f"invalid {what}: nested too deeply") from None
 
@@ -167,6 +169,14 @@ def _parse_name_list(raw, universe: VariableUniverse, where: str) -> tuple[str, 
     for name in names:
         if name not in universe.vars:
             raise ParseError(f"{where}: {name!r} is not declared in the universe")
+    return names
+
+
+def _parse_variables(raw, universe: VariableUniverse, where: str) -> tuple[str, ...]:
+    """A name list that gives a table's variables: each declared, none repeated."""
+    names = _parse_name_list(raw, universe, where)
+    if len(set(names)) != len(names):
+        raise ParseError(f"{where}: repeated variable")
     return names
 
 
@@ -302,9 +312,7 @@ def _parse_knowledgebase(doc: dict, cell_limit: int | None) -> Knowledgebase:
         where = f"valuations[{k}]"
         item = _expect_mapping(item, where)
         _expect_keys(item, ("domain",), ("tuples", "values"), where)
-        domain_names = _parse_name_list(item["domain"], universe, f"{where}.domain")
-        if len(set(domain_names)) != len(domain_names):
-            raise ParseError(f"{where}.domain: repeated variable")
+        domain_names = _parse_variables(item["domain"], universe, f"{where}.domain")
         has_tuples = "tuples" in item
         has_values = "values" in item
         if has_tuples == has_values:
@@ -334,13 +342,11 @@ def _parse_csp(doc: dict, cell_limit: int | None) -> Knowledgebase:
         where = f"constraints[{k}]"
         item = _expect_mapping(item, where)
         _expect_keys(item, ("scheme", "allowed"), (), where)
-        scheme = _parse_name_list(item["scheme"], universe, f"{where}.scheme")
-        if len(set(scheme)) != len(scheme):
-            raise ParseError(f"{where}.scheme: repeated variable")
+        scheme = _parse_variables(item["scheme"], universe, f"{where}.scheme")
         constraints.append(_parse_relation(item, "allowed", scheme, universe, where))
     if "covers" in doc:
         covers = [
-            frozenset(_parse_name_list(cover, universe, f"covers[{k}]"))
+            frozenset(_parse_variables(cover, universe, f"covers[{k}]"))
             for k, cover in enumerate(_expect_list(doc["covers"], "covers"))
         ]
     else:

@@ -13,9 +13,9 @@ uses it, and so does the tests' complete-disagreement reference. The naive
 one combines everything and projects at the end; it is the reference that
 fusion must equal exactly, which the test suite checks by oracle
 equivalence.
-Elimination orders come from the caller or from the min-degree / min-fill
-heuristics with variable-name tie-breaking, so runs are reproducible;
-fusion defaults to min-fill, and `calibrate` orders by min-degree.
+Elimination orders come from the caller or from the min-fill heuristic
+with variable-name tie-breaking, so runs are reproducible; fusion and
+`calibrate` eliminate in the same order (Dechter 1999).
 
 For an idempotent algebra, `calibrate` answers at once every query that fits
 inside one of the bucket tree's cliques: one collect pass and one distribute
@@ -41,7 +41,6 @@ from .relations import Relation, restriction
 
 DEFAULT_CELL_LIMIT = 10_000_000
 TUPLE_CAP = 4096  # the most tuples of Gamma that a verdict lists and a report writes
-HEURISTICS = ("min-degree", "min-fill")
 
 
 def resolve_cell_limit(flag: str | None = None) -> int:
@@ -198,10 +197,9 @@ def drop_barren(kb: Knowledgebase, query: Domain) -> Knowledgebase:
 def solve_fusion(
     problem: InferenceProblem,
     order: Sequence[str] | None = None,
-    heuristic: str = "min-fill",
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ):
-    """Bucket-style variable elimination in min-fill order by default; equals solve_naive exactly.
+    """Bucket-style variable elimination in `order`, else in min-fill order; equals solve_naive exactly.
 
     Barren members are dropped first (`drop_barren`), so the order, given or
     chosen, runs over the variables that are left. Each bucket but the root
@@ -219,7 +217,7 @@ def solve_fusion(
             )
     kb = drop_barren(problem.knowledgebase, problem.query)
     if order is None:
-        order = heuristic_order(kb, problem.query, heuristic)
+        order = heuristic_order(kb, problem.query)
     else:
         kept = kb.joint_domain
         order = tuple(v for v in order if v in kept)
@@ -326,12 +324,13 @@ class JoinTree(Record):
 def calibrate(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> JoinTree:
     """One collect and one distribute pass over the bucket tree of `heuristic_order(kb, ∅)`.
 
-    The collect pass is solve_fusion's elimination with an empty query, so an
-    empty-domain member or a message with an empty separator meets the rest
-    at the root and a disconnected cover is still one tree. Distribute
-    combines each bucket with its parent's clique projected onto the
-    separator. With an idempotent algebra that is a semijoin, never larger
-    than the bucket's own table, so it needs no guard.
+    The collect pass is solve_fusion's elimination, ordered by the same
+    min-fill heuristic, with an empty query, so an empty-domain member or a
+    message with an empty separator meets the rest at the root and a
+    disconnected cover is still one tree. Distribute combines each bucket
+    with its parent's clique projected onto the separator. With an
+    idempotent algebra that is a semijoin, never larger than the bucket's
+    own table, so it needs no guard.
     """
     algebra = kb.algebra()
     if not algebra.idempotent:
@@ -344,18 +343,15 @@ def calibrate(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
     return JoinTree(kb, order, tuple(cliques), tuple(parents), tuple(homes))
 
 
-def heuristic_order(kb: Knowledgebase, query: Domain, kind: str = "min-degree") -> tuple[str, ...]:
-    """Deterministic elimination order for the non-query variables.
+def heuristic_order(kb: Knowledgebase, query: Domain) -> tuple[str, ...]:
+    """Deterministic min-fill elimination order for the non-query variables.
 
-    min-degree picks the variable with the fewest neighbours in the current
-    interaction graph; min-fill picks the one whose elimination adds the
-    fewest fill edges. Ties break on variable name. The picks come from one
-    heap of (score, name): an elimination re-scores only the variables it can
-    change (the neighbours, and for min-fill their neighbours too), and a
+    Each pick is the variable whose elimination adds the fewest fill edges to
+    the current interaction graph; ties break on variable name. The picks
+    come from one heap of (score, name): an elimination re-scores only the
+    variables it can change, the neighbours and their neighbours, and a
     popped entry whose score is stale is skipped.
     """
-    if kind not in HEURISTICS:
-        raise ArgumentError(f"unknown heuristic {kind!r}; choose one of {HEURISTICS}")
     algebra = kb.algebra()
     neighbours: dict[str, set[str]] = {}
     for phi in kb:
@@ -366,8 +362,6 @@ def heuristic_order(kb: Knowledgebase, query: Domain, kind: str = "min-degree") 
         neighbours.setdefault(v, set())
 
     def score(v: str) -> int:
-        if kind == "min-degree":
-            return len(neighbours[v])
         nbrs = sorted(neighbours[v])
         return sum(1 for i, a in enumerate(nbrs) for b in nbrs[i + 1 :] if b not in neighbours[a])
 
@@ -386,9 +380,8 @@ def heuristic_order(kb: Knowledgebase, query: Domain, kind: str = "min-degree") 
             neighbours[a].discard(chosen)
             neighbours[a].update(nbrs - {a})
         changed = set(nbrs)
-        if kind == "min-fill":
-            for a in nbrs:
-                changed |= neighbours[a]
+        for a in nbrs:
+            changed |= neighbours[a]
         for v in changed & scores.keys():
             new = score(v)
             if new != scores[v]:

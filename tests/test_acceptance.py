@@ -265,10 +265,9 @@ def test_criterion_7_inference_oracle_equivalence():
             query = frozenset(rng.sample(names, rng.randint(0, len(names))))
             problem = InferenceProblem(kb, query)
             expected = solve_naive(problem)
-            assert solve_fusion(problem, heuristic="min-degree") == expected
-            assert solve_fusion(problem, heuristic="min-fill") == expected
+            assert solve_fusion(problem) == expected
             elim = sorted(kb.joint_domain - query)
-            for _ in range(3):
+            for _ in range(4):
                 rng.shuffle(elim)
                 assert solve_fusion(problem, order=tuple(elim)) == expected
 

@@ -529,6 +529,26 @@ def test_duplicate_json_keys_exit_2(tmp_path):
     assert "duplicate key 'kind'" in err
 
 
+def test_an_integer_past_the_digit_limit_exits_2(tmp_path):
+    # int() refuses a literal of more than 4300 digits; that is a malformed
+    # document or report, not a crash.
+    huge = "7" * 5000
+    doc = tmp_path / "huge.json"
+    doc.write_text(
+        '{"kind": "knowledgebase", "universe": [{"name": "x", "frame": ["0", "1"]}],'
+        f' "valuations": [{{"domain": ["x"], "values": {{"0": {huge}, "1": 1}}}}]}}',
+        encoding="utf-8",
+    )
+    code, _, err = run_cli("analyze", str(doc), "--json")
+    assert (code, err) == (2, "error: invalid JSON: an integer literal has too many digits\n")
+    code, out, _ = run_cli("analyze", "builtin:screening", "--json")
+    assert code == 0
+    report = tmp_path / "report.json"
+    report.write_text(out.replace('"report":', f'"huge": {huge},\n  "report":', 1), encoding="utf-8")
+    code, _, err = run_cli("verify", str(report), "builtin:screening")
+    assert (code, err) == (2, "error: invalid report JSON: an integer literal has too many digits\n")
+
+
 @pytest.mark.parametrize("name", ["screening", "malawi", "hardy"])
 def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
     # verify re-derives the analysis and reads the witness checks off it, so it

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -286,6 +287,44 @@ def test_scenario_validation():
         MeasurementScenario(universe, (("a",),))  # b outside every context
     with pytest.raises(ArgumentError):
         MeasurementScenario(universe, (("a", "a"), ("b",)))  # repeated measurement
+
+
+def test_the_antichain_check_names_the_first_nested_pair():
+    # The check compares each context only with the contexts that hold its
+    # first measurement; the scan over every ordered pair names the same pair.
+    rng = random.Random(1234)
+    names = ["a", "b", "c", "d"]
+    universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
+    refused = 0
+    for _ in range(400):
+        contexts = [tuple(rng.sample(names, rng.randint(1, 3))) for _ in range(rng.randint(1, 5))]
+        contexts.append(tuple(name for name in names if all(name not in ctx for ctx in contexts)) or contexts[0])
+        sets = [frozenset(ctx) for ctx in contexts]
+        nested = [(i, j) for i in range(len(sets)) for j in range(len(sets)) if i != j and sets[i] <= sets[j]]
+        if not nested:
+            MeasurementScenario(universe, tuple(contexts))
+            continue
+        refused += 1
+        i, j = nested[0]
+        with pytest.raises(ArgumentError) as err:
+            MeasurementScenario(universe, tuple(contexts))
+        assert str(err.value) == (
+            f"cover must be an antichain; context {contexts[i]!r} is contained in {contexts[j]!r}"
+        )
+    assert 50 < refused < 400, refused
+
+
+def test_20000_context_cycles_and_stars_are_checked_in_linear_time():
+    # A star's hub is in every context, so each context is compared only
+    # with those that hold its own leaf.
+    names = [f"m{i:05d}" for i in range(20_000)]
+    universe = VariableUniverse.of([(name, ("0", "1")) for name in names])
+    cycle = tuple((names[i], names[(i + 1) % len(names)]) for i in range(len(names)))
+    star = tuple((names[0], name) for name in names[1:])
+    for contexts in (cycle, star):
+        start = time.perf_counter()
+        MeasurementScenario(universe, contexts)
+        assert time.perf_counter() - start < 2.0
 
 
 def test_model_validation():

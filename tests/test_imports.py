@@ -217,6 +217,7 @@ REFERENCE_ONLY = {
     "solve_naive": "inference.py",
     "combination_verdict": "disagreement.py",
     "check_complete_disagreement": "disagreement.py",
+    "search_truth_valuations": "disagreement.py",
 }
 
 
@@ -249,6 +250,8 @@ def test_the_reference_check_sees_calls():
         "contextuality.py:2: calls check_complete_disagreement"
     ]
     assert _reference_calls(ast.parse(complete), "disagreement.py") == []
+    search = "from .disagreement import search_truth_valuations\nfound = search_truth_valuations(kb)\n"
+    assert _reference_calls(ast.parse(search), "reports.py") == ["reports.py:2: calls search_truth_valuations"]
 
 
 CALIBRATING_MODULES = ("inference.py", "disagreement.py")

@@ -11,7 +11,6 @@ from valkit.core import NONNEG_RATIONAL, Assignment, VariableUniverse
 from valkit.documents import canonical_json, parse_document_text
 from valkit.errors import ArgumentError, DomainError, ResourceLimitError
 from valkit.inference import (
-    HEURISTICS,
     InferenceProblem,
     drop_barren,
     heuristic_order,
@@ -66,8 +65,7 @@ def test_malawi_fusion_equals_naive_all_heuristics():
     problem = InferenceProblem(kb, query)
     naive = solve_naive(problem)
     assert naive.is_empty()  # no 3-colouring exists
-    for heuristic in ("min-degree", "min-fill"):
-        assert solve_fusion(problem, heuristic=heuristic) == naive
+    assert solve_fusion(problem) == naive
     for order in permutations(sorted(kb.joint_domain - query)):
         assert solve_fusion(problem, order=order) == naive
 
@@ -98,13 +96,7 @@ def test_invalid_order_rejected():
         solve_fusion(problem, order=("a", "a", "f"))  # duplicate
 
 
-def test_unknown_heuristic_rejected():
-    kb = screening_knowledgebase()
-    with pytest.raises(ArgumentError):
-        heuristic_order(kb, frozenset({"e"}), kind="best-ever")
-
-
-def test_min_degree_on_chain_eliminates_endpoints_first():
+def test_min_fill_on_chain_eliminates_endpoints_first():
     universe = VariableUniverse.of([(n, ("0", "1")) for n in ("w", "x", "y", "z")])
     pairs = [("0", "0"), ("1", "1")]
     kb = Knowledgebase(
@@ -115,9 +107,10 @@ def test_min_degree_on_chain_eliminates_endpoints_first():
             Relation.from_rows(universe, ("y", "z"), pairs),
         ),
     )
-    order = heuristic_order(kb, frozenset(), kind="min-degree")
-    # Hand-check: w and z are the endpoints (degree 1), name tie-break picks w;
-    # each elimination exposes the next endpoint, consuming the chain in order.
+    order = heuristic_order(kb, frozenset())
+    # Hand-check: the endpoints w and z add no fill edge and x and y one each;
+    # the name tie-break picks w, and each elimination exposes the next
+    # endpoint, consuming the chain in order.
     assert order == ("w", "x", "y", "z")
 
 
@@ -128,8 +121,8 @@ def test_single_valuation_heuristic_covers_non_query_vars():
     assert set(order) == {"f"}
 
 
-def scan_order(kb, query, kind):
-    """The oracle for heuristic_order's heap: rescan every candidate's score at each step."""
+def scan_order(kb, query):
+    """The oracle for heuristic_order's heap: rescan every candidate's min-fill score at each step."""
     neighbours: dict[str, set[str]] = {}
     for phi in kb:
         for v in phi.domain:
@@ -139,19 +132,16 @@ def scan_order(kb, query, kind):
     candidates = set(neighbours) - query
     order = []
     while candidates:
-        if kind == "min-degree":
-            scored = [(len(neighbours[v]), v) for v in candidates]
-        else:
-            scored = []
-            for v in candidates:
-                nbrs = sorted(neighbours[v])
-                fill = sum(
-                    1
-                    for i in range(len(nbrs))
-                    for j in range(i + 1, len(nbrs))
-                    if nbrs[j] not in neighbours[nbrs[i]]
-                )
-                scored.append((fill, v))
+        scored = []
+        for v in candidates:
+            nbrs = sorted(neighbours[v])
+            fill = sum(
+                1
+                for i in range(len(nbrs))
+                for j in range(i + 1, len(nbrs))
+                if nbrs[j] not in neighbours[nbrs[i]]
+            )
+            scored.append((fill, v))
         _, chosen = min(scored)
         order.append(chosen)
         nbrs = neighbours.pop(chosen)
@@ -187,9 +177,8 @@ def test_heuristic_order_matches_the_rescanning_oracle():
     for kb in kbs:
         names = sorted(kb.joint_domain)
         queries = (frozenset(), frozenset(rng.sample(names, rng.randint(0, len(names)))))
-        for kind in HEURISTICS:
-            for query in queries:
-                assert heuristic_order(kb, query, kind) == scan_order(kb, query, kind), (kind, sorted(query), kb)
+        for query in queries:
+            assert heuristic_order(kb, query) == scan_order(kb, query), (sorted(query), kb)
 
 
 def elimination_width(edges: dict[str, set[str]], order) -> int:
@@ -214,9 +203,7 @@ def test_malawi_heuristic_order_meets_treewidth_bound():
     # Exhaustive treewidth computation over all 120 elimination orders.
     best = min(elimination_width(edges, order) for order in permutations(sorted(edges)))
     assert best == 4  # treewidth 3, so max clique size 4
-    for kind in ("min-degree", "min-fill"):
-        order = heuristic_order(kb, frozenset(), kind=kind)
-        assert elimination_width(edges, order) <= best
+    assert elimination_width(edges, heuristic_order(kb, frozenset())) <= best
 
 
 def test_fusion_matches_naive_on_random_kbs_small():
@@ -235,11 +222,10 @@ def test_fusion_matches_naive_on_random_kbs_small():
         naive = solve_naive(problem)
         if isinstance(naive, Potential):
             assert_canonical(naive)
-        for heuristic in HEURISTICS:
-            fused = solve_fusion(problem, heuristic=heuristic)
-            assert fused == naive
-            if isinstance(naive, Potential):
-                assert (fused.table.den, fused.table.nums) == (naive.table.den, naive.table.nums)
+        fused = solve_fusion(problem)
+        assert fused == naive
+        if isinstance(naive, Potential):
+            assert (fused.table.den, fused.table.nums) == (naive.table.den, naive.table.nums)
         elim = sorted(joint - query)
         rng.shuffle(elim)
         assert solve_fusion(problem, order=tuple(elim)) == naive
@@ -309,7 +295,7 @@ def test_fusion_on_a_rational_grid_sends_fused_messages_and_walks_no_frame(monke
 
     for kb, query in kbs:
         problem = InferenceProblem(kb, frozenset(query))
-        expected = solve_fusion(problem, order=heuristic_order(kb, problem.query, "min-fill"))
+        expected = solve_fusion(problem, order=heuristic_order(kb, problem.query))
         combined, fused, projected = [], [], []
 
         def combine(phi, psi):
@@ -328,10 +314,8 @@ def test_fusion_on_a_rational_grid_sends_fused_messages_and_walks_no_frame(monke
         monkeypatch.setattr(algebra, "combine_potentials", combine)
         monkeypatch.setattr(algebra.PotentialAlgebra, "combine_project", combine_project)
         monkeypatch.setattr(algebra, "project_potential", project)
-        for heuristic in HEURISTICS:
-            fused.clear()
-            assert solve_fusion(problem, heuristic=heuristic) == expected
-            assert fused and not any(projected), heuristic
+        assert solve_fusion(problem) == expected
+        assert fused and not any(projected)
         monkeypatch.undo()
 
 
@@ -428,8 +412,7 @@ def test_fusion_equals_naive_on_random_knowledgebases_with_barren_members():
         query = frozenset(rng.sample(names, rng.randint(0, min(2, len(names)))))
         problem = InferenceProblem(kb, query)
         naive = solve_naive(problem)
-        for heuristic in HEURISTICS:
-            assert solve_fusion(problem, heuristic=heuristic) == naive, (kb, sorted(query))
+        assert solve_fusion(problem) == naive, (kb, sorted(query))
         order = sorted(kb.joint_domain - query)
         rng.shuffle(order)
         assert solve_fusion(problem, order=order) == naive

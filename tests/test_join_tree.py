@@ -370,7 +370,14 @@ def test_an_empty_component_empties_every_clique():
 
 
 # Proper 3-colourings of the grid, from a row-to-row transfer matrix.
-GRID_COLOURINGS = {(3, 3): 246, (4, 4): 7812, (4, 5): 54450, (5, 5): 580986, (6, 6): 101596896}
+GRID_COLOURINGS = {
+    (3, 3): 246,
+    (4, 4): 7812,
+    (4, 5): 54450,
+    (5, 5): 580986,
+    (6, 6): 101596896,
+    (8, 8): 40724629633188,
+}
 
 
 def test_the_grid_colourings_agree_with_the_bench_oracle():
