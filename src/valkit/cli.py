@@ -4,7 +4,8 @@ Subcommands: analyze (agreement / contextuality reports), infer (project a
 knowledgebase combination onto a query), list-builtins, and verify (re-check
 an emitted report against its input). Exit codes: 0 for a completed analysis
 regardless of verdict, 2 for unusable input or a usage error, 3 for
-capability or resource errors, and for running out of memory.
+capability or resource errors, for running out of memory, and for a result
+holding a number too long to write.
 
 `parse_argv` reads the argument vector against the `COMMANDS` table, with
 argparse's grammar: options go before or after the positionals, a value
@@ -24,6 +25,7 @@ from .builtins import BUILTINS, builtin
 from .contextuality import EmpiricalModel
 from .core import Record
 from .documents import (
+    TOO_LONG,
     ParsedInput,
     canonical_json,
     document_for,
@@ -123,6 +125,25 @@ def _human_analysis(doc: dict) -> list[str]:
     return lines
 
 
+def _write(render: Callable[[], str]) -> int:
+    """Write the text that `render` builds, once it is whole.
+
+    An int past the interpreter's limit on digits cannot become text (str()
+    raises ValueError, the only ValueError rendering can raise), so such a
+    result is refused with nothing written.
+    """
+    try:
+        text = render()
+    except ValueError:
+        raise ResourceLimitError(TOO_LONG) from None
+    sys.stdout.write(text)
+    return EXIT_OK
+
+
+def _lines(lines: list[str]) -> str:
+    return "".join(f"{line}\n" for line in lines)
+
+
 def cmd_analyze(source: str, json: bool, limit: str | None) -> int:
     cell_limit = resolve_cell_limit(limit)
     parsed, raw = _load_input(source, cell_limit)
@@ -131,19 +152,25 @@ def cmd_analyze(source: str, json: bool, limit: str | None) -> int:
     report = build_report(source, digest, parsed, cell_limit=cell_limit)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     if json:
-        sys.stdout.write(canonical_json(report))
-    else:
-        print(f"source: {source}")
-        print(f"kind: {parsed.kind}")
-        for line in _human_analysis(report):
-            print(line)
-        print(f"time: {elapsed_ms:.1f} ms")
-    return EXIT_OK
+        return _write(lambda: canonical_json(report))
+    return _write(
+        lambda: _lines([f"source: {source}", f"kind: {parsed.kind}", *_human_analysis(report), f"time: {elapsed_ms:.1f} ms"])
+    )
 
 
 def _names(text: str) -> tuple[str, ...]:
     """The names of a comma-separated flag value, stripped, with empty entries dropped."""
     return tuple(name for name in map(str.strip, text.split(",")) if name)
+
+
+def _human_inference(names: list[str], body: dict) -> list[str]:
+    lines = [f"query: {','.join(names)}"]
+    if "tuples" in body:
+        lines.append(f"tuples: {len(body['tuples'])}")
+        lines.extend("  " + ",".join(row) for row in body["tuples"])
+    else:
+        lines.extend(f"  {key} -> {value}" for key, value in body["values"].items())
+    return lines
 
 
 def cmd_infer(source: str, query: str, order: str | None, limit: str | None, json: bool) -> int:
@@ -159,17 +186,8 @@ def cmd_infer(source: str, query: str, order: str | None, limit: str | None, jso
     else:
         body = {"type": "potential", "values": potential_values(result, names)}
     if json:
-        sys.stdout.write(canonical_json({"query": names, **body}))
-        return EXIT_OK
-    print(f"query: {','.join(names)}")
-    if "tuples" in body:
-        print(f"tuples: {len(body['tuples'])}")
-        for row in body["tuples"]:
-            print("  " + ",".join(row))
-    else:
-        for key, value in body["values"].items():
-            print(f"  {key} -> {value}")
-    return EXIT_OK
+        return _write(lambda: canonical_json({"query": names, **body}))
+    return _write(lambda: _lines(_human_inference(names, body)))
 
 
 def cmd_list_builtins(describe: bool) -> int:

@@ -25,13 +25,17 @@ from .contextuality import (
     MeasurementScenario,
 )
 from .core import Record, VariableUniverse
-from .errors import ParseError, ValkitError
+from .errors import ParseError, ResourceLimitError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import csp_to_knowledgebase
 from .potentials import Potential, rational_potential
 from .relations import Relation, restriction
 
 KINDS = ("empirical-model", "knowledgebase", "csp")
+
+# str() of an int past the interpreter's limit on digits raises ValueError. A
+# report could not carry such a number anyway: load_json refuses the literal.
+TOO_LONG = "a result holds a number too long to write"
 
 
 class ParsedInput(Record):
@@ -49,7 +53,10 @@ def format_rational(value: Fraction) -> int | str:
     value = Fraction(value)
     if value.denominator == 1:
         return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # past the interpreter's limit on digits
+        raise ResourceLimitError(TOO_LONG) from None
 
 
 def relation_rows(r: Relation, names) -> list[list[str]]:

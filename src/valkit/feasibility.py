@@ -1,15 +1,14 @@
 """Exact linear feasibility over the nonnegative rationals.
 
-Decides whether A x = b has a solution with x >= 0, where every entry is a
-rational. The engine is a phase-1 simplex: one artificial variable per row,
-minimize their sum, Bland's rule for both the entering and the leaving choice
-so cycling is impossible. The tableau is integer-preserving (Bareiss 1968;
-Edmonds 1967): columns and right-hand side are scaled to integers, and each
-pivot divides exactly by the previous pivot element, so no Fraction is made
-until the answer is read off. A zero optimum yields a feasible point; a
-positive optimum yields the dual vector, which is a Farkas witness
-(y.A <= 0 columnwise while y.b > 0) proving infeasibility. Both outcomes are
-re-checkable without trusting the solver, and validate_certificate does so.
+Decides whether A x = b with rational entries has a solution x >= 0. A
+`LinearSystem` scales itself to integers once, when it is built, and the
+solver and both witness checks read that one form. The solver is a phase-1
+simplex (one artificial variable per row, their sum minimized) with Bland's
+rule, so it cannot cycle, on an integer-preserving tableau (Bareiss 1968;
+Edmonds 1967): each pivot divides exactly by the previous pivot element. A
+zero optimum yields a feasible point; a positive one yields the dual vector,
+a Farkas witness (y.A <= 0 columnwise, y.b > 0). validate_solution and
+validate_certificate re-check either without trusting the solver.
 """
 
 from __future__ import annotations
@@ -22,11 +21,15 @@ from .core import Record
 from .errors import ArgumentError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LinearSystem(Record):
-    """Equality system A x = b with named rows and columns and sparse entries."""
+    """Equality system A x = b with named rows and columns and sparse entries.
+
+    Construction checks the names and values in one pass and keeps the integer
+    form outside `==`, `hash` and `repr`: `_cells[j]` lists column j's (row
+    position, sa A[i][j]) pairs, `_rhs[i]` is sb b[i], `_scales` is (sa, sb).
+    """
 
     columns: tuple[Hashable, ...]
     rows: tuple[Hashable, ...]
@@ -34,15 +37,29 @@ class LinearSystem(Record):
     rhs: Mapping[Hashable, Fraction]
 
     def __post_init__(self):
-        rows, columns = set(self.rows), set(self.columns)
-        for row, column in self.entries:
+        rows = {row: i for i, row in enumerate(self.rows)}
+        columns = {column: j for j, column in enumerate(self.columns)}
+        for kind, names, positions in (("row", self.rows, rows), ("column", self.columns, columns)):
+            if len(positions) < len(names):
+                raise ArgumentError(f"a {kind} name is repeated")
+        cells = [[] for _ in columns]
+        for (row, column), v in self.entries.items():
             if row not in rows:
                 raise ArgumentError(f"entry names undeclared row {row!r}")
             if column not in columns:
                 raise ArgumentError(f"entry names undeclared column {column!r}")
-        for row in self.rows:
-            if self.rhs.get(row, ZERO) < 0:
-                raise ArgumentError(f"right-hand side of row {row!r} must be nonnegative")
+            if not isinstance(v, (int, Fraction)):
+                raise ArgumentError(f"entry {(row, column)!r} must be an int or a Fraction, not {v!r}")
+            cells[columns[column]].append((rows[row], v))
+        rhs = [self.rhs.get(row, ZERO) for row in rows]
+        for row, v in zip(rows, rhs):
+            if not isinstance(v, (int, Fraction)) or v < 0:
+                raise ArgumentError(f"right-hand side of row {row!r} must be a nonnegative int or Fraction, not {v!r}")
+        sa = lcm(1, *(v.denominator for column in cells for _, v in column))
+        sb = lcm(1, *(v.denominator for v in rhs))
+        object.__setattr__(self, "_cells", [[(i, v.numerator * (sa // v.denominator)) for i, v in column] for column in cells])
+        object.__setattr__(self, "_rhs", [v.numerator * (sb // v.denominator) for v in rhs])
+        object.__setattr__(self, "_scales", (sa, sb))
 
 
 class FarkasCertificate(Record):
@@ -61,33 +78,22 @@ class FeasibilityResult(Record):
 
 
 def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
-    cols = list(system.columns)
-    rows = list(system.rows)
+    cols, rows = system.columns, system.rows
     n, m = len(cols), len(rows)
-    col_index = {c: j for j, c in enumerate(cols)}
-    row_index = {r: i for i, r in enumerate(rows)}
 
-    # Integer tableau rows [A S | I | s b] plus the cost row, where S scales
-    # each column by the lcm of its denominators and s is the lcm of the rhs
-    # denominators. Positive scaling keeps every sign and every ratio order
-    # Bland's rule reads, so the pivots are those of the rational tableau.
-    cells = [(row_index[r], col_index[c], v) for (r, c), v in system.entries.items()]
-    colscale = [1] * n
-    for _, j, v in cells:
-        colscale[j] = lcm(colscale[j], v.denominator)
-    rhs = [system.rhs.get(r, ZERO) for r in rows]
-    rhs_scale = lcm(1, *(v.denominator for v in rhs))
-
+    # Integer tableau rows [sa A | I | sb b] plus the cost row. Positive
+    # scaling keeps every sign and every ratio order Bland's rule reads, so
+    # the pivots are those of the rational tableau.
     total = n + m
     tableau = [[0] * (total + 1) for _ in range(m + 1)]
     cost = tableau[m]  # phase-1 reduced costs under the artificial basis; last entry is -objective
-    for i, j, v in cells:
-        value = v.numerator * (colscale[j] // v.denominator)
-        tableau[i][j] = value
-        cost[j] -= value
-    for i, v in enumerate(rhs):
+    for j, column in enumerate(system._cells):
+        for i, value in column:
+            tableau[i][j] = value
+            cost[j] -= value
+    for i, value in enumerate(system._rhs):
         tableau[i][n + i] = 1
-        tableau[i][total] = value = v.numerator * (rhs_scale // v.denominator)
+        tableau[i][total] = value
         cost[total] -= value
     basis = [n + i for i in range(m)]
 
@@ -128,16 +134,17 @@ def solve_feasibility(system: LinearSystem) -> FeasibilityResult:
         d = a
 
     if cost[total] == 0:
+        sa, sb = system._scales
         solution = {c: ZERO for c in cols}
         for i, b in enumerate(basis):
             if b < n:
-                solution[cols[b]] = Fraction(tableau[i][total] * colscale[b], d * rhs_scale)
+                solution[cols[b]] = Fraction(tableau[i][total] * sa, d * sb)
         if not validate_solution(system, solution):
             raise AssertionError("simplex produced a point that does not solve the system")
         return FeasibilityResult(True, solution=solution)
 
     # y_i = 1 - reduced cost of the i-th artificial column.
-    y = tuple((rows[i], ONE - Fraction(cost[n + i], d)) for i in range(m))
+    y = tuple((rows[i], 1 - Fraction(cost[n + i], d)) for i in range(m))
     certificate = FarkasCertificate(y)
     if not validate_certificate(system, certificate):
         raise AssertionError("simplex produced an invalid Farkas certificate")
@@ -151,38 +158,30 @@ def _scaled(values: Mapping[Hashable, Fraction]) -> tuple[int, dict[Hashable, in
 
 
 def validate_certificate(system: LinearSystem, certificate: FarkasCertificate) -> bool:
-    """Independent check of a Farkas witness against the raw system data.
+    """Independent check of a Farkas witness against the system's integer form.
 
-    y, A and b are each scaled by a positive integer, which keeps the sign
-    of every y.A column and of y.b, so the sums are taken in integers.
+    y is scaled by a positive integer, as A and b are, which keeps the sign of
+    every y.A column and of y.b, so the sums are taken in integers.
     """
     _, y = _scaled(certificate.as_dict())
-    _, entries = _scaled(system.entries)
-    by_column = dict.fromkeys(system.columns, 0)
-    for (r, c), v in entries.items():
-        w = y.get(r)
-        if w:
-            by_column[c] += w * v
-    if any(total > 0 for total in by_column.values()):
-        return False
-    _, rhs = _scaled(system.rhs)
-    return sum(y.get(r, 0) * rhs.get(r, 0) for r in system.rows) > 0
+    y = [y.get(r, 0) for r in system.rows]
+    columns_ok = all(sum(y[i] * v for i, v in column) <= 0 for column in system._cells)
+    return columns_ok and sum(w * v for w, v in zip(y, system._rhs)) > 0
 
 
 def validate_solution(system: LinearSystem, solution: Mapping[Hashable, Fraction]) -> bool:
     """Independent check that a candidate point satisfies A x = b with x >= 0, in integers.
 
-    With x, A and b scaled by sx, sa and sb, A x = b holds row by row exactly
-    when (sa A)(sx x)·sb equals (sb b)·sa·sx.
+    With x scaled by sx, and A and b by the system's sa and sb, A x = b holds
+    row by row exactly when (sa A)(sx x)·sb equals (sb b)·sa·sx.
     """
     sx, x = _scaled(solution)
-    if any(x.get(c, 0) < 0 for c in system.columns):
-        return False
-    sa, entries = _scaled(system.entries)
-    by_row = dict.fromkeys(system.rows, 0)
-    for (r, c), v in entries.items():
-        w = x.get(c)
+    x = [x.get(c, 0) for c in system.columns]
+    sa, sb = system._scales
+    by_row = [0] * len(system.rows)
+    for w, column in zip(x, system._cells):
         if w:
-            by_row[r] += v * w
-    sb, rhs = _scaled(system.rhs)
-    return all(by_row[r] * sb == rhs.get(r, 0) * sa * sx for r in system.rows)
+            for i, v in column:
+                by_row[i] += v * w
+    nonnegative = all(w >= 0 for w in x)
+    return nonnegative and all(total * sb == v * sa * sx for total, v in zip(by_row, system._rhs))

@@ -98,6 +98,25 @@ def test_relation_a9_holds_by_brute_force():
             assert natural_join(phi, project_relation(phi, sub)) == phi
 
 
+WIDE = VariableUniverse.of([(f"w{i}", ("0", "1")) for i in range(6)])
+
+
+@pytest.mark.parametrize("kind", ["relations", "rational potentials"])
+def test_claimed_axioms_hold_on_samples_over_four_and_five_variables(kind):
+    # A domain of 4 or 5 variables has 16 or 32 subsets, more than the 8 or
+    # 16 that a projection law enumerates, so the suite samples the subsets
+    # at random; UNIVERSE's samples never have more than 3 variables.
+    rng = random.Random(45)
+    draw = random_relation if kind == "relations" else random_potential
+    samples = [draw(rng, WIDE, frozenset(rng.sample(sorted(WIDE.vars), width))) for width in (4, 5, 4, 5, 5)]
+    algebra = RelationAlgebra(WIDE) if kind == "relations" else PotentialAlgebra(WIDE, NONNEG_RATIONAL)
+    results = axiom_suite(algebra, samples, seed=45)
+    assert [r.axiom for r in results] == list(algebra.claimed_axioms())
+    for result in results:
+        assert result.passed, f"{result.axiom}: {result.counterexample}"
+        assert result.cases > 0
+
+
 def test_suite_reports_requested_axioms_only():
     algebra = RelationAlgebra(UNIVERSE)
     results = axiom_suite(algebra, relation_samples(), axioms=("A4", "A9"))

@@ -549,6 +549,50 @@ def test_an_integer_past_the_digit_limit_exits_2(tmp_path):
     assert (code, err) == (2, "error: invalid report JSON: an integer literal has too many digits\n")
 
 
+# str() of an int past the interpreter's limit on digits (4300 by default)
+# raises ValueError. Such a result cannot be written, and a report holding it
+# could not be read back, so vk refuses it with exit 3 and writes nothing.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not 0 < DIGIT_LIMIT <= 4300, reason="no limit of at most 4300 digits on str() of an int")
+TOO_LONG = (3, "", "error: a result holds a number too long to write\n")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("flags", [("--json",), ()], ids=["json", "human"])
+def test_infer_refuses_a_result_too_long_to_write(tmp_path, flags):
+    # Each member has one 3001-digit value, which analyze writes back; their
+    # product holds its square, of 6001 digits.
+    big = "7" * 3001
+    doc = tmp_path / "big.json"
+    doc.write_text(
+        '{"kind": "knowledgebase", "universe": [{"name": "x", "frame": ["0", "1"]}, {"name": "y", "frame": ["0", "1"]}],'
+        f' "valuations": [{{"domain": ["x"], "values": {{"0": {big}, "1": 1}}}},'
+        f' {{"domain": ["y"], "values": {{"0": {big}, "1": 1}}}}]}}',
+        encoding="utf-8",
+    )
+    assert run_cli("infer", str(doc), "--query", "x,y", *flags) == TOO_LONG
+    assert run_cli("analyze", str(doc), *flags)[0] == 0
+
+
+@needs_digit_limit
+def test_analyze_refuses_a_gamma_size_too_long_to_write(tmp_path):
+    # 9100 members, each the full frame of its own 3-valued variable: Gamma
+    # has 3^9100 tuples, a count of 4342 digits. The human report of a
+    # knowledgebase prints no size, so it still answers.
+    names = [f"v{i}" for i in range(9100)]
+    document = {
+        "kind": "knowledgebase",
+        "universe": [{"name": name, "frame": ["a", "b", "c"]} for name in names],
+        "valuations": [{"domain": [name], "tuples": [["a"], ["b"], ["c"]]} for name in names],
+    }
+    doc = tmp_path / "wide.json"
+    doc.write_text(json.dumps(document), encoding="utf-8")
+    assert run_cli("analyze", str(doc), "--json") == TOO_LONG
+    code, out, err = run_cli("analyze", str(doc))
+    assert (code, err) == (0, "")
+    assert "global agreement: agree" in out
+
+
 @pytest.mark.parametrize("name", ["screening", "malawi", "hardy"])
 def test_verify_solves_each_fusion_problem_once(name, monkeypatch):
     # verify re-derives the analysis and reads the witness checks off it, so it

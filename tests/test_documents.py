@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -367,3 +368,12 @@ def test_rational_parts_read_numbers_past_the_digit_limit_as_parse_rational_does
     digits = "1" * 5000
     for raw in (digits, f"{digits}/3", f"3/{digits}"):
         assert_read_as_parse_rational(raw)
+
+
+@pytest.mark.skipif(not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 4300, reason="no digit limit")
+def test_a_rational_too_long_to_write_is_a_resource_limit():
+    # "p/q" is text, so a part past the interpreter's limit on digits cannot
+    # be written; an integer is left to the JSON writer.
+    with pytest.raises(ResourceLimitError, match="a result holds a number too long to write"):
+        format_rational(Fraction(10**4400 + 1, 3))
+    assert format_rational(Fraction(10**4400)) == 10**4400

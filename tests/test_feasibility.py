@@ -146,6 +146,36 @@ def test_entry_in_undeclared_column_rejected():
         LinearSystem(("x",), ("r1",), {("r1", "y"): F(1)}, {"r1": F(1)})
 
 
+def test_repeated_row_name_rejected():
+    # Two rows of one name would share a multiplier in a Farkas certificate.
+    with pytest.raises(ArgumentError, match="a row name is repeated"):
+        LinearSystem(("x",), ("r1", "r1"), {("r1", "x"): F(1)}, {"r1": F(1)})
+
+
+def test_repeated_column_name_rejected():
+    # Two columns of one name would be solved as one.
+    with pytest.raises(ArgumentError, match="a column name is repeated"):
+        LinearSystem(("x", "x"), ("r1",), {("r1", "x"): F(1)}, {"r1": F(1)})
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2"])
+def test_inexact_entry_rejected(value):
+    with pytest.raises(ArgumentError, match=r"entry \('r1', 'x'\) must be an int or a Fraction"):
+        LinearSystem(("x",), ("r1",), {("r1", "x"): value}, {"r1": F(1)})
+
+
+@pytest.mark.parametrize("value", [0.5, "1/2"])
+def test_inexact_rhs_rejected(value):
+    with pytest.raises(ArgumentError, match="right-hand side of row 'r1' must be a nonnegative int or Fraction"):
+        LinearSystem(("x",), ("r1",), {("r1", "x"): F(1)}, {"r1": value})
+
+
+def test_int_entries_and_rhs_are_exact():
+    # marginal_system writes its 0/1 coefficients as ints.
+    result = solve_feasibility(LinearSystem(("x",), ("r1",), {("r1", "x"): 3}, {"r1": 1}))
+    assert result.solution == {"x": F(1, 3)}
+
+
 # Slow oracle: the phase-1 simplex on a dense Fraction tableau, with Bland's
 # rule for the entering and the leaving choice. solve_feasibility must take
 # the same pivots on its integer tableau, so it must return an equal result:

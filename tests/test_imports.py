@@ -15,6 +15,11 @@ Combination is a hash join of stored rows: inside `potentials.py`, only
 whole frame product, call `.rows(`, so no frame walk can return to
 combination or projection.
 
+The exact LP becomes integers in one place: inside `feasibility.py`, only
+`LinearSystem.__post_init__` reads a system's `.entries` or `.rhs`, and it
+keeps the integer form that the simplex and both witness checks read. So no
+solver or check can go back to scaling the system on its own.
+
 The reference implementations are for the tests alone: no module other than
 its defining one calls `solve_naive`, `combination_verdict` or
 `check_complete_disagreement`, so the analysis path cannot drift back onto
@@ -174,22 +179,24 @@ def test_the_row_check_sees_assignment_use():
 FRAME_WALKERS = ("constant_potential", "Potential.from_table")
 
 
+def _scoped(node: ast.AST, scope: str = ""):
+    """Every node below `node` with the qualified name of the function or class it is in ("" at module level)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _scoped(child, f"{scope}.{child.name}" if scope else child.name)
+            continue
+        yield scope, child
+        yield from _scoped(child, scope)
+
+
 def _frame_walks(tree: ast.AST) -> list[str]:
     """Each `.rows(` call outside the functions of FRAME_WALKERS, as "qualified name:line"."""
-    found = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, f"{scope}.{child.name}" if scope else child.name)
-                continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "rows":
-                if scope not in FRAME_WALKERS:
-                    found.append(f"{scope or '<module>'}:{child.lineno}: calls .rows")
-            visit(child, scope)
-
-    visit(tree, "")
-    return found
+    return [
+        f"{scope or '<module>'}:{node.lineno}: calls .rows"
+        for scope, node in _scoped(tree)
+        if scope not in FRAME_WALKERS
+        and isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "rows"
+    ]
 
 
 def test_only_the_constructors_walk_a_frame_product_in_potentials():
@@ -211,6 +218,40 @@ def test_the_frame_walk_check_sees_a_planted_call():
         "ROWS = VariableUniverse.rows(u, d)\n"
     )
     assert _frame_walks(ast.parse(source)) == ["combine_potentials:2: calls .rows", "<module>:9: calls .rows"]
+
+
+SYSTEM_READERS = ("LinearSystem.__post_init__",)
+
+
+def _system_reads(tree: ast.AST) -> list[str]:
+    """Each read of `.entries` or `.rhs` outside the functions of SYSTEM_READERS, as "qualified name:line"."""
+    return [
+        f"{scope or '<module>'}:{node.lineno}: reads .{node.attr}"
+        for scope, node in _scoped(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("entries", "rhs") and scope not in SYSTEM_READERS
+    ]
+
+
+def test_only_the_linear_system_reads_its_rational_entries():
+    tree = ast.parse((PACKAGE / "feasibility.py").read_text(encoding="utf-8"))
+    offences = _system_reads(tree)
+    assert not offences, "feasibility.py reads a system's Fraction entries outside LinearSystem:\n" + "\n".join(offences)
+
+
+def test_the_system_read_check_sees_a_planted_read():
+    source = (
+        "class LinearSystem:\n"
+        "    def __post_init__(self):\n"
+        "        return self.entries, self.rhs\n"
+        "def validate_solution(system, solution):\n"
+        "    return _scaled(system.entries), system.rhs.get(row)\n"
+        "RHS = SYSTEM.rhs\n"
+    )
+    assert _system_reads(ast.parse(source)) == [
+        "validate_solution:5: reads .entries",
+        "validate_solution:5: reads .rhs",
+        "<module>:6: reads .rhs",
+    ]
 
 
 REFERENCE_ONLY = {

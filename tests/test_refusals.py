@@ -1,0 +1,158 @@
+"""Refusals of malformed library input, one row each: the error class and a fragment of its message.
+
+Each row builds or calls one public entry point (or the potentials' join,
+which every combination goes through) with one thing wrong, so the check
+that catches it is named by the row's id.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+
+from valkit.algebra import Knowledgebase
+from valkit.contextuality import POSSIBILISTIC, PROBABILISTIC, EmpiricalModel, MeasurementScenario
+from valkit.core import BOOLEAN, NONNEG_RATIONAL, Assignment, VariableUniverse, dom
+from valkit.errors import ArgumentError, DomainError, UniverseMismatchError
+from valkit.potentials import Potential, _join
+from valkit.relations import Relation, full_relation, relation_leq
+
+U = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1"))])
+V = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1", "2"))])  # same names, another frame for y
+X0, X1 = Assignment.of({"x": "0"}), Assignment.of({"x": "1"})
+HALF = Fraction(1, 2)
+
+
+def potential(universe=U, semiring=NONNEG_RATIONAL, value=HALF):
+    return Potential.from_table(universe, dom("x"), semiring, {X0: value, X1: value})
+
+
+def relation(universe=U, name="x"):
+    return full_relation(universe, dom(name))
+
+
+SCENARIO_JOINT = MeasurementScenario(U, (("x", "y"),))
+SCENARIO_XY = MeasurementScenario(U, (("x",), ("y",)))
+MODEL = EmpiricalModel(SCENARIO_XY, POSSIBILISTIC, (relation(), relation(name="y")))
+
+REFUSALS = {
+    "Relation.of: no rows": (lambda: Relation.of(U, []), ArgumentError, "zero rows"),
+    "Relation.of: mixed domains": (
+        lambda: Relation.of(U, [{"x": "0"}, {"y": "0"}]),
+        DomainError,
+        "does not match relation domain",
+    ),
+    "Relation.from_rows: wrong row length": (
+        lambda: Relation.from_rows(U, ["x", "y"], [("0",)]),
+        ArgumentError,
+        "does not match variables",
+    ),
+    "Relation.from_rows: value outside the frame": (
+        lambda: Relation.from_rows(U, ["x"], [("2",)]),
+        ArgumentError,
+        "not in the frame of 'x'",
+    ),
+    "relation_leq: universe mismatch": (
+        lambda: relation_leq(relation(), relation(V)),
+        UniverseMismatchError,
+        "different variable universes",
+    ),
+    "Potential.from_table: missing entry": (
+        lambda: Potential.from_table(U, dom("x"), NONNEG_RATIONAL, {X0: HALF}),
+        DomainError,
+        "missing table entry",
+    ),
+    "Potential.from_table: value outside the carrier": (
+        lambda: potential(value=Fraction(-1)),
+        ArgumentError,
+        "outside the nonneg-rational carrier",
+    ),
+    "Potential.from_table: stray assignment": (
+        lambda: Potential.from_table(U, dom("x"), NONNEG_RATIONAL, {X0: HALF, X1: HALF, Assignment.of({"y": "0"}): HALF}),
+        ArgumentError,
+        "is not a point of the domain's frame product",
+    ),
+    "Potential.__call__: wrong domain": (
+        lambda: potential()(Assignment.of({"y": "0"})),
+        DomainError,
+        "is not a point of the domain",
+    ),
+    "potentials._join: universe mismatch": (
+        lambda: _join(potential(), potential(V), dom("x")),
+        UniverseMismatchError,
+        "different variable universes",
+    ),
+    "potentials._join: target outside the union": (
+        lambda: _join(potential(), potential(), dom("x", "y")),
+        DomainError,
+        "target not within the combined domain",
+    ),
+    "Knowledgebase: mixed kinds": (
+        lambda: Knowledgebase(U, (relation(), potential())),
+        ArgumentError,
+        "one algebra",
+    ),
+    "Knowledgebase: another universe": (
+        lambda: Knowledgebase(U, (relation(V),)),
+        ArgumentError,
+        "over a different universe",
+    ),
+    "Knowledgebase: mixed semirings": (
+        lambda: Knowledgebase(U, (potential(), potential(semiring=BOOLEAN, value=1))),
+        ArgumentError,
+        "different semirings",
+    ),
+    "Knowledgebase: unknown valuation type": (
+        lambda: Knowledgebase(U, (SimpleNamespace(universe=U),)).algebra(),
+        ArgumentError,
+        "no algebra known for valuations of type SimpleNamespace",
+    ),
+    "MeasurementScenario: empty context": (
+        lambda: MeasurementScenario(U, (("x", "y"), ())),
+        ArgumentError,
+        "contexts must be nonempty",
+    ),
+    "EmpiricalModel: wrong section count": (
+        lambda: EmpiricalModel(SCENARIO_XY, POSSIBILISTIC, (relation(),)),
+        ArgumentError,
+        "one section per context",
+    ),
+    "EmpiricalModel: section domain unlike its context": (
+        lambda: EmpiricalModel(SCENARIO_XY, POSSIBILISTIC, (relation(name="y"), relation())),
+        ArgumentError,
+        "does not match context ('x',)",
+    ),
+    "EmpiricalModel: relation as a probabilistic section": (
+        lambda: EmpiricalModel(SCENARIO_JOINT, PROBABILISTIC, (full_relation(U, dom("x", "y")),)),
+        ArgumentError,
+        "probabilistic sections must be rational potentials",
+    ),
+    "EmpiricalModel: potential as a possibilistic section": (
+        lambda: EmpiricalModel(SCENARIO_XY, POSSIBILISTIC, (potential(), relation(name="y"))),
+        ArgumentError,
+        "possibilistic sections must be relations",
+    ),
+    "EmpiricalModel.section_for: unknown context": (
+        lambda: MODEL.section_for(("x", "y")),
+        ArgumentError,
+        "is not a context of this scenario",
+    ),
+    "VariableUniverse: empty name": (
+        lambda: VariableUniverse.of([("", ("0",))]),
+        ArgumentError,
+        "variable names must be nonempty",
+    ),
+    "Assignment.value: missing variable": (
+        lambda: X0.value("y"),
+        DomainError,
+        "variable 'y' not in assignment domain",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", REFUSALS.values(), ids=REFUSALS.keys())
+def test_malformed_input_is_refused(call, error, fragment):
+    with pytest.raises(error) as raised:
+        call()
+    assert type(raised.value) is error
+    assert fragment in str(raised.value)
