@@ -20,11 +20,9 @@ from .contextuality import (
     probabilistic_model,
 )
 from .core import (
-    NONNEG_RATIONAL,
     Assignment,
     Domain,
     Frame,
-    Semiring,
     VariableUniverse,
     dom,
 )
@@ -47,7 +45,6 @@ from .errors import (
     ParseError,
     PreconditionError,
     ResourceLimitError,
-    SemiringMismatchError,
     SignallingError,
     UniverseMismatchError,
     ValkitError,

@@ -6,7 +6,9 @@ idempotent combination, a completeness order, and adjointness. The axiom
 suite exercises an instance against exactly the axioms it claims (or any
 explicitly requested set) and reports a concrete counterexample on failure.
 Adjointness is the law "ADJ", claimed after A13; in an adjoint algebra the
-combination is the only truth candidate.
+combination is the only truth candidate. valkit has two instances:
+relations, which are also the possibilistic (Boolean) information, and
+nonnegative-rational potentials.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import random
 from functools import reduce
 from typing import Iterable, Sequence
 
-from .core import Domain, Record, Semiring, VariableUniverse
+from .core import Domain, Record, VariableUniverse
 from .errors import ArgumentError, CapabilityError
 from .potentials import (
     Potential,
@@ -133,19 +135,17 @@ class RelationAlgebra(ValuationAlgebra):
 
 
 class PotentialAlgebra(ValuationAlgebra):
-    """Semiring potentials; idempotent exactly when semiring addition is."""
+    """Nonnegative-rational potentials under pointwise product and fiber sums: not idempotent."""
 
-    name = "potentials"
+    name = "potentials[nonneg-rational]"
     has_neutral = True
     has_null = True
+    idempotent = False
     ordered = False
     adjoint = False
 
-    def __init__(self, universe: VariableUniverse, semiring: Semiring):
+    def __init__(self, universe: VariableUniverse):
         self.universe = universe
-        self.semiring = semiring
-        self.idempotent = semiring.additively_idempotent
-        self.name = f"potentials[{semiring.name}]"
 
     def label(self, phi: Potential) -> Domain:
         return phi.domain
@@ -160,10 +160,10 @@ class PotentialAlgebra(ValuationAlgebra):
         return _join(phi, psi, target)
 
     def neutral(self, domain: Domain) -> Potential:
-        return neutral_potential(self.universe, domain, self.semiring)
+        return neutral_potential(self.universe, domain)
 
     def null(self, domain: Domain) -> Potential:
-        return null_potential(self.universe, domain, self.semiring)
+        return null_potential(self.universe, domain)
 
     def is_neutral(self, phi: Potential) -> bool:
         return is_neutral_potential(phi)
@@ -187,18 +187,13 @@ class Knowledgebase(Record):
         for v in self.valuations:
             if v.universe != self.universe:
                 raise ArgumentError("knowledgebase member built over a different universe")
-        first = self.valuations[0]
-        if isinstance(first, Potential):
-            for v in self.valuations:
-                if v.semiring != first.semiring:
-                    raise ArgumentError("knowledgebase members use different semirings")
 
     def algebra(self) -> ValuationAlgebra:
         first = self.valuations[0]
         if isinstance(first, Relation):
             return RelationAlgebra(self.universe)
         if isinstance(first, Potential):
-            return PotentialAlgebra(self.universe, first.semiring)
+            return PotentialAlgebra(self.universe)
         raise ArgumentError(f"no algebra known for valuations of type {type(first).__name__}")
 
     @property

@@ -15,8 +15,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Knowledgebase
-from .core import Assignment, Domain, NONNEG_RATIONAL, Record, VariableUniverse
-from .disagreement import GlobalVerdict, check_local_agreement, support_analysis, support_knowledgebase, tree_verdict
+from .core import Assignment, Domain, Record, VariableUniverse
+from .disagreement import (
+    GlobalVerdict,
+    check_local_agreement,
+    support_analysis,
+    support_knowledgebase,
+    support_of,
+    tree_verdict,
+)
 from .errors import ArgumentError, SignallingError
 from .inference import DEFAULT_CELL_LIMIT, JoinTree
 from .potentials import Potential, total_mass
@@ -72,7 +79,7 @@ class EmpiricalModel(Record):
             if section.domain != frozenset(ctx):
                 raise ArgumentError(f"section domain {sorted(section.domain)} does not match context {ctx!r}")
             if self.kind == PROBABILISTIC:
-                if not isinstance(section, Potential) or section.semiring != NONNEG_RATIONAL:
+                if not isinstance(section, Potential):
                     raise ArgumentError("probabilistic sections must be rational potentials")
                 mass = total_mass(section)
                 if mass != 1:
@@ -92,7 +99,7 @@ class EmpiricalModel(Record):
         return self.sections[self._position(context)]
 
     def support_for(self, context: tuple[str, ...]) -> Relation:
-        return self.support_knowledgebase().valuations[self._position(context)]
+        return support_of(self.section_for(context))
 
     def knowledgebase(self) -> Knowledgebase:
         return Knowledgebase(self.scenario.universe, self.sections)
@@ -194,7 +201,7 @@ def probabilistic_model(
         for outcome, value in sections[ctx].items():
             table[Assignment.of(dict(zip(ctx, outcome)))] = Fraction(value)
         built.append(
-            Potential.from_table(universe, frozenset(ctx), NONNEG_RATIONAL, table, default=Fraction(0))
+            Potential.from_table(universe, frozenset(ctx), table, default=Fraction(0))
         )
     return EmpiricalModel(scenario, PROBABILISTIC, tuple(built))
 

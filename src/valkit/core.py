@@ -1,18 +1,17 @@
-"""Variable universes, assignments, and semirings.
+"""Variable universes and assignments.
 
-Everything downstream is built from three currencies: a universe fixing each
-variable's frame of possible values, assignments of values to finite variable
-sets, and commutative semirings supplying the arithmetic for potentials.
-Value labels are opaque strings; frames are ordered so that enumeration and
-serialization are deterministic. Every value type of valkit is a `Record`.
+Everything downstream is built from two currencies: a universe fixing each
+variable's frame of possible values, and assignments of values to finite
+variable sets. Value labels are opaque strings; frames are ordered so that
+enumeration and serialization are deterministic. Every value type of valkit
+is a `Record`.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ArgumentError, DomainError
 
@@ -205,50 +204,3 @@ class Assignment(Record):
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.items)
         return f"({inner})" if inner else "(*)"
-
-
-class Semiring(Record):
-    """A commutative semiring: the value arithmetic behind potentials.
-
-    Two semirings are equal when their name, units and idempotence are; the
-    operations are left out of `==`, `hash` and `repr`.
-    """
-
-    _uncompared = ("add", "mul", "contains")
-
-    name: str
-    zero: object
-    one: object
-    additively_idempotent: bool
-    add: Callable
-    mul: Callable
-    contains: Callable
-
-
-def _is_bit(v: object) -> bool:
-    return isinstance(v, int) and v in (0, 1)
-
-
-def _is_nonneg_fraction(v: object) -> bool:
-    return isinstance(v, Fraction) and v >= 0
-
-
-BOOLEAN = Semiring(
-    name="boolean",
-    zero=0,
-    one=1,
-    additively_idempotent=True,
-    add=operator.or_,
-    mul=operator.and_,
-    contains=_is_bit,
-)
-
-NONNEG_RATIONAL = Semiring(
-    name="nonneg-rational",
-    zero=Fraction(0),
-    one=Fraction(1),
-    additively_idempotent=False,
-    add=operator.add,
-    mul=operator.mul,
-    contains=_is_nonneg_fraction,
-)

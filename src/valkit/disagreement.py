@@ -13,8 +13,8 @@ calibrated tree of the members' supports (`support_analysis`).
 
 from __future__ import annotations
 
-from .algebra import Knowledgebase, PotentialAlgebra
-from .core import Domain, NONNEG_RATIONAL, Record
+from .algebra import Knowledgebase
+from .core import Domain, Record
 from .errors import CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, JoinTree, calibrate, solve_fusion
@@ -151,13 +151,13 @@ def check_global_agreement_potentials(
 ) -> GlobalVerdict:
     """Feasibility path for rational potentials: find gamma >= 0 with the right marginals."""
     for phi in kb:
-        if not isinstance(phi, Potential) or phi.semiring != NONNEG_RATIONAL:
+        if not isinstance(phi, Potential):
             raise CapabilityError("the feasibility path needs potentials over exact nonnegative rationals")
     system = marginal_system(kb, column_limit)
     outcome = solve_feasibility(system)
     if outcome.feasible:
         table = {g: outcome.solution[g] for g in system.columns}
-        gamma = Potential(kb.universe, kb.joint_domain, NONNEG_RATIONAL, table)
+        gamma = Potential(kb.universe, kb.joint_domain, table)
         return GlobalVerdict(True, truth=gamma, system=system)
     return GlobalVerdict(False, certificate=outcome.certificate, system=system)
 
@@ -220,9 +220,14 @@ def search_truth_valuations(
     return found
 
 
+def support_of(phi: Relation | Potential) -> Relation:
+    """A valuation's support as a relation: a relation is its own support."""
+    return phi if isinstance(phi, Relation) else support_relation(phi)
+
+
 def support_knowledgebase(kb: Knowledgebase) -> Knowledgebase:
-    """The members' supports as a relation knowledgebase; a relation is its own support."""
-    return Knowledgebase(kb.universe, tuple(phi if isinstance(phi, Relation) else support_relation(phi) for phi in kb))
+    """The members' supports as a relation knowledgebase."""
+    return Knowledgebase(kb.universe, tuple(map(support_of, kb)))
 
 
 def support_analysis(
@@ -236,13 +241,10 @@ def support_analysis(
     null. Rational potentials solve their marginal system first, under its
     column cap; it enumerates every joint row, so their tree needs no guard.
     """
-    algebra = kb.algebra()
-    if algebra.adjoint:
+    if kb.algebra().adjoint:
         return calibrate(kb, cell_limit), None
-    if isinstance(algebra, PotentialAlgebra) and algebra.semiring == NONNEG_RATIONAL:
-        feasibility = check_global_agreement_potentials(kb)
-        return calibrate(support_knowledgebase(kb), None), feasibility
-    raise CapabilityError(f"no global-agreement decision procedure for {algebra.name}")
+    feasibility = check_global_agreement_potentials(kb)
+    return calibrate(support_knowledgebase(kb), None), feasibility
 
 
 def analyze_knowledgebase(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> AgreementReport:

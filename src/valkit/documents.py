@@ -171,17 +171,12 @@ def _parse_universe(raw, where: str) -> VariableUniverse:
         raise ParseError(f"{where}: {err}") from None
 
 
-def _parse_name_list(raw, universe: VariableUniverse, where: str) -> tuple[str, ...]:
+def _parse_variables(raw, universe: VariableUniverse, where: str) -> tuple[str, ...]:
+    """A name list that gives a table's variables: each declared, none repeated."""
     names = tuple(_expect_label(v, where) for v in _expect_list(raw, where))
     for name in names:
         if name not in universe.vars:
             raise ParseError(f"{where}: {name!r} is not declared in the universe")
-    return names
-
-
-def _parse_variables(raw, universe: VariableUniverse, where: str) -> tuple[str, ...]:
-    """A name list that gives a table's variables: each declared, none repeated."""
-    names = _parse_name_list(raw, universe, where)
     if len(set(names)) != len(names):
         raise ParseError(f"{where}: repeated variable")
     return names
@@ -189,7 +184,7 @@ def _parse_variables(raw, universe: VariableUniverse, where: str) -> tuple[str, 
 
 def _outcomes(raw: dict, names, universe: VariableUniverse, where: str):
     """Each key's row (its labels in sorted-name order), value and key."""
-    to_row = restriction(names, sorted(set(names)))  # a repeated name keeps its last label
+    to_row = restriction(names, sorted(names))
     frames = [(name, set(universe.frame(name).values)) for name in names]
     for key, value in raw.items():
         labels = key.split(",") if key else []  # "" is the one assignment of the empty domain
@@ -276,7 +271,7 @@ def _parse_empirical_model(doc: dict, cell_limit: int | None) -> EmpiricalModel:
     if model_kind not in (PROBABILISTIC, POSSIBILISTIC):
         raise ParseError(f"model-kind must be 'probabilistic' or 'possibilistic', got {model_kind!r}")
     contexts = [
-        _parse_name_list(ctx, universe, f"contexts[{k}]") for k, ctx in enumerate(_expect_list(doc["contexts"], "contexts"))
+        _parse_variables(ctx, universe, f"contexts[{k}]") for k, ctx in enumerate(_expect_list(doc["contexts"], "contexts"))
     ]
     sections_raw = _expect_mapping(doc["sections"], "sections")
     keys = {",".join(ctx): ctx for ctx in contexts}

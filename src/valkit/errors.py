@@ -17,10 +17,6 @@ class UniverseMismatchError(DomainError):
     """Two operands were built over different variable universes."""
 
 
-class SemiringMismatchError(ValkitError, TypeError):
-    """Two potentials with different semirings were combined or compared."""
-
-
 class CapabilityError(ValkitError):
     """The operation needs a capability (null, order, adjointness) the algebra does not claim."""
 

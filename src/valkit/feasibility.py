@@ -51,6 +51,9 @@ class LinearSystem(Record):
             if not isinstance(v, (int, Fraction)):
                 raise ArgumentError(f"entry {(row, column)!r} must be an int or a Fraction, not {v!r}")
             cells[columns[column]].append((rows[row], v))
+        for row in self.rhs:
+            if row not in rows:
+                raise ArgumentError(f"right-hand side names undeclared row {row!r}")
         rhs = [self.rhs.get(row, ZERO) for row in rows]
         for row, v in zip(rows, rhs):
             if not isinstance(v, (int, Fraction)) or v < 0:

@@ -1,25 +1,23 @@
-"""Semiring potentials: total maps from rows to semiring values.
+"""Potentials: total maps from rows to nonnegative rationals.
 
 Combination multiplies pointwise over the union domain, as a hash join of
 the stored rows: one operand is indexed by its values on the shared
 variables, so no frame product is enumerated. Projection sums each fiber,
 and fusion's message does both in the same join (`_join` onto a target
-domain). Over the nonnegative rationals potentials are the algebra of
-probability-like weights. Over the Boolean semiring they mirror relations
-exactly (the support of a combination is the join of the supports), so
-possibilistic data is a relation throughout, read, analysed and written as
-one.
+domain). Potentials are the algebra of probability-like weights.
+Possibilistic information (the Boolean semiring) is a `Relation`: the
+support of a combination is the join of the supports, and the support of a
+projection is the projection of the support, so possibilistic data is a
+relation throughout, read, analysed and written as one.
 
-A rational potential keeps its values as integer numerators by row over one
-positive denominator, reduced as a whole: gcd(denominator, *numerators) is 1,
-and an all-zero table has denominator 1. That form is unique, so two
-potentials are equal exactly when their fields are. Combination multiplies
-numerators and denominators, projection adds numerators over the kept
-denominator, and one gcd pass reduces each result, so fusion builds no
-`Fraction`. Every other semiring keeps its values as numerators over 1 and
-runs the same code with its own `add` and `mul`. `Potential.table` is a
-read-only view that builds a value (`Fraction(n, d)` for a rational) only
-when an entry is read; the numerators never leave this module.
+A potential keeps its values as integer numerators by row over one positive
+denominator, reduced as a whole: gcd(denominator, *numerators) is 1, and an
+all-zero table has denominator 1. That form is unique, so two potentials
+are equal exactly when their fields are. Combination multiplies numerators
+and denominators, projection adds numerators over the kept denominator, and
+one gcd pass reduces each result, so fusion builds no `Fraction`.
+`Potential.table` is a read-only view that builds a value `Fraction(n, d)`
+only when an entry is read; the numerators never leave this module.
 """
 
 from __future__ import annotations
@@ -28,29 +26,21 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
-from .core import (
-    Assignment,
-    Domain,
-    NONNEG_RATIONAL,
-    Record,
-    Semiring,
-    VariableUniverse,
-)
-from .errors import ArgumentError, DomainError, SemiringMismatchError, UniverseMismatchError
+from .core import Assignment, Domain, Record, VariableUniverse
+from .errors import ArgumentError, DomainError, UniverseMismatchError
 from .relations import Relation, Row, restriction
 
 
 class _Values(Mapping):
-    """A potential's table: numerators by row over one denominator, read as rationals when `exact`."""
+    """A potential's table: numerators by row over one denominator, read as rationals."""
 
-    __slots__ = ("nums", "den", "exact")
+    __slots__ = ("nums", "den")
 
-    def __init__(self, nums: dict[Row, object], den: int, exact: bool):
-        self.nums, self.den, self.exact = nums, den, exact
+    def __init__(self, nums: dict[Row, int], den: int):
+        self.nums, self.den = nums, den
 
-    def __getitem__(self, row: Row):
-        n = self.nums[row]
-        return Fraction(n, self.den) if self.exact else n
+    def __getitem__(self, row: Row) -> Fraction:
+        return Fraction(self.nums[row], self.den)
 
     def __iter__(self):
         return iter(self.nums)
@@ -64,16 +54,14 @@ class _Values(Mapping):
         return super().__eq__(other)
 
 
-def _values(semiring: Semiring, values: Mapping[Row, object]) -> _Values:
-    """Trusted values in canonical form: rationals as numerators over their least common denominator."""
-    if semiring != NONNEG_RATIONAL:
-        return _Values(dict(values), 1, False)
+def _values(values: Mapping[Row, Fraction]) -> _Values:
+    """Trusted values in canonical form: numerators over their least common denominator."""
     den = lcm(*(v.denominator for v in values.values()))
-    return _Values({row: v.numerator * (den // v.denominator) for row, v in values.items()}, den, True)
+    return _Values({row: v.numerator * (den // v.denominator) for row, v in values.items()}, den)
 
 
 class Potential(Record):
-    """A total table from rows (values in sorted-domain order) to semiring values.
+    """A total table from rows (values in sorted-domain order) to nonnegative rationals.
 
     The record constructor trusts its table (a mapping from rows to values)
     and stores it in canonical form; `table` then reads the values back.
@@ -82,12 +70,11 @@ class Potential(Record):
 
     universe: VariableUniverse
     domain: Domain
-    semiring: Semiring
-    table: Mapping[Row, object]
+    table: Mapping[Row, Fraction]
 
     def __post_init__(self):
         if not isinstance(self.table, _Values):
-            object.__setattr__(self, "table", _values(self.semiring, self.table))
+            object.__setattr__(self, "table", _values(self.table))
         expected = self.universe.size(self.domain)
         if len(self.table) != expected:
             raise DomainError(
@@ -99,13 +86,15 @@ class Potential(Record):
         cls,
         universe: VariableUniverse,
         domain: Domain,
-        semiring: Semiring,
-        values: Mapping[Assignment, object],
-        default: object | None = None,
+        values: Mapping[Assignment, int | Fraction],
+        default: int | Fraction | None = None,
     ) -> "Potential":
-        """Validated constructor; missing assignments get `default` when given."""
+        """Validated constructor; missing assignments get `default` when given.
+
+        Each value must be a nonnegative int or Fraction; a bool is refused.
+        """
         given = {key.row: v for key, v in values.items() if key.domain == domain}
-        table: dict[Row, object] = {}
+        table: dict[Row, Fraction] = {}
         for row in universe.rows(domain):
             if row in given:
                 v = given.pop(row)
@@ -113,19 +102,19 @@ class Potential(Record):
                 v = default
             else:
                 raise DomainError(f"missing table entry for {Assignment.from_row(domain, row)!r}")
-            if isinstance(v, int) and not isinstance(v, bool) and semiring is NONNEG_RATIONAL:
+            if isinstance(v, int) and not isinstance(v, bool):
                 v = Fraction(v)
-            if not semiring.contains(v):
-                raise ArgumentError(f"value {v!r} is outside the {semiring.name} carrier")
+            if not isinstance(v, Fraction) or v < 0:
+                raise ArgumentError(f"value {v!r} is outside the nonneg-rational carrier")
             table[row] = v
         stray = [key for key in values if key.domain != domain]
         stray += [Assignment.from_row(domain, row) for row in given]
         if stray:
             example = min(stray, key=lambda a: a.items)
             raise ArgumentError(f"assignment {example!r} is not a point of the domain's frame product")
-        return cls(universe, domain, semiring, table)
+        return cls(universe, domain, table)
 
-    def __call__(self, x: Assignment) -> object:
+    def __call__(self, x: Assignment) -> Fraction:
         if x.domain != self.domain:
             raise DomainError(f"{x!r} is not a point of the domain {sorted(self.domain)}")
         return self.table[x.row]
@@ -134,29 +123,29 @@ class Potential(Record):
         names = ",".join(sorted(self.domain)) or "∅"
         shown = ", ".join(f"{Assignment.from_row(self.domain, k)!r}->{v}" for k, v in sorted(self.table.items())[:8])
         suffix = ", ..." if len(self.table) > 8 else ""
-        return f"Potential[{names}|{self.semiring.name}]{{{shown}{suffix}}}"
+        return f"Potential[{names}|nonneg-rational]{{{shown}{suffix}}}"
 
 
-def _reduced(phi: Potential, domain: Domain, nums: dict[Row, object], den: int) -> Potential:
-    """The potential over `domain`, in `phi`'s universe and semiring, of `nums` over `den` in lowest terms."""
+def _reduced(phi: Potential, domain: Domain, nums: dict[Row, int], den: int) -> Potential:
+    """The potential over `domain`, in `phi`'s universe, of `nums` over `den` in lowest terms."""
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:
             nums = {row: n // g for row, n in nums.items()}
             den //= g
-    return Potential(phi.universe, domain, phi.semiring, _Values(nums, den, phi.table.exact))
+    return Potential(phi.universe, domain, _Values(nums, den))
 
 
-def constant_potential(universe: VariableUniverse, domain: Domain, semiring: Semiring, value) -> Potential:
-    return Potential(universe, domain, semiring, dict.fromkeys(universe.rows(domain), value))
+def constant_potential(universe: VariableUniverse, domain: Domain, value: int | Fraction) -> Potential:
+    return Potential(universe, domain, dict.fromkeys(universe.rows(domain), value))
 
 
-def neutral_potential(universe: VariableUniverse, domain: Domain, semiring: Semiring) -> Potential:
-    return constant_potential(universe, domain, semiring, semiring.one)
+def neutral_potential(universe: VariableUniverse, domain: Domain) -> Potential:
+    return constant_potential(universe, domain, 1)
 
 
-def null_potential(universe: VariableUniverse, domain: Domain, semiring: Semiring) -> Potential:
-    return constant_potential(universe, domain, semiring, semiring.zero)
+def null_potential(universe: VariableUniverse, domain: Domain) -> Potential:
+    return constant_potential(universe, domain, 0)
 
 
 def rational_potential(
@@ -173,14 +162,13 @@ def rational_potential(
     nums = dict.fromkeys(rows, 0)
     for row, (n, d) in parts.items():
         nums[row] = n * (den // d)
-    return Potential(universe, domain, NONNEG_RATIONAL, _Values(nums, den, True))
+    return Potential(universe, domain, _Values(nums, den))
 
 
 def is_neutral_potential(phi: Potential) -> bool:
-    """Whether every value is the semiring's one: each numerator equals the denominator."""
-    one = phi.table.den if phi.table.exact else phi.semiring.one
+    """Whether every value is 1: each numerator equals the denominator."""
     values = list(phi.table.nums.values())
-    return values.count(one) == len(values)
+    return values.count(phi.table.den) == len(values)
 
 
 def _join(phi: Potential, psi: Potential, target: Domain) -> Potential:
@@ -191,8 +179,6 @@ def _join(phi: Potential, psi: Potential, target: Domain) -> Potential:
     products landing on one target row are added. The denominators multiply,
     and the result is reduced once.
     """
-    if phi.semiring != psi.semiring:
-        raise SemiringMismatchError(f"cannot combine {phi.semiring.name} with {psi.semiring.name} potentials")
     if phi.universe != psi.universe:
         raise UniverseMismatchError("potentials live in different variable universes")
     extra = target - phi.domain - psi.domain
@@ -205,14 +191,12 @@ def _join(phi: Potential, psi: Potential, target: Domain) -> Potential:
     index: dict[Row, list] = {}
     for row, m in psi.table.nums.items():
         index.setdefault(psi_key(row), []).append((row, m))
-    add, mul = phi.semiring.add, phi.semiring.mul
-    zero = 0 if phi.table.exact else phi.semiring.zero  # the numerator of the semiring's zero
-    nums: dict[Row, object] = {}
+    nums: dict[Row, int] = {}
     get = nums.get
     for x, n in phi.table.nums.items():
         for y, m in index[phi_key(x)]:
             row = to_target(x + y)
-            nums[row] = add(get(row, zero), mul(n, m))
+            nums[row] = get(row, 0) + n * m
     return _reduced(phi, target, nums, phi.table.den * psi.table.den)
 
 
@@ -227,11 +211,10 @@ def project_potential(phi: Potential, target: Domain) -> Potential:
     if extra:
         raise DomainError(f"projection target not within the potential domain; offending variables: {sorted(extra)}")
     sub_row = restriction(sorted(phi.domain), sorted(target))
-    add = phi.semiring.add
-    nums: dict[Row, object] = {}
+    nums: dict[Row, int] = {}
     for row, n in phi.table.nums.items():
         sub = sub_row(row)
-        nums[sub] = add(nums[sub], n) if sub in nums else n
+        nums[sub] = nums[sub] + n if sub in nums else n
     return _reduced(phi, target, nums, phi.table.den)
 
 
@@ -242,5 +225,4 @@ def total_mass(phi: Potential):
 
 def support_relation(phi: Potential) -> Relation:
     """The support of a potential as a relation over the same domain."""
-    zero = phi.semiring.zero
-    return Relation(phi.universe, phi.domain, frozenset(x for x, n in phi.table.nums.items() if n != zero))
+    return Relation(phi.universe, phi.domain, frozenset(x for x, n in phi.table.nums.items() if n))

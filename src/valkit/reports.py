@@ -48,7 +48,7 @@ def relation_doc(r: Relation | JoinTree) -> dict:
 
 def potential_doc(p: Potential) -> dict:
     names = sorted(p.domain)
-    return {"type": "potential", "domain": names, "semiring": p.semiring.name, "values": potential_values(p, names)}
+    return {"type": "potential", "domain": names, "semiring": "nonneg-rational", "values": potential_values(p, names)}
 
 
 def valuation_doc(v) -> dict:

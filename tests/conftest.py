@@ -6,7 +6,7 @@ import pytest
 
 from valkit.algebra import Knowledgebase
 from valkit.contextuality import possibilistic_model, probabilistic_model
-from valkit.core import Assignment, BOOLEAN, NONNEG_RATIONAL, Domain, VariableUniverse
+from valkit.core import Assignment, Domain, VariableUniverse
 from valkit.documents import relation_rows
 from valkit.potentials import Potential
 from valkit.relations import Relation
@@ -66,7 +66,7 @@ def random_potential(rng: random.Random, universe: VariableUniverse, domain=None
         a: Fraction(rng.randint(0, 4), rng.randint(1, 4))
         for a in enumerate_assignments(domain, universe)
     }
-    return Potential.from_table(universe, domain, NONNEG_RATIONAL, table)
+    return Potential.from_table(universe, domain, table)
 
 
 # Distinct primes near 10^6: denominators drawn from them are pairwise coprime,
@@ -90,8 +90,8 @@ def random_rationals(rng: random.Random, count: int) -> list[Fraction]:
     return [Fraction(factor * rng.randint(1, 5), rng.randint(1, 4)) for _ in range(count)]
 
 
-def drawn_potential(rng: random.Random, universe: VariableUniverse, domain=None, semiring=NONNEG_RATIONAL) -> Potential:
-    """A potential for the table oracles: no, 40% or all entries zero, the others 1 (Boolean) or random_rationals."""
+def drawn_potential(rng: random.Random, universe: VariableUniverse, domain=None) -> Potential:
+    """A potential for the table oracles: no, 40% or all entries zero, the others random_rationals."""
     if domain is None:
         domain = random_domain(rng, universe)
     zeros = rng.choice((0.0, 0.4, 1.0))
@@ -100,23 +100,14 @@ def drawn_potential(rng: random.Random, universe: VariableUniverse, domain=None,
     table = {}
     for row, weight in zip(rows, weights):
         point = Assignment.from_row(domain, row)
-        if rng.random() < zeros:
-            table[point] = semiring.zero
-        else:
-            table[point] = 1 if semiring is BOOLEAN else weight
-    return Potential.from_table(universe, domain, semiring, table)
+        table[point] = 0 if rng.random() < zeros else weight
+    return Potential.from_table(universe, domain, table)
 
 
 def assert_canonical(p: Potential) -> None:
     """A result equals the potential rebuilt from its values, so it is stored in lowest terms."""
     values = {Assignment.from_row(p.domain, row): v for row, v in p.table.items()}
-    assert Potential.from_table(p.universe, p.domain, p.semiring, values) == p
-
-
-def random_boolean_potential(rng: random.Random, universe: VariableUniverse, domain=None) -> Potential:
-    """random_potential's draws, read as the Boolean potential that is 1 exactly on their support."""
-    phi = random_potential(rng, universe, domain)
-    return Potential(universe, phi.domain, BOOLEAN, {row: int(v != 0) for row, v in phi.table.items()})
+    assert Potential.from_table(p.universe, p.domain, values) == p
 
 
 def random_relation_kb(rng: random.Random, max_vars=6, max_frame=3, max_vals=5) -> Knowledgebase:
@@ -138,8 +129,8 @@ def empty_domain_potential_kb():
     return Knowledgebase(
         universe,
         (
-            Potential.from_table(universe, frozenset({"x"}), NONNEG_RATIONAL, half),
-            Potential.from_table(universe, frozenset(), NONNEG_RATIONAL, {Assignment.of({}): Fraction(1)}),
+            Potential.from_table(universe, frozenset({"x"}), half),
+            Potential.from_table(universe, frozenset(), {Assignment.of({}): Fraction(1)}),
         ),
     )
 

@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from valkit.algebra import PotentialAlgebra, RelationAlgebra, axiom_suite
-from valkit.core import BOOLEAN, NONNEG_RATIONAL, VariableUniverse
+from valkit.core import VariableUniverse
 from valkit.errors import ArgumentError
 from valkit.potentials import Potential, null_potential
 from valkit.relations import Relation, full_relation, natural_join, project_relation, relation_leq
 
-from conftest import random_boolean_potential, random_potential, random_relation
+from conftest import random_potential, random_relation
 
 UNIVERSE = VariableUniverse.of([(n, ("0", "1", "2")) for n in ("p", "q")] + [(n, ("0", "1")) for n in ("r", "s")])
 
@@ -40,7 +40,7 @@ def test_relation_algebra_passes_all_claimed_axioms():
 
 
 def test_rational_potentials_pass_a1_to_a8():
-    algebra = PotentialAlgebra(UNIVERSE, NONNEG_RATIONAL)
+    algebra = PotentialAlgebra(UNIVERSE)
     assert algebra.claimed_axioms() == ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8")
     results = by_axiom(axiom_suite(algebra, potential_samples()))
     for axiom, result in results.items():
@@ -48,7 +48,7 @@ def test_rational_potentials_pass_a1_to_a8():
 
 
 def test_rational_potentials_fail_a9_with_counterexample():
-    algebra = PotentialAlgebra(UNIVERSE, NONNEG_RATIONAL)
+    algebra = PotentialAlgebra(UNIVERSE)
     # Any table value outside {0, 1} breaks idempotency once S = d(phi) is sampled.
     results = by_axiom(axiom_suite(algebra, potential_samples(), axioms=("A9",)))
     assert not results["A9"].passed
@@ -59,11 +59,10 @@ def test_idempotency_counterexample_is_concrete():
     from valkit.core import Assignment
 
     universe = VariableUniverse.of([("x", ("0", "1"))])
-    algebra = PotentialAlgebra(universe, NONNEG_RATIONAL)
+    algebra = PotentialAlgebra(universe)
     half = Potential.from_table(
         universe,
         frozenset({"x"}),
-        NONNEG_RATIONAL,
         {Assignment.of({"x": "0"}): Fraction(1, 2), Assignment.of({"x": "1"}): Fraction(1, 2)},
     )
     # Direct evaluation: (phi ⊗ phi↓{x})(x) = phi(x)^2 != phi(x).
@@ -73,16 +72,6 @@ def test_idempotency_counterexample_is_concrete():
     assert squared != half
     results = by_axiom(axiom_suite(algebra, [half], axioms=("A9",)))
     assert not results["A9"].passed
-
-
-def test_boolean_potentials_are_idempotent():
-    algebra = PotentialAlgebra(UNIVERSE, BOOLEAN)
-    assert "A9" in algebra.claimed_axioms()
-    rng = random.Random(5)
-    samples = [random_boolean_potential(rng, UNIVERSE) for _ in range(8)]
-    results = by_axiom(axiom_suite(algebra, samples))
-    for axiom, result in results.items():
-        assert result.passed, f"{axiom}: {result.counterexample}"
 
 
 def test_relation_a9_holds_by_brute_force():
@@ -109,7 +98,7 @@ def test_claimed_axioms_hold_on_samples_over_four_and_five_variables(kind):
     rng = random.Random(45)
     draw = random_relation if kind == "relations" else random_potential
     samples = [draw(rng, WIDE, frozenset(rng.sample(sorted(WIDE.vars), width))) for width in (4, 5, 4, 5, 5)]
-    algebra = RelationAlgebra(WIDE) if kind == "relations" else PotentialAlgebra(WIDE, NONNEG_RATIONAL)
+    algebra = RelationAlgebra(WIDE) if kind == "relations" else PotentialAlgebra(WIDE)
     results = axiom_suite(algebra, samples, seed=45)
     assert [r.axiom for r in results] == list(algebra.claimed_axioms())
     for result in results:
@@ -232,7 +221,7 @@ class InvertedOrder(RelationAlgebra):
 
 class ZeroNeutralPotentials(PotentialAlgebra):
     def neutral(self, domain):
-        return null_potential(self.universe, domain, self.semiring)
+        return null_potential(self.universe, domain)
 
 
 # Each failure message opens with the law it breaks.
@@ -275,7 +264,7 @@ BROKEN = {
 def broken_suite(name):
     cls, axioms, _, _ = BROKEN[name]
     if issubclass(cls, PotentialAlgebra):
-        algebra, samples = cls(UNIVERSE, NONNEG_RATIONAL), potential_samples()
+        algebra, samples = cls(UNIVERSE), potential_samples()
     else:
         algebra, samples = cls(UNIVERSE), relation_samples()
     return list(axioms or algebra.claimed_axioms()), axiom_suite(algebra, samples, axioms)

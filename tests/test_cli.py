@@ -1314,14 +1314,13 @@ def test_agreeing_potential_knowledgebase_report_and_verify(tmp_path):
     from fractions import Fraction
 
     from valkit.algebra import Knowledgebase
-    from valkit.core import NONNEG_RATIONAL
     from valkit.documents import knowledgebase_document
     from valkit.potentials import constant_potential
 
     model = bell_model()
     universe = model.scenario.universe
     sections = tuple(
-        constant_potential(universe, frozenset(ctx), NONNEG_RATIONAL, Fraction(1, 4))
+        constant_potential(universe, frozenset(ctx), Fraction(1, 4))
         for ctx in model.scenario.contexts
     )
     kb = Knowledgebase(universe, sections)

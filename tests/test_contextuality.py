@@ -43,7 +43,7 @@ def possibilistic_oracle(model):
         if model.kind == POSSIBILISTIC:
             rows = section.tuples
         else:
-            rows = {row for row, v in section.table.items() if v != section.semiring.zero}
+            rows = {row for row, v in section.table.items() if v != 0}
         supports[ctx] = {values_in(row, ctx) for row in rows}
     compatible = []
     for combo in product(*frames):

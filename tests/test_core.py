@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from valkit.core import BOOLEAN, NONNEG_RATIONAL, Assignment, Frame
+from valkit.core import Assignment, Frame, VariableUniverse
 from valkit.errors import ArgumentError, DomainError
+from valkit.potentials import Potential
 from valkit.relations import Relation, natural_join
 
 from conftest import enumerate_assignments
@@ -61,34 +62,14 @@ def test_enumerate_unknown_variable(screening_universe):
         enumerate_assignments(frozenset({"zz"}), screening_universe)
 
 
-@pytest.mark.parametrize("semiring", [BOOLEAN, NONNEG_RATIONAL])
-def test_semiring_laws_on_samples(semiring):
-    if semiring is BOOLEAN:
-        values = [0, 1]
-    else:
-        values = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 8), Fraction(2)]
-    add, mul = semiring.add, semiring.mul
-    zero, one = semiring.zero, semiring.one
-    for a in values:
-        assert add(a, zero) == a
-        assert mul(a, one) == a
-        assert mul(a, zero) == zero
-        assert semiring.contains(a)
-        if semiring.additively_idempotent:
-            assert add(a, a) == a
-        for b in values:
-            assert add(a, b) == add(b, a)
-            assert mul(a, b) == mul(b, a)
-            for c in values:
-                assert add(add(a, b), c) == add(a, add(b, c))
-                assert mul(mul(a, b), c) == mul(a, mul(b, c))
-                assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-
-
 def test_rational_semiring_rejects_negatives_and_floats():
-    assert not NONNEG_RATIONAL.contains(Fraction(-1, 2))
-    assert not NONNEG_RATIONAL.contains(0.5)
-    assert not BOOLEAN.contains(2)
+    # A potential's carrier is the nonnegative ints and Fractions; a bool is not a rational value.
+    universe = VariableUniverse.of([("x", ("0",))])
+    for value in (Fraction(-1, 2), -1, 0.5, True, "1/2"):
+        with pytest.raises(ArgumentError, match="outside the nonneg-rational carrier"):
+            Potential.from_table(universe, frozenset({"x"}), {Assignment.of({"x": "0"}): value})
+    for value in (0, 2, Fraction(3, 8)):
+        assert Potential.from_table(universe, frozenset({"x"}), {Assignment.of({"x": "0"}): value}).table[("0",)] == value
 
 
 def test_join_of_points_and_values_in(screening_universe):

@@ -12,7 +12,7 @@ from valkit.builtins import (
     screening_knowledgebase,
 )
 from valkit.contextuality import classify
-from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse
+from valkit.core import Assignment, VariableUniverse
 from valkit.disagreement import (
     analyze_knowledgebase,
     check_complete_disagreement,
@@ -147,7 +147,7 @@ def test_bell_potentials_disagree_with_valid_certificate():
 
 def test_single_normalized_potential_agrees():
     universe = VariableUniverse.of([("x", ("0", "1"))])
-    phi = constant_potential(universe, frozenset({"x"}), NONNEG_RATIONAL, Fraction(1, 2))
+    phi = constant_potential(universe, frozenset({"x"}), Fraction(1, 2))
     verdict = check_global_agreement_potentials(Knowledgebase(universe, (phi,)))
     assert verdict.agrees
     assert project_potential(verdict.truth, phi.domain) == phi
@@ -157,7 +157,7 @@ def test_uniform_product_sections_agree_on_bell_scenario():
     model = bell_model()
     universe = model.scenario.universe
     uniform_sections = tuple(
-        constant_potential(universe, frozenset(ctx), NONNEG_RATIONAL, Fraction(1, 4))
+        constant_potential(universe, frozenset(ctx), Fraction(1, 4))
         for ctx in model.scenario.contexts
     )
     kb = Knowledgebase(universe, uniform_sections)
@@ -308,7 +308,6 @@ def test_locally_disagreeing_potentials_still_get_certificate():
     sections[0] = Potential.from_table(
         universe,
         domain,
-        NONNEG_RATIONAL,
         {Assignment.from_row(domain, a): (Fraction(1) if a == point else Fraction(0)) for a in sections[0].table},
     )
     kb = Knowledgebase(universe, tuple(sections))
@@ -324,13 +323,11 @@ def test_complete_disagreement_for_potentials():
     left = Potential.from_table(
         universe,
         frozenset({"x"}),
-        NONNEG_RATIONAL,
         {Assignment.of({"x": "0"}): Fraction(1), Assignment.of({"x": "1"}): Fraction(0)},
     )
     right = Potential.from_table(
         universe,
         frozenset({"x"}),
-        NONNEG_RATIONAL,
         {Assignment.of({"x": "0"}): Fraction(0), Assignment.of({"x": "1"}): Fraction(1)},
     )
     kb = Knowledgebase(universe, (left, right))

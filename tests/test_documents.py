@@ -296,6 +296,10 @@ MALFORMED = {
     "repeated-domain": (bit_kb(domain=["x", "x"], values={}), "valuations[0].domain: repeated variable"),
     "repeated-scheme": (bit_csp(scheme=("x", "x")), "constraints[0].scheme: repeated variable"),
     "repeated-cover": (bit_csp(covers=[["x", "x"]]), "covers[0]: repeated variable"),
+    "repeated-context": (
+        {**bit_model("possibilistic", {"0,0": 1}), "contexts": [["x", "x"]], "sections": {"x,x": {"0,0": 1}}},
+        "contexts[0]: repeated variable",
+    ),
     "neither-style": (bit_kb(), "valuations[0]: exactly one of 'tuples' or 'values' is required"),
     "both-styles": (bit_kb(tuples=[], values={}), "valuations[0]: exactly one of 'tuples' or 'values' is required"),
     "no-covers": (bit_csp(covers=[]), "covers: a CSP needs at least one cover"),

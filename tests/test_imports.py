@@ -25,10 +25,6 @@ its defining one calls `solve_naive`, `combination_verdict` or
 `check_complete_disagreement`, so the analysis path cannot drift back onto
 them.
 
-Boolean potentials are relations: possibilistic data is read, analysed and
-written as a relation, and only `core.py`, which defines the Boolean
-semiring, names `BOOLEAN`.
-
 Gamma has one producer, `JoinTree.combination`: no module other than
 `inference.py`, which defines `calibrate`, and `disagreement.py`, whose
 support analysis is the one caller on the analysis path, calls `calibrate`.
@@ -362,36 +358,6 @@ def test_the_combination_check_sees_calls():
     assert _combination_calls(ast.parse("def f(tree):\n    return tree.gamma, tree.combination\n"), "reports.py") == []
 
 
-BOOLEAN_MODULES = ("core.py",)
-
-
-def _boolean_uses(tree: ast.AST, module: str) -> list[str]:
-    found = []
-    for node in ast.walk(tree):
-        if (
-            (isinstance(node, ast.Name) and node.id == "BOOLEAN")
-            or (isinstance(node, ast.Attribute) and node.attr == "BOOLEAN")
-            or (isinstance(node, ast.alias) and node.name == "BOOLEAN")
-        ):
-            found.append(f"{module}:{getattr(node, 'lineno', '?')}: names BOOLEAN")
-    return found
-
-
-def test_only_the_semiring_module_names_boolean():
-    offences = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name not in BOOLEAN_MODULES:
-            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            offences.extend(_boolean_uses(tree, path.name))
-    assert not offences, "Boolean semiring named outside core.py:\n" + "\n".join(offences)
-
-
-def test_the_boolean_check_sees_a_use():
-    source = "from .core import BOOLEAN\nfrom . import core\nx = (BOOLEAN, core.BOOLEAN)\n"
-    assert len(_boolean_uses(ast.parse(source), "reports.py")) == 3
-    assert _boolean_uses(ast.parse("x = NONNEG_RATIONAL\n"), "reports.py") == []
-
-
 def _model_analysis_offences(tree: ast.AST, module: str) -> list[str]:
     found = []
     for node in ast.walk(tree):
@@ -591,15 +557,25 @@ def _traced_layers() -> tuple[tuple[str, str], ...]:
     raise AssertionError(f"{TRACING} assigns no LAYERS")
 
 
-def test_every_traced_layer_names_a_valkit_function():
-    layers = _traced_layers()
-    assert layers
-    missing = [
+def _missing_layers(layers) -> list[str]:
+    """The `module.function` pairs of `layers` that name no callable of `valkit.<module>`."""
+    return [
         f"{module}.{function}"
         for module, function in layers
         if not callable(getattr(importlib.import_module(f"valkit.{module}"), function, None))
     ]
+
+
+def test_every_traced_layer_names_a_valkit_function():
+    layers = _traced_layers()
+    assert layers
+    missing = _missing_layers(layers)
     assert not missing, "bench/tracing.py LAYERS names no valkit function:\n" + "\n".join(missing)
+
+
+def test_the_layer_check_sees_a_missing_name():
+    layers = (("potentials", "combine_potentials"), ("potentials", "combine"), ("core", "NONNEG_RATIONAL"))
+    assert _missing_layers(layers) == ["potentials.combine", "core.NONNEG_RATIONAL"]
 
 
 def _entry_point_block() -> str:

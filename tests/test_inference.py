@@ -7,7 +7,7 @@ import pytest
 from valkit import inference
 from valkit.algebra import Knowledgebase, RelationAlgebra
 from valkit.builtins import liar_knowledgebase, malawi_knowledgebase, screening_knowledgebase
-from valkit.core import NONNEG_RATIONAL, Assignment, VariableUniverse
+from valkit.core import Assignment, VariableUniverse
 from valkit.documents import canonical_json, parse_document_text
 from valkit.errors import ArgumentError, DomainError, ResourceLimitError
 from valkit.inference import (
@@ -234,10 +234,9 @@ def test_fusion_matches_naive_on_random_kbs_small():
 def test_cell_limit_aborts_large_combination():
     universe = VariableUniverse.of([(f"v{i}", ("0", "1")) for i in range(12)])
     from valkit.potentials import neutral_potential
-    from valkit.core import NONNEG_RATIONAL
 
-    left = neutral_potential(universe, frozenset(f"v{i}" for i in range(6)), NONNEG_RATIONAL)
-    right = neutral_potential(universe, frozenset(f"v{i}" for i in range(6, 12)), NONNEG_RATIONAL)
+    left = neutral_potential(universe, frozenset(f"v{i}" for i in range(6)))
+    right = neutral_potential(universe, frozenset(f"v{i}" for i in range(6, 12)))
     kb = Knowledgebase(universe, (left, right))
     problem = InferenceProblem(kb, frozenset())
     with pytest.raises(ResourceLimitError):
@@ -376,7 +375,7 @@ def normalised_conditional(rng, universe, domain):
         for value, w in zip(frame, weights):
             point = Assignment.of({child: value, **dict(zip(parents, parent_row))})
             table[point] = Fraction(w, sum(weights))
-    return Potential.from_table(universe, frozenset(domain), NONNEG_RATIONAL, table)
+    return Potential.from_table(universe, frozenset(domain), table)
 
 
 def total_relation(rng, universe, domain):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from valkit.algebra import Knowledgebase
 from valkit.builtins import bell_model, malawi_constraints
 from valkit.contextuality import classify, probabilistic_model
-from valkit.core import Assignment, NONNEG_RATIONAL, VariableUniverse
+from valkit.core import Assignment, VariableUniverse
 from valkit.disagreement import (
     check_global_agreement_potentials,
     check_local_agreement,
@@ -29,7 +29,7 @@ def renamed_potential_kb(kb: Knowledgebase, mapping: dict) -> Knowledgebase:
         for row, v in phi.table.items():
             table[Assignment.of({mapping[k]: val for k, val in zip(sorted(phi.domain), row)})] = v
         renamed.append(
-            Potential.from_table(universe, frozenset(mapping[n] for n in phi.domain), NONNEG_RATIONAL, table)
+            Potential.from_table(universe, frozenset(mapping[n] for n in phi.domain), table)
         )
     return Knowledgebase(universe, tuple(renamed))
 
@@ -103,7 +103,7 @@ def test_projection_to_empty_domain_counts_mass():
     table = {
         a: Fraction(1, 4) for a in enumerate_assignments(frozenset({"x", "y"}), universe)
     }
-    phi = Potential.from_table(universe, frozenset({"x", "y"}), NONNEG_RATIONAL, table)
+    phi = Potential.from_table(universe, frozenset({"x", "y"}), table)
     from valkit.potentials import project_potential
 
     collapsed = project_potential(phi, frozenset())

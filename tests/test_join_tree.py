@@ -19,7 +19,7 @@ from valkit import inference
 from valkit.algebra import Knowledgebase
 from valkit.builtins import liar_knowledgebase
 from valkit.contextuality import classify
-from valkit.core import NONNEG_RATIONAL, Assignment, VariableUniverse
+from valkit.core import Assignment, VariableUniverse
 from valkit.disagreement import (
     GlobalVerdict,
     LocalVerdict,
@@ -273,7 +273,7 @@ def random_local_potential_kb(rng: random.Random) -> Knowledgebase:
             phi = random_potential(rng, universe)
             mass = total_mass(phi)
             if mass and rng.random() < 0.6:
-                phi = Potential(universe, phi.domain, NONNEG_RATIONAL, {k: v / mass for k, v in phi.table.items()})
+                phi = Potential(universe, phi.domain, {k: v / mass for k, v in phi.table.items()})
             members.append(phi)
     return Knowledgebase(universe, tuple(members))
 
@@ -296,11 +296,11 @@ def test_disjoint_members_differ_by_total_mass():
     # Members over {x} and {y} share no variable: a uniform distribution
     # agrees with a point mass and disagrees with the constant 1.
     universe = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1", "2"))])
-    uniform = constant_potential(universe, frozenset({"x"}), NONNEG_RATIONAL, Fraction(1, 2))
+    uniform = constant_potential(universe, frozenset({"x"}), Fraction(1, 2))
     point = Potential.from_table(
-        universe, frozenset({"y"}), NONNEG_RATIONAL, {Assignment.of({"y": "2"}): 1}, default=0
+        universe, frozenset({"y"}), {Assignment.of({"y": "2"}): 1}, default=0
     )
-    ones = constant_potential(universe, frozenset({"y"}), NONNEG_RATIONAL, Fraction(1))
+    ones = constant_potential(universe, frozenset({"y"}), Fraction(1))
     assert check_local_agreement(Knowledgebase(universe, (uniform, point))).agrees
     verdict = check_local_agreement(Knowledgebase(universe, (uniform, point, ones)))
     assert verdict.pair == (1, 3) and verdict.overlap == frozenset()

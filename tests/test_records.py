@@ -9,7 +9,6 @@ positionally, by keyword and with defaults, a wrong arity or an unknown
 keyword raises `TypeError`, and the `__post_init__` checks still fire.
 """
 
-import operator
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +23,7 @@ from valkit.contextuality import (
     MeasurementScenario,
     NoSignallingVerdict,
 )
-from valkit.core import BOOLEAN, NONNEG_RATIONAL, Assignment, Frame, Semiring, VariableUniverse, dom
+from valkit.core import Assignment, Frame, VariableUniverse, dom
 from valkit.disagreement import AgreementReport, GlobalVerdict, LocalVerdict
 from valkit.documents import ParsedInput
 from valkit.errors import ArgumentError, DomainError
@@ -41,7 +40,6 @@ UNIT = Relation(U, dom(), frozenset({()}))
 P = Potential.from_table(
     U,
     dom("x"),
-    NONNEG_RATIONAL,
     {Assignment.of({"x": "0"}): Fraction(1, 4), Assignment.of({"x": "1"}): Fraction(3, 4)},
 )
 KB = Knowledgebase(U, (R,))
@@ -59,14 +57,9 @@ RECORDS = {
         "VariableUniverse(entries=(('x', Frame(values=('0', '1'))),))",
     ),
     Assignment: (("items",), Assignment.of({"x": "1"}), "(x=1)"),
-    Semiring: (
-        ("name", "zero", "one", "additively_idempotent", "add", "mul", "contains"),
-        BOOLEAN,
-        "Semiring(name='boolean', zero=0, one=1, additively_idempotent=True)",
-    ),
     Relation: (("universe", "domain", "tuples"), R, "Relation[x]{(x=1)}"),
     Potential: (
-        ("universe", "domain", "semiring", "table"),
+        ("universe", "domain", "table"),
         P,
         "Potential[x|nonneg-rational]{(x=0)->1/4, (x=1)->3/4}",
     ),
@@ -251,17 +244,11 @@ def test_equal_records_hash_equal_and_differing_fields_compare_unequal():
         AxiomCheck("a", True, 1),
         AxiomCheck("a", True, 2),
     }
-    assert P == Potential(U, dom("x"), NONNEG_RATIONAL, {("0",): Fraction(1, 4), ("1",): Fraction(3, 4)})
-    assert P != Potential(U, dom("x"), NONNEG_RATIONAL, {("0",): Fraction(3, 4), ("1",): Fraction(1, 4)})
+    assert P == Potential(U, dom("x"), {("0",): Fraction(1, 4), ("1",): Fraction(3, 4)})
+    assert P != Potential(U, dom("x"), {("0",): Fraction(3, 4), ("1",): Fraction(1, 4)})
 
 
 def test_uncompared_fields_stay_out_of_equality_hash_and_repr():
-    other = Semiring("boolean", 0, 1, True, add=operator.xor, mul=operator.mul, contains=callable)
-    assert other == BOOLEAN and hash(other) == hash(BOOLEAN)
-    assert repr(other) == repr(BOOLEAN)
-    assert other.add is operator.xor and other.contains is callable
-    assert Semiring("boolean", 0, 1, False, operator.or_, operator.and_, callable) != BOOLEAN
-
     with_system = GlobalVerdict(False, witness_index=2, system=SYSTEM)
     without = GlobalVerdict(False, witness_index=2)
     assert with_system == without and hash(with_system) == hash(without)
@@ -300,7 +287,7 @@ def test_post_init_checks_still_fire():
     with pytest.raises(DomainError):
         Relation(U, dom("y"), frozenset())
     with pytest.raises(DomainError, match="must be total"):
-        Potential(U, dom("x"), NONNEG_RATIONAL, {("0",): Fraction(1)})
+        Potential(U, dom("x"), {("0",): Fraction(1)})
     with pytest.raises(ArgumentError, match="at least one valuation"):
         Knowledgebase(U, ())
     with pytest.raises(DomainError, match="outside the joint domain"):

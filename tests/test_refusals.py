@@ -12,8 +12,9 @@ import pytest
 
 from valkit.algebra import Knowledgebase
 from valkit.contextuality import POSSIBILISTIC, PROBABILISTIC, EmpiricalModel, MeasurementScenario
-from valkit.core import BOOLEAN, NONNEG_RATIONAL, Assignment, VariableUniverse, dom
+from valkit.core import Assignment, VariableUniverse, dom
 from valkit.errors import ArgumentError, DomainError, UniverseMismatchError
+from valkit.feasibility import LinearSystem
 from valkit.potentials import Potential, _join
 from valkit.relations import Relation, full_relation, relation_leq
 
@@ -23,8 +24,8 @@ X0, X1 = Assignment.of({"x": "0"}), Assignment.of({"x": "1"})
 HALF = Fraction(1, 2)
 
 
-def potential(universe=U, semiring=NONNEG_RATIONAL, value=HALF):
-    return Potential.from_table(universe, dom("x"), semiring, {X0: value, X1: value})
+def potential(universe=U, value=HALF):
+    return Potential.from_table(universe, dom("x"), {X0: value, X1: value})
 
 
 def relation(universe=U, name="x"):
@@ -58,7 +59,7 @@ REFUSALS = {
         "different variable universes",
     ),
     "Potential.from_table: missing entry": (
-        lambda: Potential.from_table(U, dom("x"), NONNEG_RATIONAL, {X0: HALF}),
+        lambda: Potential.from_table(U, dom("x"), {X0: HALF}),
         DomainError,
         "missing table entry",
     ),
@@ -68,7 +69,7 @@ REFUSALS = {
         "outside the nonneg-rational carrier",
     ),
     "Potential.from_table: stray assignment": (
-        lambda: Potential.from_table(U, dom("x"), NONNEG_RATIONAL, {X0: HALF, X1: HALF, Assignment.of({"y": "0"}): HALF}),
+        lambda: Potential.from_table(U, dom("x"), {X0: HALF, X1: HALF, Assignment.of({"y": "0"}): HALF}),
         ArgumentError,
         "is not a point of the domain's frame product",
     ),
@@ -96,11 +97,6 @@ REFUSALS = {
         lambda: Knowledgebase(U, (relation(V),)),
         ArgumentError,
         "over a different universe",
-    ),
-    "Knowledgebase: mixed semirings": (
-        lambda: Knowledgebase(U, (potential(), potential(semiring=BOOLEAN, value=1))),
-        ArgumentError,
-        "different semirings",
     ),
     "Knowledgebase: unknown valuation type": (
         lambda: Knowledgebase(U, (SimpleNamespace(universe=U),)).algebra(),
@@ -141,6 +137,11 @@ REFUSALS = {
         lambda: VariableUniverse.of([("", ("0",))]),
         ArgumentError,
         "variable names must be nonempty",
+    ),
+    "LinearSystem: right-hand side of an undeclared row": (
+        lambda: LinearSystem(("x",), ("r1",), {("r1", "x"): 1}, {"r1": 1, "r9": -5}),
+        ArgumentError,
+        "right-hand side names undeclared row 'r9'",
     ),
     "Assignment.value: missing variable": (
         lambda: X0.value("y"),

@@ -12,7 +12,7 @@ from itertools import product
 from valkit import contextuality, reports
 from valkit.algebra import Knowledgebase
 from valkit.builtins import bell_model, ghz_model, hardy_model, liar_knowledgebase, screening_knowledgebase
-from valkit.core import NONNEG_RATIONAL, Assignment, VariableUniverse
+from valkit.core import Assignment, VariableUniverse
 from valkit.documents import (
     ParsedInput,
     canonical_json,
@@ -185,7 +185,7 @@ def test_a_potential_truth_must_project_onto_every_member():
     model = bell_model()
     universe = model.scenario.universe
     uniform = tuple(
-        constant_potential(universe, frozenset(ctx), NONNEG_RATIONAL, Fraction(1, 4)) for ctx in model.scenario.contexts
+        constant_potential(universe, frozenset(ctx), Fraction(1, 4)) for ctx in model.scenario.contexts
     )
 
     def corrupt(analysis):
