@@ -1,8 +1,9 @@
 """The valuation-algebra contract and the axiom test suite.
 
 An algebra bundles the three primitive operations (labelling, projection,
-combination) with optional capabilities: neutral elements, null elements,
-idempotent combination, a completeness order, and adjointness. The axiom
+combination) with neutral and null elements, which every instance has, and
+three properties an instance may lack: idempotent combination, a
+completeness order, and adjointness. The axiom
 suite exercises an instance against exactly the axioms it claims (or any
 explicitly requested set) and reports a concrete counterexample on failure.
 Adjointness is the law "ADJ", claimed after A13; in an adjoint algebra the
@@ -42,51 +43,33 @@ ORDER_AXIOMS = ("A10", "A11", "A12", "A13")
 
 
 class ValuationAlgebra:
-    """Behavioral interface every instance implements."""
+    """The contract both instances share.
 
-    name = "abstract"
-    has_neutral = False
-    has_null = False
+    An instance supplies `project`, `combine`, `neutral`, `null`,
+    `is_neutral` and `combine_size_bound` (an upper bound on the size of a
+    combination, read by the resource guards) and a `name`, and sets
+    `idempotent`, `ordered` and `adjoint` where they hold.
+    """
+
     idempotent = False
     ordered = False
     adjoint = False
 
+    def __init__(self, universe: VariableUniverse):
+        self.universe = universe
+
     def label(self, phi) -> Domain:
-        raise NotImplementedError
-
-    def project(self, phi, target: Domain):
-        raise NotImplementedError
-
-    def combine(self, phi, psi):
-        raise NotImplementedError
+        return phi.domain
 
     def combine_project(self, phi, psi, target: Domain):
         """(phi ⊗ psi)↓target, for `target` within the union of the labels: a bucket's message in fusion."""
         return self.project(self.combine(phi, psi), target)
 
-    def neutral(self, domain: Domain):
-        raise CapabilityError(f"{self.name} has no neutral elements")
-
-    def null(self, domain: Domain):
-        raise CapabilityError(f"{self.name} has no null elements")
-
-    def is_neutral(self, phi) -> bool:
-        """Whether phi is the neutral element of its domain."""
-        return phi == self.neutral(self.label(phi))
-
     def leq(self, phi, psi) -> bool:
         raise CapabilityError(f"{self.name} is not ordered")
 
-    def combine_size_bound(self, phi, psi) -> int:
-        """Upper bound on the size of combine(phi, psi), used by resource guards."""
-        raise NotImplementedError
-
     def claimed_axioms(self) -> tuple[str, ...]:
-        axioms = list(CORE_AXIOMS)
-        if self.has_neutral:
-            axioms.append("A7")
-        if self.has_null:
-            axioms.append("A8")
+        axioms = [*CORE_AXIOMS, "A7", "A8"]
         if self.idempotent:
             axioms.append("A9")
         if self.ordered:
@@ -100,17 +83,9 @@ class RelationAlgebra(ValuationAlgebra):
     """Relations under natural join and tuple projection: a full information algebra."""
 
     name = "relations"
-    has_neutral = True
-    has_null = True
     idempotent = True
     ordered = True
     adjoint = True
-
-    def __init__(self, universe: VariableUniverse):
-        self.universe = universe
-
-    def label(self, phi: Relation) -> Domain:
-        return phi.domain
 
     def project(self, phi: Relation, target: Domain) -> Relation:
         return project_relation(phi, target)
@@ -138,17 +113,6 @@ class PotentialAlgebra(ValuationAlgebra):
     """Nonnegative-rational potentials under pointwise product and fiber sums: not idempotent."""
 
     name = "potentials[nonneg-rational]"
-    has_neutral = True
-    has_null = True
-    idempotent = False
-    ordered = False
-    adjoint = False
-
-    def __init__(self, universe: VariableUniverse):
-        self.universe = universe
-
-    def label(self, phi: Potential) -> Domain:
-        return phi.domain
 
     def project(self, phi: Potential, target: Domain) -> Potential:
         return project_potential(phi, target)
@@ -327,10 +291,9 @@ def _combination(a, samples, pairs, triples, rng):
 
 def _neutrality(a, samples, pairs, triples, rng):
     seen_domains = []
-    universe = getattr(a, "universe", None)
     for phi in samples:
         s = a.label(phi)
-        if universe is not None and universe.size(s) > _NEUTRAL_SIZE_CAP:
+        if a.universe.size(s) > _NEUTRAL_SIZE_CAP:
             continue
         yield a.combine(phi, a.neutral(s)) == phi, lambda: f"phi ⊗ e_S != phi for phi={phi!r}"
         seen_domains.append(s)

@@ -193,16 +193,14 @@ def probabilistic_model(
     contexts: list[tuple[str, ...]],
     sections: dict[tuple[str, ...], dict[tuple[str, ...], Fraction | int | str]],
 ) -> EmpiricalModel:
-    """Convenience constructor from nested outcome tables; missing outcomes get 0."""
+    """Convenience constructor from nested outcome tables of int, `Fraction` or str values; missing outcomes get 0."""
     scenario = MeasurementScenario(universe, tuple(contexts))
     built = []
-    for ctx in scenario.contexts:
+    for ctx, section in zip(scenario.contexts, _by_context(scenario, sections, "sections")):
         table = {}
-        for outcome, value in sections[ctx].items():
-            table[Assignment.of(dict(zip(ctx, outcome)))] = Fraction(value)
-        built.append(
-            Potential.from_table(universe, frozenset(ctx), table, default=Fraction(0))
-        )
+        for outcome, value in section.items():
+            table[Assignment.of(dict(zip(ctx, outcome)))] = Fraction(value) if isinstance(value, str) else value
+        built.append(Potential.from_table(universe, frozenset(ctx), table, default=Fraction(0)))
     return EmpiricalModel(scenario, PROBABILISTIC, tuple(built))
 
 
@@ -213,5 +211,16 @@ def possibilistic_model(
 ) -> EmpiricalModel:
     """Convenience constructor from supported outcome lists, each outcome in context order."""
     scenario = MeasurementScenario(universe, tuple(contexts))
-    built = tuple(Relation.from_rows(universe, ctx, supports[ctx]) for ctx in scenario.contexts)
+    given = _by_context(scenario, supports, "supports")
+    built = tuple(Relation.from_rows(universe, ctx, rows) for ctx, rows in zip(scenario.contexts, given))
     return EmpiricalModel(scenario, POSSIBILISTIC, built)
+
+
+def _by_context(scenario: MeasurementScenario, given: dict, where: str) -> list:
+    """`given`'s entries in cover order, refusing a context it lacks or one the scenario lacks."""
+    extra = [ctx for ctx in given if ctx not in scenario.contexts]
+    missing = [ctx for ctx in scenario.contexts if ctx not in given]
+    if extra or missing:
+        detail = ([f"unknown contexts {extra}"] if extra else []) + ([f"missing contexts {missing}"] if missing else [])
+        raise ArgumentError(f"{where}: " + "; ".join(detail))
+    return [given[ctx] for ctx in scenario.contexts]

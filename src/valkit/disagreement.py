@@ -165,8 +165,6 @@ def check_global_agreement_potentials(
 def check_complete_disagreement(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> bool:
     """True iff the combination is null, by one fusion: the tests' reference for support_analysis's root."""
     algebra = kb.algebra()
-    if not algebra.has_null:
-        raise CapabilityError(f"{algebra.name} has no null elements")
     first_domain = algebra.label(kb.valuations[0])
     projected = solve_fusion(InferenceProblem(kb, first_domain), cell_limit=cell_limit)
     return projected == algebra.null(first_domain)

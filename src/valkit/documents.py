@@ -329,10 +329,7 @@ def _parse_knowledgebase(doc: dict, cell_limit: int | None) -> Knowledgebase:
             valuations.append(
                 parse_potential(raw_values, domain_names, universe, f"{where}.values", cell_limit=cell_limit)
             )
-    try:
-        return Knowledgebase(universe, tuple(valuations))
-    except ValkitError as err:
-        raise ParseError(str(err)) from None
+    return Knowledgebase(universe, tuple(valuations))
 
 
 def _parse_csp(doc: dict, cell_limit: int | None) -> Knowledgebase:

@@ -117,6 +117,9 @@ class Potential(Record):
     def __call__(self, x: Assignment) -> Fraction:
         if x.domain != self.domain:
             raise DomainError(f"{x!r} is not a point of the domain {sorted(self.domain)}")
+        for name, label in x.items:
+            if label not in self.universe.frame(name):
+                raise DomainError(f"label {label!r} is not in the frame of {name!r}")
         return self.table[x.row]
 
     def __repr__(self) -> str:

@@ -1081,6 +1081,13 @@ def test_parse_error_exit_code_and_location(tmp_path):
     assert "line 2" in err
 
 
+def test_verify_of_a_report_that_is_not_an_object_exits_2(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[]", encoding="utf-8")
+    code, out, err = run_cli("verify", str(path), "builtin:bell")
+    assert (code, out, err) == (2, "", "error: report must be a JSON object\n")
+
+
 def test_missing_file_exit_code():
     code, _, err = run_cli("analyze", "no-such-file.json")
     assert code == 2

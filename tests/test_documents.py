@@ -303,6 +303,16 @@ MALFORMED = {
     "neither-style": (bit_kb(), "valuations[0]: exactly one of 'tuples' or 'values' is required"),
     "both-styles": (bit_kb(tuples=[], values={}), "valuations[0]: exactly one of 'tuples' or 'values' is required"),
     "no-covers": (bit_csp(covers=[]), "covers: a CSP needs at least one cover"),
+    "duplicate-name": (
+        {"kind": "knowledgebase", "universe": BIT + BIT, "valuations": []},
+        "universe: duplicate variable names in universe",
+    ),
+    "row-arity": (bit_kb(tuples=[["0", "1"]]), "valuations[0]: row ('0', '1') does not match variables ('x',)"),
+    "row-label": (bit_kb(tuples=[["2"]]), "valuations[0]: value '2' not in the frame of 'x'"),
+    "allowed-label": (
+        {**bit_csp(), "constraints": [{"scheme": ["x"], "allowed": [["7"]]}]},
+        "constraints[0]: value '7' not in the frame of 'x'",
+    ),
     "no-constraints": ({"kind": "csp", "universe": BIT, "constraints": []}, "covers: a CSP needs at least one cover"),
 }
 

@@ -1,10 +1,15 @@
 """Structural lints on the valkit sources, checked with `ast`.
 
-Every valkit module uses each name it imports: a stdlib-only stand-in for a
-linter's unused-import rule. Each module under `src/valkit` is parsed, and
-every name bound by an import must be read somewhere in that module, in code
-or in a string annotation. The package `__init__.py` is exempt because its
-imports are re-exports.
+Every valkit module and every test module uses each name it imports: a
+stdlib-only stand-in for a linter's unused-import rule. Each module under
+`src/valkit` and `tests` is parsed, and every name bound by an import must be
+read somewhere in that module, in code or in a string annotation. The
+package `__init__.py` is exempt because its imports are re-exports.
+
+One algebra contract: every class in `src/valkit` that subclasses
+`ValuationAlgebra` defines `project`, `combine`, `neutral`, `null`,
+`is_neutral` and `combine_size_bound` itself, and the base class defines
+none of them, so no instance can fall back on a stub or an optional default.
 
 Tables work on rows: generic inference (`inference.py`, `algebra.py`) and the
 four table operations never name `Assignment` or call an assignment's
@@ -70,6 +75,7 @@ from pathlib import Path
 import valkit
 
 PACKAGE = Path(valkit.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -110,20 +116,57 @@ def _used(tree: ast.Module) -> set[str]:
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
+        if path == PACKAGE / "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         used = _used(tree)
         for name, line in sorted(_imported(tree).items()):
             if name not in used:
-                unused.append(f"{path.name}:{line}: {name}")
+                unused.append(f"{path.parent.name}/{path.name}:{line}: {name}")
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Mapping\ndef f(x: 'Mapping') -> int:\n    return 1\n")
     assert set(_imported(tree)) - _used(tree) == {"os"}
+
+
+CONTRACT = ("project", "combine", "neutral", "null", "is_neutral", "combine_size_bound")
+
+
+def _contract_gaps(tree: ast.AST, module: str) -> tuple[list[str], list[str]]:
+    """The `ValuationAlgebra` subclasses in `tree`, and each contract method one of them, or the base, gets wrong."""
+    instances, gaps = [], []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
+        if node.name == "ValuationAlgebra":
+            gaps += [f"{module}:{node.name}: defines {name}" for name in CONTRACT if name in defined]
+        elif any(getattr(base, "id", getattr(base, "attr", None)) == "ValuationAlgebra" for base in node.bases):
+            instances.append(node.name)
+            gaps += [f"{module}:{node.name}: lacks {name}" for name in CONTRACT if name not in defined]
+    return instances, gaps
+
+
+def test_every_algebra_instance_defines_the_contract():
+    instances, gaps = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found, wrong = _contract_gaps(ast.parse(path.read_text(encoding="utf-8")), path.name)
+        instances += found
+        gaps += wrong
+    assert sorted(instances) == ["PotentialAlgebra", "RelationAlgebra"]
+    assert not gaps, "algebra contract:\n" + "\n".join(gaps)
+
+
+def test_the_contract_check_sees_a_missing_method():
+    methods = "".join(f"    def {name}(self, *args): ...\n" for name in CONTRACT if name != "null")
+    tree = ast.parse(
+        f"class Half(algebra.ValuationAlgebra):\n{methods}"
+        "class ValuationAlgebra:\n    def combine(self, phi, psi): ...\n"
+    )
+    assert _contract_gaps(tree, "m.py") == (["Half"], ["m.py:Half: lacks null", "m.py:ValuationAlgebra: defines combine"])
 
 
 ROW_ONLY_MODULES = ("inference.py", "algebra.py")

@@ -11,9 +11,17 @@ from types import SimpleNamespace
 import pytest
 
 from valkit.algebra import Knowledgebase
-from valkit.contextuality import POSSIBILISTIC, PROBABILISTIC, EmpiricalModel, MeasurementScenario
+from valkit.contextuality import (
+    POSSIBILISTIC,
+    PROBABILISTIC,
+    EmpiricalModel,
+    MeasurementScenario,
+    possibilistic_model,
+    probabilistic_model,
+)
+from valkit.disagreement import search_truth_valuations
 from valkit.core import Assignment, VariableUniverse, dom
-from valkit.errors import ArgumentError, DomainError, UniverseMismatchError
+from valkit.errors import ArgumentError, CapabilityError, DomainError, UniverseMismatchError
 from valkit.feasibility import LinearSystem
 from valkit.potentials import Potential, _join
 from valkit.relations import Relation, full_relation, relation_leq
@@ -78,6 +86,26 @@ REFUSALS = {
         DomainError,
         "is not a point of the domain",
     ),
+    "Potential.__call__: label outside the frame": (
+        lambda: potential()(Assignment.of({"x": "9"})),
+        DomainError,
+        "label '9' is not in the frame of 'x'",
+    ),
+    "probabilistic_model: missing context": (
+        lambda: probabilistic_model(U, [("x",), ("y",)], {("x",): {("0",): 1}}),
+        ArgumentError,
+        "sections: missing contexts [('y',)]",
+    ),
+    "possibilistic_model: missing context": (
+        lambda: possibilistic_model(U, [("x",), ("y",)], {("x",): [("0",)]}),
+        ArgumentError,
+        "supports: missing contexts [('y',)]",
+    ),
+    "probabilistic_model: float value": (
+        lambda: probabilistic_model(U, [("x", "y")], {("x", "y"): {("0", "0"): 0.5, ("1", "1"): 0.5}}),
+        ArgumentError,
+        "value 0.5 is outside the nonneg-rational carrier",
+    ),
     "potentials._join: universe mismatch": (
         lambda: _join(potential(), potential(V), dom("x")),
         UniverseMismatchError,
@@ -102,6 +130,11 @@ REFUSALS = {
         lambda: Knowledgebase(U, (SimpleNamespace(universe=U),)).algebra(),
         ArgumentError,
         "no algebra known for valuations of type SimpleNamespace",
+    ),
+    "search_truth_valuations: potential knowledgebase": (
+        lambda: search_truth_valuations(Knowledgebase(U, (potential(),))),
+        CapabilityError,
+        "defined for relation knowledgebases",
     ),
     "MeasurementScenario: empty context": (
         lambda: MeasurementScenario(U, (("x", "y"), ())),

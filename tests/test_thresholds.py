@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from valkit.builtins import pr_box_model
 from valkit.contextuality import classify, probabilistic_model
-from valkit.core import Assignment
 from valkit.disagreement import check_global_agreement_potentials, marginal_system
 from valkit.feasibility import (
     LinearSystem,
