@@ -18,11 +18,11 @@ import random
 from functools import reduce
 from typing import Iterable, Sequence
 
+from . import potentials, relations
 from .core import Domain, Record, VariableUniverse
 from .errors import ArgumentError, CapabilityError
 from .potentials import (
     Potential,
-    _join,
     combine_potentials,
     is_neutral_potential,
     neutral_potential,
@@ -45,10 +45,10 @@ ORDER_AXIOMS = ("A10", "A11", "A12", "A13")
 class ValuationAlgebra:
     """The contract both instances share.
 
-    An instance supplies `project`, `combine`, `neutral`, `null`,
-    `is_neutral` and `combine_size_bound` (an upper bound on the size of a
-    combination, read by the resource guards) and a `name`, and sets
-    `idempotent`, `ordered` and `adjoint` where they hold.
+    An instance supplies `project`, `combine`, `combine_project` (both in
+    one step: fusion's message), `neutral`, `null`, `is_neutral` and
+    `combine_size_bound` (a size bound read by the resource guards), a
+    `name`, and sets `idempotent`, `ordered` and `adjoint` where they hold.
     """
 
     idempotent = False
@@ -60,10 +60,6 @@ class ValuationAlgebra:
 
     def label(self, phi) -> Domain:
         return phi.domain
-
-    def combine_project(self, phi, psi, target: Domain):
-        """(phi ⊗ psi)↓target, for `target` within the union of the labels: a bucket's message in fusion."""
-        return self.project(self.combine(phi, psi), target)
 
     def leq(self, phi, psi) -> bool:
         raise CapabilityError(f"{self.name} is not ordered")
@@ -93,6 +89,9 @@ class RelationAlgebra(ValuationAlgebra):
     def combine(self, phi: Relation, psi: Relation) -> Relation:
         return natural_join(phi, psi)
 
+    def combine_project(self, phi: Relation, psi: Relation, target: Domain) -> Relation:
+        return relations._join(phi, psi, target)
+
     def neutral(self, domain: Domain) -> Relation:
         return full_relation(self.universe, domain)
 
@@ -121,7 +120,7 @@ class PotentialAlgebra(ValuationAlgebra):
         return combine_potentials(phi, psi)
 
     def combine_project(self, phi: Potential, psi: Potential, target: Domain) -> Potential:
-        return _join(phi, psi, target)
+        return potentials._join(phi, psi, target)
 
     def neutral(self, domain: Domain) -> Potential:
         return neutral_potential(self.universe, domain)

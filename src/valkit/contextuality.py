@@ -199,7 +199,14 @@ def probabilistic_model(
     for ctx, section in zip(scenario.contexts, _by_context(scenario, sections, "sections")):
         table = {}
         for outcome, value in section.items():
-            table[Assignment.of(dict(zip(ctx, outcome)))] = Fraction(value) if isinstance(value, str) else value
+            if len(outcome) != len(ctx):
+                raise ArgumentError(f"row {outcome!r} does not match variables {ctx!r}")
+            if isinstance(value, str):
+                try:
+                    value = Fraction(value)
+                except (ValueError, ZeroDivisionError):
+                    raise ArgumentError(f"cannot parse {value!r} as a rational") from None
+            table[Assignment.of(dict(zip(ctx, outcome)))] = value
         built.append(Potential.from_table(universe, frozenset(ctx), table, default=Fraction(0)))
     return EmpiricalModel(scenario, PROBABILISTIC, tuple(built))
 

@@ -34,17 +34,23 @@ def csp_to_knowledgebase(
     Each cover's evaluations are enumerated, so a cover with more than
     `cell_limit` of them is refused first.
     """
-    if any(c.universe != universe for c in constraints):
-        raise UniverseMismatchError("a constraint lives in a different variable universe")
+    holders: dict[str, list[int]] = {}
+    unsatisfiable = []  # the constraints that allow nothing apply to every cover
+    for i, c in enumerate(constraints):
+        if c.universe != universe:
+            raise UniverseMismatchError("a constraint lives in a different variable universe")
+        for v in c.domain:
+            holders.setdefault(v, []).append(i)
+        if not c.tuples:
+            unsatisfiable.append(i)
     valuations = []
     for cover in covers:
         check_table_size(universe, cover, cell_limit)
         relevant = []
-        for c in constraints:
-            overlap = cover & c.domain
-            if overlap or not c.tuples:
-                on_overlap = restriction(sorted(cover), sorted(overlap))
-                relevant.append((on_overlap, project_relation(c, overlap).tuples))
+        for i in sorted({i for v in cover for i in holders.get(v, ())}.union(unsatisfiable)):
+            overlap = cover & constraints[i].domain
+            on_overlap = restriction(sorted(cover), sorted(overlap))
+            relevant.append((on_overlap, project_relation(constraints[i], overlap).tuples))
         good = [
             v
             for v in universe.rows(cover)

@@ -28,7 +28,7 @@ from math import gcd, lcm
 
 from .core import Assignment, Domain, Record, VariableUniverse
 from .errors import ArgumentError, DomainError, UniverseMismatchError
-from .relations import Relation, Row, restriction
+from .relations import Relation, Row, join_plan, restriction
 
 
 class _Values(Mapping):
@@ -177,20 +177,13 @@ def is_neutral_potential(phi: Potential) -> bool:
 def _join(phi: Potential, psi: Potential, target: Domain) -> Potential:
     """(phi ⊗ psi)↓target, for `target` within the union domain, by one hash join of the stored rows.
 
-    psi's numerators are indexed by their values on the shared variables;
-    each row of phi multiplies the rows of psi that match it, and the
-    products landing on one target row are added. The denominators multiply,
-    and the result is reduced once.
+    psi is indexed on the shared variables (`join_plan`); each row of phi
+    multiplies the psi rows that match it, the products on one target row
+    are added, the denominators multiply, and the result is reduced once.
     """
     if phi.universe != psi.universe:
         raise UniverseMismatchError("potentials live in different variable universes")
-    extra = target - phi.domain - psi.domain
-    if extra:
-        raise DomainError(f"target not within the combined domain; offending variables: {sorted(extra)}")
-    phi_names, psi_names = sorted(phi.domain), sorted(psi.domain)
-    common = sorted(phi.domain & psi.domain)
-    phi_key, psi_key = restriction(phi_names, common), restriction(psi_names, common)
-    to_target = restriction(phi_names + psi_names, sorted(target))
+    phi_key, psi_key, to_target = join_plan(phi.domain, psi.domain, target)
     index: dict[Row, list] = {}
     for row, m in psi.table.nums.items():
         index.setdefault(psi_key(row), []).append((row, m))

@@ -111,19 +111,23 @@ def _check_same_universe(r1: Relation, r2: Relation) -> None:
         raise UniverseMismatchError("relations live in different variable universes")
 
 
-def natural_join(r1: Relation, r2: Relation) -> Relation:
-    """All rows over the union domain whose restrictions lie in both operands."""
+def join_plan(left: Domain, right: Domain, target: Domain) -> tuple[Callable[[Row], Row], ...]:
+    """A hash join's row maps: each side's key on the shared variables, and a left row then a right row onto `target`."""
+    extra = target - left - right
+    if extra:
+        raise DomainError(f"target not within the combined domain; offending variables: {sorted(extra)}")
+    left_names, right_names, common = sorted(left), sorted(right), sorted(left & right)
+    to_target = restriction(left_names + right_names, sorted(target))
+    return restriction(left_names, common), restriction(right_names, common), to_target
+
+
+def _join(r1: Relation, r2: Relation, target: Domain) -> Relation:
+    """(r1 ⋈ r2)↓target, for `target` within the union domain, indexing the smaller side on the shared variables."""
     _check_same_universe(r1, r2)
-    union = r1.domain | r2.domain
-    if not r1.tuples or not r2.tuples:
-        return Relation(r1.universe, union, frozenset())
-    # Index the smaller side by its values on the shared variables; an output
-    # row picks each union variable from the concatenation of the two rows.
     small, large = (r1, r2) if len(r1.tuples) <= len(r2.tuples) else (r2, r1)
-    common = sorted(r1.domain & r2.domain)
-    small_names, large_names = sorted(small.domain), sorted(large.domain)
-    small_key, large_key = restriction(small_names, common), restriction(large_names, common)
-    joined_row = restriction(small_names + large_names, sorted(union))
+    if not small.tuples and target <= r1.domain | r2.domain:  # else join_plan refuses the target
+        return Relation(r1.universe, target, frozenset())
+    small_key, large_key, joined_row = join_plan(small.domain, large.domain, target)
     buckets: dict[Row, list[Row]] = {}
     for x in small.tuples:
         buckets.setdefault(small_key(x), []).append(x)
@@ -131,7 +135,12 @@ def natural_join(r1: Relation, r2: Relation) -> Relation:
     for y in large.tuples:
         for x in buckets.get(large_key(y), ()):
             joined.add(joined_row(x + y))
-    return Relation(r1.universe, union, frozenset(joined))
+    return Relation(r1.universe, target, frozenset(joined))
+
+
+def natural_join(r1: Relation, r2: Relation) -> Relation:
+    """All rows over the union domain whose restrictions lie in both operands."""
+    return _join(r1, r2, r1.domain | r2.domain)
 
 
 def project_relation(r: Relation, target: Domain) -> Relation:
@@ -144,8 +153,7 @@ def project_relation(r: Relation, target: Domain) -> Relation:
 
 def relation_leq(r1: Relation, r2: Relation) -> bool:
     """Inclusion order on a shared domain; raises DomainError for incomparable operands."""
-    if r1.universe != r2.universe:
-        raise UniverseMismatchError("relations live in different variable universes")
+    _check_same_universe(r1, r2)
     if r1.domain != r2.domain:
         raise DomainError("relations over different domains are incomparable")
     return r1.tuples <= r2.tuples

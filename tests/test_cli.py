@@ -1666,3 +1666,15 @@ def test_usage_errors_exit_2_and_help_exits_0(argv, status, message):
         assert out.getvalue() == ""
     else:
         assert out.getvalue().startswith("usage: vk") and err.getvalue() == ""
+
+
+def test_a_prefix_of_two_long_options_is_ambiguous():
+    # No command's table has two options with a common long prefix, so the
+    # refusal is reached through the option reader itself.
+    from valkit.cli import _option
+
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        _option("--l", ("--limit", "--list"), "infer")
+    assert exc.value.code == 2
+    assert err.getvalue().endswith("vk infer: error: ambiguous option: --l could match --limit, --list\n")

@@ -132,7 +132,7 @@ def test_the_check_sees_an_unused_import():
     assert set(_imported(tree)) - _used(tree) == {"os"}
 
 
-CONTRACT = ("project", "combine", "neutral", "null", "is_neutral", "combine_size_bound")
+CONTRACT = ("project", "combine", "combine_project", "neutral", "null", "is_neutral", "combine_size_bound")
 
 
 def _contract_gaps(tree: ast.AST, module: str) -> tuple[list[str], list[str]]:
@@ -164,9 +164,12 @@ def test_the_contract_check_sees_a_missing_method():
     methods = "".join(f"    def {name}(self, *args): ...\n" for name in CONTRACT if name != "null")
     tree = ast.parse(
         f"class Half(algebra.ValuationAlgebra):\n{methods}"
-        "class ValuationAlgebra:\n    def combine(self, phi, psi): ...\n"
+        "class ValuationAlgebra:\n    def combine_project(self, phi, psi, target): ...\n"
     )
-    assert _contract_gaps(tree, "m.py") == (["Half"], ["m.py:Half: lacks null", "m.py:ValuationAlgebra: defines combine"])
+    assert _contract_gaps(tree, "m.py") == (
+        ["Half"],
+        ["m.py:Half: lacks null", "m.py:ValuationAlgebra: defines combine_project"],
+    )
 
 
 ROW_ONLY_MODULES = ("inference.py", "algebra.py")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -24,6 +25,7 @@ from conftest import (
     assert_canonical,
     coprime_bayes_net_document,
     drawn_potential,
+    grid_colouring_document,
     random_domain,
     random_potential_kb,
     random_relation,
@@ -181,6 +183,22 @@ def test_heuristic_order_matches_the_rescanning_oracle():
             assert heuristic_order(kb, query) == scan_order(kb, query), (sorted(query), kb)
 
 
+def test_min_fill_ordering_around_a_hub_is_not_cubic():
+    # A star of n two-variable members: scoring the hub costs one set
+    # intersection per neighbour, not one test per pair of neighbours, so
+    # quadrupling n takes about 16 times as long (pairwise scoring, 64).
+    def seconds(n, repeats):
+        kb = label_kb(["hub", *(f"l{i}" for i in range(n))], [("hub", f"l{i}") for i in range(n)])
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            heuristic_order(kb, frozenset())
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    assert seconds(1600, 2) < 32 * seconds(400, 3)
+
+
 def elimination_width(edges: dict[str, set[str]], order) -> int:
     graph = {v: set(n) for v, n in edges.items()}
     width = 0
@@ -316,6 +334,42 @@ def test_fusion_on_a_rational_grid_sends_fused_messages_and_walks_no_frame(monke
         assert solve_fusion(problem) == expected
         assert fused and not any(projected)
         monkeypatch.undo()
+
+
+def test_fusion_on_a_colouring_grid_sends_fused_messages(monkeypatch):
+    # The relation twin of the test above: every message a bucket sends is
+    # one `combine_project` (or, from a one-member bucket, a projection), so
+    # no relation that `natural_join` returns is ever projected, except the
+    # root's onto the query.
+    from valkit import algebra, relations
+
+    rng = random.Random(31)
+    for rows, cols in ((3, 3), (3, 4), (2, 6)):
+        kb = parse_document_text(canonical_json(grid_colouring_document(rows, cols))).knowledgebase()
+        for size in (1, 2):
+            problem = InferenceProblem(kb, frozenset(rng.sample(sorted(kb.joint_domain), size)))
+            expected = solve_naive(problem, cell_limit=None)
+            joined, fused, projected = [], [], []
+            fuse = algebra.RelationAlgebra.combine_project
+
+            def natural_join(r1, r2):
+                joined.append(relations.natural_join(r1, r2))
+                return joined[-1]
+
+            def combine_project(self, phi, psi, target):
+                fused.append(target)
+                return fuse(self, phi, psi, target)
+
+            def project(r, target):
+                projected.append(any(r is j for j in joined) and not r.domain <= problem.query)
+                return relations.project_relation(r, target)
+
+            monkeypatch.setattr(algebra, "natural_join", natural_join)
+            monkeypatch.setattr(algebra.RelationAlgebra, "combine_project", combine_project)
+            monkeypatch.setattr(algebra, "project_relation", project)
+            assert solve_fusion(problem) == expected
+            assert fused and not any(projected)
+            monkeypatch.undo()
 
 
 # Barren members. A normalised conditional sums to 1 over its child, so a

@@ -117,6 +117,35 @@ def test_a_cover_outside_the_universe_is_refused(cell_limit):
         csp_to_knowledgebase(universe, [full_relation(universe, frozenset({"x"}))], [frozenset({"z"})], cell_limit)
 
 
+class CountingList(list):
+    """A list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_compiling_a_grid_walks_its_constraints_a_fixed_number_of_times():
+    # Each cover visits only the constraints that share one of its variables
+    # (or allow nothing), looked up in an index built in one pass.
+    colours = ("b", "g", "r")
+    cell = [[f"r{i}c{j}" for j in range(10)] for i in range(10)]
+    universe = VariableUniverse.of([(name, colours) for row in cell for name in row])
+    differ = [(a, b) for a in colours for b in colours if a != b]
+    edges = [(cell[i][j], cell[i][j + 1]) for i in range(10) for j in range(9)]
+    edges += [(cell[i][j], cell[i + 1][j]) for i in range(9) for j in range(10)]
+    covers = [frozenset(edge) for edge in edges]
+    passes = []
+    for some in (covers[:1], covers):
+        constraints = CountingList(Relation.from_rows(universe, edge, differ) for edge in edges)
+        kb = csp_to_knowledgebase(universe, constraints, some)
+        assert all(phi.tuples == constraints[k].tuples for k, phi in enumerate(kb))
+        passes.append(constraints.passes)
+    assert len(covers) == 180 and passes[0] == passes[1]
+
+
 def _satisfies(s: dict, constraint: Relation) -> bool:
     """Whether `s` restricted to the variables it shares with the constraint lies in the constraint's projection there."""
     shared = sorted(s.keys() & constraint.domain)

@@ -45,6 +45,13 @@ def test_projection_to_own_domain_is_identity():
     assert project_potential(row, row.domain) == row
 
 
+def test_a_table_equals_the_plain_mapping_of_its_values():
+    universe = VariableUniverse.of([("x", ("0", "1"))])
+    p = Potential.from_table(universe, frozenset({"x"}), {Assignment.of({"x": "0"}): Fraction(1, 4)}, default=Fraction(3, 4))
+    assert p.table == {("0",): Fraction(1, 4), ("1",): Fraction(3, 4)}
+    assert p.table != {("0",): Fraction(3, 4), ("1",): Fraction(1, 4)}
+
+
 def test_projection_of_constant_one_counts_assignments():
     universe = VariableUniverse.of([(n, ("0", "1")) for n in ("x", "y", "z")])
     ones = neutral_potential(universe, frozenset({"x", "y", "z"}))

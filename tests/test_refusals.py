@@ -1,7 +1,7 @@
 """Refusals of malformed library input, one row each: the error class and a fragment of its message.
 
-Each row builds or calls one public entry point (or the potentials' join,
-which every combination goes through) with one thing wrong, so the check
+Each row builds or calls one public entry point (or a table type's join
+onto a target, which every combination goes through) with one thing wrong, so the check
 that catches it is named by the row's id.
 """
 
@@ -10,7 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from valkit.algebra import Knowledgebase
+from valkit import relations
+from valkit.algebra import Knowledgebase, PotentialAlgebra
 from valkit.contextuality import (
     POSSIBILISTIC,
     PROBABILISTIC,
@@ -24,7 +25,7 @@ from valkit.core import Assignment, VariableUniverse, dom
 from valkit.errors import ArgumentError, CapabilityError, DomainError, UniverseMismatchError
 from valkit.feasibility import LinearSystem
 from valkit.potentials import Potential, _join
-from valkit.relations import Relation, full_relation, relation_leq
+from valkit.relations import Relation, empty_relation, full_relation, relation_leq
 
 U = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1"))])
 V = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1", "2"))])  # same names, another frame for y
@@ -91,6 +92,11 @@ REFUSALS = {
         DomainError,
         "label '9' is not in the frame of 'x'",
     ),
+    "PotentialAlgebra.leq: no order": (
+        lambda: PotentialAlgebra(U).leq(potential(), potential()),
+        CapabilityError,
+        "potentials[nonneg-rational] is not ordered",
+    ),
     "probabilistic_model: missing context": (
         lambda: probabilistic_model(U, [("x",), ("y",)], {("x",): {("0",): 1}}),
         ArgumentError,
@@ -106,6 +112,28 @@ REFUSALS = {
         ArgumentError,
         "value 0.5 is outside the nonneg-rational carrier",
     ),
+    "probabilistic_model: unreadable value": (
+        lambda: probabilistic_model(U, [("x", "y")], {("x", "y"): {("0", "0"): "half"}}),
+        ArgumentError,
+        "cannot parse 'half' as a rational",
+    ),
+    "probabilistic_model: zero denominator": (
+        lambda: probabilistic_model(U, [("x", "y")], {("x", "y"): {("0", "0"): "1/0"}}),
+        ArgumentError,
+        "cannot parse '1/0' as a rational",
+    ),
+    "probabilistic_model: outcome longer than its context": (
+        lambda: probabilistic_model(
+            U, [("x", "y")], {("x", "y"): {("0", "0"): "1/4", ("0", "0", "junk"): "1/2", ("1", "1"): "1/2"}}
+        ),
+        ArgumentError,
+        "row ('0', '0', 'junk') does not match variables ('x', 'y')",
+    ),
+    "probabilistic_model: outcome shorter than its context": (
+        lambda: probabilistic_model(U, [("x", "y")], {("x", "y"): {("0",): 1}}),
+        ArgumentError,
+        "row ('0',) does not match variables ('x', 'y')",
+    ),
     "potentials._join: universe mismatch": (
         lambda: _join(potential(), potential(V), dom("x")),
         UniverseMismatchError,
@@ -115,6 +143,16 @@ REFUSALS = {
         lambda: _join(potential(), potential(), dom("x", "y")),
         DomainError,
         "target not within the combined domain",
+    ),
+    "relations._join: target outside the union": (
+        lambda: relations._join(relation(), relation(), dom("x", "y")),
+        DomainError,
+        "target not within the combined domain; offending variables: ['y']",
+    ),
+    "relations._join: target outside the union, empty operand": (
+        lambda: relations._join(relation(), empty_relation(U, dom("x")), dom("x", "y")),
+        DomainError,
+        "target not within the combined domain; offending variables: ['y']",
     ),
     "Knowledgebase: mixed kinds": (
         lambda: Knowledgebase(U, (relation(), potential())),

@@ -72,6 +72,11 @@ def test_project_empty_relation(screening_universe):
     assert project_relation(z, frozenset({"a"})).is_empty()
 
 
+def test_len_counts_the_rows(screening_universe):
+    assert len(full_relation(screening_universe, frozenset({"a"}))) == screening_universe.size(frozenset({"a"}))
+    assert len(empty_relation(screening_universe, frozenset({"a", "e"}))) == 0
+
+
 def test_project_outside_domain_raises(screening_universe):
     r1, _, _ = screening_relations(screening_universe)
     with pytest.raises(DomainError):

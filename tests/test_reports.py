@@ -21,6 +21,7 @@ from valkit.documents import (
     parse_document_text,
     parse_signed_rational,
 )
+from valkit.feasibility import FarkasCertificate
 from valkit.potentials import constant_potential
 from valkit.inference import JoinTree
 from valkit.relations import Relation, project_relation
@@ -102,6 +103,12 @@ def test_a_knowledgebases_certificate_is_validated():
     assert problems_after(kb_input(bell_model().knowledgebase()), corrupt) == [
         "infeasibility certificate fails validation"
     ]
+
+
+def test_a_certificate_writes_a_row_only_for_each_nonzero_multiplier():
+    certificate = FarkasCertificate((((1, ("0", "1")), Fraction(0)), ((1, ("1", "0")), Fraction(-3, 2))))
+    rows = reports.certificate_doc(certificate, ("member", "assignment"), [(1, ["y", "x"])])
+    assert rows == [{"member": 1, "assignment": "0,1", "coefficient": "-3/2"}]
 
 
 def test_a_global_distribution_must_marginalize_to_every_context():

@@ -7,9 +7,10 @@ row as an Assignment (each variable name repeated in each row), joined rows
 with a merge of assignments and rebuilt an Assignment for every output cell.
 They work on plain (domain, frozenset[Assignment]) and
 (domain, dict[Assignment, value]) pairs, so they share no table code with
-valkit. Fusion's fused step, `combine_project`, is checked against the
-combination oracle projected by the projection oracle. Each random input
-also round-trips through a knowledgebase document.
+valkit. Fusion's fused step, `combine_project`, is checked in both
+algebras against the combination oracle projected by the projection
+oracle. Each random input also round-trips through a knowledgebase
+document.
 """
 
 import random
@@ -131,6 +132,18 @@ def test_relation_operations_match_the_assignment_oracle():
         seen["disjoint"] += not d1 & d2
         seen["empty-relation"] += r1.is_empty() or r2.is_empty()
     assert all(count >= 20 for count in seen.values()), seen
+
+
+def test_relation_combine_project_matches_the_projected_join_oracle():
+    rng = random.Random(505)
+    for case in range(CASES):
+        universe = random_universe(rng)
+        d1, d2 = domain_pair(rng, universe, case)
+        r1, r2 = (random_relation(rng, universe, d, keep=rng.choice((0.0, 0.3, 0.7, 1.0))) for d in (d1, d2))
+        target = subset(rng, d1 | d2)
+        fused = RelationAlgebra(universe).combine_project(r1, r2, target)
+        joined = oracle_join(as_points(r1), as_points(r2))
+        assert as_points(fused) == oracle_project_relation(joined, target)
 
 
 def test_potential_operations_match_the_assignment_oracle():
