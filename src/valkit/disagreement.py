@@ -134,10 +134,9 @@ def marginal_system(kb: Knowledgebase, column_limit: int | None = DEFAULT_FEASIB
     rhs = {}
     entries = {}
     for index, phi in enumerate(kb, start=1):
-        for local in universe.rows(phi.domain):
-            key = (index, local)
-            rows.append(key)
-            rhs[key] = phi.table[local]
+        for local, value in phi.table.items():
+            rows.append((index, local))
+            rhs[index, local] = value
     local_rows = [restriction(sorted(joint), sorted(phi.domain)) for phi in kb]
     for g in columns:
         for index, local_row in enumerate(local_rows, start=1):
@@ -156,8 +155,7 @@ def check_global_agreement_potentials(
     system = marginal_system(kb, column_limit)
     outcome = solve_feasibility(system)
     if outcome.feasible:
-        table = {g: outcome.solution[g] for g in system.columns}
-        gamma = Potential(kb.universe, kb.joint_domain, table)
+        gamma = Potential(kb.universe, kb.joint_domain, outcome.solution)
         return GlobalVerdict(True, truth=gamma, system=system)
     return GlobalVerdict(False, certificate=outcome.certificate, system=system)
 

@@ -76,12 +76,7 @@ def _support_values(r: Relation, names) -> dict[str, int]:
 def potential_values(p: Potential, names, nonzero_only: bool = False) -> dict[str, int | str]:
     """Each row's value in frame order, keyed by its values in the order of `names` joined by commas."""
     in_order = restriction(sorted(p.domain), names)
-    values = {}
-    for row in p.universe.rows(p.domain):
-        v = p.table[row]
-        if not (nonzero_only and v == 0):
-            values[",".join(in_order(row))] = format_rational(v)
-    return values
+    return {",".join(in_order(row)): format_rational(v) for row, v in p.table.items() if v or not nonzero_only}
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -230,14 +225,14 @@ def parse_potential(
     where: str,
     cell_limit: int | None = DEFAULT_CELL_LIMIT,
 ) -> Potential:
-    """A rational potential from a value map keyed by labels in `names` order; absent keys are 0.
+    """A rational potential from a value map keyed by labels in `names` order; absent keys read as 0.
 
-    Every row of the table is filled, so a table with more than `cell_limit` rows is refused first.
+    Writers and the LP read the table over its whole frame, so one of more than `cell_limit` rows is refused first.
     """
     domain = frozenset(names)
     check_table_size(universe, domain, cell_limit)
     parts = {row: _rational_parts(value, where, key) for row, value, key in _outcomes(raw, names, universe, where)}
-    return rational_potential(universe, domain, universe.rows(domain), parts)
+    return rational_potential(universe, domain, parts)
 
 
 def _parse_support(raw: dict, names, universe: VariableUniverse, where: str) -> Relation:

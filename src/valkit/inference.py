@@ -330,16 +330,20 @@ def calibrate(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
     disconnected cover is still one tree. Distribute combines each bucket
     with its parent's clique projected onto the separator. With an
     idempotent algebra that is a semijoin, never larger than the bucket's
-    own table, so it needs no guard.
+    own table, so it needs no guard. A null root, complete disagreement,
+    makes every clique the null element over its domain with no join.
     """
     algebra = kb.algebra()
     if not algebra.idempotent:
         raise CapabilityError(f"{algebra.name} is not idempotent; calibration without division needs it")
     order = heuristic_order(kb, frozenset())
     cliques, parents, homes = _collect(kb, order, cell_limit, keep=True)
-    for k in reversed(range(len(order))):  # a parent is calibrated before its children
-        separator = algebra.label(cliques[k]) - {order[k]}
-        cliques[k] = algebra.combine(cliques[k], algebra.project(cliques[parents[k]], separator))
+    if cliques[-1] == algebra.null(algebra.label(cliques[-1])):
+        cliques = [algebra.null(algebra.label(clique)) for clique in cliques]
+    else:
+        for k in reversed(range(len(order))):  # a parent is calibrated before its children
+            separator = algebra.label(cliques[k]) - {order[k]}
+            cliques[k] = algebra.combine(cliques[k], algebra.project(cliques[parents[k]], separator))
     return JoinTree(kb, order, tuple(cliques), tuple(parents), tuple(homes))
 
 

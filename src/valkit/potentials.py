@@ -1,4 +1,4 @@
-"""Potentials: total maps from rows to nonnegative rationals.
+"""Potentials: maps from every row of a frame product to nonnegative rationals.
 
 Combination multiplies pointwise over the union domain, as a hash join of
 the stored rows: one operand is indexed by its values on the shared
@@ -10,21 +10,22 @@ support of a combination is the join of the supports, and the support of a
 projection is the projection of the support, so possibilistic data is a
 relation throughout, read, analysed and written as one.
 
-A potential keeps its values as integer numerators by row over one positive
-denominator, reduced as a whole: gcd(denominator, *numerators) is 1, and an
-all-zero table has denominator 1. That form is unique, so two potentials
-are equal exactly when their fields are. Combination multiplies numerators
-and denominators, projection adds numerators over the kept denominator, and
-one gcd pass reduces each result, so fusion builds no `Fraction`.
-`Potential.table` is a read-only view that builds a value `Fraction(n, d)`
-only when an entry is read; the numerators never leave this module.
+A potential stores its nonzero values only, the support, as integer
+numerators by row over one positive denominator, reduced as a whole:
+gcd(denominator, *numerators) is 1, and an all-zero table has denominator 1.
+That form is unique, so two potentials are equal exactly when their fields
+are. Combination multiplies numerators and denominators, projection adds
+numerators over the kept denominator, and one gcd pass reduces each result,
+so fusion builds no `Fraction`. `Potential.table` is a read-only view of the
+total table; the numerators never leave this module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from operator import contains
 
 from .core import Assignment, Domain, Record, VariableUniverse
 from .errors import ArgumentError, DomainError, UniverseMismatchError
@@ -32,21 +33,31 @@ from .relations import Relation, Row, join_plan, restriction
 
 
 class _Values(Mapping):
-    """A potential's table: numerators by row over one denominator, read as rationals."""
+    """A total table in frame order, stored as its nonzero numerators by row over one denominator; other rows read 0."""
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "universe", "domain", "_frames")
+    zero = Fraction(0)
 
-    def __init__(self, nums: dict[Row, int], den: int):
-        self.nums, self.den = nums, den
+    def __init__(self, nums: dict[Row, int], den: int, universe: VariableUniverse, domain: Domain):
+        self.nums, self.den, self.universe, self.domain, self._frames = nums, den, universe, domain, None
 
     def __getitem__(self, row: Row) -> Fraction:
-        return Fraction(self.nums[row], self.den)
+        n = self.nums.get(row)
+        if n is None and not self.is_row(row):
+            raise KeyError(row)
+        return self.zero if n is None else Fraction(n, self.den)
+
+    def is_row(self, row) -> bool:
+        """Whether `row` is a point of the domain's frame product, in O(arity) once the frames are looked up."""
+        if self._frames is None:
+            self._frames = [frozenset(self.universe.frame(name).values) for name in sorted(self.domain)]
+        return type(row) is tuple and len(row) == len(self._frames) and all(map(contains, self._frames, row))
 
     def __iter__(self):
-        return iter(self.nums)
+        return self.universe.rows(self.domain)
 
     def __len__(self) -> int:
-        return len(self.nums)
+        return self.universe.size(self.domain)
 
     def __eq__(self, other):
         if isinstance(other, _Values):
@@ -54,18 +65,13 @@ class _Values(Mapping):
         return super().__eq__(other)
 
 
-def _values(values: Mapping[Row, Fraction]) -> _Values:
-    """Trusted values in canonical form: numerators over their least common denominator."""
-    den = lcm(*(v.denominator for v in values.values()))
-    return _Values({row: v.numerator * (den // v.denominator) for row, v in values.items()}, den)
-
-
 class Potential(Record):
     """A total table from rows (values in sorted-domain order) to nonnegative rationals.
 
-    The record constructor trusts its table (a mapping from rows to values)
-    and stores it in canonical form; `table` then reads the values back.
-    `Potential.from_table` validates outside input keyed by assignments.
+    The record constructor checks that a mapping's keys are the frame rows and
+    stores its nonzero values in canonical form; a view that this module's
+    operations build is stored as it is. `Potential.from_table` validates
+    outside input keyed by assignments.
     """
 
     universe: VariableUniverse
@@ -73,13 +79,16 @@ class Potential(Record):
     table: Mapping[Row, Fraction]
 
     def __post_init__(self):
-        if not isinstance(self.table, _Values):
-            object.__setattr__(self, "table", _values(self.table))
-        expected = self.universe.size(self.domain)
-        if len(self.table) != expected:
-            raise DomainError(
-                f"table has {len(self.table)} entries but Ω_domain has {expected}; potentials must be total"
-            )
+        table = self.table
+        if not isinstance(table, _Values):
+            parts = {row: (v.numerator, v.denominator) for row, v in table.items()}
+            view = rational_potential(self.universe, self.domain, parts).table
+            for row in table:
+                if not view.is_row(row):
+                    raise DomainError(f"row {row!r} is not a point of the domain's frame product")
+            if len(table) != len(view):
+                raise DomainError(f"table has {len(table)} entries but Ω_domain has {len(view)}; potentials must be total")
+            object.__setattr__(self, "table", view)
 
     @classmethod
     def from_table(
@@ -136,7 +145,7 @@ def _reduced(phi: Potential, domain: Domain, nums: dict[Row, int], den: int) -> 
         if g != 1:
             nums = {row: n // g for row, n in nums.items()}
             den //= g
-    return Potential(phi.universe, domain, _Values(nums, den))
+    return Potential(phi.universe, domain, _Values(nums, den, phi.universe, domain))
 
 
 def constant_potential(universe: VariableUniverse, domain: Domain, value: int | Fraction) -> Potential:
@@ -148,30 +157,27 @@ def neutral_potential(universe: VariableUniverse, domain: Domain) -> Potential:
 
 
 def null_potential(universe: VariableUniverse, domain: Domain) -> Potential:
-    return constant_potential(universe, domain, 0)
+    universe.check_domain(domain)
+    return rational_potential(universe, domain, {})
 
 
-def rational_potential(
-    universe: VariableUniverse, domain: Domain, rows: Iterable[Row], parts: Mapping[Row, tuple[int, int]]
-) -> Potential:
-    """The rational potential that is n/d at each row of `parts`, given in lowest terms, and 0 at its other `rows`.
+def rational_potential(universe: VariableUniverse, domain: Domain, parts: Mapping[Row, tuple[int, int]]) -> Potential:
+    """The rational potential that is n/d at each frame row of `parts`, given in lowest terms, and 0 at the others.
 
-    `rows` are all the rows over `domain`. The numerators are written over
-    the lcm of the denominators, and that form is already reduced: a prime
-    dividing the lcm to its full power divides some d exactly as often,
-    and that row's numerator is prime to it.
+    The nonzero numerators are written over the lcm of the denominators (a
+    zero is 0/1), and that form is already reduced: a prime dividing the lcm
+    to its full power divides some d exactly as often, and that row's
+    numerator is prime to it.
     """
     den = lcm(*(d for _, d in parts.values()))
-    nums = dict.fromkeys(rows, 0)
-    for row, (n, d) in parts.items():
-        nums[row] = n * (den // d)
-    return Potential(universe, domain, _Values(nums, den))
+    nums = {row: n * (den // d) for row, (n, d) in parts.items() if n}
+    return Potential(universe, domain, _Values(nums, den, universe, domain))
 
 
 def is_neutral_potential(phi: Potential) -> bool:
-    """Whether every value is 1: each numerator equals the denominator."""
+    """Whether every value is 1: every frame row is stored, and each numerator equals the denominator."""
     values = list(phi.table.nums.values())
-    return values.count(phi.table.den) == len(values)
+    return values.count(phi.table.den) == len(values) == phi.universe.size(phi.domain)
 
 
 def _join(phi: Potential, psi: Potential, target: Domain) -> Potential:
@@ -190,7 +196,7 @@ def _join(phi: Potential, psi: Potential, target: Domain) -> Potential:
     nums: dict[Row, int] = {}
     get = nums.get
     for x, n in phi.table.nums.items():
-        for y, m in index[phi_key(x)]:
+        for y, m in index.get(phi_key(x), ()):
             row = to_target(x + y)
             nums[row] = get(row, 0) + n * m
     return _reduced(phi, target, nums, phi.table.den * psi.table.den)
@@ -220,5 +226,5 @@ def total_mass(phi: Potential):
 
 
 def support_relation(phi: Potential) -> Relation:
-    """The support of a potential as a relation over the same domain."""
-    return Relation(phi.universe, phi.domain, frozenset(x for x, n in phi.table.nums.items() if n))
+    """The support of a potential as a relation over the same domain: its stored rows."""
+    return Relation(phi.universe, phi.domain, frozenset(phi.table.nums))

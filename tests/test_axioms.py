@@ -114,6 +114,19 @@ def test_suite_reports_requested_axioms_only():
         axiom_suite(algebra, relation_samples(), axioms=("A4", "A14"))
 
 
+def test_neutrality_skips_a_sample_over_a_large_frame():
+    # e_S over 13 binary variables would have 8192 rows, past the suite's cap
+    # of 4096, so A7 counts no case for that sample and builds no e_S for it.
+    big = VariableUniverse.of([(f"v{i}", ("0", "1")) for i in range(13)])
+    wide = Relation.from_rows(big, sorted(big.vars), [("0",) * 13])
+    narrow = full_relation(big, frozenset({"v0"}))
+    algebra = RelationAlgebra(big)
+    (alone,) = axiom_suite(algebra, [wide], axioms=("A7",))
+    assert alone.passed and alone.cases == 0
+    (beside,) = axiom_suite(algebra, [wide, narrow], axioms=("A7",))
+    assert beside.passed and beside.cases == 2
+
+
 # Deliberately broken algebras: each breaks one operation, so the suite must
 # catch it. Together they fail every axiom A1-A13 and ADJ, and together they
 # reach every failure message the suite has. ADJ's pairs and triples share a

@@ -427,6 +427,46 @@ def test_rational_infer_outputs_match_golden_digests(tmp_path, monkeypatch):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected, name
 
 
+# (exit status, sha256 of stdout, sha256 of stderr) of `vk infer FILE --query
+# v0 --json` and `vk analyze FILE --json` on a "values" member over 20 binary
+# variables that lists one row, recorded while every potential was stored with
+# all its zeros. The analysis is refused by the LP's column limit.
+GOLDEN_ONE_ROW_SHA256 = {
+    ("infer", "--query", "v0", "--json"): (
+        0,
+        "9b2c7d75d5c27e9914c778c0cc1f59999d5cdbcf7ffebcf02fc1947fa62961c8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    ("analyze", "--json"): (
+        3,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "79d2ee2f5a140733a2c8dfb0386b77f254f05cef14163db44f3f626e83b6bb15",
+    ),
+}
+
+
+def test_a_one_row_member_over_twenty_variables_stores_one_numerator(tmp_path, monkeypatch):
+    from valkit.documents import parse_document_text
+
+    monkeypatch.delenv("VK_CELL_LIMIT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    names = [f"v{i}" for i in range(20)]
+    document = canonical_json(
+        {
+            "kind": "knowledgebase",
+            "universe": [{"name": name, "frame": ["0", "1"]} for name in names],
+            "valuations": [{"domain": names, "values": {",".join("0" * 20): 1}}],
+        }
+    )
+    (member,) = parse_document_text(document).knowledgebase()
+    assert member.table.nums == {("0",) * 20: 1} and len(member.table) == 2**20
+    Path("one-row.json").write_text(document, encoding="utf-8")
+    for (command, *options), expected in GOLDEN_ONE_ROW_SHA256.items():
+        code, out, err = run_cli(command, "one-row.json", *options)
+        digests = tuple(hashlib.sha256(text.encode("utf-8")).hexdigest() for text in (out, err))
+        assert (code, *digests) == expected, command
+
+
 # stderr of `vk infer --limit` on the seed-7 coprime 3x3 grid under one fixed
 # order: the first refusal is a two-member bucket's step (the fused message's
 # guard), the second a later bucket's. The guard's bound and text are pinned.
@@ -1476,6 +1516,15 @@ def test_the_digest_tries_one_hash_module(monkeypatch):
     monkeypatch.undo()
     expected = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
     assert [name for name in tried if name in ("_sha2", "_sha256")] == [expected]
+
+
+def test_the_digest_falls_back_on_hashlib(monkeypatch):
+    # A None entry in sys.modules makes the import raise ImportError, as on a
+    # build without the built-in module.
+    from valkit.cli import _sha256
+
+    monkeypatch.setitem(sys.modules, "_sha2" if sys.version_info >= (3, 12) else "_sha256", None)
+    assert _sha256() is hashlib.sha256
 
 
 def test_digest_is_hashlib_sha256(tmp_path):

@@ -136,6 +136,16 @@ def test_feasible_point_is_self_checked(monkeypatch):
         solve_feasibility(s)
 
 
+def test_infeasibility_certificate_is_self_checked(monkeypatch):
+    # The twin of the check above: a Farkas certificate is validated before it is returned.
+    import valkit.feasibility
+
+    monkeypatch.setattr(valkit.feasibility, "validate_certificate", lambda system, certificate: False)
+    s = system(["x", "y"], ["r1", "r2"], [[1, 0], [1, 1]], [1, 0])
+    with pytest.raises(AssertionError, match="simplex produced an invalid Farkas certificate"):
+        solve_feasibility(s)
+
+
 def test_entry_in_undeclared_row_rejected():
     with pytest.raises(ArgumentError, match="row"):
         LinearSystem(("x",), ("r1",), {("r2", "x"): F(1)}, {"r1": F(1)})

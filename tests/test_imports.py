@@ -17,8 +17,12 @@ four table operations never name `Assignment` or call an assignment's
 
 Combination is a hash join of stored rows: inside `potentials.py`, only
 `constant_potential` and `Potential.from_table`, which fill a table over its
-whole frame product, call `.rows(`, so no frame walk can return to
-combination or projection.
+whole frame product, and the table view's iteration, which readers walk in
+frame order, call `.rows(`, so no frame walk can return to combination or
+projection. And the table operations (`_join`, `project_potential`,
+`_reduced`, `support_relation` and `is_neutral_potential`) read a table's
+stored numerators and denominator only, never the view, so none of them can
+walk the frame through the view either.
 
 The exact LP becomes integers in one place: inside `feasibility.py`, only
 `LinearSystem.__post_init__` reads a system's `.entries` or `.rhs`, and it
@@ -218,7 +222,7 @@ def test_the_row_check_sees_assignment_use():
     assert _assignment_uses(ast.parse("def join(r1, r2):\n    return r1 | r2\n")) == []
 
 
-FRAME_WALKERS = ("constant_potential", "Potential.from_table")
+FRAME_WALKERS = ("constant_potential", "Potential.from_table", "_Values.__iter__")
 
 
 def _scoped(node: ast.AST, scope: str = ""):
@@ -260,6 +264,50 @@ def test_the_frame_walk_check_sees_a_planted_call():
         "ROWS = VariableUniverse.rows(u, d)\n"
     )
     assert _frame_walks(ast.parse(source)) == ["combine_potentials:2: calls .rows", "<module>:9: calls .rows"]
+
+
+STORED_ROW_READERS = ("_join", "project_potential", "_reduced", "support_relation", "is_neutral_potential")
+
+
+def _view_reads(tree: ast.AST) -> list[str]:
+    """Each use of a `.table` other than reading its `.nums` or `.den` inside STORED_ROW_READERS, as "name:line"."""
+    scoped = [(scope, node) for scope, node in _scoped(tree) if scope in STORED_ROW_READERS]
+    stored = {id(node.value) for _, node in scoped if isinstance(node, ast.Attribute) and node.attr in ("nums", "den")}
+    return [
+        f"{scope}:{node.lineno}: reads the view"
+        for scope, node in scoped
+        if isinstance(node, ast.Attribute) and node.attr == "table" and id(node) not in stored
+    ]
+
+
+def test_table_operations_read_only_the_stored_numerators():
+    tree = ast.parse((PACKAGE / "potentials.py").read_text(encoding="utf-8"))
+    offences = _view_reads(tree)
+    assert not offences, "a potential table operation reads the total-table view:\n" + "\n".join(offences)
+    assert {scope for scope, _ in _scoped(tree)} >= set(STORED_ROW_READERS)
+
+
+def test_the_view_read_check_sees_a_planted_read():
+    source = (
+        "def _join(phi, psi, target):\n"
+        "    for row, v in phi.table.items():\n"
+        "        yield psi.table.nums[row], psi.table.den\n"
+        "def project_potential(phi, target):\n"
+        "    return [v for v in phi.table], phi.table[()], len(phi.table.nums)\n"
+        "def support_relation(phi):\n"
+        "    return frozenset(phi.table.keys())\n"
+        "def is_neutral_potential(phi):\n"
+        "    return set(phi.table.values()) == {1}\n"
+        "def total_mass(phi):\n"
+        "    return sum(phi.table.values())\n"
+    )
+    assert _view_reads(ast.parse(source)) == [
+        "_join:2: reads the view",
+        "project_potential:5: reads the view",
+        "project_potential:5: reads the view",
+        "support_relation:7: reads the view",
+        "is_neutral_potential:9: reads the view",
+    ]
 
 
 SYSTEM_READERS = ("LinearSystem.__post_init__",)

@@ -369,6 +369,34 @@ def test_an_empty_component_empties_every_clique():
     assert verdict == oracle_global_adjoint(kb)
 
 
+def test_a_null_root_ends_calibration_without_a_join(monkeypatch):
+    # An inconsistent liar(n) is a chain closed by a contradiction: the
+    # collect pass makes n - 1 joins and n projections and leaves the root
+    # empty, so the distribute pass joins nothing and every clique is empty.
+    # An agreeing 4x4 grid 3-colouring still runs both passes.
+    from valkit import algebra, relations
+
+    calls = {"_join": 0, "project_relation": 0}
+
+    def counted(original):
+        def call(*args):
+            calls[original.__name__] += 1
+            return original(*args)
+
+        return call
+
+    monkeypatch.setattr(relations, "_join", counted(relations._join))
+    monkeypatch.setattr(algebra, "project_relation", counted(relations.project_relation))
+    for n in (40, 160):
+        calls.update(dict.fromkeys(calls, 0))
+        tree = calibrate(liar_knowledgebase(n))
+        assert calls == {"_join": n - 1, "project_relation": n}
+        assert all(clique.is_empty() for clique in tree.cliques)
+    calls.update(dict.fromkeys(calls, 0))
+    calibrate(parse_document_text(canonical_json(grid_colouring_document(4, 4))).knowledgebase())
+    assert calls == {"_join": 39, "project_relation": 32}
+
+
 # Proper 3-colourings of the grid, from a row-to-row transfer matrix.
 GRID_COLOURINGS = {
     (3, 3): 246,

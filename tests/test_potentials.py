@@ -8,16 +8,18 @@ from valkit.core import Assignment, VariableUniverse
 from valkit.errors import DomainError
 from valkit.potentials import (
     Potential,
+    _join,
     combine_potentials,
     constant_potential,
     neutral_potential,
+    null_potential,
     project_potential,
     support_relation,
     total_mass,
 )
 from valkit.relations import natural_join, project_relation
 
-from conftest import drawn_potential, enumerate_assignments
+from conftest import drawn_potential, enumerate_assignments, random_universe
 
 
 def bell_row_a1b1():
@@ -181,3 +183,49 @@ def test_collapse_commutes_with_projection_on_supports(phi, target):
     lhs = support_relation(project_potential(phi, target))
     rhs = project_relation(support_relation(phi), target)
     assert lhs == rhs
+
+
+def test_no_zero_numerator_is_ever_stored():
+    # The table oracle's draws have no, 40% or all values zero; no operand,
+    # join onto a target or projection stores one of them.
+    rng = random.Random(32)
+    for _ in range(200):
+        universe = random_universe(rng, max_vars=4)
+        phi, psi = drawn_potential(rng, universe), drawn_potential(rng, universe)
+        union = sorted(phi.domain | psi.domain)
+        target = frozenset(rng.sample(union, rng.randint(0, len(union))))
+        sub = frozenset(rng.sample(sorted(phi.domain), rng.randint(0, len(phi.domain))))
+        for p in (phi, psi, combine_potentials(phi, psi), _join(phi, psi, target), project_potential(phi, sub)):
+            assert 0 not in p.table.nums.values()
+            assert set(p.table.nums) == {row for row, v in p.table.items() if v}
+
+
+def test_explicit_zeros_store_nothing():
+    universe = VariableUniverse.of([("x", ("0", "1", "2")), ("y", ("0", "1"))])
+    domain = frozenset({"x", "y"})
+    given = {Assignment.of({"x": "1", "y": "0"}): Fraction(2, 3)}
+    zeros = {Assignment.from_row(domain, row): Fraction(0) for row in universe.rows(domain)}
+    explicit = Potential.from_table(universe, domain, {**zeros, **given})
+    assert explicit == Potential.from_table(universe, domain, given, default=0)
+    assert (explicit.table.nums, explicit.table.den) == ({("1", "0"): 2}, 3)
+    null = null_potential(universe, domain)
+    assert (null.table.nums, null.table.den) == ({}, 1)
+    assert null == Potential.from_table(universe, domain, zeros) == constant_potential(universe, domain, 0)
+
+
+def test_the_table_reads_as_the_total_table_in_frame_order():
+    # Rows follow the sorted names (x, y), each in its frame's order, which
+    # here is not the labels' sorted order.
+    universe = VariableUniverse.of([("y", ("b", "a")), ("x", ("1", "0"))])
+    domain = frozenset({"x", "y"})
+    table = Potential.from_table(universe, domain, {Assignment.of({"x": "0", "y": "a"}): 5}, default=0).table
+    assert len(table.nums) == 1 and len(table) == 4
+    assert list(table) == [("1", "b"), ("1", "a"), ("0", "b"), ("0", "a")]
+    assert list(table.values()) == [0, 0, 0, 5]
+    assert table == {("1", "b"): 0, ("1", "a"): 0, ("0", "b"): 0, ("0", "a"): 5}
+    assert type(table[("1", "b")]) is Fraction and table[("1", "b")] == 0
+    assert ("1", "b") in table and ("0", "a") in table
+    for key in [("2", "b"), ("b", "1"), ("1",), ("1", "b", "a"), "1b", ()]:
+        assert key not in table and table.get(key) is None
+        with pytest.raises(KeyError):
+            table[key]

@@ -219,6 +219,16 @@ REFUSALS = {
         DomainError,
         "variable 'y' not in assignment domain",
     ),
+    "Potential: a key outside the frame": (
+        lambda: Potential(U, dom("x"), {("0",): HALF, ("zzz",): HALF}),
+        DomainError,
+        "row ('zzz',) is not a point of the domain's frame product",
+    ),
+    "Potential: a key of the wrong arity": (
+        lambda: Potential(U, dom("x"), {("0",): HALF, ("1", "0"): HALF}),
+        DomainError,
+        "row ('1', '0') is not a point of the domain's frame product",
+    ),
 }
 
 
