@@ -18,7 +18,7 @@ from .core import Domain, Record
 from .errors import CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, JoinTree, calibrate, solve_fusion
-from .potentials import Potential, support_relation
+from .potentials import Potential, rational_potential, support_relation
 from .relations import Relation, restriction
 
 DEFAULT_FEASIBILITY_COLUMNS = 4096
@@ -155,7 +155,8 @@ def check_global_agreement_potentials(
     system = marginal_system(kb, column_limit)
     outcome = solve_feasibility(system)
     if outcome.feasible:
-        gamma = Potential(kb.universe, kb.joint_domain, outcome.solution)
+        parts = {row: (v.numerator, v.denominator) for row, v in outcome.solution.items()}
+        gamma = rational_potential(kb.universe, kb.joint_domain, parts)
         return GlobalVerdict(True, truth=gamma, system=system)
     return GlobalVerdict(False, certificate=outcome.certificate, system=system)
 

@@ -64,14 +64,17 @@ class _Values(Mapping):
             return self.den == other.den and self.nums == other.nums
         return super().__eq__(other)
 
+    def __hash__(self):
+        return hash((self.den, frozenset(self.nums.items())))
+
 
 class Potential(Record):
     """A total table from rows (values in sorted-domain order) to nonnegative rationals.
 
     The record constructor checks that a mapping's keys are the frame rows and
-    stores its nonzero values in canonical form; a view that this module's
-    operations build is stored as it is. `Potential.from_table` validates
-    outside input keyed by assignments.
+    its values are in the carrier, and stores the nonzero values in canonical
+    form; a view that this module's operations build is stored as it is.
+    `Potential.from_table` validates outside input keyed by assignments.
     """
 
     universe: VariableUniverse
@@ -81,8 +84,7 @@ class Potential(Record):
     def __post_init__(self):
         table = self.table
         if not isinstance(table, _Values):
-            parts = {row: (v.numerator, v.denominator) for row, v in table.items()}
-            view = rational_potential(self.universe, self.domain, parts).table
+            view = rational_potential(self.universe, self.domain, {row: _parts(v) for row, v in table.items()}).table
             for row in table:
                 if not view.is_row(row):
                     raise DomainError(f"row {row!r} is not a point of the domain's frame product")
@@ -100,28 +102,26 @@ class Potential(Record):
     ) -> "Potential":
         """Validated constructor; missing assignments get `default` when given.
 
-        Each value must be a nonnegative int or Fraction; a bool is refused.
+        Values must be nonnegative ints or Fractions, never bools. Only listed
+        rows are stored; the frame is walked only to fill a nonzero default or
+        name a missing row. Faults in report order: a listed value outside the
+        carrier (in `values`' order), a stray assignment (the least), a missing
+        row (the first in frame order), a default outside the carrier.
         """
-        given = {key.row: v for key, v in values.items() if key.domain == domain}
-        table: dict[Row, Fraction] = {}
-        for row in universe.rows(domain):
-            if row in given:
-                v = given.pop(row)
-            elif default is not None:
-                v = default
-            else:
-                raise DomainError(f"missing table entry for {Assignment.from_row(domain, row)!r}")
-            if isinstance(v, int) and not isinstance(v, bool):
-                v = Fraction(v)
-            if not isinstance(v, Fraction) or v < 0:
-                raise ArgumentError(f"value {v!r} is outside the nonneg-rational carrier")
-            table[row] = v
-        stray = [key for key in values if key.domain != domain]
-        stray += [Assignment.from_row(domain, row) for row in given]
+        universe.check_domain(domain)
+        parts = {key.row: _parts(v) for key, v in values.items() if key.domain == domain}
+        phi = rational_potential(universe, domain, parts)
+        stray = [key for key in values if key.domain != domain or not phi.table.is_row(key.row)]
         if stray:
             example = min(stray, key=lambda a: a.items)
             raise ArgumentError(f"assignment {example!r} is not a point of the domain's frame product")
-        return cls(universe, domain, table)
+        missing = len(parts) < len(phi.table)
+        if missing and default is None:
+            row = next(row for row in universe.rows(domain) if row not in parts)
+            raise DomainError(f"missing table entry for {Assignment.from_row(domain, row)!r}")
+        if missing and (fill := _parts(default))[0]:
+            return rational_potential(universe, domain, dict.fromkeys(universe.rows(domain), fill) | parts)
+        return phi
 
     def __call__(self, x: Assignment) -> Fraction:
         if x.domain != self.domain:
@@ -133,8 +133,9 @@ class Potential(Record):
 
     def __repr__(self) -> str:
         names = ",".join(sorted(self.domain)) or "∅"
-        shown = ", ".join(f"{Assignment.from_row(self.domain, k)!r}->{v}" for k, v in sorted(self.table.items())[:8])
-        suffix = ", ..." if len(self.table) > 8 else ""
+        rows = sorted(self.table.nums)
+        shown = ", ".join(f"{Assignment.from_row(self.domain, row)!r}->{self.table[row]}" for row in rows[:8])
+        suffix = ", ..." if len(rows) > 8 else ""
         return f"Potential[{names}|nonneg-rational]{{{shown}{suffix}}}"
 
 
@@ -148,8 +149,17 @@ def _reduced(phi: Potential, domain: Domain, nums: dict[Row, int], den: int) -> 
     return Potential(phi.universe, domain, _Values(nums, den, phi.universe, domain))
 
 
+def _parts(value) -> tuple[int, int]:
+    """A carrier value as (numerator, denominator) in lowest terms; a bool, a negative or a non-rational is refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = Fraction(value)
+    if not isinstance(value, Fraction) or value < 0:
+        raise ArgumentError(f"value {value!r} is outside the nonneg-rational carrier")
+    return value.numerator, value.denominator
+
+
 def constant_potential(universe: VariableUniverse, domain: Domain, value: int | Fraction) -> Potential:
-    return Potential(universe, domain, dict.fromkeys(universe.rows(domain), value))
+    return Potential.from_table(universe, domain, {}, default=value)
 
 
 def neutral_potential(universe: VariableUniverse, domain: Domain) -> Potential:
@@ -221,8 +231,8 @@ def project_potential(phi: Potential, target: Domain) -> Potential:
 
 
 def total_mass(phi: Potential):
-    """The value of the projection to the empty domain at the unique empty assignment."""
-    return next(iter(project_potential(phi, frozenset()).table.values()))
+    """The value of the projection to the empty domain at the unique empty assignment: the stored numerators' sum."""
+    return Fraction(sum(phi.table.nums.values()), phi.table.den)
 
 
 def support_relation(phi: Potential) -> Relation:

@@ -8,7 +8,7 @@ relation as the bottom of every domain.
 
 A row is a tuple of values in sorted(domain) order, so variable names are
 stored once, in the domain, and rows sort exactly as the assignments they
-stand for. The record constructor trusts its arguments; internal results
+stand for. The record constructor checks only the domain; internal results
 use it, while `Relation.of` and `Relation.from_rows` validate outside input.
 """
 

@@ -16,13 +16,19 @@ four table operations never name `Assignment` or call an assignment's
 `.restrict` or `.merge`, which would rebuild per-row assignments.
 
 Combination is a hash join of stored rows: inside `potentials.py`, only
-`constant_potential` and `Potential.from_table`, which fill a table over its
-whole frame product, and the table view's iteration, which readers walk in
-frame order, call `.rows(`, so no frame walk can return to combination or
-projection. And the table operations (`_join`, `project_potential`,
-`_reduced`, `support_relation` and `is_neutral_potential`) read a table's
-stored numerators and denominator only, never the view, so none of them can
-walk the frame through the view either.
+`Potential.from_table`, which fills a nonzero default over the whole frame
+product or names the first missing row, and the table view's iteration,
+which readers walk in frame order, call `.rows(`, so no frame walk can
+return to combination or projection. And the table operations (`_join`,
+`project_potential`, `_reduced`, `support_relation` and
+`is_neutral_potential`) read a table's stored numerators and denominator
+only, never the view, so none of them can walk the frame through the view
+either.
+
+A potential has one way in: in every valkit module, only
+`rational_potential`, which every constructor ends in, and `_reduced`, which
+every table operation ends in, construct a `_Values`, so no other path can
+store a table without the carrier check or the canonical form.
 
 The exact LP becomes integers in one place: inside `feasibility.py`, only
 `LinearSystem.__post_init__` reads a system's `.entries` or `.rhs`, and it
@@ -222,7 +228,7 @@ def test_the_row_check_sees_assignment_use():
     assert _assignment_uses(ast.parse("def join(r1, r2):\n    return r1 | r2\n")) == []
 
 
-FRAME_WALKERS = ("constant_potential", "Potential.from_table", "_Values.__iter__")
+FRAME_WALKERS = ("Potential.from_table", "_Values.__iter__")
 
 
 def _scoped(node: ast.AST, scope: str = ""):
@@ -263,7 +269,51 @@ def test_the_frame_walk_check_sees_a_planted_call():
         "    return dict.fromkeys(universe.rows(domain))\n"
         "ROWS = VariableUniverse.rows(u, d)\n"
     )
-    assert _frame_walks(ast.parse(source)) == ["combine_potentials:2: calls .rows", "<module>:9: calls .rows"]
+    assert _frame_walks(ast.parse(source)) == [
+        "combine_potentials:2: calls .rows",
+        "constant_potential:8: calls .rows",
+        "<module>:9: calls .rows",
+    ]
+
+
+VALUES_BUILDERS = ("potentials.py:rational_potential", "potentials.py:_reduced")
+
+
+def _values_builds(name: str, tree: ast.AST) -> list[str]:
+    """Each call of `_Values` outside the functions of VALUES_BUILDERS, as "module:qualified name:line"."""
+    return [
+        f"{name}:{scope or '<module>'}:{node.lineno}: constructs _Values"
+        for scope, node in _scoped(tree)
+        if f"{name}:{scope}" not in VALUES_BUILDERS
+        and isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_Values"
+    ]
+
+
+def test_only_the_canonical_builders_construct_a_table_view():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        offences.extend(_values_builds(path.name, ast.parse(path.read_text(encoding="utf-8"))))
+    assert not offences, "a table view is built outside rational_potential and _reduced:\n" + "\n".join(offences)
+
+
+def test_the_table_view_check_sees_a_planted_construction():
+    source = (
+        "def rational_potential(universe, domain, parts):\n"
+        "    return Potential(universe, domain, _Values({}, 1, universe, domain))\n"
+        "class Potential:\n"
+        "    def __post_init__(self):\n"
+        "        self.table = _Values(dict(self.table), 1, self.universe, self.domain)\n"
+        "def constant_potential(universe, domain, value):\n"
+        "    return potentials._Values(dict.fromkeys(universe.rows(domain), 1), 1, universe, domain)\n"
+        "EMPTY = _Values({}, 1, None, frozenset())\n"
+    )
+    assert _values_builds("potentials.py", ast.parse(source)) == [
+        "potentials.py:Potential.__post_init__:5: constructs _Values",
+        "potentials.py:constant_potential:7: constructs _Values",
+        "potentials.py:<module>:8: constructs _Values",
+    ]
+    assert len(_values_builds("documents.py", ast.parse(source))) == 4
 
 
 STORED_ROW_READERS = ("_join", "project_potential", "_reduced", "support_relation", "is_neutral_potential")

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from valkit.contextuality import probabilistic_model
 from valkit.core import Assignment, VariableUniverse
+from valkit.documents import parse_potential
 from valkit.errors import DomainError
 from valkit.potentials import (
     Potential,
@@ -229,3 +231,55 @@ def test_the_table_reads_as_the_total_table_in_frame_order():
         assert key not in table and table.get(key) is None
         with pytest.raises(KeyError):
             table[key]
+
+
+WIDE_NAMES = [f"v{i:02d}" for i in range(20)]
+WIDE = VariableUniverse.of([(name, ("0", "1")) for name in WIDE_NAMES])
+
+
+def _refuse_frame_walks(monkeypatch):
+    def rows(self, domain):
+        raise AssertionError(f"walked the frame product of {sorted(domain)}")
+
+    monkeypatch.setattr(VariableUniverse, "rows", rows)
+
+
+def test_listed_rows_are_stored_without_a_frame_walk(monkeypatch):
+    # 2^20 frame rows and one listed: the library constructors store the
+    # listed row as the parser does, and neither enumerates the frame.
+    _refuse_frame_walks(monkeypatch)
+    domain = frozenset(WIDE_NAMES)
+    outcome = ("1",) + ("0",) * 19
+    expected = parse_potential({",".join(outcome): 1}, WIDE_NAMES, WIDE, "values", cell_limit=None)
+    built = Potential.from_table(WIDE, domain, {Assignment.from_row(domain, outcome): 1}, default=0)
+    assert built == expected
+    model = probabilistic_model(WIDE, [tuple(WIDE_NAMES)], {tuple(WIDE_NAMES): {outcome: "1"}})
+    assert model.sections == (expected,)
+
+
+def test_the_repr_lists_the_first_stored_rows_without_a_frame_walk(monkeypatch):
+    _refuse_frame_walks(monkeypatch)
+    domain = frozenset(WIDE_NAMES)
+    rows = [("0",) * (19 - k) + ("1",) * (k + 1) for k in range(9)]
+    phi = Potential.from_table(WIDE, domain, {Assignment.from_row(domain, row): 2 for row in rows}, default=0)
+    shown = repr(phi)
+    assert shown.endswith("->2, ...}") and shown.count("->2") == 8
+    assert repr(Assignment.from_row(domain, max(rows))) not in shown
+    one = Potential.from_table(WIDE, domain, {Assignment.from_row(domain, rows[0]): Fraction(1, 2)}, default=0)
+    assert repr(one).endswith(f"{{{Assignment.from_row(domain, rows[0])!r}->1/2}}")
+
+
+def test_equal_potentials_hash_equal():
+    universe = VariableUniverse.of([("x", ("0", "1")), ("y", ("0", "1", "2"))])
+    domain = frozenset({"x", "y"})
+    ones = {Assignment.from_row(domain, row): Fraction(2, 2) for row in universe.rows(domain)}
+    same = [
+        constant_potential(universe, domain, 1),
+        neutral_potential(universe, domain),
+        Potential.from_table(universe, domain, ones),
+        Potential(universe, domain, dict.fromkeys(universe.rows(domain), 1)),
+    ]
+    assert len({hash(phi) for phi in same}) == 1
+    half = constant_potential(universe, domain, Fraction(1, 2))
+    null = null_potential(universe, domain)
+    assert set(same + [half, null, constant_potential(universe, domain, 0)]) == {same[0], half, null}

@@ -229,6 +229,26 @@ REFUSALS = {
         DomainError,
         "row ('1', '0') is not a point of the domain's frame product",
     ),
+    "Potential: a negative value": (
+        lambda: Potential(U, dom("x"), {("0",): Fraction(-1, 2), ("1",): Fraction(3, 2)}),
+        ArgumentError,
+        "value Fraction(-1, 2) is outside the nonneg-rational carrier",
+    ),
+    "Potential: a bool value": (
+        lambda: Potential(U, dom("x"), {("0",): True, ("1",): 0}),
+        ArgumentError,
+        "value True is outside the nonneg-rational carrier",
+    ),
+    "Potential: a float value": (
+        lambda: Potential(U, dom("x"), {("0",): 0.5, ("1",): HALF}),
+        ArgumentError,
+        "value 0.5 is outside the nonneg-rational carrier",
+    ),
+    "Potential: a string value": (
+        lambda: Potential(U, dom("x"), {("0",): "1/2", ("1",): HALF}),
+        ArgumentError,
+        "value '1/2' is outside the nonneg-rational carrier",
+    ),
 }
 
 

@@ -11,18 +11,29 @@ valkit. Fusion's fused step, `combine_project`, is checked in both
 algebras against the combination oracle projected by the projection
 oracle. Each random input also round-trips through a knowledgebase
 document.
+
+`oracle_from_table` is the earlier `Potential.from_table`, which walked the
+whole frame to build a dense `Fraction` table and handed it to the record
+constructor. The sparse constructor must build equal potentials from the
+same input, and refuse every single-fault input (a stray assignment, a
+missing row, a value outside the carrier) with the same error class and
+message.
 """
 
 import random
+from fractions import Fraction
 from itertools import product
+
+import pytest
 
 from valkit.algebra import Knowledgebase, PotentialAlgebra, RelationAlgebra
 from valkit.core import Assignment, VariableUniverse
 from valkit.documents import canonical_json, knowledgebase_document, parse_document_text
+from valkit.errors import ArgumentError, DomainError
 from valkit.potentials import Potential, combine_potentials, project_potential
 from valkit.relations import Relation, natural_join, project_relation
 
-from conftest import assert_canonical, drawn_potential, random_relation, random_universe
+from conftest import assert_canonical, drawn_potential, random_rationals, random_relation, random_universe
 
 CASES = 400
 
@@ -193,3 +204,92 @@ def test_is_neutral_agrees_with_comparing_to_the_neutral_element():
             assert algebra.is_neutral(phi) == (phi == algebra.neutral(label)), phi
             seen[algebra.is_neutral(phi)] += 1
     assert min(seen.values()) >= 100, seen
+
+
+def oracle_from_table(universe, domain, values, default=None):
+    given = {key.row: v for key, v in values.items() if key.domain == domain}
+    table = {}
+    for row in universe.rows(domain):
+        if row in given:
+            v = given.pop(row)
+        elif default is not None:
+            v = default
+        else:
+            raise DomainError(f"missing table entry for {Assignment.from_row(domain, row)!r}")
+        if isinstance(v, int) and not isinstance(v, bool):
+            v = Fraction(v)
+        if not isinstance(v, Fraction) or v < 0:
+            raise ArgumentError(f"value {v!r} is outside the nonneg-rational carrier")
+        table[row] = v
+    stray = [key for key in values if key.domain != domain]
+    stray += [Assignment.from_row(domain, row) for row in given]
+    if stray:
+        example = min(stray, key=lambda a: a.items)
+        raise ArgumentError(f"assignment {example!r} is not a point of the domain's frame product")
+    return Potential(universe, domain, table)
+
+
+def _outcome(build, *args):
+    """The potential that `build(*args)` returns, or the class and message of what it raises."""
+    try:
+        return build(*args)
+    except (ArgumentError, DomainError) as err:
+        return type(err), str(err)
+
+
+DEFAULTS = (None, 0, Fraction(0), 3, Fraction(2, 7))
+
+
+def test_from_table_matches_the_dense_oracle():
+    rng = random.Random(1010)
+    seen = {"default None": 0, "default 0": 0, "default nonzero": 0, "zero row": 0, "empty domain": 0}
+    for case in range(4 * CASES // 3):
+        universe = random_universe(rng, max_vars=4)
+        names = sorted(universe.vars)
+        domain = frozenset(rng.sample(names, rng.randint(0, min(3, len(names)))))
+        rows = list(universe.rows(domain))
+        default = DEFAULTS[case % len(DEFAULTS)]
+        keep = 1.0 if default is None and case % 10 else rng.choice((0.0, 0.5, 1.0))
+        listed = [row for row in rows if rng.random() < keep]
+        weights = random_rationals(rng, len(listed))
+        values = {
+            Assignment.from_row(domain, row): rng.choice((0, Fraction(0), w, w.numerator)) for row, w in zip(listed, weights)
+        }
+        expected = _outcome(oracle_from_table, universe, domain, values, default)
+        assert _outcome(Potential.from_table, universe, domain, values, default) == expected
+        if isinstance(expected, Potential):
+            seen["default None" if default is None else "default nonzero" if default else "default 0"] += 1
+            seen["zero row"] += any(v == 0 for v in values.values())
+            seen["empty domain"] += not domain
+    assert min(seen.values()) >= 25, seen
+
+
+U = VariableUniverse.of([("x", ("0", "1", "2")), ("y", ("b", "a"))])
+XY = frozenset({"x", "y"})
+FULL = {Assignment.from_row(XY, row): Fraction(1, 6) for row in U.rows(XY)}
+FIRST, LAST = Assignment.of({"x": "0", "y": "b"}), Assignment.of({"x": "2", "y": "a"})
+
+
+def _without(*points):
+    return {key: v for key, v in FULL.items() if key not in points}
+
+
+SINGLE_FAULTS = {
+    "stray: another domain": (XY, {**FULL, Assignment.of({"x": "0"}): 1}, None),
+    "stray: a label outside the frame": (XY, {**FULL, Assignment.of({"x": "9", "y": "a"}): 1}, None),
+    "stray: several": (XY, {**FULL, Assignment.of({"x": "9", "y": "a"}): 1, Assignment.of({"y": "z"}): 0}, 0),
+    "missing: one row": (XY, _without(LAST), None),
+    "missing: several rows": (XY, _without(LAST, Assignment.of({"x": "1", "y": "a"})), None),
+    "missing: the empty domain's row": (frozenset(), {}, None),
+    "unknown variable": (frozenset({"x", "w"}), {}, 0),
+}
+for name, bad in {"negative int": -1, "negative Fraction": Fraction(-1, 2), "bool": True, "float": 0.5, "str": "1/2"}.items():
+    SINGLE_FAULTS[f"carrier: a listed {name}"] = (XY, {**FULL, FIRST: bad}, None)
+    SINGLE_FAULTS[f"carrier: a {name} default filling a row"] = (XY, _without(LAST), bad)
+    SINGLE_FAULTS[f"carrier: a {name} default filling no row"] = (XY, FULL, bad)
+
+
+@pytest.mark.parametrize("domain, values, default", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS.keys())
+def test_from_table_refuses_a_single_fault_as_the_dense_oracle_does(domain, values, default):
+    expected = _outcome(oracle_from_table, U, domain, values, default)
+    assert _outcome(Potential.from_table, U, domain, values, default) == expected
