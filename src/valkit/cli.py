@@ -16,6 +16,7 @@ ends the options, and a value may look like a negative number (`-5`).
 from __future__ import annotations
 
 import gc
+import os
 import re
 import sys
 import time
@@ -34,14 +35,28 @@ from .documents import (
     potential_values,
     relation_rows,
 )
-from .errors import CapabilityError, ParseError, ResourceLimitError, ValkitError
-from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, resolve_cell_limit, solve_fusion
+from .errors import ArgumentError, CapabilityError, ParseError, ResourceLimitError, ValkitError
+from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, solve_fusion
 from .relations import Relation
 from .reports import build_report, verify_report
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+
+
+def resolve_cell_limit(flag: str | None = None) -> int:
+    """The --limit value if given, else VK_CELL_LIMIT, else the default; each must be a positive integer."""
+    source, raw = ("--limit", flag) if flag is not None else ("VK_CELL_LIMIT", os.environ.get("VK_CELL_LIMIT"))
+    if raw is None:
+        return DEFAULT_CELL_LIMIT
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ArgumentError(f"{source} must be an integer, got {raw!r}") from None
+    if value <= 0:
+        raise ArgumentError(f"{source} must be positive")
+    return value
 
 
 def _read_text(path: str) -> tuple[str, bytes]:

@@ -66,29 +66,27 @@ class MeasurementScenario(Record):
 
 
 class EmpiricalModel(Record):
+    """A scenario and one section per context, checked once as the knowledgebase they form."""
+
     scenario: MeasurementScenario
-    kind: str  # PROBABILISTIC | POSSIBILISTIC
     sections: tuple[Potential, ...] | tuple[Relation, ...]  # aligned with scenario.contexts
 
     def __post_init__(self):
-        if self.kind not in (PROBABILISTIC, POSSIBILISTIC):
-            raise ArgumentError(f"unknown model kind {self.kind!r}")
         if len(self.sections) != len(self.scenario.contexts):
             raise ArgumentError("one section per context is required")
         for ctx, section in zip(self.scenario.contexts, self.sections):
             if section.domain != frozenset(ctx):
                 raise ArgumentError(f"section domain {sorted(section.domain)} does not match context {ctx!r}")
-            if self.kind == PROBABILISTIC:
-                if not isinstance(section, Potential):
-                    raise ArgumentError("probabilistic sections must be rational potentials")
-                mass = total_mass(section)
-                if mass != 1:
-                    raise ArgumentError(f"section over {ctx!r} sums to {mass}, not 1")
-            else:
-                if not isinstance(section, Relation):
-                    raise ArgumentError("possibilistic sections must be relations")
-                if section.is_empty():
-                    raise ArgumentError(f"section over {ctx!r} has empty support")
+            if isinstance(section, Potential) and (mass := total_mass(section)) != 1:
+                raise ArgumentError(f"section over {ctx!r} sums to {mass}, not 1")
+            if isinstance(section, Relation) and section.is_empty():
+                raise ArgumentError(f"section over {ctx!r} has empty support")
+        object.__setattr__(self, "_kb", Knowledgebase(self.scenario.universe, self.sections))
+
+    @property
+    def kind(self) -> str:
+        """Possibilistic when the sections are relations, probabilistic when they are rational potentials."""
+        return POSSIBILISTIC if isinstance(self.sections[0], Relation) else PROBABILISTIC
 
     def _position(self, context: tuple[str, ...]) -> int:
         if tuple(context) not in self.scenario.contexts:
@@ -102,7 +100,7 @@ class EmpiricalModel(Record):
         return support_of(self.section_for(context))
 
     def knowledgebase(self) -> Knowledgebase:
-        return Knowledgebase(self.scenario.universe, self.sections)
+        return self._kb  # type: ignore[attr-defined]
 
     def support_knowledgebase(self) -> Knowledgebase:
         """The supports as a relation knowledgebase: a possibilistic model's own knowledgebase."""
@@ -208,7 +206,7 @@ def probabilistic_model(
                     raise ArgumentError(f"cannot parse {value!r} as a rational") from None
             table[Assignment.of(dict(zip(ctx, outcome)))] = value
         built.append(Potential.from_table(universe, frozenset(ctx), table, default=Fraction(0)))
-    return EmpiricalModel(scenario, PROBABILISTIC, tuple(built))
+    return EmpiricalModel(scenario, tuple(built))
 
 
 def possibilistic_model(
@@ -220,7 +218,7 @@ def possibilistic_model(
     scenario = MeasurementScenario(universe, tuple(contexts))
     given = _by_context(scenario, supports, "supports")
     built = tuple(Relation.from_rows(universe, ctx, rows) for ctx, rows in zip(scenario.contexts, given))
-    return EmpiricalModel(scenario, POSSIBILISTIC, built)
+    return EmpiricalModel(scenario, built)
 
 
 def _by_context(scenario: MeasurementScenario, given: dict, where: str) -> list:

@@ -18,12 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import Knowledgebase
-from .contextuality import (
-    POSSIBILISTIC,
-    PROBABILISTIC,
-    EmpiricalModel,
-    MeasurementScenario,
-)
+from .contextuality import POSSIBILISTIC, PROBABILISTIC, EmpiricalModel, MeasurementScenario
 from .core import Record, VariableUniverse
 from .errors import ParseError, ResourceLimitError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
@@ -292,7 +287,7 @@ def _parse_empirical_model(doc: dict, cell_limit: int | None) -> EmpiricalModel:
             sections.append(_parse_support(raw, ctx, universe, where))
     try:
         scenario = MeasurementScenario(universe, tuple(tuple(c) for c in contexts))
-        return EmpiricalModel(scenario, model_kind, tuple(sections))
+        return EmpiricalModel(scenario, tuple(sections))
     except ValkitError as err:
         raise ParseError(str(err)) from None
 

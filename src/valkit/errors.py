@@ -18,7 +18,8 @@ class UniverseMismatchError(DomainError):
 
 
 class CapabilityError(ValkitError):
-    """The operation needs a capability (null, order, adjointness) the algebra does not claim."""
+    """The input lacks what the operation needs: idempotency (`calibrate`), the order (`leq`), adjointness
+    (`check_global_agreement_adjoint`), or the valuation type of the feasibility path or `search_truth_valuations`."""
 
 
 class ResourceLimitError(ValkitError):

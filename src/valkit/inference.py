@@ -30,7 +30,6 @@ when a report lists them.
 from __future__ import annotations
 
 import heapq
-import os
 from functools import cached_property
 from typing import Sequence
 
@@ -41,20 +40,6 @@ from .relations import Relation, restriction
 
 DEFAULT_CELL_LIMIT = 10_000_000
 TUPLE_CAP = 4096  # the most tuples of Gamma that a verdict lists and a report writes
-
-
-def resolve_cell_limit(flag: str | None = None) -> int:
-    """The --limit value if given, else VK_CELL_LIMIT, else the default; each must be a positive integer."""
-    source, raw = ("--limit", flag) if flag is not None else ("VK_CELL_LIMIT", os.environ.get("VK_CELL_LIMIT"))
-    if raw is None:
-        return DEFAULT_CELL_LIMIT
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ArgumentError(f"{source} must be an integer, got {raw!r}") from None
-    if value <= 0:
-        raise ArgumentError(f"{source} must be positive")
-    return value
 
 
 def check_table_size(universe: VariableUniverse, domain: Domain, cell_limit: int | None) -> None:

@@ -25,7 +25,7 @@ from .documents import (
     relation_rows,
 )
 from .errors import SignallingError
-from .feasibility import FarkasCertificate, validate_certificate, validate_solution
+from .feasibility import FarkasCertificate, LinearSystem, validate_certificate, validate_solution
 from .inference import DEFAULT_CELL_LIMIT, TUPLE_CAP, JoinTree
 from .potentials import Potential
 from .relations import Relation, project_relation, restriction
@@ -83,15 +83,17 @@ def certificate_doc(certificate: FarkasCertificate, fields: tuple[str, str], mem
     return rows
 
 
-def _certificate_from_doc(rows: list[dict], fields: tuple[str, str], members: list) -> FarkasCertificate:
-    member_field, assignment_field = fields
+def _certificate_problems(rows: list[dict], layout: tuple[tuple[str, str], list], system: LinearSystem) -> list[str]:
+    """A certificate written in `layout` (a knowledgebase's or a model's) must refute `system`."""
+    (member_field, assignment_field), members = layout
     by_label = {label: (i, restriction(names, sorted(names))) for i, (label, names) in enumerate(members, start=1)}
     coefficients = []
     for row in rows:
         index, sorted_order = by_label[row[member_field]]
         labels = tuple(row[assignment_field].split(",")) if row[assignment_field] else ()
         coefficients.append(((index, sorted_order(labels)), parse_signed_rational(row["coefficient"], "certificate")))
-    return FarkasCertificate(tuple(coefficients))
+    valid = validate_certificate(system, FarkasCertificate(tuple(coefficients)))
+    return [] if valid else ["infeasibility certificate fails validation"]
 
 
 def agreement_analysis_doc(kb: Knowledgebase, report: AgreementReport) -> dict:
@@ -260,9 +262,7 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict) -> list[
         if probabilistic is not None:
             system = verdict.feasibility.system
             if probabilistic["contextual"]:
-                certificate = _certificate_from_doc(probabilistic["certificate"], *_model_certificate_layout(payload))
-                if not validate_certificate(system, certificate):
-                    problems.append("infeasibility certificate fails validation")
+                problems.extend(_certificate_problems(probabilistic["certificate"], _model_certificate_layout(payload), system))
             else:
                 kb = payload.knowledgebase()
                 raw = probabilistic["global-distribution"]
@@ -297,9 +297,8 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict) -> list[
             if truth is not None and algebra.project(truth, member.domain) != member:
                 problems.append(f"reported truth valuation does not project onto member {index}")
     elif "certificate" in global_doc:
-        certificate = _certificate_from_doc(global_doc["certificate"], *_kb_certificate_layout(kb))
-        if not validate_certificate(verdict.global_agreement.system, certificate):
-            problems.append("infeasibility certificate fails validation")
+        system = verdict.global_agreement.system
+        problems.extend(_certificate_problems(global_doc["certificate"], _kb_certificate_layout(kb), system))
     else:
         index = global_doc["witness-index"]
         if _valuation_from_doc(global_doc["projected"], kb.universe, "projected") == members[index - 1]:

@@ -61,7 +61,19 @@ def possibilistic_oracle(model):
 
 def support_model(model):
     """The possibilistic model whose sections are the supports of `model`'s."""
-    return EmpiricalModel(model.scenario, POSSIBILISTIC, tuple(model.support_knowledgebase()))
+    return EmpiricalModel(model.scenario, tuple(model.support_knowledgebase()))
+
+
+@pytest.mark.parametrize(
+    "factory, kind",
+    [(bell_model, "probabilistic"), (ghz_model, "probabilistic"), (pr_box_model, "probabilistic"), (hardy_model, "possibilistic")],
+)
+def test_a_model_keeps_one_knowledgebase_and_reads_its_kind_off_its_sections(factory, kind):
+    model = factory()
+    assert model.knowledgebase() is model.knowledgebase()
+    assert model.knowledgebase().valuations == model.sections
+    assert model.kind == kind
+    assert "_kb" not in repr(model) and model == factory() and hash(model) == hash(factory())
 
 
 def test_bell_no_signalling_passes():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from valkit.algebra import Knowledgebase
-from valkit.builtins import bell_model, hardy_model, malawi_constraints, screening_knowledgebase
+from valkit.builtins import bell_model, builtin, hardy_model, malawi_constraints, screening_knowledgebase
 from valkit.cli import main
 from valkit.contextuality import EmpiricalModel
 from valkit.documents import (
@@ -47,6 +47,19 @@ def test_hardy_document_roundtrip_lists_support_only():
     assert doc["sections"]["a1,b2"] == {"0,1": 1, "1,0": 1, "1,1": 1}
     parsed = roundtrip(doc)
     assert parsed.payload == model
+
+
+MODEL_KINDS = {"bell": "probabilistic", "hardy": "possibilistic", "ghz": "probabilistic", "pr-box": "probabilistic"}
+
+
+@pytest.mark.parametrize("name", [*MODEL_KINDS, "malawi", "screening", "liar(5)"])
+def test_every_builtin_roundtrips(name):
+    payload = builtin(name)
+    document = document_for(payload)
+    parsed = parse_document_text(canonical_json(document)).payload
+    assert parsed == payload
+    if name in MODEL_KINDS:
+        assert document["model-kind"] == parsed.kind == payload.kind == MODEL_KINDS[name]
 
 
 def test_knowledgebase_document_roundtrip():

@@ -54,6 +54,12 @@ A model analysis is one `classify` call: no module other than
 `contextuality.py` calls `check_no_signalling`, and no module defines or calls
 `classify_checked`, the second entry point that `classify` absorbed.
 
+A model holds one knowledgebase: only `contextuality.py`, where
+`EmpiricalModel` checks its sections once as the knowledgebase they form,
+calls `Knowledgebase(...)` on an expression that reads `.sections`. Every
+other module takes a model's knowledgebase from `model.knowledgebase()`, so
+none can rebuild and re-check it.
+
 No valkit module imports `dataclasses`: every value type is a `core.Record`,
 and importing `dataclasses` would put it and `inspect` back on every
 command's start-up.
@@ -536,6 +542,48 @@ def test_the_model_analysis_check_sees_a_second_entry_point():
         "contextuality.py:4: calls classify_checked",
     ]
     assert _model_analysis_offences(ast.parse("from .contextuality import check_no_signalling\n"), "reports.py") == []
+
+
+def _section_knowledgebases(tree: ast.AST, module: str) -> list[str]:
+    if module == "contextuality.py":
+        return []
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "Knowledgebase":
+            continue
+        arguments = [*node.args, *(keyword.value for keyword in node.keywords)]
+        if any(isinstance(n, ast.Attribute) and n.attr == "sections" for arg in arguments for n in ast.walk(arg)):
+            found.append(f"{module}:{node.lineno}: builds a Knowledgebase from .sections")
+    return found
+
+
+def test_only_the_model_builds_its_knowledgebase():
+    offences = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        offences.extend(_section_knowledgebases(tree, path.name))
+    assert not offences, "a model's knowledgebase rebuilt outside EmpiricalModel:\n" + "\n".join(offences)
+
+
+def test_the_model_knowledgebase_check_sees_a_rebuild():
+    source = (
+        "def f(model, u):\n"
+        "    a = Knowledgebase(model.scenario.universe, model.sections)\n"
+        "    b = algebra.Knowledgebase(u, tuple(s for s in model.sections))\n"
+        "    c = Knowledgebase(universe=u, valuations=model.sections)\n"
+        "    return a, b, c\n"
+    )
+    assert _section_knowledgebases(ast.parse(source), "reports.py") == [
+        "reports.py:2: builds a Knowledgebase from .sections",
+        "reports.py:3: builds a Knowledgebase from .sections",
+        "reports.py:4: builds a Knowledgebase from .sections",
+    ]
+    assert _section_knowledgebases(ast.parse(source), "contextuality.py") == []
+    fine = "def f(model, u, sections):\n    return model.knowledgebase(), Knowledgebase(u, sections), len(model.sections)\n"
+    assert _section_knowledgebases(ast.parse(fine), "reports.py") == []
 
 
 def _imports(tree: ast.AST, module: str, banned: tuple[str, ...]) -> list[str]:

@@ -17,7 +17,6 @@ import pytest
 from valkit.algebra import AxiomCheck, Knowledgebase
 from valkit.builtins import BUILTINS, BuiltinSpec
 from valkit.contextuality import (
-    PROBABILISTIC,
     ContextualityReport,
     EmpiricalModel,
     MeasurementScenario,
@@ -129,10 +128,10 @@ RECORDS = {
         "contexts=(('x',),))",
     ),
     EmpiricalModel: (
-        ("scenario", "kind", "sections"),
-        EmpiricalModel(SCENARIO, PROBABILISTIC, (P,)),
+        ("scenario", "sections"),
+        EmpiricalModel(SCENARIO, (P,)),
         "EmpiricalModel(scenario=MeasurementScenario(universe=VariableUniverse(entries=(('x', "
-        "Frame(values=('0', '1'))),)), contexts=(('x',),)), kind='probabilistic', "
+        "Frame(values=('0', '1'))),)), contexts=(('x',),)), "
         "sections=(Potential[x|nonneg-rational]{(x=0)->1/4, (x=1)->3/4},))",
     ),
     NoSignallingVerdict: (
@@ -296,8 +295,9 @@ def test_post_init_checks_still_fire():
         LinearSystem(("c",), ("r",), {("s", "c"): Fraction(1)}, {})
     with pytest.raises(ArgumentError, match="at least one context"):
         MeasurementScenario(U, ())
-    with pytest.raises(ArgumentError, match="unknown model kind"):
-        EmpiricalModel(SCENARIO, "quantum", (P,))
+    wider = VariableUniverse.of([("x", ("0", "1", "2"))])  # the same name, a wider frame
+    with pytest.raises(ArgumentError, match="built over a different universe"):
+        EmpiricalModel(SCENARIO, (Relation(wider, dom("x"), frozenset({("1",)})),))
 
 
 def test_post_init_derived_state_is_kept():

@@ -13,8 +13,6 @@ import pytest
 from valkit import relations
 from valkit.algebra import Knowledgebase, PotentialAlgebra
 from valkit.contextuality import (
-    POSSIBILISTIC,
-    PROBABILISTIC,
     EmpiricalModel,
     MeasurementScenario,
     possibilistic_model,
@@ -41,9 +39,13 @@ def relation(universe=U, name="x"):
     return full_relation(universe, dom(name))
 
 
-SCENARIO_JOINT = MeasurementScenario(U, (("x", "y"),))
+def uniform(universe, name):
+    frame = universe.frame(name).values
+    return Potential.from_table(universe, dom(name), {Assignment.of({name: v}): Fraction(1, len(frame)) for v in frame})
+
+
 SCENARIO_XY = MeasurementScenario(U, (("x",), ("y",)))
-MODEL = EmpiricalModel(SCENARIO_XY, POSSIBILISTIC, (relation(), relation(name="y")))
+MODEL = EmpiricalModel(SCENARIO_XY, (relation(), relation(name="y")))
 
 REFUSALS = {
     "Relation.of: no rows": (lambda: Relation.of(U, []), ArgumentError, "zero rows"),
@@ -180,24 +182,29 @@ REFUSALS = {
         "contexts must be nonempty",
     ),
     "EmpiricalModel: wrong section count": (
-        lambda: EmpiricalModel(SCENARIO_XY, POSSIBILISTIC, (relation(),)),
+        lambda: EmpiricalModel(SCENARIO_XY, (relation(),)),
         ArgumentError,
         "one section per context",
     ),
     "EmpiricalModel: section domain unlike its context": (
-        lambda: EmpiricalModel(SCENARIO_XY, POSSIBILISTIC, (relation(name="y"), relation())),
+        lambda: EmpiricalModel(SCENARIO_XY, (relation(name="y"), relation())),
         ArgumentError,
         "does not match context ('x',)",
     ),
-    "EmpiricalModel: relation as a probabilistic section": (
-        lambda: EmpiricalModel(SCENARIO_JOINT, PROBABILISTIC, (full_relation(U, dom("x", "y")),)),
-        ArgumentError,
-        "probabilistic sections must be rational potentials",
-    ),
     "EmpiricalModel: potential as a possibilistic section": (
-        lambda: EmpiricalModel(SCENARIO_XY, POSSIBILISTIC, (potential(), relation(name="y"))),
+        lambda: EmpiricalModel(SCENARIO_XY, (potential(), relation(name="y"))),
         ArgumentError,
-        "possibilistic sections must be relations",
+        "all knowledgebase members must come from one algebra",
+    ),
+    "EmpiricalModel: possibilistic section over another universe": (
+        lambda: EmpiricalModel(SCENARIO_XY, (relation(), relation(V, name="y"))),
+        ArgumentError,
+        "knowledgebase member built over a different universe",
+    ),
+    "EmpiricalModel: probabilistic section over another universe": (
+        lambda: EmpiricalModel(SCENARIO_XY, (potential(), uniform(V, "y"))),
+        ArgumentError,
+        "knowledgebase member built over a different universe",
     ),
     "EmpiricalModel.section_for: unknown context": (
         lambda: MODEL.section_for(("x", "y")),
