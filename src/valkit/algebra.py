@@ -1,9 +1,9 @@
 """The valuation-algebra contract and the axiom test suite.
 
-An algebra bundles the three primitive operations (labelling, projection,
-combination) with neutral and null elements, which every instance has, and
-three properties an instance may lack: idempotent combination, a
-completeness order, and adjointness. The axiom
+An algebra bundles projection and combination with neutral and null
+elements, which every instance has, and three properties an instance may
+lack: idempotent combination, a completeness order, and adjointness. The
+third primitive, labelling, is each valuation's own `domain`. The axiom
 suite exercises an instance against exactly the axioms it claims (or any
 explicitly requested set) and reports a concrete counterexample on failure.
 Adjointness is the law "ADJ", claimed after A13; in an adjoint algebra the
@@ -15,7 +15,7 @@ nonnegative-rational potentials.
 from __future__ import annotations
 
 import random
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from . import potentials, relations
@@ -43,7 +43,7 @@ ORDER_AXIOMS = ("A10", "A11", "A12", "A13")
 
 
 class ValuationAlgebra:
-    """The contract both instances share.
+    """The contract both instances share; a valuation's label d(phi) is its `domain`.
 
     An instance supplies `project`, `combine`, `combine_project` (both in
     one step: fusion's message), `neutral`, `null`, `is_neutral` and
@@ -57,9 +57,6 @@ class ValuationAlgebra:
 
     def __init__(self, universe: VariableUniverse):
         self.universe = universe
-
-    def label(self, phi) -> Domain:
-        return phi.domain
 
     def leq(self, phi, psi) -> bool:
         raise CapabilityError(f"{self.name} is not ordered")
@@ -136,7 +133,7 @@ class PotentialAlgebra(ValuationAlgebra):
 
 
 class Knowledgebase(Record):
-    """A finite list of valuations from one algebra instance."""
+    """A finite list of valuations from one algebra instance, which it finds once, when it is built."""
 
     universe: VariableUniverse
     valuations: tuple
@@ -150,16 +147,16 @@ class Knowledgebase(Record):
         for v in self.valuations:
             if v.universe != self.universe:
                 raise ArgumentError("knowledgebase member built over a different universe")
+        first = self.valuations[0]
+        if not isinstance(first, (Relation, Potential)):
+            raise ArgumentError(f"no algebra known for valuations of type {type(first).__name__}")
+        algebra = RelationAlgebra if isinstance(first, Relation) else PotentialAlgebra
+        object.__setattr__(self, "_algebra", algebra(self.universe))
 
     def algebra(self) -> ValuationAlgebra:
-        first = self.valuations[0]
-        if isinstance(first, Relation):
-            return RelationAlgebra(self.universe)
-        if isinstance(first, Potential):
-            return PotentialAlgebra(self.universe)
-        raise ArgumentError(f"no algebra known for valuations of type {type(first).__name__}")
+        return self._algebra  # type: ignore[attr-defined]
 
-    @property
+    @cached_property
     def joint_domain(self) -> Domain:
         out: frozenset[str] = frozenset()
         for v in self.valuations:
@@ -257,13 +254,13 @@ def _semigroup(a, samples, pairs, triples, rng):
 
 def _projection_labelling(a, samples, pairs, triples, rng):
     for phi in samples:
-        for sub in _subset_choices(a.label(phi), rng):
-            yield a.label(a.project(phi, sub)) == sub, lambda: f"d(phi↓S) != S for phi={phi!r} S={sorted(sub)}"
+        for sub in _subset_choices(phi.domain, rng):
+            yield a.project(phi, sub).domain == sub, lambda: f"d(phi↓S) != S for phi={phi!r} S={sorted(sub)}"
 
 
 def _transitivity(a, samples, pairs, triples, rng):
     for phi in samples:
-        for mid in _subset_choices(a.label(phi), rng, cap=8):
+        for mid in _subset_choices(phi.domain, rng, cap=8):
             for sub in _subset_choices(mid, rng, cap=8):
                 lhs = a.project(a.project(phi, mid), sub)
                 yield lhs == a.project(phi, sub), lambda: f"transitivity: phi={phi!r} T={sorted(mid)} S={sorted(sub)}"
@@ -271,17 +268,17 @@ def _transitivity(a, samples, pairs, triples, rng):
 
 def _projection_identity(a, samples, pairs, triples, rng):
     for phi in samples:
-        yield a.project(phi, a.label(phi)) == phi, lambda: f"phi↓d(phi) != phi for phi={phi!r}"
+        yield a.project(phi, phi.domain) == phi, lambda: f"phi↓d(phi) != phi for phi={phi!r}"
 
 
 def _combination_labelling(a, samples, pairs, triples, rng):
     for phi, psi in pairs:
-        yield a.label(a.combine(phi, psi)) == a.label(phi) | a.label(psi), lambda: f"labelling: phi={phi!r} psi={psi!r}"
+        yield a.combine(phi, psi).domain == phi.domain | psi.domain, lambda: f"labelling: phi={phi!r} psi={psi!r}"
 
 
 def _combination(a, samples, pairs, triples, rng):
     for phi, psi in pairs:
-        s, t = a.label(phi), a.label(psi)
+        s, t = phi.domain, psi.domain
         for extra in _subset_choices(t - s, rng, cap=8):
             u = s | extra
             lhs = a.project(a.combine(phi, psi), u)
@@ -291,7 +288,7 @@ def _combination(a, samples, pairs, triples, rng):
 def _neutrality(a, samples, pairs, triples, rng):
     seen_domains = []
     for phi in samples:
-        s = a.label(phi)
+        s = phi.domain
         if a.universe.size(s) > _NEUTRAL_SIZE_CAP:
             continue
         yield a.combine(phi, a.neutral(s)) == phi, lambda: f"phi ⊗ e_S != phi for phi={phi!r}"
@@ -304,7 +301,7 @@ def _neutrality(a, samples, pairs, triples, rng):
 
 def _nullity(a, samples, pairs, triples, rng):
     for phi in samples:
-        s = a.label(phi)
+        s = phi.domain
         yield a.combine(phi, a.null(s)) == a.null(s), lambda: f"phi ⊗ z_S != z_S for phi={phi!r}"
         for sub in _subset_choices(s, rng, cap=8):
             holds = (a.project(phi, sub) == a.null(sub)) == (phi == a.null(s))
@@ -313,7 +310,7 @@ def _nullity(a, samples, pairs, triples, rng):
 
 def _idempotency(a, samples, pairs, triples, rng):
     for phi in samples:
-        for sub in _subset_choices(a.label(phi), rng, cap=8):
+        for sub in _subset_choices(phi.domain, rng, cap=8):
             yield a.combine(phi, a.project(phi, sub)) == phi, lambda: f"phi ⊗ phi↓S != phi for phi={phi!r} S={sorted(sub)}"
 
 
@@ -321,10 +318,10 @@ def _comparable_pairs(algebra: ValuationAlgebra, samples: Sequence, pairs: Seque
     """Pairs (low, high) with low ⪯ high, built from nulls and same-domain meets."""
     out = []
     for phi in samples:
-        out.append((algebra.null(algebra.label(phi)), phi))
+        out.append((algebra.null(phi.domain), phi))
         out.append((phi, phi))
     for phi, psi in pairs:
-        if algebra.label(phi) == algebra.label(psi) and algebra.idempotent:
+        if phi.domain == psi.domain and algebra.idempotent:
             out.append((algebra.combine(phi, psi), phi))
     return out
 
@@ -332,25 +329,25 @@ def _comparable_pairs(algebra: ValuationAlgebra, samples: Sequence, pairs: Seque
 def _order(a, samples, pairs, triples, rng):
     for low, high in _comparable_pairs(a, samples, pairs):
         below = a.leq(low, high)
-        yield below and a.label(low) == a.label(high), lambda: (
+        yield below and low.domain == high.domain, lambda: (
             f"comparable pair with different domains: {low!r}, {high!r}" if below else f"expected {low!r} ⪯ {high!r}"
         )
     if not a.idempotent:
         return
     # Same-domain combination acts as a meet: a lower bound dominating sampled lower bounds.
     for phi, psi in pairs:
-        if a.label(phi) != a.label(psi):
+        if phi.domain != psi.domain:
             continue
         meet = a.combine(phi, psi)
         yield a.leq(meet, phi) and a.leq(meet, psi), lambda: f"meet not a lower bound: phi={phi!r} psi={psi!r}"
         for chi in samples:
-            if a.label(chi) == a.label(phi) and a.leq(chi, phi) and a.leq(chi, psi):
+            if chi.domain == phi.domain and a.leq(chi, phi) and a.leq(chi, psi):
                 yield a.leq(chi, meet), lambda: f"meet not greatest lower bound: chi={chi!r}"
 
 
 def _null_is_least(a, samples, pairs, triples, rng):
     for phi in samples:
-        yield a.leq(a.null(a.label(phi)), phi), lambda: f"z_S not below phi={phi!r}"
+        yield a.leq(a.null(phi.domain), phi), lambda: f"z_S not below phi={phi!r}"
 
 
 def _combination_monotone(a, samples, pairs, triples, rng):
@@ -364,7 +361,7 @@ def _combination_monotone(a, samples, pairs, triples, rng):
 
 def _projection_monotone(a, samples, pairs, triples, rng):
     for low, high in _comparable_pairs(a, samples, pairs):
-        for sub in _subset_choices(a.label(low), rng, cap=8):
+        for sub in _subset_choices(low.domain, rng, cap=8):
             yield a.leq(a.project(low, sub), a.project(high, sub)), lambda: (
                 f"projection not monotone: {low!r} ⪯ {high!r}, S={sorted(sub)}"
             )
@@ -378,10 +375,10 @@ def _adjointness(a, samples, pairs, triples, rng):
     """
 
     def below(low, high):
-        return a.label(low) == a.label(high) and a.leq(low, high)
+        return low.domain == high.domain and a.leq(low, high)
 
     for m in samples:
-        names = sorted(a.label(m))
+        names = sorted(m.domain)
         for cut in (1, len(names) // 2, len(names) - 1) if len(names) > 1 else ():
             q, u = frozenset(names[:cut]), frozenset(names[cut:])
             recombined = a.combine(a.project(m, q), a.project(m, u))
@@ -391,8 +388,8 @@ def _adjointness(a, samples, pairs, triples, rng):
             run = samples[i : i + width]
             joined = reduce(a.combine, run)
             for m in run:
-                s = a.label(m)
-                holds = s <= a.label(joined) and below(a.project(joined, s), m)
+                s = m.domain
+                holds = s <= joined.domain and below(a.project(joined, s), m)
                 yield holds, lambda: f"(M1⊗…)↓d(M) ⋠ M for M={m!r}"
 
 

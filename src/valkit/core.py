@@ -94,6 +94,15 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+def label_problem(label) -> str | None:
+    """Why `label` cannot be a variable name or value label, or None: a document's keys join labels with commas."""
+    if not isinstance(label, str) or not label:
+        return "expected a nonempty string"
+    if "," in label:
+        return f"{label!r} must not contain a comma (reserved as the key separator)"
+    return None
+
+
 class Frame(Record):
     """The ordered, finite set of values a variable can take."""
 
@@ -102,6 +111,9 @@ class Frame(Record):
     def __post_init__(self):
         if not self.values:
             raise ArgumentError("a frame needs at least one value")
+        for value in self.values:
+            if problem := label_problem(value):
+                raise ArgumentError(f"frame value: {problem}")
         if len(set(self.values)) != len(self.values):
             raise ArgumentError(f"duplicate value labels in frame {self.values!r}")
 
@@ -119,11 +131,13 @@ class VariableUniverse(Record):
 
     def __post_init__(self):
         names = [name for name, _ in self.entries]
-        if len(set(names)) != len(names):
-            raise ArgumentError("duplicate variable names in universe")
         for name in names:
             if not name:
                 raise ArgumentError("variable names must be nonempty")
+            if problem := label_problem(name):
+                raise ArgumentError(f"variable name: {problem}")
+        if len(set(names)) != len(names):
+            raise ArgumentError("duplicate variable names in universe")
         object.__setattr__(self, "_frames", dict(self.entries))
         object.__setattr__(self, "_vars", frozenset(names))
 

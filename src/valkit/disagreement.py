@@ -13,7 +13,7 @@ calibrated tree of the members' supports (`support_analysis`).
 
 from __future__ import annotations
 
-from .algebra import Knowledgebase
+from .algebra import Knowledgebase, PotentialAlgebra
 from .core import Domain, Record
 from .errors import CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
@@ -59,7 +59,7 @@ def check_local_agreement(kb: Knowledgebase) -> LocalVerdict:
     """
     algebra = kb.algebra()
     members = list(kb)
-    labels = [algebra.label(phi) for phi in members]
+    labels = [phi.domain for phi in members]
     on_empty = [algebra.project(phi, frozenset()) for phi in members]
     count = len(members)
     next_unlike = [count] * count  # the first later member whose projection onto ∅ differs
@@ -112,7 +112,7 @@ def combination_verdict(kb: Knowledgebase, gamma) -> GlobalVerdict:
     """Global agreement given the combination `gamma`, projected onto each member: the tests' reference for tree_verdict."""
     algebra = kb.algebra()
     for index, phi in enumerate(kb, start=1):
-        projected = algebra.project(gamma, algebra.label(phi))
+        projected = algebra.project(gamma, phi.domain)
         if projected != phi:
             return GlobalVerdict(False, witness_index=index, projected=projected)
     return GlobalVerdict(True, truth=gamma)
@@ -149,9 +149,8 @@ def check_global_agreement_potentials(
     column_limit: int | None = DEFAULT_FEASIBILITY_COLUMNS,
 ) -> GlobalVerdict:
     """Feasibility path for rational potentials: find gamma >= 0 with the right marginals."""
-    for phi in kb:
-        if not isinstance(phi, Potential):
-            raise CapabilityError("the feasibility path needs potentials over exact nonnegative rationals")
+    if not isinstance(kb.algebra(), PotentialAlgebra):
+        raise CapabilityError("the feasibility path needs potentials over exact nonnegative rationals")
     system = marginal_system(kb, column_limit)
     outcome = solve_feasibility(system)
     if outcome.feasible:
@@ -164,7 +163,7 @@ def check_global_agreement_potentials(
 def check_complete_disagreement(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) -> bool:
     """True iff the combination is null, by one fusion: the tests' reference for support_analysis's root."""
     algebra = kb.algebra()
-    first_domain = algebra.label(kb.valuations[0])
+    first_domain = kb.valuations[0].domain
     projected = solve_fusion(InferenceProblem(kb, first_domain), cell_limit=cell_limit)
     return projected == algebra.null(first_domain)
 

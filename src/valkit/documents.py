@@ -19,7 +19,7 @@ from math import gcd
 
 from .algebra import Knowledgebase
 from .contextuality import POSSIBILISTIC, PROBABILISTIC, EmpiricalModel, MeasurementScenario
-from .core import Record, VariableUniverse
+from .core import Record, VariableUniverse, label_problem
 from .errors import ParseError, ResourceLimitError, ValkitError
 from .inference import DEFAULT_CELL_LIMIT, check_table_size
 from .logic import csp_to_knowledgebase
@@ -139,10 +139,8 @@ def _expect_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...]
 
 
 def _expect_label(obj, where: str) -> str:
-    if not isinstance(obj, str) or not obj:
-        raise ParseError(f"{where}: expected a nonempty string")
-    if "," in obj:
-        raise ParseError(f"{where}: {obj!r} must not contain a comma (reserved as the key separator)")
+    if problem := label_problem(obj):
+        raise ParseError(f"{where}: {problem}")
     return obj
 
 

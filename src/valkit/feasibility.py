@@ -48,7 +48,7 @@ class LinearSystem(Record):
                 raise ArgumentError(f"entry names undeclared row {row!r}")
             if column not in columns:
                 raise ArgumentError(f"entry names undeclared column {column!r}")
-            if not isinstance(v, (int, Fraction)):
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ArgumentError(f"entry {(row, column)!r} must be an int or a Fraction, not {v!r}")
             cells[columns[column]].append((rows[row], v))
         for row in self.rhs:
@@ -56,7 +56,7 @@ class LinearSystem(Record):
                 raise ArgumentError(f"right-hand side names undeclared row {row!r}")
         rhs = [self.rhs.get(row, ZERO) for row in rows]
         for row, v in zip(rows, rhs):
-            if not isinstance(v, (int, Fraction)) or v < 0:
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)) or v < 0:
                 raise ArgumentError(f"right-hand side of row {row!r} must be a nonnegative int or Fraction, not {v!r}")
         sa = lcm(1, *(v.denominator for column in cells for _, v in column))
         sb = lcm(1, *(v.denominator for v in rhs))

@@ -55,14 +55,9 @@ class InferenceProblem(Record):
     query: Domain
 
     def __post_init__(self):
-        joint = self.knowledgebase.joint_domain
-        extra = self.query - joint
+        extra = self.query - self.knowledgebase.joint_domain
         if extra:
             raise DomainError(f"query variables outside the joint domain: {sorted(extra)}")
-
-    @property
-    def joint_domain(self) -> Domain:
-        return self.knowledgebase.joint_domain
 
 
 def _guarded_combine(algebra: ValuationAlgebra, phi, psi, cell_limit: int | None, target: Domain | None = None):
@@ -75,7 +70,7 @@ def _guarded_combine(algebra: ValuationAlgebra, phi, psi, cell_limit: int | None
         bound = algebra.combine_size_bound(phi, psi)
         if bound > cell_limit:
             raise ResourceLimitError(
-                f"intermediate combination over {sorted(algebra.label(phi) | algebra.label(psi))} "
+                f"intermediate combination over {sorted(phi.domain | psi.domain)} "
                 f"could reach {bound} cells (limit {cell_limit})"
             )
     if target is None:
@@ -119,7 +114,7 @@ def _collect(kb: Knowledgebase, order: Sequence[str], cell_limit: int | None, ke
     buckets: list = [[] for _ in range(root + 1)]
     homes = []
     for phi in kb:
-        homes.append(bucket_of(algebra.label(phi)))
+        homes.append(bucket_of(phi.domain))
         buckets[homes[-1]].append(phi)
     combined, parents = [], []
     for k, bucket in enumerate(buckets):
@@ -130,7 +125,7 @@ def _collect(kb: Knowledgebase, order: Sequence[str], cell_limit: int | None, ke
             result = _guarded_combine(algebra, result, phi, cell_limit)
         if k < root:
             last = bucket[-1]  # already in `result` unless the message is fused
-            separator = (algebra.label(result) | algebra.label(last)) - {order[k]}
+            separator = (result.domain | last.domain) - {order[k]}
             parents.append(bucket_of(separator))
             if fused:
                 message = _guarded_combine(algebra, result, last, cell_limit, separator)
@@ -157,7 +152,7 @@ def drop_barren(kb: Knowledgebase, query: Domain) -> Knowledgebase:
     members = list(kb)
     holders: dict[str, set[int]] = {}
     for i, phi in enumerate(members):
-        for v in algebra.label(phi):
+        for v in phi.domain:
             holders.setdefault(v, set()).add(i)
     live = set(range(len(members)))
     work = list(reversed(range(len(members))))
@@ -165,7 +160,7 @@ def drop_barren(kb: Knowledgebase, query: Domain) -> Knowledgebase:
         i = work.pop()
         if i not in live:
             continue
-        domain = algebra.label(members[i])
+        domain = members[i].domain
         private = [v for v in domain if len(holders[v]) == 1]
         if len(private) != 1 or private[0] in query:
             continue
@@ -190,10 +185,10 @@ def solve_fusion(
     chosen, runs over the variables that are left. Each bucket but the root
     sends its message by one guarded `combine_project`, so for relations and
     potentials alike the combination is a hash join of stored rows that drops
-    the bucket's variable as it goes.
+    the bucket's variable as it goes. The root's combination is the answer:
+    every variable but the query's is eliminated or dropped with its member.
     """
-    algebra = problem.knowledgebase.algebra()
-    to_eliminate = problem.joint_domain - problem.query
+    to_eliminate = problem.knowledgebase.joint_domain - problem.query
     if order is not None:
         order = tuple(order)
         if len(order) != len(set(order)) or set(order) != to_eliminate:
@@ -207,7 +202,7 @@ def solve_fusion(
         kept = kb.joint_domain
         order = tuple(v for v in order if v in kept)
     combined, _, _ = _collect(kb, order, cell_limit, keep=False)
-    return algebra.project(combined[-1], problem.query)
+    return combined[-1]
 
 
 class JoinTree(Record):
@@ -231,7 +226,7 @@ class JoinTree(Record):
         """Each member's projection of the combination, read off its home clique, in member order."""
         algebra = self.knowledgebase.algebra()
         for phi, home in zip(self.knowledgebase, self.homes):
-            yield algebra.project(self.cliques[home], algebra.label(phi))
+            yield algebra.project(self.cliques[home], phi.domain)
 
     @cached_property
     def size(self) -> int:
@@ -323,11 +318,11 @@ def calibrate(kb: Knowledgebase, cell_limit: int | None = DEFAULT_CELL_LIMIT) ->
         raise CapabilityError(f"{algebra.name} is not idempotent; calibration without division needs it")
     order = heuristic_order(kb, frozenset())
     cliques, parents, homes = _collect(kb, order, cell_limit, keep=True)
-    if cliques[-1] == algebra.null(algebra.label(cliques[-1])):
-        cliques = [algebra.null(algebra.label(clique)) for clique in cliques]
+    if cliques[-1] == algebra.null(cliques[-1].domain):
+        cliques = [algebra.null(clique.domain) for clique in cliques]
     else:
         for k in reversed(range(len(order))):  # a parent is calibrated before its children
-            separator = algebra.label(cliques[k]) - {order[k]}
+            separator = cliques[k].domain - {order[k]}
             cliques[k] = algebra.combine(cliques[k], algebra.project(cliques[parents[k]], separator))
     return JoinTree(kb, order, tuple(cliques), tuple(parents), tuple(homes))
 
@@ -341,14 +336,10 @@ def heuristic_order(kb: Knowledgebase, query: Domain) -> tuple[str, ...]:
     variables it can change, the neighbours and their neighbours, and a
     popped entry whose score is stale is skipped.
     """
-    algebra = kb.algebra()
     neighbours: dict[str, set[str]] = {}
     for phi in kb:
-        domain = algebra.label(phi)
-        for v in domain:
-            neighbours.setdefault(v, set()).update(domain - {v})
-    for v in query:
-        neighbours.setdefault(v, set())
+        for v in phi.domain:
+            neighbours.setdefault(v, set()).update(phi.domain - {v})
 
     def score(v: str) -> int:  # C(d, 2) neighbour pairs less the adjacent ones, each seen from both ends
         nbrs = neighbours[v]

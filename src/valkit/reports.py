@@ -10,8 +10,6 @@ the report, re-checks each piece of evidence directly against the input.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .algebra import Knowledgebase
 from .contextuality import ContextualityReport, EmpiricalModel, NoSignallingVerdict, classify
 from .core import Assignment
@@ -243,7 +241,7 @@ def _local_pair_problems(kb: Knowledgebase, pair: tuple, members: tuple, overlap
 def _gamma_on_context(gamma: Relation | JoinTree, model: EmpiricalModel, ctx: tuple[str, ...]) -> Relation:
     """Gamma projected onto a context: off its listed tuples, or past TUPLE_CAP off the context's clique of its tree."""
     if isinstance(gamma, JoinTree):
-        return next(islice(gamma.marginals(), model.scenario.contexts.index(ctx), None))
+        gamma = gamma.cliques[gamma.homes[model.scenario.contexts.index(ctx)]]
     return project_relation(gamma, frozenset(ctx))
 
 

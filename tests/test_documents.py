@@ -11,6 +11,7 @@ from valkit.algebra import Knowledgebase
 from valkit.builtins import bell_model, builtin, hardy_model, malawi_constraints, screening_knowledgebase
 from valkit.cli import main
 from valkit.contextuality import EmpiricalModel
+from valkit.core import VariableUniverse
 from valkit.documents import (
     canonical_json,
     document_for,
@@ -21,7 +22,7 @@ from valkit.documents import (
     parse_rational,
     _rational_parts,
 )
-from valkit.errors import ParseError, ResourceLimitError
+from valkit.errors import ArgumentError, ParseError, ResourceLimitError
 from valkit.logic import csp_to_knowledgebase
 
 from conftest import csp_document, empty_domain_potential_kb
@@ -336,6 +337,32 @@ def test_each_malformed_document_raises_its_message(name):
     with pytest.raises(ParseError) as err:
         parse_document_text(json.dumps(document))
     assert err.value.message == message
+
+
+UNCARRIABLE = {
+    "comma-in-a-label": (
+        [("a", ("x,y", "z")), ("b", ("0", "1"))],
+        "'x,y' must not contain a comma (reserved as the key separator)",
+    ),
+    "comma-in-a-name": ([("a,b", ("0", "1"))], "'a,b' must not contain a comma (reserved as the key separator)"),
+    "empty-label": ([("a", ("0", ""))], "expected a nonempty string"),
+    "int-label": ([("a", ("0", 1))], "expected a nonempty string"),
+    "int-name": ([(3, ("0", "1"))], "expected a nonempty string"),
+    "list-name": ([(["a"], ("0", "1"))], "expected a nonempty string"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCARRIABLE))
+def test_the_library_refuses_a_universe_no_document_can_carry(name):
+    """A name or label that the parser refuses is refused by `VariableUniverse.of` too, in the parser's words."""
+    entries, words = UNCARRIABLE[name]
+    with pytest.raises(ArgumentError) as built:
+        VariableUniverse.of(entries)
+    assert str(built.value).endswith(words)
+    universe = [{"name": var, "frame": list(frame)} for var, frame in entries]
+    with pytest.raises(ParseError) as parsed:
+        parse_document_text(json.dumps({"kind": "knowledgebase", "universe": universe, "valuations": []}))
+    assert parsed.value.message.endswith(words)
 
 
 def test_a_csp_cover_over_the_cell_limit_is_refused_at_parse():

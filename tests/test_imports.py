@@ -7,9 +7,14 @@ read somewhere in that module, in code or in a string annotation. The
 package `__init__.py` is exempt because its imports are re-exports.
 
 One algebra contract: every class in `src/valkit` that subclasses
-`ValuationAlgebra` defines `project`, `combine`, `neutral`, `null`,
-`is_neutral` and `combine_size_bound` itself, and the base class defines
-none of them, so no instance can fall back on a stub or an optional default.
+`ValuationAlgebra` defines `project`, `combine`, `combine_project`,
+`neutral`, `null`, `is_neutral` and `combine_size_bound` itself, and the
+base class defines only `__init__`, `leq` and `claimed_axioms`, so no
+instance can fall back on a stub or an optional default.
+
+A valuation's label is its `domain`: no valkit module calls `.label(`, so
+generic inference reads d(phi) one way, as the tables store it, and no
+algebra method can come back to restate it.
 
 Tables work on rows: generic inference (`inference.py`, `algebra.py`) and the
 four table operations never name `Assignment` or call an assignment's
@@ -149,17 +154,20 @@ def test_the_check_sees_an_unused_import():
 
 
 CONTRACT = ("project", "combine", "combine_project", "neutral", "null", "is_neutral", "combine_size_bound")
+BASE = ("__init__", "leq", "claimed_axioms")
 
 
 def _contract_gaps(tree: ast.AST, module: str) -> tuple[list[str], list[str]]:
-    """The `ValuationAlgebra` subclasses in `tree`, and each contract method one of them, or the base, gets wrong."""
+    """The `ValuationAlgebra` subclasses in `tree`, and each breach: a method an instance lacks or the base adds, or a `.label(` call."""
     instances, gaps = [], []
     for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "label":
+            gaps.append(f"{module}:{node.lineno}: calls .label(")
         if not isinstance(node, ast.ClassDef):
             continue
         defined = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
         if node.name == "ValuationAlgebra":
-            gaps += [f"{module}:{node.name}: defines {name}" for name in CONTRACT if name in defined]
+            gaps += [f"{module}:{node.name}: defines {name}" for name in sorted(defined - set(BASE))]
         elif any(getattr(base, "id", getattr(base, "attr", None)) == "ValuationAlgebra" for base in node.bases):
             instances.append(node.name)
             gaps += [f"{module}:{node.name}: lacks {name}" for name in CONTRACT if name not in defined]
@@ -185,6 +193,22 @@ def test_the_contract_check_sees_a_missing_method():
     assert _contract_gaps(tree, "m.py") == (
         ["Half"],
         ["m.py:Half: lacks null", "m.py:ValuationAlgebra: defines combine_project"],
+    )
+
+
+def test_the_contract_check_sees_a_label_method_and_call():
+    source = (
+        "class ValuationAlgebra:\n"
+        "    def __init__(self, universe): ...\n"
+        "    def leq(self, phi, psi): ...\n"
+        "    def claimed_axioms(self): ...\n"
+        "    def label(self, phi): ...\n"
+        "def f(algebra, phi):\n"
+        "    return algebra.label(phi), phi.domain, label(phi)\n"
+    )
+    assert _contract_gaps(ast.parse(source), "m.py") == (
+        [],
+        ["m.py:ValuationAlgebra: defines label", "m.py:7: calls .label("],
     )
 
 

@@ -2,12 +2,13 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
-from valkit import inference
+from valkit import algebra, inference
 from valkit.algebra import Knowledgebase, RelationAlgebra
-from valkit.builtins import liar_knowledgebase, malawi_knowledgebase, screening_knowledgebase
+from valkit.builtins import bell_model, liar_knowledgebase, malawi_knowledgebase, screening_knowledgebase
 from valkit.core import Assignment, VariableUniverse
 from valkit.documents import canonical_json, parse_document_text
 from valkit.errors import ArgumentError, DomainError, ResourceLimitError
@@ -85,6 +86,30 @@ def test_empty_elimination_is_plain_combination():
     kb = screening_knowledgebase()
     problem = InferenceProblem(kb, kb.joint_domain)
     assert solve_fusion(problem) == solve_naive(problem)
+
+
+def test_fusion_answers_with_its_root_and_projects_nothing_after_the_collect_pass(monkeypatch):
+    """With the query the joint domain nothing is eliminated, so the root's combination is returned unprojected."""
+    for kb in (screening_knowledgebase(), bell_model().knowledgebase()):  # relations, then potentials
+        problem = InferenceProblem(kb, kb.joint_domain)
+        expected = solve_naive(problem)
+        projected = []
+        for name in ("project_relation", "project_potential"):
+            project = getattr(algebra, name)
+            monkeypatch.setattr(algebra, name, lambda *args, project=project: projected.append(args) or project(*args))
+        assert solve_fusion(problem) == expected
+        assert projected == []
+        monkeypatch.undo()
+
+
+def test_a_knowledgebase_finds_its_algebra_once_when_it_is_built():
+    universe = VariableUniverse.of([("x", ("0", "1"))])
+    with pytest.raises(ArgumentError, match="no algebra known for valuations of type SimpleNamespace"):
+        Knowledgebase(universe, (SimpleNamespace(universe=universe),))
+    for kb in (screening_knowledgebase(), bell_model().knowledgebase()):
+        assert kb.algebra() is kb.algebra()
+        rebuilt = Knowledgebase(kb.universe, kb.valuations)
+        assert rebuilt == kb and hash(rebuilt) == hash(kb) and repr(rebuilt) == repr(kb)
 
 
 def test_invalid_order_rejected():
@@ -297,10 +322,10 @@ def test_fusion_on_a_rational_grid_sends_fused_messages_and_walks_no_frame(monke
     # Every message a bucket sends is one `combine_project` (or, from a
     # one-member bucket, a projection), so `combine_potentials` only folds a
     # bucket's members before its last and builds the root's combination: no
-    # combination it returns is ever projected, except the root's onto the
-    # query. Combination is a hash join of stored rows, so no frame product
-    # is enumerated.
-    from valkit import algebra, potentials
+    # combination it returns is ever projected, not even the root's, which is
+    # the answer. Combination is a hash join of stored rows, so no frame
+    # product is enumerated.
+    from valkit import potentials
 
     kbs = [
         (parse_document_text(canonical_json(coprime_bayes_net_document(7, k))).knowledgebase(), query)
@@ -324,7 +349,7 @@ def test_fusion_on_a_rational_grid_sends_fused_messages_and_walks_no_frame(monke
             return potentials._join(phi, psi, target)
 
         def project(phi, target):
-            projected.append(any(phi is c for c in combined) and not phi.domain <= problem.query)
+            projected.append(any(phi is c for c in combined))
             return potentials.project_potential(phi, target)
 
         monkeypatch.setattr(VariableUniverse, "rows", refuse_rows)
@@ -339,9 +364,9 @@ def test_fusion_on_a_rational_grid_sends_fused_messages_and_walks_no_frame(monke
 def test_fusion_on_a_colouring_grid_sends_fused_messages(monkeypatch):
     # The relation twin of the test above: every message a bucket sends is
     # one `combine_project` (or, from a one-member bucket, a projection), so
-    # no relation that `natural_join` returns is ever projected, except the
-    # root's onto the query.
-    from valkit import algebra, relations
+    # no relation that `natural_join` returns is ever projected, not even the
+    # root's.
+    from valkit import relations
 
     rng = random.Random(31)
     for rows, cols in ((3, 3), (3, 4), (2, 6)):
@@ -361,7 +386,7 @@ def test_fusion_on_a_colouring_grid_sends_fused_messages(monkeypatch):
                 return fuse(self, phi, psi, target)
 
             def project(r, target):
-                projected.append(any(r is j for j in joined) and not r.domain <= problem.query)
+                projected.append(any(r is j for j in joined))
                 return relations.project_relation(r, target)
 
             monkeypatch.setattr(algebra, "natural_join", natural_join)

@@ -47,9 +47,8 @@ from conftest import (
 
 def oracle_global_adjoint(kb):
     """One inference problem per member, then one over all variables on agreement."""
-    algebra = kb.algebra()
     for index, phi in enumerate(kb, start=1):
-        projected = solve_fusion(InferenceProblem(kb, algebra.label(phi)))
+        projected = solve_fusion(InferenceProblem(kb, phi.domain))
         if projected != phi:
             return GlobalVerdict(False, witness_index=index, projected=projected)
     return GlobalVerdict(True, truth=solve_fusion(InferenceProblem(kb, kb.joint_domain)))
@@ -61,7 +60,7 @@ def oracle_local_agreement(kb):
     members = list(kb)
     for i in range(len(members)):
         for j in range(i + 1, len(members)):
-            overlap = algebra.label(members[i]) & algebra.label(members[j])
+            overlap = members[i].domain & members[j].domain
             left = algebra.project(members[i], overlap)
             right = algebra.project(members[j], overlap)
             if left != right:
@@ -137,10 +136,9 @@ def test_calibrated_cliques_give_every_marginal_and_the_combination():
     rng = random.Random(77)
     for _ in range(300):
         kb = random_tree_kb(rng)
-        algebra = kb.algebra()
         tree = calibrate(kb)
         for phi, marginal in zip(kb, tree.marginals()):
-            assert marginal == solve_fusion(InferenceProblem(kb, algebra.label(phi)))
+            assert marginal == solve_fusion(InferenceProblem(kb, phi.domain))
         gamma = solve_naive(InferenceProblem(kb, kb.joint_domain))
         assert tree.combination() == gamma
         for clique in tree.cliques:

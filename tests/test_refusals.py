@@ -221,6 +221,16 @@ REFUSALS = {
         ArgumentError,
         "right-hand side names undeclared row 'r9'",
     ),
+    "LinearSystem: a bool entry": (
+        lambda: LinearSystem(("c",), ("r",), {("r", "c"): True}, {"r": True}),
+        ArgumentError,
+        "entry ('r', 'c') must be an int or a Fraction, not True",
+    ),
+    "LinearSystem: a bool right-hand side": (
+        lambda: LinearSystem(("c",), ("r",), {("r", "c"): 1}, {"r": True}),
+        ArgumentError,
+        "right-hand side of row 'r' must be a nonnegative int or Fraction, not True",
+    ),
     "Assignment.value: missing variable": (
         lambda: X0.value("y"),
         DomainError,
