@@ -14,19 +14,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Knowledgebase
+from .algebra import Knowledgebase, RelationAlgebra
 from .core import Assignment, Domain, Record, VariableUniverse
 from .disagreement import (
     GlobalVerdict,
     check_local_agreement,
     support_analysis,
     support_knowledgebase,
-    support_of,
     tree_verdict,
 )
 from .errors import ArgumentError, SignallingError
 from .inference import DEFAULT_CELL_LIMIT, JoinTree
-from .potentials import Potential, total_mass
+from .potentials import Potential
 from .relations import Relation
 
 PROBABILISTIC = "probabilistic"
@@ -66,7 +65,7 @@ class MeasurementScenario(Record):
 
 
 class EmpiricalModel(Record):
-    """A scenario and one section per context, checked once as the knowledgebase they form."""
+    """A scenario and one normalised section per context, checked once as the knowledgebase they form."""
 
     scenario: MeasurementScenario
     sections: tuple[Potential, ...] | tuple[Relation, ...]  # aligned with scenario.contexts
@@ -74,19 +73,18 @@ class EmpiricalModel(Record):
     def __post_init__(self):
         if len(self.sections) != len(self.scenario.contexts):
             raise ArgumentError("one section per context is required")
+        object.__setattr__(self, "_kb", Knowledgebase(self.scenario.universe, self.sections))
+        algebra = self.knowledgebase().algebra()
         for ctx, section in zip(self.scenario.contexts, self.sections):
             if section.domain != frozenset(ctx):
                 raise ArgumentError(f"section domain {sorted(section.domain)} does not match context {ctx!r}")
-            if isinstance(section, Potential) and (mass := total_mass(section)) != 1:
-                raise ArgumentError(f"section over {ctx!r} sums to {mass}, not 1")
-            if isinstance(section, Relation) and section.is_empty():
-                raise ArgumentError(f"section over {ctx!r} has empty support")
-        object.__setattr__(self, "_kb", Knowledgebase(self.scenario.universe, self.sections))
+            if not algebra.is_neutral(on_empty := algebra.project(section, frozenset())):
+                raise ArgumentError(f"section over {ctx!r} projects onto ∅ as {on_empty!r}, not the neutral element")
 
     @property
     def kind(self) -> str:
         """Possibilistic when the sections are relations, probabilistic when they are rational potentials."""
-        return POSSIBILISTIC if isinstance(self.sections[0], Relation) else PROBABILISTIC
+        return POSSIBILISTIC if isinstance(self.knowledgebase().algebra(), RelationAlgebra) else PROBABILISTIC
 
     def _position(self, context: tuple[str, ...]) -> int:
         if tuple(context) not in self.scenario.contexts:
@@ -97,7 +95,7 @@ class EmpiricalModel(Record):
         return self.sections[self._position(context)]
 
     def support_for(self, context: tuple[str, ...]) -> Relation:
-        return support_of(self.section_for(context))
+        return self.support_knowledgebase().valuations[self._position(context)]
 
     def knowledgebase(self) -> Knowledgebase:
         return self._kb  # type: ignore[attr-defined]

@@ -13,12 +13,12 @@ calibrated tree of the members' supports (`support_analysis`).
 
 from __future__ import annotations
 
-from .algebra import Knowledgebase, PotentialAlgebra
+from .algebra import Knowledgebase, PotentialAlgebra, RelationAlgebra
 from .core import Domain, Record
 from .errors import CapabilityError, ResourceLimitError
 from .feasibility import FarkasCertificate, LinearSystem, solve_feasibility
 from .inference import DEFAULT_CELL_LIMIT, InferenceProblem, JoinTree, calibrate, solve_fusion
-from .potentials import Potential, rational_potential, support_relation
+from .potentials import rational_potential, support_relation
 from .relations import Relation, restriction
 
 DEFAULT_FEASIBILITY_COLUMNS = 4096
@@ -180,7 +180,7 @@ def search_truth_valuations(
     inside every member (a definitional filter), and all subsets of the
     surviving assignments are tried.
     """
-    if not isinstance(kb.valuations[0], Relation):
+    if not isinstance(kb.algebra(), RelationAlgebra):
         raise CapabilityError("truth-valuation search is defined for relation knowledgebases")
     universe = kb.universe
     joint = kb.joint_domain
@@ -216,14 +216,11 @@ def search_truth_valuations(
     return found
 
 
-def support_of(phi: Relation | Potential) -> Relation:
-    """A valuation's support as a relation: a relation is its own support."""
-    return phi if isinstance(phi, Relation) else support_relation(phi)
-
-
 def support_knowledgebase(kb: Knowledgebase) -> Knowledgebase:
-    """The members' supports as a relation knowledgebase."""
-    return Knowledgebase(kb.universe, tuple(map(support_of, kb)))
+    """The members' supports as a relation knowledgebase: a relation knowledgebase is its own."""
+    if isinstance(kb.algebra(), RelationAlgebra):
+        return kb
+    return Knowledgebase(kb.universe, tuple(map(support_relation, kb)))
 
 
 def support_analysis(

@@ -19,7 +19,7 @@ class UniverseMismatchError(DomainError):
 
 class CapabilityError(ValkitError):
     """The input lacks what the operation needs: idempotency (`calibrate`), the order (`leq`), adjointness
-    (`check_global_agreement_adjoint`), or the valuation type of the feasibility path or `search_truth_valuations`."""
+    (`check_global_agreement_adjoint`), or the algebra that the feasibility path or `search_truth_valuations` needs."""
 
 
 class ResourceLimitError(ValkitError):

@@ -23,7 +23,7 @@ from .documents import (
     relation_rows,
 )
 from .errors import SignallingError
-from .feasibility import FarkasCertificate, LinearSystem, validate_certificate, validate_solution
+from .feasibility import FarkasCertificate, LinearSystem, validate_certificate
 from .inference import DEFAULT_CELL_LIMIT, TUPLE_CAP, JoinTree
 from .potentials import Potential
 from .relations import Relation, project_relation, restriction
@@ -201,16 +201,15 @@ def verify_report(
     The re-derivation runs under the caller's cell limit. The report's own
     "cell-limit" field is not read: a report must not be able to switch off
     the resource guard that bounds its own checking. Nor is its "method"
-    field, which older reports may set to "naive". A report whose "kind"
-    is not the input's fails at once, as one with another input hash does.
-    A report whose analysis does not reproduce fails with that one problem,
-    before any witness is checked; otherwise the witnesses are read off the
-    re-derived analysis, which equals the report's. Only the LC check, which
-    would need inference, reads the re-derived Gamma, or past TUPLE_CAP its
-    tree's clique of the witness context; Farkas certificates and
-    a global distribution are checked against the marginal system the
-    re-derivation built from the input; every other witness, a signalling
-    model's pair of contexts included, is checked against the input directly.
+    field, which older reports may set to "naive". A report whose "kind" or
+    input hash is not the input's fails at once. A report whose analysis
+    does not reproduce fails with that one problem, before any witness is
+    checked; otherwise the witnesses are read off the re-derived analysis.
+    The LC check, which would need inference, reads its Gamma, or past
+    TUPLE_CAP its tree's clique of the witness context, and a Farkas
+    certificate is checked against its marginal system. Every other witness
+    is checked against the input directly: a global distribution or a truth
+    valuation must project onto every section or member.
     """
     if report.get("report") != REPORT_SCHEMA:
         return [f"unknown report schema {report.get('report')!r}"]
@@ -236,6 +235,11 @@ def _local_pair_problems(kb: Knowledgebase, pair: tuple, members: tuple, overlap
     algebra = kb.algebra()
     left, right = (algebra.project(phi, frozenset(overlap)) for phi in members)
     return [f"reported local disagreement pair {pair} actually agrees"] if left == right else []
+
+
+def _unmatched_members(kb: Knowledgebase, truth) -> list[int]:
+    """The 1-based indices of the members that a truth valuation, or a global distribution, does not project onto."""
+    return [index for index, phi in enumerate(kb, start=1) if kb.algebra().project(truth, phi.domain) != phi]
 
 
 def _gamma_on_context(gamma: Relation | JoinTree, model: EmpiricalModel, ctx: tuple[str, ...]) -> Relation:
@@ -265,7 +269,7 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict) -> list[
                 kb = payload.knowledgebase()
                 raw = probabilistic["global-distribution"]
                 dist = parse_potential(raw, sorted(kb.joint_domain), kb.universe, "global-distribution")
-                if not validate_solution(system, dist.table):
+                if _unmatched_members(kb, dist):
                     problems.append("global distribution does not marginalize to every context")
         if analysis["logical"]["contextual"]:
             witness = analysis["logical"]["witness"]
@@ -283,7 +287,6 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict) -> list[
 
     kb = payload
     members = kb.valuations
-    algebra = kb.algebra()
     local = analysis["local"]
     if local["verdict"] == "fail":
         i, j = local["pair"]
@@ -291,14 +294,16 @@ def _revalidate_witnesses(analysis: dict, parsed: ParsedInput, verdict) -> list[
     global_doc = analysis["global"]
     if global_doc["verdict"] == "agree":
         truth = _valuation_from_doc(global_doc["truth"], kb.universe, "truth")
-        for index, member in enumerate(members, start=1):
-            if truth is not None and algebra.project(truth, member.domain) != member:
-                problems.append(f"reported truth valuation does not project onto member {index}")
+        if truth is not None:
+            problems.extend(f"reported truth valuation does not project onto member {i}" for i in _unmatched_members(kb, truth))
     elif "certificate" in global_doc:
         system = verdict.global_agreement.system
         problems.extend(_certificate_problems(global_doc["certificate"], _kb_certificate_layout(kb), system))
     else:
         index = global_doc["witness-index"]
-        if _valuation_from_doc(global_doc["projected"], kb.universe, "projected") == members[index - 1]:
+        projected, member = _valuation_from_doc(global_doc["projected"], kb.universe, "projected"), members[index - 1]
+        if projected == member:
             problems.append(f"reported witness member {index} is not unlike its projection of the combination")
+        elif projected is not None and (projected.domain != member.domain or not kb.algebra().leq(projected, member)):
+            problems.append(f"reported projection of the combination does not lie inside witness member {index}")
     return problems

@@ -569,6 +569,19 @@ def test_duplicate_json_keys_exit_2(tmp_path):
     assert "duplicate key 'kind'" in err
 
 
+def test_a_section_that_is_not_normalised_exits_2(tmp_path):
+    doc = model_document(bell_model())
+    doc["sections"]["a1,b2"] = {"0,0": "1/4", "1,1": "1/4"}
+    path = tmp_path / "half.json"
+    path.write_text(canonical_json(doc), encoding="utf-8")
+    code, out, err = run_cli("analyze", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: section over ('a1', 'b2') projects onto ∅ as Potential[∅|nonneg-rational]{(*)->1/2}, "
+        "not the neutral element\n"
+    )
+
+
 def test_an_integer_past_the_digit_limit_exits_2(tmp_path):
     # int() refuses a literal of more than 4300 digits; that is a malformed
     # document or report, not a crash.

@@ -17,9 +17,10 @@ from valkit.contextuality import (
     probabilistic_model,
 )
 from valkit.core import Assignment, Domain, Record, VariableUniverse
-from valkit.disagreement import combination_verdict, tree_verdict
+from valkit.disagreement import combination_verdict, support_knowledgebase, tree_verdict
 from valkit.errors import ArgumentError, PreconditionError, ResourceLimitError, SignallingError
 from valkit.inference import InferenceProblem, JoinTree, calibrate, solve_naive
+from valkit.potentials import support_relation
 from valkit.relations import Row, project_relation
 
 from conftest import (
@@ -339,12 +340,34 @@ def test_20000_context_cycles_and_stars_are_checked_in_linear_time():
         assert time.perf_counter() - start < 2.0
 
 
-def test_model_validation():
-    universe = VariableUniverse.of([("a", ("0", "1"))])
-    with pytest.raises(ArgumentError):
-        probabilistic_model(universe, [("a",)], {("a",): {("0",): Fraction(1, 2)}})  # sums to 1/2
-    with pytest.raises(ArgumentError):
-        possibilistic_model(universe, [("a",)], {("a",): []})  # empty support
+@pytest.mark.parametrize(
+    "kind, section, on_empty",
+    [
+        ("probabilistic", {("0",): Fraction(1, 2)}, "Potential[∅|nonneg-rational]{(*)->1/2}"),
+        ("probabilistic", {("0",): 0}, "Potential[∅|nonneg-rational]{}"),
+        ("possibilistic", [], "Relation[∅]{}"),
+    ],
+    ids=["sums-to-half", "only-zero-listed", "empty-support"],
+)
+def test_model_validation(kind, section, on_empty):
+    # One rule refuses a section of either kind: its projection onto ∅ must be the neutral element.
+    universe = VariableUniverse.of([("a", ("0", "1")), ("b", ("0", "1"))])
+    contexts = [("a",), ("b",)]
+    with pytest.raises(ArgumentError) as refused:
+        if kind == "probabilistic":
+            probabilistic_model(universe, contexts, {("a",): {("0",): 1}, ("b",): section})
+        else:
+            possibilistic_model(universe, contexts, {("a",): [("0",)], ("b",): section})
+    assert str(refused.value) == f"section over ('b',) projects onto ∅ as {on_empty}, not the neutral element"
+
+
+def test_a_relation_knowledgebase_is_its_own_support_knowledgebase():
+    hardy = hardy_model()
+    assert support_knowledgebase(hardy.knowledgebase()) is hardy.knowledgebase()
+    assert hardy.support_knowledgebase() is hardy.knowledgebase()
+    bell = bell_model()
+    for ctx, section in zip(bell.scenario.contexts, bell.sections):
+        assert bell.support_for(ctx) == support_relation(section)
 
 
 def test_classification_invariant_under_context_reordering():

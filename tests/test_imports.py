@@ -74,6 +74,11 @@ arguments from one table, and takes a digest with CPython's built-in SHA-256,
 falling back to `hashlib` only in `cli._sha256`. Each would otherwise load on
 every command's start-up.
 
+A model and a knowledgebase are read through their algebra: neither
+`contextuality.py` nor `disagreement.py` calls `isinstance` against `Relation`
+or `Potential`, so the normalisation rule, a support and a model's kind each
+come from the knowledgebase's algebra, never from a member's type.
+
 Only `cli.py` imports `gc`, and only `cli.run`, the `vk` process entry, calls
 `gc.freeze`: the library never freezes a caller's heap.
 
@@ -608,6 +613,44 @@ def test_the_model_knowledgebase_check_sees_a_rebuild():
     assert _section_knowledgebases(ast.parse(source), "contextuality.py") == []
     fine = "def f(model, u, sections):\n    return model.knowledgebase(), Knowledgebase(u, sections), len(model.sections)\n"
     assert _section_knowledgebases(ast.parse(fine), "reports.py") == []
+
+
+ALGEBRA_READERS = ("contextuality.py", "disagreement.py")
+VALUATION_TYPES = ("Relation", "Potential")
+
+
+def _valuation_type_tests(tree: ast.AST, module: str) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+            continue
+        for part in ast.walk(node.args[1]):
+            name = part.id if isinstance(part, ast.Name) else getattr(part, "attr", None)
+            if name in VALUATION_TYPES:
+                found.append(f"{module}:{node.lineno}: isinstance against {name}")
+    return found
+
+
+def test_models_and_knowledgebases_read_their_algebra_not_a_members_type():
+    offences = []
+    for module in ALGEBRA_READERS:
+        path = PACKAGE / module
+        offences.extend(_valuation_type_tests(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), module))
+    assert not offences, "a valuation type tested where the algebra decides:\n" + "\n".join(offences)
+
+
+def test_the_valuation_type_check_sees_an_isinstance():
+    source = (
+        "def f(phi, kb):\n"
+        "    a = isinstance(phi, Relation)\n"
+        "    b = isinstance(phi, (int, potentials.Potential))\n"
+        "    return a, b, isinstance(kb.algebra(), RelationAlgebra), type(phi) is Relation\n"
+    )
+    assert _valuation_type_tests(ast.parse(source), "contextuality.py") == [
+        "contextuality.py:2: isinstance against Relation",
+        "contextuality.py:3: isinstance against Potential",
+    ]
+    assert _valuation_type_tests(ast.parse("ok = isinstance(x, (RelationAlgebra, PotentialAlgebra))\n"), "disagreement.py") == []
 
 
 def _imports(tree: ast.AST, module: str, banned: tuple[str, ...]) -> list[str]:

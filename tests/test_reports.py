@@ -219,6 +219,26 @@ def test_the_written_projection_must_differ_from_the_witness_member():
     assert problems_after(kb_input(screening_knowledgebase()), omit_tuples) == []
 
 
+def test_the_written_projection_must_lie_inside_the_witness_member():
+    # Gamma↓d(phi) ⪯ phi (law ADJ): a projection holding a tuple from outside
+    # the member, or written over another domain, is refused without raising.
+    outside = "reported projection of the combination does not lie inside witness member 1"
+
+    def add_outside_tuple(analysis):
+        projected = analysis["global"]["projected"]
+        assert ["M", "2Y"] not in analysis["global"]["member"]["tuples"]
+        projected["tuples"].append(["M", "2Y"])
+        projected["size"] += 1
+
+    def move_domain(analysis):
+        projected = analysis["global"]["projected"]
+        projected["domain"] = ["a", "e"]
+        projected["tuples"] = [["54-", "M"]]
+
+    assert problems_after(kb_input(screening_knowledgebase()), add_outside_tuple) == [outside]
+    assert problems_after(kb_input(screening_knowledgebase()), move_domain) == [outside]
+
+
 def test_a_model_analysis_is_one_classify_call(monkeypatch):
     classify, check_no_signalling = contextuality.classify, contextuality.check_no_signalling
     calls = []
